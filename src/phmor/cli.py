@@ -50,6 +50,7 @@ from .systems import (
 from .transfer import (
     FrequencyGrid,
     PolynomialMismatchError,
+    frequency_response,
     h2_error,
     hinf_error,
     polynomial_part_index1,
@@ -132,11 +133,12 @@ def _full_poly(part):
     return PolynomialPart.constant(part.parent.S + part.parent.N)
 
 
-def _errors_row(part, model, data, grid, with_h2, converged="", iterations=""):
+def _errors_row(part, model, data, grid, with_h2, converged="", iterations="",
+                full_response=None):
     full = part.parent
     res = tangential_residuals(full, model, data)
     try:
-        _, rel_hinf = hinf_error(full, model, grid)
+        _, rel_hinf = hinf_error(full, model, grid, full_response=full_response)
     except PolynomialMismatchError:
         rel_hinf = np.inf
     rel_h2 = ""
@@ -157,12 +159,13 @@ def cmd_generate(args):
     out = pathlib.Path(args.out) if args.out else _default_out() / "model"
     extra = {}
     if args.benchmark == "chain":
-        part = benchmarks.mass_spring_chain(benchmarks.MassSpringSpec(k=args.k))
+        spec = benchmarks.MassSpringSpec(k=args.k)
         if args.sparse:
-            data = benchmarks.mass_spring_chain_sparse(benchmarks.MassSpringSpec(k=args.k))
+            data = benchmarks.mass_spring_chain_sparse(spec)
             containers.save_phdae(out, data, extra={"index": "2", "benchmark": "chain"})
             print(f"wrote sparse chain (n={data['E'].shape[0]}) to {out}")
             return 0
+        part = benchmarks.mass_spring_chain(spec)
         extra = {"index": "2", "n1": part.n1, "benchmark": "chain"}
         system = part.parent
     elif args.benchmark == "chain-b2":
@@ -287,6 +290,7 @@ def cmd_sweep(args):
     if any(r < 1 for r in rs):
         raise LinAlgContractError("reduced orders must be >= 1")
     method = _resolve_method(args.method, part)
+    full_response = frequency_response(part.parent, grid)
     rows = []
     for r in rs:
         if method in _IRKA_REDUCER_NAMES:
@@ -300,7 +304,8 @@ def cmd_sweep(args):
             model = _DIRECT_METHODS[method](part, data)
             conv, iters = "", ""
         containers.save_reduced(out / f"r{r:03d}", model)
-        rows.append(_errors_row(part, model, data, grid, args.h2, conv, iters))
+        rows.append(_errors_row(part, model, data, grid, args.h2, conv, iters,
+                                full_response))
         print(f"r={r}: done (order {model.order}, ph_valid={model.ph_valid})")
     with open(out / "errors.csv", "w") as fh:
         fh.write(CSV_HEADER)

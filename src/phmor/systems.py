@@ -360,9 +360,10 @@ class Index2Partition:
         _check_zero(sys.E[n1:, :n1], "E21", scale)
         _check_zero(sys.E[n1:, n1:], "E22", scale)
         _check_zero(sys.J[n1:, n1:], "J22", spla.norm(sys.J, 2))
-        _check_zero(sys.R[:n1, n1:], "R12", spla.norm(sys.R, 2))
-        _check_zero(sys.R[n1:, :n1], "R21", spla.norm(sys.R, 2))
-        _check_zero(sys.R[n1:, n1:], "R22", spla.norm(sys.R, 2))
+        scaleR = spla.norm(sys.R, 2)
+        _check_zero(sys.R[:n1, n1:], "R12", scaleR)
+        _check_zero(sys.R[n1:, :n1], "R21", scaleR)
+        _check_zero(sys.R[n1:, n1:], "R22", scaleR)
         _check_spd(self.E11, "E11")
         if n2 > 0:
             _check_nonsingular(self.coupling_matrix(), "J12^T E11^{-1} J12 (coupling)")

@@ -30,6 +30,7 @@ __all__ = [
     "evaluate",
     "eval_transfer",
     "eval_tangential",
+    "frequency_response",
     "polynomial_part_index1",
     "polynomial_part_index2",
     "pole_residue",
@@ -287,11 +288,15 @@ def pole_residue(model, defective_cond_limit=1e8):
     return PoleResidueForm(poles=lam, left=lefts, right=rights, D=np.asarray(D, dtype=float))
 
 
-def _grid_errors(full, reduced, grid):
+def frequency_response(model, grid):
+    """Transfer-function values H(i w_k) on a grid, shape (K, p, m)."""
+    return np.array([np.atleast_2d(evaluate(model, s)) for s in grid.points])
+
+
+def _grid_errors(full_response, reduced, grid):
     errs = np.empty(len(grid))
     mags = np.empty(len(grid))
-    for i, s in enumerate(grid.points):
-        Hf = np.atleast_2d(evaluate(full, s))
+    for i, (s, Hf) in enumerate(zip(grid.points, full_response)):
         Hr = np.atleast_2d(evaluate(reduced, s))
         errs[i] = spla.norm(Hf - Hr, 2)
         mags[i] = spla.norm(Hf, 2)
@@ -314,16 +319,21 @@ def _check_divergence(errs, mags, grid):
         )
 
 
-def hinf_error(full, reduced, grid=None, check_divergence=True):
+def hinf_error(full, reduced, grid=None, check_divergence=True, full_response=None):
     """(absolute, relative) grid estimate of the H-infinity error.
 
     The supremum of the spectral norm of H(i w) - Hr(i w) is approximated
     by its maximum over the grid, and normalized by the grid maximum of
-    ||H(i w)||_2 for the relative value.
+    ||H(i w)||_2 for the relative value.  ``full_response``, the full
+    model's :func:`frequency_response` on the same grid, lets callers
+    comparing several reduced models against one full model evaluate the
+    full model once.
     """
     if grid is None:
         grid = FrequencyGrid.log_spaced()
-    errs, mags = _grid_errors(full, reduced, grid)
+    if full_response is None:
+        full_response = frequency_response(full, grid)
+    errs, mags = _grid_errors(full_response, reduced, grid)
     if check_divergence:
         _check_divergence(errs, mags, grid)
     absolute = float(errs.max())
@@ -372,14 +382,13 @@ def tangential_residuals(full, reduced, data):
 def export_frequency_response(path, model, grid):
     """Write a CSV with columns omega, re(H_jk), im(H_jk) per entry."""
     rows = []
-    H0 = np.atleast_2d(evaluate(model, grid.points[0]))
-    p, m = H0.shape
+    response = frequency_response(model, grid)
+    _, p, m = response.shape
     header = ["omega"]
     for j in range(p):
         for k in range(m):
             header += [f"re_H_{j}{k}", f"im_H_{j}{k}"]
-    for s, w in zip(grid.points, grid.omegas):
-        H = np.atleast_2d(evaluate(model, s))
+    for H, w in zip(response, grid.omegas):
         row = [f"{w:.16e}"]
         for j in range(p):
             for k in range(m):

@@ -106,6 +106,22 @@ class TestSweepRegularize:
         assert (tmp_path / "s1" / "r004").is_dir()
         assert (tmp_path / "s1" / "trace_r004.csv").exists()
 
+    def test_sweep_rows_match_single_reduces(self, tmp_path):
+        # the sweep evaluates the full model on the grid once and reuses it
+        # for every order; each row must equal the one `reduce` writes alone
+        model = tmp_path / "chain"
+        _run(["generate", "--benchmark", "chain", "--k", 12, "--out", model])
+        out = tmp_path / "sweep"
+        assert _run(["sweep", model, "--method", "irka", "--r-sweep", "2:6:2",
+                     "--out", out]) == 0
+        swept = (out / "errors.csv").read_text().splitlines(keepends=True)[1:]
+        assert len(swept) == 3
+        for r, row in zip((2, 4, 6), swept):
+            red = tmp_path / f"red{r}"
+            assert _run(["reduce", model, "--method", "irka", "--r", r,
+                         "--out", red]) == 0
+            assert (red / "errors.csv").read_text().splitlines(keepends=True)[1] == row
+
     def test_sweep_errors_decay(self, tmp_path):
         model = tmp_path / "chain"
         _run(["generate", "--benchmark", "chain", "--k", 12, "--out", model])

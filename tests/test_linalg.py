@@ -50,6 +50,22 @@ def test_solve_complex_cond_limit_override():
     assert np.allclose(M @ x, np.ones(2))
 
 
+def test_solve_complex_cond_estimate_exact_on_diagonal():
+    # the 1-norm estimator is exact for diagonal matrices
+    with pytest.raises(SingularMatrixError) as info:
+        solve_complex(np.diag([1.0, 1e-13]), np.ones(2))
+    assert info.value.cond_estimate == pytest.approx(1e13, rel=1e-12)
+
+
+def test_solve_complex_cond_estimate_bounds_exact_value():
+    rng = np.random.default_rng(7)
+    M = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
+    kappa = np.linalg.cond(M, 1)
+    with pytest.raises(SingularMatrixError) as info:
+        solve_complex(M, np.ones(50), cond_limit=1.0)
+    assert kappa / 10 <= info.value.cond_estimate <= kappa * (1 + 1e-10)
+
+
 def test_gen_eig_biorthogonal_scaling():
     rng = np.random.default_rng(1)
     n = 7
