@@ -42,6 +42,7 @@ from .reducers import (
 )
 from .systems import (
     PartitionError,
+    PHDAESystem,
     partition_index1,
     partition_index2,
     partition_mixed,
@@ -106,7 +107,14 @@ def _parse_points(text):
 
 
 def _load_partition(path):
-    sys_, manifest = containers.load_phdae(path)
+    """Partition view of a container; a sparse container stays sparse."""
+    manifest = containers.read_manifest(pathlib.Path(path) / "manifest.txt")
+    if manifest.get("format") == "sparse":
+        mats, manifest = containers.load_phdae_sparse(path)
+        mats.pop("n1", None)
+        sys_ = PHDAESystem(**mats)
+    else:
+        sys_, manifest = containers.load_phdae(path)
     index = manifest.get("index")
     if index is None:
         raise LinAlgContractError(

@@ -78,14 +78,13 @@ def _read_matrix(directory, name, shape, sparse=False):
     if not f.exists():
         return sp.csr_matrix(shape) if sparse else np.zeros(shape)
     M = scipy.io.mmread(str(f))
-    if sparse:
-        return sp.csr_matrix(M)
-    M = M.toarray() if sp.issparse(M) else np.asarray(M)
     if M.shape != shape:
         raise LinAlgContractError(
             f"{name}.mtx has shape {M.shape}, manifest implies {shape}"
         )
-    return M
+    if sparse:
+        return sp.csr_matrix(M)
+    return M.toarray() if sp.issparse(M) else np.asarray(M)
 
 
 def save_phdae(path, system, extra=None):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as spla
@@ -43,7 +44,6 @@ from .linalg import (
 from .systems import (
     GenericLTISystem,
     PHDAESystem,
-    as_generic,
     symmetric_skew_split,
 )
 from .transfer import (
@@ -217,7 +217,7 @@ def build_V_generic(model, data):
     and rank-filtered, with no further orthonormalization so that
     projected matrices match the closed-form expressions.
     """
-    gen = as_generic(model) if isinstance(model, PHDAESystem) else model
+    gen = model.generic if isinstance(model, PHDAESystem) else model
     cols = np.empty((gen.n, data.r), dtype=complex)
     for i, (s, b) in enumerate(zip(data.points, data.directions)):
         cols[:, i] = solve_complex(s * gen.E - gen.A, gen.B @ b)
@@ -229,30 +229,25 @@ def build_V_generic(model, data):
 def build_V_saddle(part, data):
     """Constraint-compatible basis for index-2 systems via saddle solves.
 
-    Solves, for each interpolation point,
+    Solves, for each interpolation point, the saddle-point system
 
         [ A11 - sigma E11   J12 ] [v]   [ (B1 - P1) b ]
         [      -J12^T        0  ] [z] = [ (B2 - P2) b ]
 
-    and (when the constraint equations carry inputs) projects v back
-    onto ker(J12^T) along the energy inner product, so that J12^T V = 0
-    holds for the returned basis.
+    whose matrix is exactly -(sigma E - A) on a valid index-2 partition,
+    so it is solved with the full model's pencil (dense or sparse) and
+    v = -x[:n1].  When the constraint equations carry inputs, v is then
+    projected back onto ker(J12^T) along the energy inner product, so that
+    J12^T V = 0 holds for the returned basis.
     """
-    n1, n2 = part.n1, part.n2
-    Bi1, Bi2 = part.B1 - part.P1, part.B2 - part.P2
-    K = np.zeros((n1 + n2, n1 + n2), dtype=complex)
-    K[:n1, n1:] = part.J12
-    K[n1:, :n1] = -part.J12.T
+    n1 = part.n1
+    gen = part.parent.generic
     cols = np.empty((n1, data.r), dtype=complex)
-    if not part.b2_zero:
-        Einv_J12 = spla.solve(part.E11, part.J12, assume_a="pos")
-        M = part.J12.T @ Einv_J12
     for i, (s, b) in enumerate(zip(data.points, data.directions)):
-        K[:n1, :n1] = part.A11 - s * part.E11
-        rhs = np.concatenate([Bi1 @ b, Bi2 @ b])
-        v = solve_complex(K, rhs)[:n1]
+        rhs = gen.B @ b
+        v = -solve_complex(s * gen.E - gen.A, rhs)[:n1]
         if not part.b2_zero:
-            v = v + Einv_J12 @ np.linalg.solve(M, Bi2 @ b)
+            v = v + part.Einv_J12 @ np.linalg.solve(part.coupling, rhs[n1:])
         cols[:, i] = v
     V, Bd = _realify(cols, data.directions, data.points)
     V, Bd = _rank_filter(V, Bd)
@@ -284,13 +279,19 @@ class ReducedModel:
 
     @property
     def generic(self):
-        return as_generic(self.system)
+        return self.system.generic
 
-    def transfer_eval(self, s):
+    @cached_property
+    def _balanced(self):
+        """The balanced (E, A, B, C) that :meth:`transfer_eval` solves with."""
         from .transfer import balance_realization
 
         gen = self.generic
-        E, A, B, C = balance_realization(gen.E, gen.A, gen.B, gen.C)
+        return balance_realization(gen.E, gen.A, gen.B, gen.C)
+
+    def transfer_eval(self, s):
+        gen = self.generic
+        E, A, B, C = self._balanced
         # Reduced pencils from raw (unorthonormalized) bases can be very
         # ill-conditioned while the transfer values stay accurate: the
         # near-singular directions typically do not couple to the input
@@ -478,8 +479,7 @@ def reduce_index2_augmented(part, data):
     A11 = part.A11
     Bi1, Bi2 = part.B1 - part.P1, part.B2 - part.P2
     Ci1, Ci2 = (part.B1 + part.P1).T, (part.B2 + part.P2).T
-    Einv_J12 = spla.solve(part.E11, part.J12, assume_a="pos")
-    M = part.J12.T @ Einv_J12
+    Einv_J12, M = part.Einv_J12, part.coupling
     Beff = Bi1 + A11 @ (Einv_J12 @ np.linalg.solve(M, Bi2))
     Ceff = Ci1 - np.linalg.solve(M.T, Ci2.T).T @ (Einv_J12.T @ A11)
     Er = V.T @ part.E11 @ V
@@ -543,9 +543,7 @@ def constraint_projectors(part):
     They satisfy pi_r E11 pi_l^T = E11 pi_l (the projected energy matrix
     stays symmetric) and pi_l maps onto ker(J12^T)-compatible states.
     """
-    Einv_J12 = spla.solve(part.E11, part.J12, assume_a="pos")
-    M = part.J12.T @ Einv_J12
-    X = Einv_J12 @ np.linalg.solve(M, part.J12.T)
+    X = part.Einv_J12 @ np.linalg.solve(part.coupling, part.J12.T)
     n1 = part.n1
     pi_l = np.eye(n1) - X
     pi_r = np.eye(n1) - X.T

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg as spla
 
 from .linalg import LinAlgContractError, nullspace_basis, rank_tolerance
-from .systems import GenericLTISystem, PHDAESystem, as_generic
+from .systems import PHDAESystem
 
 __all__ = [
     "RankTest",
@@ -112,7 +112,7 @@ def diagnose(model, probes=16, seed=0, spectrum_cap=400):
     infinity (C2/O2) use nullspace bases of E.  ``index_leq1`` certifies
     that the pencil has differentiation index at most one.
     """
-    gen = as_generic(model) if isinstance(model, PHDAESystem) else model
+    gen = model.generic if isinstance(model, PHDAESystem) else model
     E, A, B, C = gen.E, gen.A, gen.B, gen.C
     n = gen.n
     rng = np.random.default_rng(seed)

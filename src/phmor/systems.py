@@ -9,15 +9,21 @@ dynamics read::
     y    = (B + P)^T x + (S + N) u
 
 Systems are immutable after construction (the arrays are frozen), so the
-partition views can safely alias parent storage.
+partition views can safely alias parent storage.  E, J and R may be held
+as read-only ``scipy.sparse`` CSR arrays (large benchmark containers);
+B, P, S and N, being n x m or m x m, are always dense.  Partition checks
+work on either storage.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as spla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spsla
 
 from .linalg import COND_LIMIT, LinAlgContractError
 
@@ -48,10 +54,27 @@ class PartitionError(ValueError):
     failed condition."""
 
 
-def _frozen(a, dtype=float):
-    a = np.array(a, dtype=dtype)
+def _dense(M):
+    return M.toarray() if sp.issparse(M) else M
+
+
+def _frozen(a, sparse_ok=False, dtype=float):
+    """Read-only copy of `a`.  Sparse input stays sparse, as a CSR array,
+    where `sparse_ok`; otherwise it is densified."""
+    if sparse_ok and sp.issparse(a):
+        a = sp.csr_array(a, dtype=dtype, copy=True)
+        a.sum_duplicates()  # canonical now, so no later operation sorts in place
+        for part in (a.data, a.indices, a.indptr):
+            part.setflags(write=False)
+        return a
+    a = np.array(_dense(a), dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+def _values(M):
+    """The stored entries of a dense or sparse matrix."""
+    return M.data if sp.issparse(M) else M
 
 
 def _min_eig_sym(M):
@@ -65,8 +88,9 @@ def _min_eig_sym(M):
 class PHDAESystem:
     """The structured seven-matrix model.
 
-    E, J, R are n x n; B, P are n x m; S, N are m x m.  Construction only
-    checks shapes and finiteness; structural validity is reported by
+    E, J, R are n x n (dense or sparse); B, P are n x m; S, N are m x m
+    (always stored dense).  Construction only checks shapes and
+    finiteness; structural validity is reported by
     :func:`validate_structure`.
     """
 
@@ -80,8 +104,8 @@ class PHDAESystem:
 
     def __post_init__(self):
         for name in ("E", "J", "R", "B", "P", "S", "N"):
-            arr = _frozen(getattr(self, name))
-            if not np.all(np.isfinite(arr)):
+            arr = _frozen(getattr(self, name), sparse_ok=name in ("E", "J", "R"))
+            if not np.all(np.isfinite(_values(arr))):
                 raise LinAlgContractError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, arr)
         n = self.E.shape[0]
@@ -112,10 +136,18 @@ class PHDAESystem:
         """W = [[R, P], [P^T, S]]."""
         return np.block([[self.R, self.P], [self.P.T, self.S]])
 
+    @functools.cached_property
+    def generic(self):
+        """The unstructured realization :func:`as_generic`, derived once."""
+        return as_generic(self)
+
 
 @dataclass(frozen=True)
 class GenericLTISystem:
-    """Unstructured descriptor realization E x' = A x + B u, y = C x + D u."""
+    """Unstructured descriptor realization E x' = A x + B u, y = C x + D u.
+
+    E and A may be sparse; B, C and D are always stored dense.
+    """
 
     E: np.ndarray
     A: np.ndarray
@@ -125,7 +157,8 @@ class GenericLTISystem:
 
     def __post_init__(self):
         for name in ("E", "A", "B", "C", "D"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            arr = _frozen(getattr(self, name), sparse_ok=name in ("E", "A"))
+            object.__setattr__(self, name, arr)
         n = self.E.shape[0]
         if self.A.shape != (n, n) or self.B.shape[0] != n or self.C.shape[1] != n:
             raise LinAlgContractError("inconsistent dimensions in descriptor realization")
@@ -245,24 +278,41 @@ def as_generic(sys):
     )
 
 
+def _fro(M):
+    return spsla.norm(M) if sp.issparse(M) else spla.norm(M, "fro")
+
+
+def _norm2_lower(M):
+    """Largest column 2-norm of M: a lower bound on ||M||_2 that needs no
+    SVD, for dense or sparse M.  As the scale of a zero-block tolerance it
+    keeps the check at least as strict as ||M||_2 would."""
+    if 0 in M.shape:
+        return 0.0
+    cols = spsla.norm(M, axis=0) if sp.issparse(M) else np.linalg.norm(M, axis=0)
+    return float(np.max(cols))
+
+
 def _check_spd(M, what):
-    if M.size == 0:
+    """Positive definiteness of sym(M); the threshold scales with the
+    Frobenius norm, an upper bound on ||M||_2.  A sparse M is densified
+    for the eigenvalue solve."""
+    if 0 in M.shape:
         raise PartitionError(f"{what} is empty")
-    lam = _min_eig_sym(M)
-    if lam <= TOL_PSD * (spla.norm(M, 2) or 1.0):
+    lam = _min_eig_sym(_dense(M))
+    if lam <= TOL_PSD * (_fro(M) or 1.0):
         raise PartitionError(f"{what} is not positive definite (min eig {lam:.3e})")
 
 
 def _check_nonsingular(M, what):
-    if M.size == 0:
+    if 0 in M.shape:
         return
-    cond = np.linalg.cond(M)
+    cond = np.linalg.cond(_dense(M))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise PartitionError(f"{what} is singular to working precision (cond {cond:.3e})")
 
 
 def _check_zero(M, what, scale):
-    if M.size and spla.norm(M, "fro") > TOL_PSD * max(1.0, scale):
+    if M.size and _fro(M) > TOL_PSD * max(1.0, scale):
         raise PartitionError(f"{what} must be zero in this semi-explicit form")
 
 
@@ -280,7 +330,7 @@ class Index1Partition:
         sys = self.parent
         if n1 < 0 or n2 < 0 or n1 + n2 != sys.n:
             raise PartitionError(f"block sizes ({n1}, {n2}) do not sum to n={sys.n}")
-        scale = spla.norm(sys.E, 2)
+        scale = _norm2_lower(sys.E)
         _check_zero(sys.E[:n1, n1:], "E12", scale)
         _check_zero(sys.E[n1:, :n1], "E21", scale)
         _check_zero(sys.E[n1:, n1:], "E22", scale)
@@ -355,18 +405,18 @@ class Index2Partition:
         sys = self.parent
         if n1 <= 0 or n2 < 0 or n1 + n2 != sys.n:
             raise PartitionError(f"block sizes ({n1}, {n2}) do not sum to n={sys.n}")
-        scale = spla.norm(sys.E, 2)
+        scale = _norm2_lower(sys.E)
         _check_zero(sys.E[:n1, n1:], "E12", scale)
         _check_zero(sys.E[n1:, :n1], "E21", scale)
         _check_zero(sys.E[n1:, n1:], "E22", scale)
-        _check_zero(sys.J[n1:, n1:], "J22", spla.norm(sys.J, 2))
-        scaleR = spla.norm(sys.R, 2)
+        _check_zero(sys.J[n1:, n1:], "J22", _norm2_lower(sys.J))
+        scaleR = _norm2_lower(sys.R)
         _check_zero(sys.R[:n1, n1:], "R12", scaleR)
         _check_zero(sys.R[n1:, :n1], "R21", scaleR)
         _check_zero(sys.R[n1:, n1:], "R22", scaleR)
         _check_spd(self.E11, "E11")
         if n2 > 0:
-            _check_nonsingular(self.coupling_matrix(), "J12^T E11^{-1} J12 (coupling)")
+            _check_nonsingular(self.coupling, "J12^T E11^{-1} J12 (coupling)")
         object.__setattr__(
             self, "b2_zero", not (np.any(self.B2) or np.any(self.P2))
         )
@@ -407,10 +457,18 @@ class Index2Partition:
     def P2(self):
         return self.parent.P[self.n1:]
 
-    def coupling_matrix(self):
+    @functools.cached_property
+    def Einv_J12(self):
+        """E11^{-1} J12 (dense n1 x n2), from one factorization of E11 per
+        partition: Cholesky-based for dense E11, SuperLU for sparse E11."""
+        if sp.issparse(self.E11):
+            return spsla.splu(sp.csc_array(self.E11)).solve(_dense(self.J12))
+        return spla.solve(self.E11, self.J12, assume_a="pos")
+
+    @functools.cached_property
+    def coupling(self):
         """J12^T E11^{-1} J12 (nonsingular for a valid index-2 form)."""
-        X = spla.solve(self.E11, self.J12, assume_a="pos")
-        return self.J12.T @ X
+        return self.J12.T @ self.Einv_J12
 
 
 @dataclass(frozen=True)
@@ -435,9 +493,9 @@ class MixedPartition:
                 f"index-2 constraint block must be square: n3={n3} != n1={n1}"
             )
         nd = n1 + n2
-        scaleE = spla.norm(sys.E, 2)
-        scaleJ = spla.norm(sys.J, 2)
-        scaleR = spla.norm(sys.R, 2)
+        scaleE = _norm2_lower(sys.E)
+        scaleJ = _norm2_lower(sys.J)
+        scaleR = _norm2_lower(sys.R)
         _check_zero(sys.E[:nd, nd:], "E(:,3)", scaleE)
         _check_zero(sys.E[nd:, :], "E(3,:)", scaleE)
         _check_zero(sys.J[n1:nd, nd:], "J23", scaleJ)
@@ -445,8 +503,8 @@ class MixedPartition:
         _check_zero(sys.J[nd:, nd:], "J33", scaleJ)
         _check_zero(sys.R[:, nd:], "R(:,3)", scaleR)
         _check_zero(sys.R[nd:, :], "R(3,:)", scaleR)
-        _check_zero(sys.B[nd:], "B3", spla.norm(sys.B, 2))
-        _check_zero(sys.P[nd:], "P3", spla.norm(sys.P, 2) if sys.P.size else 0.0)
+        _check_zero(sys.B[nd:], "B3", _norm2_lower(sys.B))
+        _check_zero(sys.P[nd:], "P3", _norm2_lower(sys.P))
         _check_spd(self.E_dyn, "leading 2x2 block of E")
         _check_nonsingular(self.A22, "J22 - R22")
         if n3 > 0:

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.integrate
 import scipy.linalg as spla
+import scipy.sparse as sp
 
 from .linalg import LinAlgContractError, gen_eig, solve_complex
-from .systems import GenericLTISystem, PHDAESystem, as_generic
+from .systems import PHDAESystem
 
 __all__ = [
     "FrequencyGrid",
@@ -131,7 +132,7 @@ def evaluate(model, s):
     if hasattr(model, "transfer_eval"):
         return model.transfer_eval(s)
     if isinstance(model, PHDAESystem):
-        return eval_transfer(as_generic(model), s)
+        return eval_transfer(model.generic, s)
     return eval_transfer(model, s)
 
 
@@ -154,7 +155,8 @@ def polynomial_part_index1(part):
     D = part.parent.S + part.parent.N
     if part.n2 == 0 or part.b2_zero:
         return PolynomialPart.constant(D)
-    X = spla.solve(part.A22, part.B2 - part.P2)
+    A22 = part.A22.toarray() if sp.issparse(part.A22) else part.A22
+    X = spla.solve(A22, part.B2 - part.P2)
     P0 = D - (part.B2 + part.P2).T @ X
     return PolynomialPart.constant(P0)
 
@@ -178,8 +180,7 @@ def polynomial_part_index2(part, check=True):
         return PolynomialPart.constant(D)
     Bi1, Bi2 = part.B1 - part.P1, part.B2 - part.P2
     Ci1, Ci2 = (part.B1 + part.P1).T, (part.B2 + part.P2).T
-    Einv_J12 = spla.solve(part.E11, part.J12, assume_a="pos")
-    M = part.J12.T @ Einv_J12
+    Einv_J12, M = part.Einv_J12, part.coupling
     ZB2 = spla.solve(M, Bi2)
     G = Einv_J12 @ ZB2
     P1 = Ci2 @ ZB2
@@ -193,7 +194,7 @@ def polynomial_part_index2(part, check=True):
 
 def _check_poly_against_limit(part, poly):
     """Confirm H(i w) - P(i w) stays bounded for large w; log otherwise."""
-    gen = as_generic(part.parent)
+    gen = part.parent.generic
     rem = []
     for w in (1e6, 1e8):
         H = eval_transfer(gen, 1j * w)

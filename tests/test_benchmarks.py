@@ -78,7 +78,7 @@ class TestOseen:
 
     def test_constraint_full_rank(self):
         part = oseen_grid(OseenSpec(n_grid=4))
-        M = part.coupling_matrix()
+        M = part.coupling
         assert np.linalg.matrix_rank(M) == part.n2
 
 

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 import scipy.io
+import scipy.sparse as sp
 
 from phmor.cli import main
 from phmor.containers import load_phdae, load_reduced, read_manifest, save_phdae
@@ -80,6 +82,16 @@ class TestReduce:
         assert row[4] != ""  # rel_h2 filled because of --h2
         assert row[5] in ("0", "1")
         assert int(row[6]) >= 1
+
+    def test_reduce_sparse_shape_mismatch_exits_1(self, tmp_path, capsys):
+        model = tmp_path / "chain"
+        _run(["generate", "--benchmark", "chain", "--k", 6, "--sparse", "--out", model])
+        n = int(read_manifest(model / "manifest.txt")["n"])
+        scipy.io.mmwrite(model / "E.mtx", sp.eye_array(n - 1, format="coo"))
+        code, captured = _run(["reduce", model, "--method", "index2", "--r", 2,
+                               "--out", tmp_path / "red"], capsys)
+        assert code == 1
+        assert "E.mtx has shape" in captured.err
 
     def test_reduce_unpartitioned_container_exits_1(self, tmp_path, index2_fixture,
                                                     capsys):
@@ -164,3 +176,64 @@ class TestSweepRegularize:
         assert _run(["validate", out]) == 0
         loaded, _ = load_phdae(out)
         assert loaded.m == 0
+
+
+def test_load_partition_keeps_sparse_container_sparse(tmp_path):
+    from phmor.cli import _load_partition
+
+    for flag in ([], ["--sparse"]):
+        model = tmp_path / f"chain{len(flag)}"
+        _run(["generate", "--benchmark", "chain", "--k", 5, *flag, "--out", model])
+        part, _ = _load_partition(model)
+        assert sp.issparse(part.parent.E) == bool(flag)
+        assert isinstance(part.parent.B, np.ndarray)
+
+
+def _rows(csv_path):
+    lines = csv_path.read_text().strip().splitlines()
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
+@pytest.mark.parametrize("model_args, command", [
+    (["chain", "--k", 20], ["sweep", "--method", "irka", "--r-sweep", "2:6:2"]),
+    (["oseen", "--n-grid", 5], ["reduce", "--method", "index2", "--r", 6]),
+])
+def test_sparse_container_matches_dense(tmp_path, model_args, command):
+    # reduce/sweep keep a --sparse container sparse (SuperLU solves); the
+    # rows agree with the dense container's up to rounding
+    rows = []
+    for flag in ([], ["--sparse"]):
+        model = tmp_path / f"model{len(flag)}"
+        out = tmp_path / f"out{len(flag)}"
+        assert _run(["generate", "--benchmark", *model_args, *flag, "--out", model]) == 0
+        assert _run([command[0], model, *command[1:], "--out", out]) == 0
+        rows.append(_rows(out / "errors.csv"))
+    dense, sparse = rows
+    assert len(dense) == len(sparse) > 0
+    for d, s in zip(dense, sparse):
+        for key in ("r", "converged", "iterations"):
+            assert d[key] == s[key]
+        assert abs(float(d["rel_hinf"]) - float(s["rel_hinf"])) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ["index1", "mixed"])
+def test_sparse_index1_and_mixed_containers_match_dense(tmp_path, kind):
+    # no generator writes these sparse, but a sparse container of any index
+    # kind reduces like its dense copy
+    from phmor.benchmarks import MassSpringSpec, mixed_chain, random_ph_index1
+
+    if kind == "index1":
+        part = random_ph_index1(8, 3, 2, 0)
+        extra = {"index": "1", "n1": part.n1}
+    else:
+        part = mixed_chain(MassSpringSpec(k=6))
+        extra = {"index": "mixed", "n1": part.n1, "n2": part.n2}
+    sparse = {name: sp.csr_array(getattr(part.parent, name)) for name in "EJRBPSN"}
+    rows = []
+    for name, system in (("dense", part.parent), ("sparse", sparse)):
+        save_phdae(tmp_path / name, system, extra=extra)
+        assert _run(["reduce", tmp_path / name, "--r", 4,
+                     "--out", tmp_path / f"out_{name}"]) == 0
+        rows.append(_rows(tmp_path / f"out_{name}" / "errors.csv")[0])
+    assert rows[0]["r"] == rows[1]["r"]
+    assert abs(float(rows[0]["rel_hinf"]) - float(rows[1]["rel_hinf"])) <= 1e-9

@@ -89,3 +89,13 @@ def test_shape_mismatch_detected(tmp_path, index1_fixture):
     write_manifest(out / "manifest.txt", manifest)
     with pytest.raises(LinAlgContractError):
         load_phdae(out)
+
+
+def test_sparse_shape_mismatch_detected(tmp_path):
+    data = mass_spring_chain_sparse(MassSpringSpec(k=10))
+    out = save_phdae(tmp_path / "model", data, extra={"index": "2"})
+    manifest = read_manifest(out / "manifest.txt")
+    manifest["n"] = int(manifest["n"]) + 1
+    write_manifest(out / "manifest.txt", manifest)
+    with pytest.raises(LinAlgContractError, match="E.mtx has shape"):
+        load_phdae_sparse(out)

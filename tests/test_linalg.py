@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from phmor.linalg import (
     LinAlgContractError,
@@ -64,6 +65,53 @@ def test_solve_complex_cond_estimate_bounds_exact_value():
     with pytest.raises(SingularMatrixError) as info:
         solve_complex(M, np.ones(50), cond_limit=1.0)
     assert kappa / 10 <= info.value.cond_estimate <= kappa * (1 + 1e-10)
+
+
+def _sparse_complex(n, seed):
+    rng = np.random.default_rng(seed)
+    M = (sp.random_array((n, n), density=0.05, rng=rng)
+         + 1j * sp.random_array((n, n), density=0.05, rng=rng)
+         + sp.eye_array(n))
+    return sp.csr_array(M)
+
+
+def test_solve_complex_sparse_matches_dense():
+    M = _sparse_complex(80, 2)
+    b = np.random.default_rng(3).standard_normal((80, 2))
+    x = solve_complex(M, b)
+    assert np.allclose(x, solve_complex(M.toarray(), b), rtol=0, atol=1e-12)
+
+
+def test_solve_complex_sparse_raises_on_exactly_singular():
+    M = sp.csr_array(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(SingularMatrixError):
+        solve_complex(M, np.ones(2))
+
+
+def test_solve_complex_sparse_cond_estimate_exact_on_diagonal():
+    with pytest.raises(SingularMatrixError) as info:
+        solve_complex(sp.csr_array(np.diag([1.0, 1e-13])), np.ones(2))
+    assert info.value.cond_estimate == pytest.approx(1e13, rel=1e-12)
+
+
+def test_solve_complex_sparse_cond_estimate_bounds_exact_value():
+    M = _sparse_complex(60, 11)
+    kappa = np.linalg.cond(M.toarray(), 1)
+    with pytest.raises(SingularMatrixError) as info:
+        solve_complex(M, np.ones(60), cond_limit=1.0)
+    assert kappa / 10 <= info.value.cond_estimate <= kappa * (1 + 1e-10)
+
+
+def test_solve_complex_sparse_cond_estimate_ignores_global_rng():
+    # one-column onenormest draws nothing from numpy's global generator
+    M = _sparse_complex(60, 5)
+    estimates = []
+    for seed in (0, 12345):
+        np.random.seed(seed)
+        with pytest.raises(SingularMatrixError) as info:
+            solve_complex(M, np.ones(60), cond_limit=1.0)
+        estimates.append(info.value.cond_estimate)
+    assert estimates[0] == estimates[1]
 
 
 def test_gen_eig_biorthogonal_scaling():

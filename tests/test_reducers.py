@@ -143,6 +143,26 @@ class TestInterpolationProperty:
         d8 = abs(evaluate(part.parent, 1e8j) - model.transfer_eval(1e8j))[0, 0]
         assert d8 < d6 < 1e-6
 
+    def test_sparse_storage_matches_dense(self):
+        # the same partitions with E, J, R held as CSR arrays: sparse shifted
+        # solves and sparse E11 factor give the dense models to rounding
+        import scipy.sparse as sp
+
+        from phmor import PHDAESystem
+
+        data = _data([0.4, 2.0 + 1j, 2.0 - 1j], [[1.0], [1j], [-1j]])
+        for dense, reducer in ((mass_spring_chain(MassSpringSpec(k=9)), reduce_index2),
+                               (mass_spring_chain_b2(MassSpringSpec(k=9), amplitude=0.7),
+                                reduce_index2_augmented)):
+            mats = {name: getattr(dense.parent, name) for name in "EJRBPSN"}
+            mats.update({name: sp.csr_array(mats[name]) for name in "EJR"})
+            sparse = partition_index2(PHDAESystem(**mats), dense.n1)
+            expect, got = reducer(dense, data), reducer(sparse, data)
+            assert tangential_residuals(sparse.parent, got, data).max() < 1e-8
+            for s in (0.1j, 1.0 + 3j, 1e3j):
+                assert np.allclose(got.transfer_eval(s), expect.transfer_eval(s),
+                                   rtol=1e-9, atol=0)
+
     def test_augmented_delegates_when_b2_zero(self, index2_fixture):
         part = partition_index2(index2_fixture, 2)
         model = reduce_index2_augmented(part, _data([1.0], [[1.0]]))

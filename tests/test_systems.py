@@ -12,6 +12,7 @@ from phmor import (
     symmetric_skew_split,
     validate_structure,
 )
+from phmor.linalg import LinAlgContractError
 
 
 def _fixture_matrices():
@@ -102,7 +103,7 @@ def test_partition_index1_empty_algebraic_block(index1_fixture):
 def test_partition_index2_blocks(index2_fixture):
     part = partition_index2(index2_fixture, 2)
     assert part.b2_zero
-    assert part.coupling_matrix() == pytest.approx(np.array([[1.0]]))
+    assert part.coupling == pytest.approx(np.array([[1.0]]))
 
 
 def test_partition_index2_rejects_nonzero_E22(index2_fixture):
@@ -137,3 +138,56 @@ def test_partition_mixed_requires_square_constraint():
     assert part.n1 == part.n3 == 1
     with pytest.raises(PartitionError):
         partition_mixed(part.parent, 2, part.n2 - 1)
+
+
+def _index2_chain_matrices():
+    from phmor.benchmarks import MassSpringSpec, mass_spring_chain
+
+    sys = mass_spring_chain(MassSpringSpec(k=4)).parent
+    return {name: getattr(sys, name).copy() for name in "EJRBPSN"}, sys.n - 1
+
+
+def _sparse_copy(mats):
+    import scipy.sparse as sp
+
+    return {name: sp.csr_array(M) if name in "EJR" else M for name, M in mats.items()}
+
+
+@pytest.mark.parametrize("block", ["E22", "R12"])
+def test_sparse_partition_rejects_like_dense(block):
+    mats, n1 = _index2_chain_matrices()
+    if block == "E22":
+        mats["E"][n1, n1] = 1.0
+    else:
+        mats["R"][0, n1] = mats["R"][n1, 0] = 0.5
+    errors = []
+    for variant in (mats, _sparse_copy(mats)):
+        with pytest.raises(PartitionError) as info:
+            partition_index2(PHDAESystem(**variant), n1)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert block in errors[0]
+
+
+def test_sparse_system_is_frozen_and_checked():
+    import scipy.sparse as sp
+
+    mats, _ = _index2_chain_matrices()
+    sys = PHDAESystem(**_sparse_copy(mats))
+    assert isinstance(sys.E, sp.csr_array) and isinstance(sys.B, np.ndarray)
+    with pytest.raises(ValueError):
+        sys.E.data[0] = 5.0
+    mats["J"][0, 1] = np.nan
+    with pytest.raises(LinAlgContractError):
+        PHDAESystem(**_sparse_copy(mats))
+
+
+def test_sparse_index2_constraint_quantities_match_dense():
+    from phmor.benchmarks import MassSpringSpec, mass_spring_chain_b2
+
+    dense = mass_spring_chain_b2(MassSpringSpec(k=6))
+    mats = _sparse_copy({name: getattr(dense.parent, name) for name in "EJRBPSN"})
+    sparse = partition_index2(PHDAESystem(**mats), dense.n1)
+    assert not sparse.b2_zero
+    assert np.allclose(sparse.Einv_J12, dense.Einv_J12, rtol=0, atol=1e-13)
+    assert np.allclose(sparse.coupling, dense.coupling, rtol=0, atol=1e-13)
