@@ -41,6 +41,7 @@ from .reducers import (
     reduce_mixed,
 )
 from .systems import (
+    MixedPartition,
     PartitionError,
     PHDAESystem,
     partition_index1,
@@ -51,11 +52,10 @@ from .systems import (
 from .transfer import (
     FrequencyGrid,
     PolynomialMismatchError,
+    PolynomialPart,
     frequency_response,
     h2_error,
     hinf_error,
-    polynomial_part_index1,
-    polynomial_part_index2,
     tangential_residuals,
 )
 
@@ -130,15 +130,9 @@ def _load_partition(path):
 
 
 def _full_poly(part):
-    from .systems import Index1Partition, Index2Partition
-
-    if isinstance(part, Index1Partition):
-        return polynomial_part_index1(part)
-    if isinstance(part, Index2Partition):
-        return polynomial_part_index2(part)
-    from .transfer import PolynomialPart
-
-    return PolynomialPart.constant(part.parent.S + part.parent.N)
+    if isinstance(part, MixedPartition):
+        return PolynomialPart.constant(part.parent.S + part.parent.N)
+    return part.polynomial_part
 
 
 def _errors_row(part, model, data, grid, with_h2, converged="", iterations="",

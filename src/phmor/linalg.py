@@ -132,8 +132,11 @@ def solve_complex(M, rhs, cond_limit=COND_LIMIT):
 
     The condition number compared against ``cond_limit`` is a 1-norm
     *estimate* (Hager/Higham) from the LU factors already computed for the
-    solve; no inverse is formed.  A dense M is factored by LAPACK and
-    estimated by ``zgecon``; a ``scipy.sparse`` M is factored by SuperLU
+    solve; no inverse is formed.  A dense M goes straight to LAPACK
+    (``zgetrf``, ``zgetrs``, ``zgecon``, without SciPy's wrappers); the one
+    pass that takes ||M||_1 doubles as the finiteness check, so a NaN or
+    inf in M or rhs raises :class:`LinAlgContractError`, never
+    :class:`SingularMatrixError`.  A ``scipy.sparse`` M is factored by SuperLU
     and estimated by ``onenormest`` with one column, the same deterministic
     iteration (it draws no random numbers).  The estimate is a lower bound
     (up to rounding) on the exact kappa_1(M); on the pencils of the
@@ -156,17 +159,16 @@ def solve_complex(M, rhs, cond_limit=COND_LIMIT):
 
 
 def _solve_dense(M, B):
-    """LAPACK LU solve plus the ``zgecon`` estimate of kappa_1(M)."""
-    try:
-        lu, piv = spla.lu_factor(M)
-    except spla.LinAlgError as exc:  # pragma: no cover - lu_factor rarely raises
-        raise SingularMatrixError(str(exc)) from exc
-    diag = np.abs(np.diag(lu))
-    if diag.min(initial=np.inf) == 0.0:
+    """LAPACK ``zgetrf``/``zgetrs`` solve plus the ``zgecon`` estimate of
+    kappa_1(M), called directly: the 1-norm pass doubles as the finiteness
+    check of M, so no other pass over the n x n matrix is made."""
+    anorm = np.abs(M).sum(axis=0).max(initial=0.0)
+    if not np.isfinite(anorm) or not np.all(np.isfinite(B)):
+        raise LinAlgContractError("matrix or right-hand side contains non-finite entries")
+    lu, piv, info = lapack.zgetrf(M)  # copies M: the caller's array is kept
+    if info != 0:  # > 0: a zero pivot; < 0 only for an empty M
         raise SingularMatrixError("matrix is exactly singular")
-    anorm = spla.norm(M, 1)
-    with np.errstate(all="ignore"):
-        X = spla.lu_solve((lu, piv), B)
+    X, _ = lapack.zgetrs(lu, piv, B)
     rcond, info = lapack.zgecon(lu, anorm)
     return X, (np.inf if info != 0 or rcond == 0.0 else 1.0 / rcond)
 

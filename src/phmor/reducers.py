@@ -44,13 +44,10 @@ from .linalg import (
 from .systems import (
     GenericLTISystem,
     PHDAESystem,
+    _dense,
     symmetric_skew_split,
 )
-from .transfer import (
-    PolynomialPart,
-    polynomial_part_index1,
-    polynomial_part_index2,
-)
+from .transfer import PolynomialPart
 
 __all__ = [
     "InterpolationData",
@@ -283,11 +280,13 @@ class ReducedModel:
 
     @cached_property
     def _balanced(self):
-        """The balanced (E, A, B, C) that :meth:`transfer_eval` solves with."""
+        """The balanced (E, A, B, C) that :meth:`transfer_eval` solves
+        with; B is stored complex, the solve's right-hand side type."""
         from .transfer import balance_realization
 
         gen = self.generic
-        return balance_realization(gen.E, gen.A, gen.B, gen.C)
+        E, A, B, C = balance_realization(gen.E, gen.A, gen.B, gen.C)
+        return E, A, B.astype(complex), C
 
     def transfer_eval(self, s):
         gen = self.generic
@@ -297,12 +296,11 @@ class ReducedModel:
         # near-singular directions typically do not couple to the input
         # and output maps.  Fall back to the minimum-norm solution when
         # the guarded solve rejects the pencil.
-        rhs = np.asarray(B, dtype=complex)
+        pencil = s * E - A
         try:
-            X = solve_complex(s * E - A, rhs,
-                              cond_limit=1e14 * (1.0 + abs(s)))
+            X = solve_complex(pencil, B, cond_limit=1e14 * (1.0 + abs(s)))
         except SingularMatrixError:
-            X = np.linalg.lstsq(s * E - A, rhs, rcond=None)[0]
+            X = np.linalg.lstsq(pencil, B, rcond=None)[0]
         H = C @ X
         H = H + gen.D
         if self.augmented_input:
@@ -345,7 +343,7 @@ def reduce_index1_shifted(part, data):
     sys = part.parent
     basis = build_V_generic(sys, data)
     V, Bd = basis.V, basis.directions
-    poly = polynomial_part_index1(part)
+    poly = part.polynomial_part
     D = sys.S + sys.N
     Delta = poly.P0 - D
     Bin = sys.B - sys.P
@@ -396,7 +394,7 @@ def reduce_index1_blockdiag(part, data):
         method="index1-blockdiag",
         ph_valid=w_min >= -PH_TOL,
         w_min_eig=w_min,
-        polynomial=polynomial_part_index1(part),
+        polynomial=part.polynomial_part,
         interpolation=data,
     )
 
@@ -475,7 +473,7 @@ def reduce_index2_augmented(part, data):
         return reduce_index2(part, data)
     basis = build_V_saddle(part, data)
     V = basis.V
-    poly = polynomial_part_index2(part)
+    poly = part.polynomial_part
     A11 = part.A11
     Bi1, Bi2 = part.B1 - part.P1, part.B2 - part.P2
     Ci1, Ci2 = (part.B1 + part.P1).T, (part.B2 + part.P2).T
@@ -543,7 +541,7 @@ def constraint_projectors(part):
     They satisfy pi_r E11 pi_l^T = E11 pi_l (the projected energy matrix
     stays symmetric) and pi_l maps onto ker(J12^T)-compatible states.
     """
-    X = part.Einv_J12 @ np.linalg.solve(part.coupling, part.J12.T)
+    X = part.Einv_J12 @ np.linalg.solve(part.coupling, _dense(part.J12).T)
     n1 = part.n1
     pi_l = np.eye(n1) - X
     pi_r = np.eye(n1) - X.T
@@ -561,11 +559,12 @@ def projector_oracle_index2(part):
     """
     if not part.b2_zero:
         raise LinAlgContractError("oracle requires B2 = P2 = 0")
-    Phi = spla.null_space(part.J12.T)
+    Phi = spla.null_space(_dense(part.J12).T)
+    E11, A11 = _dense(part.E11), _dense(part.A11)
     D = part.parent.S + part.parent.N
     return GenericLTISystem(
-        E=Phi.T @ part.E11 @ Phi,
-        A=Phi.T @ part.A11 @ Phi,
+        E=Phi.T @ E11 @ Phi,
+        A=Phi.T @ A11 @ Phi,
         B=Phi.T @ (part.B1 - part.P1),
         C=(part.B1 + part.P1).T @ Phi,
         D=D,

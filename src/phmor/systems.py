@@ -133,8 +133,8 @@ class PHDAESystem:
 
     @property
     def passivity_matrix(self):
-        """W = [[R, P], [P^T, S]]."""
-        return np.block([[self.R, self.P], [self.P.T, self.S]])
+        """W = [[R, P], [P^T, S]], dense (R is densified if sparse)."""
+        return np.block([[_dense(self.R), self.P], [self.P.T, self.S]])
 
     @functools.cached_property
     def generic(self):
@@ -220,9 +220,10 @@ def validate_structure(sys, tol=TOL_PSD):
     - ``W_psd``       : negative part of the smallest eigenvalue of sym(W)
 
     S = S^T and N = -N^T are folded into the W check plus an explicit
-    ``SN_split`` check.
+    ``SN_split`` check.  Sparse E and J are densified: the eigenvalue
+    checks need them dense anyway.
     """
-    E, J = sys.E, sys.J
+    E, J = _dense(sys.E), _dense(sys.J)
     nrmE = spla.norm(E, "fro") or 1.0
     nrmJ = spla.norm(J, "fro") or 1.0
     scaleE = spla.norm(E, 2) or 1.0
@@ -389,6 +390,15 @@ class Index1Partition:
     def b2_zero(self):
         return not (np.any(self.B2) or np.any(self.P2))
 
+    @functools.cached_property
+    def polynomial_part(self):
+        """The constant polynomial part
+        (:func:`phmor.transfer.polynomial_part_index1`), computed once per
+        partition."""
+        from . import transfer
+
+        return transfer.polynomial_part_index1(self)
+
 
 @dataclass(frozen=True)
 class Index2Partition:
@@ -469,6 +479,14 @@ class Index2Partition:
     def coupling(self):
         """J12^T E11^{-1} J12 (nonsingular for a valid index-2 form)."""
         return self.J12.T @ self.Einv_J12
+
+    @functools.cached_property
+    def polynomial_part(self):
+        """The polynomial part, :func:`phmor.transfer.polynomial_part_index2`
+        with its large-frequency check, computed once per partition."""
+        from . import transfer
+
+        return transfer.polynomial_part_index2(self, check=True)
 
 
 @dataclass(frozen=True)

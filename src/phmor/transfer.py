@@ -87,8 +87,12 @@ class PolynomialPart:
     P1: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "P0", np.atleast_2d(np.asarray(self.P0, dtype=float)))
-        object.__setattr__(self, "P1", np.atleast_2d(np.asarray(self.P1, dtype=float)))
+        # read-only copies: a partition caches its part and shares it with
+        # every reduced model built from it
+        for name in ("P0", "P1"):
+            arr = np.array(getattr(self, name), dtype=float, ndmin=2)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if self.P0.shape != self.P1.shape:
             raise LinAlgContractError("P0 and P1 must have equal shape")
 
@@ -295,12 +299,11 @@ def frequency_response(model, grid):
 
 
 def _grid_errors(full_response, reduced, grid):
-    errs = np.empty(len(grid))
-    mags = np.empty(len(grid))
-    for i, (s, Hf) in enumerate(zip(grid.points, full_response)):
-        Hr = np.atleast_2d(evaluate(reduced, s))
-        errs[i] = spla.norm(Hf - Hr, 2)
-        mags[i] = spla.norm(Hf, 2)
+    """Per-point ||H - Hr||_2 and ||H||_2, each one batched SVD over the
+    stacked (K, p, m) responses."""
+    diff = full_response - frequency_response(reduced, grid)
+    errs = np.linalg.norm(diff, 2, axis=(1, 2))
+    mags = np.linalg.norm(full_response, 2, axis=(1, 2))
     return errs, mags
 
 

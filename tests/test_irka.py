@@ -106,3 +106,17 @@ def test_config_validation():
         IRKAConfig(r=0)
     with pytest.raises(LinAlgContractError):
         IRKAConfig(r=2, tol=0.0)
+
+
+def test_irka_checks_polynomial_part_once_per_partition(monkeypatch):
+    import phmor.transfer as transfer
+    from phmor.benchmarks import mass_spring_chain_b2
+
+    calls = []
+    check = transfer._check_poly_against_limit
+    monkeypatch.setattr(transfer, "_check_poly_against_limit",
+                        lambda *args: calls.append(1) or check(*args))
+    part = mass_spring_chain_b2(MassSpringSpec(k=6))
+    result = irka_reduce(part, IRKAConfig(r=2))
+    assert result.converged and len(result.trace) > 1
+    assert len(calls) == 1

@@ -155,3 +155,78 @@ def test_orthonormalize_drops_dependent_columns():
 def test_rank_tolerance_scales_with_sigma():
     A = np.eye(4)
     assert rank_tolerance(A, 10.0) == pytest.approx(40 * np.finfo(float).eps)
+
+
+def _reference_dense_solve(M, b):
+    """SciPy's wrapped LU path plus zgecon: what the dense branch must
+    reproduce bit for bit by calling LAPACK directly."""
+    from scipy.linalg import lapack, lu_factor, lu_solve
+
+    M = np.asarray(M, dtype=complex)
+    lu, piv = lu_factor(M)
+    x = lu_solve((lu, piv), np.asarray(b, dtype=complex))
+    rcond, _ = lapack.zgecon(lu, np.linalg.norm(M, 1))
+    return x, 1.0 / rcond
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("ncols", [None, 3])
+def test_solve_complex_dense_bitwise_equals_scipy_reference(kind, ncols):
+    rng = np.random.default_rng(17)
+    n = 40
+    M = rng.standard_normal((n, n))
+    if kind == "complex":
+        M = M + 1j * rng.standard_normal((n, n))
+    b = rng.standard_normal(n if ncols is None else (n, ncols))
+    x_ref, cond_ref = _reference_dense_solve(M, b)
+    assert np.array_equal(solve_complex(M, b), x_ref)
+    with pytest.raises(SingularMatrixError) as info:
+        solve_complex(M, b, cond_limit=1.0)
+    assert np.array_equal(info.value.cond_estimate, cond_ref)
+
+
+@pytest.mark.parametrize("where", ["M", "rhs"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_complex_non_finite_input_is_contract_error(where, bad):
+    M = np.eye(3, dtype=complex)
+    b = np.ones(3)
+    if where == "M":
+        M[1, 2] = bad
+    else:
+        b[0] = bad
+    with pytest.raises(LinAlgContractError) as info:
+        solve_complex(M, b)
+    assert not isinstance(info.value, SingularMatrixError)
+
+
+def test_solve_complex_keeps_caller_matrix():
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    M = np.asfortranarray(M)  # the layout LAPACK could factor in place
+    before = M.copy()
+    solve_complex(M, np.ones(8))
+    assert np.array_equal(M, before)
+
+
+def test_reduced_transfer_eval_rejects_nan_pencil_without_lstsq(monkeypatch):
+    from phmor import PHDAESystem
+    from phmor.reducers import ReducedModel
+    from phmor.transfer import PolynomialPart
+
+    sys_r = PHDAESystem(E=np.eye(2), J=np.zeros((2, 2)), R=np.eye(2),
+                        B=np.ones((2, 1)), P=np.zeros((2, 1)),
+                        S=np.zeros((1, 1)), N=np.zeros((1, 1)))
+    model = ReducedModel(system=sys_r, method="test", ph_valid=True, w_min_eig=0.0,
+                         polynomial=PolynomialPart.constant(np.zeros((1, 1))))
+    E, A, B, C = model._balanced
+    A = A.copy()
+    A[0, 0] = np.nan
+    model.__dict__["_balanced"] = (E, A, B, C)
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("lstsq fallback taken on a NaN pencil")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    with pytest.raises(LinAlgContractError) as info:
+        model.transfer_eval(1j)
+    assert not isinstance(info.value, SingularMatrixError)

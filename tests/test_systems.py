@@ -13,6 +13,7 @@ from phmor import (
     validate_structure,
 )
 from phmor.linalg import LinAlgContractError
+from phmor.reducers import constraint_projectors, projector_oracle_index2
 
 
 def _fixture_matrices():
@@ -191,3 +192,26 @@ def test_sparse_index2_constraint_quantities_match_dense():
     assert not sparse.b2_zero
     assert np.allclose(sparse.Einv_J12, dense.Einv_J12, rtol=0, atol=1e-13)
     assert np.allclose(sparse.coupling, dense.coupling, rtol=0, atol=1e-13)
+
+
+def _validation_values(part):
+    return [(c.name, c.passed, c.violation) for c in validate_structure(part.parent).checks]
+
+
+@pytest.mark.parametrize("routine", [
+    _validation_values,
+    lambda part: part.parent.passivity_matrix,
+    lambda part: np.stack(constraint_projectors(part)),
+    lambda part: [getattr(projector_oracle_index2(part), name) for name in "EABCD"],
+], ids=["validate_structure", "passivity_matrix", "constraint_projectors",
+        "projector_oracle_index2"])
+def test_csr_system_routines_match_dense(routine):
+    mats, n1 = _index2_chain_matrices()
+    dense = partition_index2(PHDAESystem(**mats), n1)
+    sparse = partition_index2(PHDAESystem(**_sparse_copy(mats)), n1)
+    expected, got = routine(dense), routine(sparse)
+    if routine is _validation_values:
+        assert got == expected
+    else:
+        for a, b in zip(expected, got):
+            assert np.allclose(a, b, rtol=0, atol=1e-13)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg as spla
 
 from phmor import (
     FrequencyGrid,
     GenericLTISystem,
+    InterpolationData,
     PolynomialMismatchError,
     PolynomialPart,
     evaluate,
@@ -16,9 +18,10 @@ from phmor import (
     pole_residue,
     polynomial_part_index1,
     polynomial_part_index2,
+    reduce_index1_blockdiag,
 )
-from phmor.benchmarks import MassSpringSpec, mass_spring_chain_b2
-from phmor.transfer import export_frequency_response
+from phmor.benchmarks import MassSpringSpec, mass_spring_chain_b2, random_ph_index1
+from phmor.transfer import export_frequency_response, frequency_response
 from phmor.linalg import LinAlgContractError
 
 
@@ -147,6 +150,24 @@ def test_norms_detect_polynomial_mismatch():
     ramp = PolynomialPart(P0=np.zeros((1, 1)), P1=np.ones((1, 1)))
     with pytest.raises(PolynomialMismatchError):
         hinf_error(full, ramp)
+    grid = FrequencyGrid.log_spaced()
+    with pytest.raises(PolynomialMismatchError):
+        hinf_error(full, ramp, grid, full_response=frequency_response(full, grid))
+
+
+def test_hinf_error_equals_per_point_spectral_norms():
+    part = random_ph_index1(12, 4, 2, seed=5)
+    reduced = reduce_index1_blockdiag(part, InterpolationData.log_spaced(4, 2))
+    grid = FrequencyGrid.log_spaced(1e-3, 1e3, 60)
+    errs, mags = [], []
+    for s in grid.points:
+        Hf = evaluate(part.parent, s)
+        errs.append(spla.norm(Hf - evaluate(reduced, s), 2))
+        mags.append(spla.norm(Hf, 2))
+    assert np.asarray(Hf).shape == (2, 2)
+    absolute, relative = hinf_error(part.parent, reduced, grid)
+    assert absolute == max(errs)
+    assert relative == max(errs) / max(mags)
 
 
 def test_export_frequency_response(tmp_path):
