@@ -27,6 +27,7 @@ from .systems import (
     validate_structure,
 )
 from .transfer import (
+    DivergentNormError,
     FrequencyGrid,
     PoleResidueForm,
     PolynomialMismatchError,

@@ -51,7 +51,7 @@ from .systems import (
 )
 from .transfer import (
     FrequencyGrid,
-    PolynomialMismatchError,
+    DivergentNormError,
     PolynomialPart,
     frequency_response,
     h2_error,
@@ -141,7 +141,7 @@ def _errors_row(part, model, data, grid, with_h2, converged="", iterations="",
     res = tangential_residuals(full, model, data)
     try:
         _, rel_hinf = hinf_error(full, model, grid, full_response=full_response)
-    except PolynomialMismatchError:
+    except DivergentNormError:
         rel_hinf = np.inf
     rel_h2 = ""
     if with_h2:
@@ -149,7 +149,7 @@ def _errors_row(part, model, data, grid, with_h2, converged="", iterations="",
             abs_h2 = h2_error(full, model)
             denom = h2_error(full, _full_poly(part))
             rel_h2 = f"{abs_h2 / denom:.16e}" if denom > 0 else f"{np.inf}"
-        except PolynomialMismatchError:
+        except DivergentNormError:
             rel_h2 = f"{np.inf}"
     return (
         f"{model.order},{res.max():.16e},{model.w_min_eig:.16e},"
@@ -386,7 +386,7 @@ def main(argv=None):
         print(f"error [{args.command}]: no such file or directory: {exc.filename}",
               file=sys.stderr)
         return 2
-    except (LinAlgContractError, PartitionError, PolynomialMismatchError,
+    except (LinAlgContractError, PartitionError, DivergentNormError,
             ValueError, KeyError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1

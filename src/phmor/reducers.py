@@ -155,31 +155,48 @@ class ProjectionBasis:
         return self.V.shape[1]
 
 
-def _realify(cols, dirs, points):
-    """Turn complex solution columns into a real basis.
+def _conjugate_pairs(points):
+    """The points a real basis is built from, in order, as (index, is_real).
 
-    A real point contributes Re(v); a conjugate pair (sigma, conj sigma)
-    contributes (Re v, Im v) once, with the direction columns transformed
-    identically so direction-dependent shift formulas stay exact.
+    A real point (|Im| <= _CONJ_TOL * (1 + max |point|)) stands alone; a
+    complex point is kept and its conjugate partner, the first unused point
+    within the same tolerance of its conjugate, is skipped.  For a real
+    model the partner's solution is the conjugate of the kept one, so it
+    adds nothing to the real span and is never solved for.
     """
     scale = 1.0 + np.abs(points).max()
-    Vcols, Bcols = [], []
     used = np.zeros(len(points), dtype=bool)
+    kept = []
     for i, s in enumerate(points):
         if used[i]:
             continue
-        if abs(s.imag) <= _CONJ_TOL * scale:
-            Vcols.append(cols[:, i].real)
-            Bcols.append(dirs[i].real)
-            used[i] = True
-        else:
+        used[i] = True
+        is_real = abs(s.imag) <= _CONJ_TOL * scale
+        if not is_real:
             for j in range(len(points)):
-                if j != i and not used[j] and abs(points[j] - s.conjugate()) <= _CONJ_TOL * scale:
+                if not used[j] and abs(points[j] - s.conjugate()) <= _CONJ_TOL * scale:
                     used[j] = True
                     break
-            Vcols.extend([cols[:, i].real, cols[:, i].imag])
+        kept.append((i, is_real))
+    return kept
+
+
+def _realify(cols, dirs, kept):
+    """Turn complex solution columns into a real basis.
+
+    ``cols[:, k]`` is the solution at point ``kept[k]`` of
+    :func:`_conjugate_pairs`.  A real point contributes Re(v); a conjugate
+    pair contributes (Re v, Im v), with the direction columns transformed
+    identically so direction-dependent shift formulas stay exact.
+    """
+    Vcols, Bcols = [], []
+    for v, (i, is_real) in zip(cols.T, kept):
+        if is_real:
+            Vcols.append(v.real)
+            Bcols.append(dirs[i].real)
+        else:
+            Vcols.extend([v.real, v.imag])
             Bcols.extend([dirs[i].real, dirs[i].imag])
-            used[i] = True
     return np.column_stack(Vcols), np.column_stack(Bcols)
 
 
@@ -212,13 +229,17 @@ def build_V_generic(model, data):
     ``model`` is a PHDAESystem or GenericLTISystem; the returned basis
     is realified (conjugate pairs merged into real/imaginary columns)
     and rank-filtered, with no further orthonormalization so that
-    projected matrices match the closed-form expressions.
+    projected matrices match the closed-form expressions.  The model's
+    matrices are real, so the solution at conj(sigma) is the conjugate of
+    the one at sigma: one solve is made per conjugate pair.
     """
     gen = model.generic if isinstance(model, PHDAESystem) else model
-    cols = np.empty((gen.n, data.r), dtype=complex)
-    for i, (s, b) in enumerate(zip(data.points, data.directions)):
-        cols[:, i] = solve_complex(s * gen.E - gen.A, gen.B @ b)
-    V, Bd = _realify(cols, data.directions, data.points)
+    kept = _conjugate_pairs(data.points)
+    cols = np.empty((gen.n, len(kept)), dtype=complex)
+    for k, (i, _) in enumerate(kept):
+        s, b = data.points[i], data.directions[i]
+        cols[:, k] = solve_complex(s * gen.E - gen.A, gen.B @ b)
+    V, Bd = _realify(cols, data.directions, kept)
     V, Bd = _rank_filter(V, Bd)
     return ProjectionBasis(V=V, directions=Bd, points=data.points)
 
@@ -235,18 +256,22 @@ def build_V_saddle(part, data):
     so it is solved with the full model's pencil (dense or sparse) and
     v = -x[:n1].  When the constraint equations carry inputs, v is then
     projected back onto ker(J12^T) along the energy inner product, so that
-    J12^T V = 0 holds for the returned basis.
+    J12^T V = 0 holds for the returned basis.  As in
+    :func:`build_V_generic`, the matrices are real and only one member of
+    each conjugate pair is solved for.
     """
     n1 = part.n1
     gen = part.parent.generic
-    cols = np.empty((n1, data.r), dtype=complex)
-    for i, (s, b) in enumerate(zip(data.points, data.directions)):
+    kept = _conjugate_pairs(data.points)
+    cols = np.empty((n1, len(kept)), dtype=complex)
+    for k, (i, _) in enumerate(kept):
+        s, b = data.points[i], data.directions[i]
         rhs = gen.B @ b
         v = -solve_complex(s * gen.E - gen.A, rhs)[:n1]
         if not part.b2_zero:
             v = v + part.Einv_J12 @ np.linalg.solve(part.coupling, rhs[n1:])
-        cols[:, i] = v
-    V, Bd = _realify(cols, data.directions, data.points)
+        cols[:, k] = v
+    V, Bd = _realify(cols, data.directions, kept)
     V, Bd = _rank_filter(V, Bd)
     return ProjectionBasis(V=V, directions=Bd, points=data.points)
 

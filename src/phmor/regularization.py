@@ -108,9 +108,13 @@ def diagnose(model, probes=16, seed=0, spectrum_cap=400):
 
     Accepts a :class:`GenericLTISystem` or :class:`PHDAESystem`.  The
     finite-spectrum conditions (C1/O1) are checked at the finite pencil
-    eigenvalues plus ``probes`` random complex points; the conditions at
-    infinity (C2/O2) use nullspace bases of E.  ``index_leq1`` certifies
-    that the pencil has differentiation index at most one.
+    eigenvalues with Im >= 0 plus ``probes`` random complex points; the
+    conditions at infinity (C2/O2) use nullspace bases of E.  The
+    matrices are real, so the rank at conj(lambda) equals the rank at
+    lambda and the Im < 0 member of each eigenvalue pair is skipped;
+    LAPACK lists the Im > 0 member first, so it is the reported witness
+    either way.  ``index_leq1`` certifies that the pencil has
+    differentiation index at most one.
     """
     gen = model.generic if isinstance(model, PHDAESystem) else model
     E, A, B, C = gen.E, gen.A, gen.B, gen.C
@@ -119,6 +123,7 @@ def diagnose(model, probes=16, seed=0, spectrum_cap=400):
     scale = 1.0 + max(spla.norm(A, 2), spla.norm(E, 2))
 
     lam_eig = _finite_spectrum(A, E, spectrum_cap)
+    lam_eig = lam_eig[lam_eig.imag >= 0]
     lam_rand = scale * (rng.standard_normal(probes) + 1j * rng.standard_normal(probes))
     points = np.concatenate([lam_eig, lam_rand])
 

@@ -24,6 +24,7 @@ import numpy as np
 import scipy.linalg as spla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spsla
+from scipy.linalg import lapack
 
 from .linalg import COND_LIMIT, LinAlgContractError
 
@@ -294,13 +295,20 @@ def _norm2_lower(M):
 
 
 def _check_spd(M, what):
-    """Positive definiteness of sym(M); the threshold scales with the
-    Frobenius norm, an upper bound on ||M||_2.  A sparse M is densified
-    for the eigenvalue solve."""
+    """Positive definiteness of sym(M): its smallest eigenvalue must exceed
+    tau = TOL_PSD * ||M||_F (an upper bound on ||M||_2).  Decided by one
+    Cholesky factorization of sym(M) - tau I, which exists exactly when it
+    does; the eigenvalue is computed only for the error message.  A sparse
+    M is densified."""
     if 0 in M.shape:
         raise PartitionError(f"{what} is empty")
-    lam = _min_eig_sym(_dense(M))
-    if lam <= TOL_PSD * (_fro(M) or 1.0):
+    Md = _dense(M)
+    tau = TOL_PSD * (_fro(M) or 1.0)
+    shifted = 0.5 * (Md + Md.T)
+    shifted[np.diag_indices_from(shifted)] -= tau
+    _, info = lapack.dpotrf(shifted, overwrite_a=True)
+    if info != 0:
+        lam = _min_eig_sym(Md)
         raise PartitionError(f"{what} is not positive definite (min eig {lam:.3e})")
 
 

@@ -20,13 +20,14 @@ import scipy.integrate
 import scipy.linalg as spla
 import scipy.sparse as sp
 
-from .linalg import LinAlgContractError, gen_eig, solve_complex
+from .linalg import LinAlgContractError, SingularMatrixError, gen_eig, solve_complex
 from .systems import PHDAESystem
 
 __all__ = [
     "FrequencyGrid",
     "PolynomialPart",
     "PoleResidueForm",
+    "DivergentNormError",
     "PolynomialMismatchError",
     "evaluate",
     "eval_transfer",
@@ -45,7 +46,11 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-class PolynomialMismatchError(ValueError):
+class DivergentNormError(ValueError):
+    """The requested error norm diverges, so no number is returned."""
+
+
+class PolynomialMismatchError(DivergentNormError):
     """The two models' polynomial parts differ, so the requested error
     norm diverges."""
 
@@ -351,24 +356,40 @@ def h2_error(full, reduced, lo=0.0, hi=np.inf, limit=200, poly_tol=1e-8):
 
     sqrt( (1/pi) * int_0^inf ||H(i w) - Hr(i w)||_F^2 dw ), using the
     conjugate symmetry of real-matrix systems to halve the integration
-    range.  A polynomial-part mismatch is detected from the integrand's
-    behavior at large frequency and reported instead of integrated.
+    range.  Before integrating, the difference is probed at both ends of
+    the range with one rule: growth by more than tenfold over two decades
+    means the integral diverges, and :class:`DivergentNormError` is raised.
+    From w = 1e-6 to 1e-8 such growth means ||H - Hr||_F^2 >~ 1/w, which is
+    not integrable at the origin; a pencil singular to working precision at
+    these probes (a pole at the origin) counts the same.  From w = 1e6 to
+    1e8 it means the polynomial parts differ
+    (:class:`PolynomialMismatchError`, a subclass).  The low end is probed
+    first, so a difference that diverges at both ends raises the base class.
     """
-    probe = [np.linalg.norm(np.atleast_2d(evaluate(full, 1j * w))
-                            - np.atleast_2d(evaluate(reduced, 1j * w)), "fro")
-             for w in (1e6, 1e8)]
+    def gap(w):
+        diff = np.atleast_2d(evaluate(full, 1j * w)) - np.atleast_2d(evaluate(reduced, 1j * w))
+        return np.linalg.norm(diff, "fro")
+
     scale = max(1.0, np.linalg.norm(np.atleast_2d(evaluate(full, 1j))))
-    if probe[1] > 10.0 * probe[0] + poly_tol * scale or probe[1] > 1e-2 * scale:
+    try:
+        low = [gap(w) for w in (1e-6, 1e-8)]
+    except SingularMatrixError as exc:
+        raise DivergentNormError(
+            f"pencil singular at a low-frequency probe ({exc}); H2 error diverges"
+        ) from exc
+    if low[1] > 10.0 * low[0] + poly_tol * scale:
+        raise DivergentNormError(
+            "transfer-function difference grows toward omega = 0 "
+            f"({low[0]:.3e} at 1e-6, {low[1]:.3e} at 1e-8); H2 error diverges"
+        )
+    high = [gap(w) for w in (1e6, 1e8)]
+    if high[1] > 10.0 * high[0] + poly_tol * scale or high[1] > 1e-2 * scale:
         raise PolynomialMismatchError(
             "transfer-function difference does not vanish at large frequency "
-            f"({probe[0]:.3e} at 1e6, {probe[1]:.3e} at 1e8); H2 error diverges"
+            f"({high[0]:.3e} at 1e6, {high[1]:.3e} at 1e8); H2 error diverges"
         )
 
-    def integrand(w):
-        diff = np.atleast_2d(evaluate(full, 1j * w)) - np.atleast_2d(evaluate(reduced, 1j * w))
-        return np.linalg.norm(diff, "fro") ** 2
-
-    val, _ = scipy.integrate.quad(integrand, lo, hi, limit=limit)
+    val, _ = scipy.integrate.quad(lambda w: gap(w) ** 2, lo, hi, limit=limit)
     return float(np.sqrt(val / np.pi))
 
 

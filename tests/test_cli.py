@@ -83,6 +83,17 @@ class TestReduce:
         assert row[5] in ("0", "1")
         assert int(row[6]) >= 1
 
+    def test_reduce_h2_row_is_inf_for_pole_at_origin(self, tmp_path):
+        # the chain-b2 H2 denominator (full model minus its polynomial part)
+        # diverges at omega = 0; the row reads inf, the exit code is 0
+        model = tmp_path / "chain-b2"
+        _run(["generate", "--benchmark", "chain-b2", "--k", 6, "--out", model])
+        out = tmp_path / "red"
+        assert _run(["reduce", model, "--method", "index2-augmented", "--r", 2,
+                     "--h2", "--out", out]) == 0
+        row = (out / "errors.csv").read_text().strip().splitlines()[1].split(",")
+        assert row[4] == "inf"
+
     def test_reduce_sparse_shape_mismatch_exits_1(self, tmp_path, capsys):
         model = tmp_path / "chain"
         _run(["generate", "--benchmark", "chain", "--k", 6, "--sparse", "--out", model])

@@ -199,6 +199,19 @@ def test_solve_complex_non_finite_input_is_contract_error(where, bad):
     assert not isinstance(info.value, SingularMatrixError)
 
 
+@pytest.mark.parametrize("where", ["M", "rhs"])
+def test_solve_complex_sparse_non_finite_input_is_contract_error(where):
+    M = _sparse_complex(20, 4)
+    b = np.ones(20)
+    if where == "M":
+        M.data[0] = np.nan
+    else:
+        b[3] = np.nan
+    with pytest.raises(LinAlgContractError) as info:
+        solve_complex(M, b)
+    assert not isinstance(info.value, SingularMatrixError)
+
+
 def test_solve_complex_keeps_caller_matrix():
     rng = np.random.default_rng(4)
     M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))

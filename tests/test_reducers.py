@@ -82,6 +82,43 @@ class TestBases:
         assert np.max(np.abs(part.J12.T @ basis.V)) < 1e-10
 
 
+    @pytest.mark.parametrize("saddle", [False, True], ids=["generic", "saddle"])
+    def test_one_solve_per_conjugate_pair(self, monkeypatch, saddle):
+        from phmor import reducers
+        from phmor.linalg import solve_complex
+
+        part = mass_spring_chain(MassSpringSpec(k=9))
+        data = _data([0.4, 2 + 1j, 2 - 1j, 3 + 0.5j, 3 - 0.5j],
+                     np.ones((5, part.parent.m)))
+        calls = []
+
+        def counting(M, rhs, **kwargs):
+            calls.append(rhs)
+            return solve_complex(M, rhs, **kwargs)
+
+        monkeypatch.setattr(reducers, "solve_complex", counting)
+        basis = (build_V_saddle(part, data) if saddle
+                 else build_V_generic(part.parent, data))
+        assert len(calls) == 3
+
+        # reference: solve at every point, realify the first member of each pair
+        gen = part.parent.generic
+        cols = np.column_stack([solve_complex(s * gen.E - gen.A, gen.B @ b)
+                                for s, b in zip(data.points, data.directions)])
+        if saddle:
+            cols = -cols[:part.n1]
+        # the skipped partners' solutions are the conjugates of the kept ones
+        assert np.allclose(cols[:, 2], cols[:, 1].conj(), rtol=1e-12, atol=0)
+        assert np.allclose(cols[:, 4], cols[:, 3].conj(), rtol=1e-12, atol=0)
+        kept = [(0, True), (1, False), (3, False)]
+        assert reducers._conjugate_pairs(data.points) == kept
+        V, Bd = reducers._rank_filter(
+            *reducers._realify(cols[:, [0, 1, 3]], data.directions, kept))
+        assert basis.V.shape == (cols.shape[0], 5)
+        assert np.array_equal(basis.V, V)
+        assert np.array_equal(basis.directions, Bd)
+
+
 class TestHandVerifiedValues:
     def test_index1_shifted_fixture(self, index1_fixture):
         part = partition_index1(index1_fixture, 1)

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from phmor import (
+    GenericLTISystem,
     PHDAESystem,
     evaluate,
     validate_structure,
 )
-from phmor.benchmarks import MassSpringSpec, mass_spring_chain, random_ph_index1
+from phmor.benchmarks import MassSpringSpec, mass_spring_chain, mixed_chain, random_ph_index1
 from phmor.regularization import (
+    RankTest,
+    _finite_spectrum,
+    _rank,
     condensed_form,
     condensed_report,
     diagnose,
@@ -137,6 +141,52 @@ class TestDiagnose:
         rep = diagnose(sys)
         assert rep.index_leq1
         assert all(t.passed for t in rep.tests)
+
+
+def _reference_spectrum_tests(gen, probes=16, seed=0):
+    """C1 and O1 ranked at every finite eigenvalue, both members of each
+    conjugate pair, plus the same random probes as :func:`diagnose`."""
+    E, A, B, C = gen.E, gen.A, gen.B, gen.C
+    rng = np.random.default_rng(seed)
+    scale = 1.0 + max(np.linalg.norm(A, 2), np.linalg.norm(E, 2))
+    lam_rand = scale * (rng.standard_normal(probes) + 1j * rng.standard_normal(probes))
+    points = np.concatenate([_finite_spectrum(A, E), lam_rand])
+    tests = []
+    for name, stack in (("C1", lambda lam: np.hstack([lam * E - A, B])),
+                        ("O1", lambda lam: np.vstack([lam * E - A, C]))):
+        ranks = [_rank(stack(lam)) for lam in points]
+        worst = int(np.argmin(ranks))  # the first point of minimum rank
+        rank = min(ranks)
+        tests.append(RankTest(name=name, passed=rank == gen.n, expected_rank=gen.n,
+                              measured_rank=rank,
+                              witness=points[worst] if rank < gen.n else None))
+    return tests
+
+
+class TestDiagnoseConjugatePairs:
+    @pytest.mark.parametrize("make", [mass_spring_chain, mixed_chain], ids=["chain", "mixed"])
+    def test_report_equals_ranking_every_eigenvalue(self, make):
+        gen = make(MassSpringSpec(k=20)).parent.generic
+        assert np.any(_finite_spectrum(gen.A, gen.E).imag < 0)  # pairs to skip
+        rep = diagnose(gen)
+        c1, o1 = _reference_spectrum_tests(gen)
+        assert rep["C1"] == c1
+        assert rep["O1"] == o1
+
+    def test_uncontrollable_complex_mode_witness(self):
+        # the mode pair -1 +- 2i does not see the input
+        A = np.zeros((4, 4))
+        A[:2, :2] = [[-1.0, 2.0], [-2.0, -1.0]]
+        A[2, 2], A[3, 3] = -3.0, -4.0
+        gen = GenericLTISystem(E=np.eye(4), A=A, B=np.array([[0.0], [0.0], [1.0], [1.0]]),
+                               C=np.ones((1, 4)), D=np.zeros((1, 1)))
+        rep = diagnose(gen)
+        c1 = rep["C1"]
+        assert not c1.passed
+        assert c1.measured_rank == 3
+        assert c1.witness == pytest.approx(-1.0 + 2.0j, rel=1e-12)
+        assert rep["O1"].passed
+        assert [rep["C1"], rep["O1"]] == _reference_spectrum_tests(gen)
 
 
 class TestOutputFeedback:

@@ -132,6 +132,29 @@ def test_partition_index2_rejects_singular_coupling():
         partition_index2(sys, 2)
 
 
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_check_spd_threshold_is_tol_times_frobenius_norm(factor, sparse):
+    import scipy.sparse as sp
+
+    from phmor.systems import TOL_PSD, _check_spd
+
+    # smallest eigenvalue of sym(M) on either side of tau = TOL_PSD * ||M||_F
+    # (||M||_F = sqrt(50) up to rounding); the skew part of M does not count
+    lam = factor * TOL_PSD * np.sqrt(50.0)
+    M = np.diag([3.0, 3.0, lam])
+    M[0, 1] = 4.0
+    M[1, 0] = -4.0
+    tau = TOL_PSD * np.linalg.norm(M, "fro")
+    assert (lam > tau) == (factor > 1)
+    M_in = sp.csr_array(M) if sparse else M
+    if factor > 1:
+        _check_spd(M_in, "M")
+    else:
+        with pytest.raises(PartitionError, match=rf"M is not positive definite \(min eig {lam:.3e}\)"):
+            _check_spd(M_in, "M")
+
+
 def test_partition_mixed_requires_square_constraint():
     from phmor.benchmarks import MassSpringSpec, mixed_chain
 

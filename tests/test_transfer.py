@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as spla
 
 from phmor import (
+    DivergentNormError,
     FrequencyGrid,
     GenericLTISystem,
     InterpolationData,
@@ -19,6 +20,7 @@ from phmor import (
     polynomial_part_index1,
     polynomial_part_index2,
     reduce_index1_blockdiag,
+    reduce_index1_shifted,
 )
 from phmor.benchmarks import MassSpringSpec, mass_spring_chain_b2, random_ph_index1
 from phmor.transfer import export_frequency_response, frequency_response
@@ -153,6 +155,40 @@ def test_norms_detect_polynomial_mismatch():
     grid = FrequencyGrid.log_spaced()
     with pytest.raises(PolynomialMismatchError):
         hinf_error(full, ramp, grid, full_response=frequency_response(full, grid))
+
+
+def _count_evaluations(monkeypatch):
+    import phmor.transfer as transfer
+
+    points = []
+    evaluate_ = transfer.evaluate
+
+    def counting(model, s):
+        points.append(s)
+        return evaluate_(model, s)
+
+    monkeypatch.setattr(transfer, "evaluate", counting)
+    return points
+
+
+def test_h2_error_flags_pole_at_origin(monkeypatch):
+    # ||H - P|| ~ 3.2 / omega: the chain-b2 model has a pole at s = 0
+    part = mass_spring_chain_b2(MassSpringSpec(k=6))
+    points = _count_evaluations(monkeypatch)
+    with pytest.raises(DivergentNormError) as info:
+        h2_error(part.parent, part.polynomial_part)
+    assert not isinstance(info.value, PolynomialMismatchError)
+    assert len(points) <= 8
+    assert issubclass(PolynomialMismatchError, DivergentNormError)
+
+
+def test_h2_error_low_probe_quiet_without_pole_at_origin(monkeypatch):
+    part = random_ph_index1(12, 4, 2, seed=0)
+    reduced = reduce_index1_shifted(part, InterpolationData.log_spaced(6, 2))
+    points = _count_evaluations(monkeypatch)
+    value = h2_error(part.parent, reduced)
+    assert np.isfinite(value) and value > 0
+    assert 1e-8j in points and 1e-6j in points
 
 
 def test_hinf_error_equals_per_point_spectral_norms():
