@@ -8,7 +8,6 @@ from .linalg import (
     nullspace_basis,
     orthonormalize,
     solve_complex,
-    sym_eig,
 )
 from .systems import (
     GenericLTISystem,

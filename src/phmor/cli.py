@@ -137,18 +137,21 @@ def _full_poly(part):
 
 def _errors_row(part, model, data, grid, with_h2, converged="", iterations="",
                 full_response=None):
-    full = part.parent
-    res = tangential_residuals(full, model, data)
+    """One ``errors.csv`` row.  The partition stands for the full model, so
+    every full-model evaluation goes through its elimination solver.  The H2
+    denominator is integrated first: when it diverges or vanishes the entry
+    is inf whatever the numerator is, and that quadrature is skipped."""
+    res = tangential_residuals(part, model, data)
     try:
-        _, rel_hinf = hinf_error(full, model, grid, full_response=full_response)
+        _, rel_hinf = hinf_error(part, model, grid, full_response=full_response)
     except DivergentNormError:
         rel_hinf = np.inf
     rel_h2 = ""
     if with_h2:
         try:
-            abs_h2 = h2_error(full, model)
-            denom = h2_error(full, _full_poly(part))
-            rel_h2 = f"{abs_h2 / denom:.16e}" if denom > 0 else f"{np.inf}"
+            denom = h2_error(part, _full_poly(part))
+            rel_h2 = (f"{h2_error(part, model) / denom:.16e}" if denom > 0
+                      else f"{np.inf}")
         except DivergentNormError:
             rel_h2 = f"{np.inf}"
     return (
@@ -292,7 +295,7 @@ def cmd_sweep(args):
     if any(r < 1 for r in rs):
         raise LinAlgContractError("reduced orders must be >= 1")
     method = _resolve_method(args.method, part)
-    full_response = frequency_response(part.parent, grid)
+    full_response = frequency_response(part, grid)
     rows = []
     for r in rs:
         if method in _IRKA_REDUCER_NAMES:

@@ -1,10 +1,11 @@
 """Linear-algebra kernels shared by all other modules.
 
 Thin, contract-checked wrappers around LAPACK (via numpy/scipy) for the
-decompositions and solves the reduction machinery needs: symmetric
-eigendecompositions, SVD-based rank/nullspace decisions, shifted complex
-solves (dense LAPACK or sparse SuperLU, chosen by the matrix's storage),
-and generalized eigenproblems with two-sided eigenvectors.
+decompositions and solves the reduction machinery needs: SVD-based
+rank/nullspace decisions, shifted complex solves (dense LAPACK or sparse
+SuperLU, chosen by the matrix's storage), shifted solves of one
+symmetric-definite pencil at many shifts against a single Schur form, and
+generalized eigenproblems with two-sided eigenvectors.
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ from scipy.linalg import lapack
 __all__ = [
     "LinAlgContractError",
     "SingularMatrixError",
-    "SymEig",
     "GenEig",
-    "sym_eig",
-    "svd",
     "solve_complex",
+    "SchurPencil",
     "gen_eig",
     "nullspace_basis",
     "rank_tolerance",
@@ -69,21 +68,6 @@ def rank_tolerance(M, sigma_max=None):
 
 
 @dataclass(frozen=True)
-class SymEig:
-    """Spectral decomposition M = Q diag(eigenvalues) Q^T.
-
-    Eigenvalues are ascending; Q has orthonormal columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self):
-        Q, lam = self.eigenvectors, self.eigenvalues
-        return (Q * lam) @ Q.T
-
-
-@dataclass(frozen=True)
 class GenEig:
     """Eigenpairs of A v = lambda E v with two-sided eigenvectors.
 
@@ -96,31 +80,6 @@ class GenEig:
     left: np.ndarray
 
 
-def sym_eig(M, tol=1e-8):
-    """Spectral decomposition of a (numerically) symmetric real matrix.
-
-    The input is symmetrized internally; a relative asymmetry beyond
-    `tol` is rejected.
-    """
-    M = _as_matrix(M, "M")
-    n, nc = M.shape
-    if n != nc:
-        raise LinAlgContractError(f"sym_eig needs a square matrix, got {M.shape}")
-    nrm = spla.norm(M, "fro")
-    if nrm > 0 and spla.norm(M - M.T, "fro") > tol * nrm:
-        raise LinAlgContractError("matrix is not symmetric to tolerance")
-    Ms = 0.5 * (M + M.T)
-    lam, Q = spla.eigh(Ms)
-    return SymEig(eigenvalues=lam, eigenvectors=Q)
-
-
-def svd(M):
-    """Full SVD M = U diag(s) V^T with descending singular values."""
-    M = _as_matrix(M, "M")
-    U, s, Vt = spla.svd(M, full_matrices=True)
-    return U, s, Vt.T
-
-
 def solve_complex(M, rhs, cond_limit=COND_LIMIT):
     """Solve M X = rhs for square complex (or real) M.
 
@@ -128,7 +87,9 @@ def solve_complex(M, rhs, cond_limit=COND_LIMIT):
     singular to working precision.  Callers solving shifted pencils
     s E - A at large |s| (whose condition number grows like |s| without
     any loss of relative solution accuracy) may pass a larger
-    ``cond_limit``.
+    ``cond_limit``.  It solves sparse full models, bare systems and
+    reduced models; a dense partitioned full model is solved by its
+    partition's elimination solver and :class:`SchurPencil` instead.
 
     The condition number compared against ``cond_limit`` is a 1-norm
     *estimate* (Hager/Higham) from the LU factors already computed for the
@@ -194,6 +155,60 @@ def _solve_sparse(M, B):
         inv_norm = spsla.onenormest(inverse, t=1)
     cond = spsla.norm(M, 1) * inv_norm
     return X, (cond if np.isfinite(cond) else np.inf)
+
+
+class SchurPencil:
+    """Shifted solves (s M - A) X = F at many shifts s, from one
+    factorization; M is symmetric positive definite.
+
+    The Cholesky factor M = L L^T whitens the pencil, and the whitened
+    L^{-1} A L^{-T} = Z T Z^H is taken to complex Schur form once, so that
+    (s M - A)^{-1} = L^{-T} Z (s I - T)^{-1} Z^H L^{-1}.  A shift then costs
+    one triangular solve (LAPACK ``ztrtrs``), the ``ztrcon`` estimate of
+    kappa_1(s I - T) and O(n^2) products, where a dense LU costs O(n^3).
+
+    With an orthonormal ``basis`` Phi (n x k), M and A are the restricted
+    k x k matrices Phi^T M0 Phi and Phi^T A0 Phi, and :meth:`solve` maps
+    an n-row F to Phi (s M - A)^{-1} Phi^T F.
+    """
+
+    def __init__(self, M, A, basis=None):
+        M = _as_matrix(M, "M")
+        A = _as_matrix(A, "A")
+        if M.shape != A.shape or M.shape[0] != M.shape[1]:
+            raise LinAlgContractError("M and A must be square and of equal shape")
+        L, info = lapack.dpotrf(M, lower=1, clean=1)
+        if info != 0:
+            raise LinAlgContractError("M is not positive definite")
+        X = spla.solve_triangular(L, A, lower=True)
+        T, Z = spla.rsf2csf(*spla.schur(spla.solve_triangular(L, X.T, lower=True).T))
+        right = spla.solve_triangular(L, Z, lower=True, trans="T")  # L^{-T} Z
+        if basis is not None:
+            right = basis @ right
+        self._negT = np.asfortranarray(-T)
+        self._right = right
+        self._left = right.conj().T  # Z^H L^{-1} Phi^T
+
+    def solve(self, s, rhs, cond_limit=COND_LIMIT):
+        """X with (s M - A) X = rhs (rhs a finite 2-D array).
+
+        Raises :class:`SingularMatrixError` when s I - T has an exactly
+        zero diagonal entry, the solution is not finite, or the ``ztrcon``
+        estimate of kappa_1(s I - T) exceeds ``cond_limit``.
+        """
+        n = self._negT.shape[0]
+        if n == 0:
+            return np.zeros((self._right.shape[0], rhs.shape[1]), dtype=complex)
+        U = self._negT.copy(order="F")
+        U.ravel(order="F")[:: n + 1] += s  # s I - T
+        X, info = lapack.ztrtrs(U, self._left @ rhs)
+        if info > 0:
+            raise SingularMatrixError("matrix is exactly singular")
+        rcond, info = lapack.ztrcon(U)
+        cond = np.inf if info != 0 or rcond == 0.0 else 1.0 / rcond
+        if not np.all(np.isfinite(X)) or cond > cond_limit:
+            raise SingularMatrixError("matrix is singular to working precision", cond)
+        return self._right @ X
 
 
 def gen_eig(A, E, defective_cond_limit=1e8):

@@ -223,22 +223,34 @@ def _rank_filter(V, Bd):
     return V, Bd
 
 
+def _shifted_solve(model):
+    """(generic realization, solve(s, rhs)) of the full model: a partition
+    solves through its :meth:`~phmor.systems.Index2Partition.solve_shifted`,
+    a bare system by one LU of s E - A per point."""
+    if hasattr(model, "solve_shifted"):
+        return model.parent.generic, model.solve_shifted
+    gen = model.generic if isinstance(model, PHDAESystem) else model
+    return gen, lambda s, rhs: solve_complex(s * gen.E - gen.A, rhs)
+
+
 def build_V_generic(model, data):
     """Tangential Krylov basis of (sigma_i E - A)^{-1} (B - P) b_i.
 
-    ``model`` is a PHDAESystem or GenericLTISystem; the returned basis
-    is realified (conjugate pairs merged into real/imaginary columns)
-    and rank-filtered, with no further orthonormalization so that
-    projected matrices match the closed-form expressions.  The model's
+    ``model`` is a partition view (the reducers pass one, so that its
+    factored elimination solver serves every point), a PHDAESystem or a
+    GenericLTISystem; the returned basis is realified (conjugate pairs
+    merged into real/imaginary columns) and rank-filtered, with no further
+    orthonormalization so that projected matrices match the closed-form
+    expressions.  The model's
     matrices are real, so the solution at conj(sigma) is the conjugate of
     the one at sigma: one solve is made per conjugate pair.
     """
-    gen = model.generic if isinstance(model, PHDAESystem) else model
+    gen, solve = _shifted_solve(model)
     kept = _conjugate_pairs(data.points)
     cols = np.empty((gen.n, len(kept)), dtype=complex)
     for k, (i, _) in enumerate(kept):
         s, b = data.points[i], data.directions[i]
-        cols[:, k] = solve_complex(s * gen.E - gen.A, gen.B @ b)
+        cols[:, k] = solve(s, gen.B @ b)
     V, Bd = _realify(cols, data.directions, kept)
     V, Bd = _rank_filter(V, Bd)
     return ProjectionBasis(V=V, directions=Bd, points=data.points)
@@ -253,7 +265,8 @@ def build_V_saddle(part, data):
         [      -J12^T        0  ] [z] = [ (B2 - P2) b ]
 
     whose matrix is exactly -(sigma E - A) on a valid index-2 partition,
-    so it is solved with the full model's pencil (dense or sparse) and
+    so it is solved with the partition's full-model solver
+    (:meth:`~phmor.systems.Index2Partition.solve_shifted`) and
     v = -x[:n1].  When the constraint equations carry inputs, v is then
     projected back onto ker(J12^T) along the energy inner product, so that
     J12^T V = 0 holds for the returned basis.  As in
@@ -267,7 +280,7 @@ def build_V_saddle(part, data):
     for k, (i, _) in enumerate(kept):
         s, b = data.points[i], data.directions[i]
         rhs = gen.B @ b
-        v = -solve_complex(s * gen.E - gen.A, rhs)[:n1]
+        v = -part.solve_shifted(s, rhs)[:n1]
         if not part.b2_zero:
             v = v + part.Einv_J12 @ np.linalg.solve(part.coupling, rhs[n1:])
         cols[:, k] = v
@@ -366,7 +379,7 @@ def reduce_index1_shifted(part, data):
     this through ``ph_valid`` / ``w_min_eig``.
     """
     sys = part.parent
-    basis = build_V_generic(sys, data)
+    basis = build_V_generic(part, data)
     V, Bd = basis.V, basis.directions
     poly = part.polynomial_part
     D = sys.S + sys.N
@@ -399,7 +412,7 @@ def reduce_index1_blockdiag(part, data):
     """
     sys = part.parent
     n1 = part.n1
-    basis = build_V_generic(sys, data)
+    basis = build_V_generic(part, data)
     V1 = orthonormalize(basis.V[:n1])
     if V1.shape[1] < basis.r:
         warnings.warn(
@@ -532,7 +545,7 @@ def reduce_mixed(part, data):
     """
     sys = part.parent
     n1, n2 = part.n1, part.n2
-    basis = build_V_generic(sys, data)
+    basis = build_V_generic(part, data)
     V2 = orthonormalize(basis.V[n1:n1 + n2])
     if V2.shape[1] < basis.r:
         warnings.warn(

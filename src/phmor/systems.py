@@ -13,6 +13,13 @@ partition views can safely alias parent storage.  E, J and R may be held
 as read-only ``scipy.sparse`` CSR arrays (large benchmark containers);
 B, P, S and N, being n x m or m x m, are always dense.  Partition checks
 work on either storage.
+
+Each partition view also solves its parent's shifted pencil s E - A
+(:meth:`Index1Partition.solve_shifted` and its twins) and evaluates its
+transfer function, so that it can stand in for the full model.  A dense
+parent is solved by eliminating the algebraic equations exactly and
+factoring the ODE that remains once per partition; a sparse parent keeps
+one SuperLU factorization per shift.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spsla
 from scipy.linalg import lapack
 
-from .linalg import COND_LIMIT, LinAlgContractError
+from .linalg import COND_LIMIT, LinAlgContractError, SchurPencil, solve_complex
 
 __all__ = [
     "PHDAESystem",
@@ -325,10 +332,156 @@ def _check_zero(M, what, scale):
         raise PartitionError(f"{what} must be zero in this semi-explicit form")
 
 
+def _triangular_solve(R, F, trans=0):
+    """R^{-1} F (R^{-T} F for ``trans=1``) for a complex upper-triangular R.
+    LAPACK ``ztrtrs`` is called directly: these blocks are solved at every
+    shift and are often 1 x 1, too small to pay for SciPy's checks."""
+    if R.shape[0] == 0:
+        return np.zeros(F.shape, dtype=complex)
+    return lapack.ztrtrs(R, F, trans=trans)[0]
+
+
+def _complex_qr(M):
+    """Full QR of a real block with full column rank: Q and the square top
+    of R, both stored complex (R in Fortran order for ``ztrtrs``), so that
+    the per-shift products need no conversion."""
+    Q, R = spla.qr(M)
+    return Q.astype(complex), np.asfortranarray(R[:M.shape[1]], dtype=complex)
+
+
+class _Index1Elimination:
+    """(s E - A)^{-1} of a dense index-1 partition.  One QR of A22 solves
+    the algebraic rows: x2 = -A22^{-1} (F2 + A21 x1), and x1 solves the ODE
+    (s E11 - A11 + A12 A22^{-1} A21) x1 = F1 - A12 A22^{-1} F2."""
+
+    def __init__(self, part):
+        n1 = self._n1 = part.n1
+        A = _dense(part.parent.generic.A)
+        Q, self._R = _complex_qr(A[n1:, n1:])
+        self._Qt = Q.T
+        G = self._solve_A22(A[n1:, :n1]).real  # A22^{-1} A21
+        self._A12, self._G = A[:n1, n1:].astype(complex), G.astype(complex)
+        self._ode = SchurPencil(_dense(part.E11), A[:n1, :n1] - A[:n1, n1:] @ G)
+
+    def _solve_A22(self, F):
+        return _triangular_solve(self._R, self._Qt @ F)
+
+    def solve(self, s, F, cond_limit):
+        n1 = self._n1
+        w = self._solve_A22(F[n1:])
+        x1 = self._ode.solve(s, F[:n1] - self._A12 @ w, cond_limit)
+        return np.vstack([x1, -(w + self._G @ x1)])
+
+
+class _Index2Elimination:
+    """(s E - A)^{-1} of a dense index-2 partition.  A QR J12 = Q1 R1, with
+    Phi completing Q1 to an orthonormal basis (Phi spans ker J12^T), solves
+    the constraint J12^T x1 = F2 exactly: x1 = Q1 R1^{-T} F2 + Phi y, where y
+    solves the ODE (Phi^T E11 Phi, Phi^T A11 Phi).  The multiplier comes back
+    through the left inverse of J12: x2 = R1^{-1} Q1^T ((s E11 - A11) x1 - F1)."""
+
+    def __init__(self, part):
+        self._n1, n2 = part.n1, part.n2
+        Q, self._R1 = _complex_qr(_dense(part.J12))
+        self._Q1, Phi = Q[:, :n2], Q[:, n2:].real
+        E11, A11 = _dense(part.E11), _dense(part.A11)
+        self._E11, self._A11 = E11.astype(complex), A11.astype(complex)
+        self._ode = SchurPencil(Phi.T @ E11 @ Phi, Phi.T @ A11 @ Phi, basis=Phi)
+
+    def solve(self, s, F, cond_limit):
+        F1, F2 = F[:self._n1], F[self._n1:]
+
+        def residual(x):  # (s E11 - A11) x - F1
+            return s * (self._E11 @ x) - self._A11 @ x - F1
+
+        if np.any(F2):  # the particular solution; zero without constraint inputs
+            x1 = self._Q1 @ _triangular_solve(self._R1, F2, trans=1)
+            x1 = x1 - self._ode.solve(s, residual(x1), cond_limit)
+        else:
+            x1 = self._ode.solve(s, F1, cond_limit)
+        x2 = _triangular_solve(self._R1, self._Q1.T @ residual(x1))
+        return np.vstack([x1, x2])
+
+
+class _MixedElimination:
+    """(s E - A)^{-1} of a dense mixed partition.  With Kij = s Eij - Aij,
+    the index-2 constraint gives x1 = -J31^{-1} F3, x2 solves the ODE
+    (s E22 - A22) x2 = F2 - K21 x1, and the multiplier is
+    x3 = J31^{-T} (F1 - K11 x1 - K12 x2); one QR of J31 serves both."""
+
+    def __init__(self, part):
+        n1, nd = part.n1, part.n1 + part.n2
+        self._n1, self._nd = n1, nd
+        gen = part.parent.generic
+        E, A = _dense(gen.E)[:nd, :nd], _dense(gen.A)[:nd, :nd]
+        self._Q, self._R = _complex_qr(_dense(part.J31))
+        self._E1, self._A1 = E[:, :n1].astype(complex), A[:, :n1].astype(complex)
+        self._E12, self._A12 = E[:n1, n1:].astype(complex), A[:n1, n1:].astype(complex)
+        self._ode = SchurPencil(E[n1:, n1:], A[n1:, n1:])
+
+    def solve(self, s, F, cond_limit):
+        n1, nd = self._n1, self._nd
+        x1 = -_triangular_solve(self._R, self._Q.T @ F[nd:])
+        K1x1 = s * (self._E1 @ x1) - self._A1 @ x1
+        x2 = self._ode.solve(s, F[n1:nd] - K1x1[n1:], cond_limit)
+        K12x2 = s * (self._E12 @ x2) - self._A12 @ x2
+        x3 = self._Q @ _triangular_solve(self._R, F[:n1] - K1x1[:n1] - K12x2, trans=1)
+        return np.vstack([x1, x2, x3])
+
+
+class _ShiftedSolves:
+    """Solves with the parent model's shifted pencil s E - A (A = J - R),
+    shared by the partition views; ``_elimination`` names the dense solver
+    class of each view."""
+
+    @functools.cached_property
+    def shifted_solver(self):
+        """The dense elimination solver, built on first use and kept for
+        the partition's lifetime."""
+        return self._elimination(self)
+
+    def solve_shifted(self, s, rhs, cond_limit=COND_LIMIT):
+        """Solve (s E - A) X = rhs for the parent model, with the contract
+        of :func:`phmor.linalg.solve_complex`: ``SingularMatrixError`` when
+        the pencil is singular to working precision, ``LinAlgContractError``
+        for a non-finite shift or right-hand side.
+
+        A sparse parent keeps the per-shift SuperLU solve of
+        ``solve_complex``.  A dense one is solved by :attr:`shifted_solver`,
+        which removes the algebraic equations exactly and solves the ODE
+        left over against one Schur form (:class:`phmor.linalg.SchurPencil`),
+        so the singular decision is the ``ztrcon`` estimate of that ODE's
+        shifted triangular factor.  The blocks a valid partition requires to
+        vanish are taken as zero, and J21 = -J12^T (J31 = -J13^T for a mixed
+        view)."""
+        gen = self.parent.generic
+        if sp.issparse(gen.E):
+            return solve_complex(s * gen.E - gen.A, rhs, cond_limit=cond_limit)
+        rhs = np.asarray(rhs, dtype=complex)
+        F = rhs[:, None] if rhs.ndim == 1 else rhs
+        if F.ndim != 2 or F.shape[0] != gen.n:
+            raise LinAlgContractError(
+                f"right-hand side of shape {rhs.shape} does not fit n={gen.n}")
+        if not (np.isfinite(s) and np.all(np.isfinite(F))):
+            raise LinAlgContractError("shift or right-hand side contains non-finite entries")
+        X = self.shifted_solver.solve(complex(s), F, cond_limit)
+        return X[:, 0] if rhs.ndim == 1 else X
+
+    def transfer_eval(self, s):
+        """H(s) of the parent model (:func:`phmor.transfer.eval_transfer`
+        solved through :meth:`solve_shifted`), so that a partition can be
+        passed wherever the full model is evaluated."""
+        from .transfer import eval_transfer
+
+        return eval_transfer(self.parent.generic, s, solve=self.solve_shifted)
+
+
 @dataclass(frozen=True)
-class Index1Partition:
+class Index1Partition(_ShiftedSolves):
     """Semi-explicit index-1 view: E = diag(E11, 0) with E11 > 0 and
     J22 - R22 nonsingular."""
+
+    _elimination = _Index1Elimination
 
     parent: PHDAESystem
     n1: int
@@ -409,9 +562,11 @@ class Index1Partition:
 
 
 @dataclass(frozen=True)
-class Index2Partition:
+class Index2Partition(_ShiftedSolves):
     """Semi-explicit index-2 view: E = diag(E11, 0), trailing J, R blocks
     zero, with E11 > 0 and J12^T E11^{-1} J12 nonsingular."""
+
+    _elimination = _Index2Elimination
 
     parent: PHDAESystem
     n1: int
@@ -498,11 +653,13 @@ class Index2Partition:
 
 
 @dataclass(frozen=True)
-class MixedPartition:
+class MixedPartition(_ShiftedSolves):
     """Combined index-1/index-2 view: states (x1, x2, x3) where x1 carries
     the index-2 constraint (J31 x1 = 0 with J31 square nonsingular), x2 the
     index-1 algebraic part (J22 - R22 nonsingular), and the leading 2x2
     block of E is positive definite.  B3 = P3 = 0 is required."""
+
+    _elimination = _MixedElimination
 
     parent: PHDAESystem
     n1: int

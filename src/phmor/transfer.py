@@ -119,15 +119,21 @@ class PolynomialPart:
         return cls(P0=P0, P1=np.zeros_like(P0))
 
 
-def eval_transfer(sys, s):
+def eval_transfer(sys, s, solve=None):
     """H(s) = C (sE - A)^{-1} B + D for a descriptor realization.
 
     The condition limit of the pencil solve scales with |s|: the pencil
     condition number grows linearly in |s| for DAEs without the solve
-    losing relative accuracy.
+    losing relative accuracy.  ``solve(s, rhs, cond_limit=...)`` replaces
+    the dense or sparse LU of :func:`solve_complex`; a partition passes
+    its :meth:`~phmor.systems.Index2Partition.solve_shifted` here.
     """
-    X = solve_complex(s * sys.E - sys.A, np.asarray(sys.B, dtype=complex),
-                      cond_limit=1e12 * (1.0 + abs(s)))
+    B = np.asarray(sys.B, dtype=complex)
+    cond_limit = 1e12 * (1.0 + abs(s))
+    if solve is None:
+        X = solve_complex(s * sys.E - sys.A, B, cond_limit=cond_limit)
+    else:
+        X = solve(s, B, cond_limit=cond_limit)
     return sys.C @ X + sys.D
 
 
@@ -135,8 +141,10 @@ def evaluate(model, s):
     """Transfer-function value of any supported model at a complex point.
 
     Accepts :class:`GenericLTISystem`, :class:`PHDAESystem`, or any object
-    exposing ``transfer_eval(s)`` (reduced models, including those with an
-    augmented (u, u') input whose feedthrough carries a linear-in-s term).
+    exposing ``transfer_eval(s)``: a partition view, which stands for its
+    full model and solves it by constraint elimination, and reduced models,
+    including those with an augmented (u, u') input whose feedthrough
+    carries a linear-in-s term.  A bare system is solved by LU per point.
     """
     if hasattr(model, "transfer_eval"):
         return model.transfer_eval(s)
@@ -203,10 +211,9 @@ def polynomial_part_index2(part, check=True):
 
 def _check_poly_against_limit(part, poly):
     """Confirm H(i w) - P(i w) stays bounded for large w; log otherwise."""
-    gen = part.parent.generic
     rem = []
     for w in (1e6, 1e8):
-        H = eval_transfer(gen, 1j * w)
+        H = part.transfer_eval(1j * w)
         rem.append(np.linalg.norm(H - poly(1j * w)))
     scale = 1.0 + np.linalg.norm(poly.P0)
     if rem[1] > 10.0 * rem[0] + 1e-8 * scale:

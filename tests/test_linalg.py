@@ -10,22 +10,7 @@ from phmor.linalg import (
     orthonormalize,
     rank_tolerance,
     solve_complex,
-    sym_eig,
 )
-
-
-def test_sym_eig_orders_ascending():
-    A = np.diag([3.0, -1.0, 2.0])
-    res = sym_eig(A)
-    assert np.allclose(res.eigenvalues, [-1.0, 2.0, 3.0])
-    # eigenvectors reconstruct the matrix
-    Q, w = res.eigenvectors, res.eigenvalues
-    assert np.allclose(Q @ np.diag(w) @ Q.T, A)
-
-
-def test_sym_eig_rejects_nonsymmetric():
-    with pytest.raises(LinAlgContractError):
-        sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_solve_complex_matches_numpy():

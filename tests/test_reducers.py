@@ -85,25 +85,27 @@ class TestBases:
     @pytest.mark.parametrize("saddle", [False, True], ids=["generic", "saddle"])
     def test_one_solve_per_conjugate_pair(self, monkeypatch, saddle):
         from phmor import reducers
-        from phmor.linalg import solve_complex
+        from phmor.systems import Index2Partition
 
         part = mass_spring_chain(MassSpringSpec(k=9))
         data = _data([0.4, 2 + 1j, 2 - 1j, 3 + 0.5j, 3 - 0.5j],
                      np.ones((5, part.parent.m)))
         calls = []
+        solve_shifted = Index2Partition.solve_shifted
 
-        def counting(M, rhs, **kwargs):
+        def counting(self, s, rhs, **kwargs):
             calls.append(rhs)
-            return solve_complex(M, rhs, **kwargs)
+            return solve_shifted(self, s, rhs, **kwargs)
 
-        monkeypatch.setattr(reducers, "solve_complex", counting)
+        monkeypatch.setattr(Index2Partition, "solve_shifted", counting)
         basis = (build_V_saddle(part, data) if saddle
-                 else build_V_generic(part.parent, data))
+                 else build_V_generic(part, data))
         assert len(calls) == 3
+        monkeypatch.undo()
 
         # reference: solve at every point, realify the first member of each pair
         gen = part.parent.generic
-        cols = np.column_stack([solve_complex(s * gen.E - gen.A, gen.B @ b)
+        cols = np.column_stack([part.solve_shifted(s, gen.B @ b)
                                 for s, b in zip(data.points, data.directions)])
         if saddle:
             cols = -cols[:part.n1]

@@ -1,0 +1,158 @@
+"""The partition views' shifted solver: exact elimination of the algebraic
+equations plus one Schur form per partition, checked against a dense LU of
+the full pencil s E - A."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from phmor import cli, systems
+from phmor.benchmarks import (
+    MassSpringSpec,
+    OseenSpec,
+    mass_spring_chain,
+    mass_spring_chain_b2,
+    mixed_chain,
+    oseen_grid,
+    random_ph_index1,
+)
+from phmor.irka import IRKAConfig, irka_reduce
+from phmor.linalg import LinAlgContractError, SchurPencil, SingularMatrixError, solve_complex
+from phmor.systems import PHDAESystem, partition_index1, partition_index2, partition_mixed
+from phmor.transfer import FrequencyGrid, eval_transfer
+
+MODELS = {
+    "chain": lambda: mass_spring_chain(MassSpringSpec(k=6)),
+    "chain-b2": lambda: mass_spring_chain_b2(MassSpringSpec(k=6)),
+    "oseen": lambda: oseen_grid(OseenSpec(n_grid=5)),
+    "mixed": lambda: mixed_chain(MassSpringSpec(k=6)),
+    **{f"random-index1-{seed}": (lambda seed=seed: random_ph_index1(8, 3, 2, seed))
+       for seed in range(4)},
+}
+_PARTS = {}
+
+
+def _part(name):
+    """One partition per model for the whole module, as one CLI command
+    keeps one: its solver is built on the first example only."""
+    if name not in _PARTS:
+        _PARTS[name] = MODELS[name]()
+    return _PARTS[name]
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(MODELS)),
+       log_omega=st.floats(-3.0, 4.0),
+       sign=st.sampled_from([-1.0, 1.0]),
+       real=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+       seed=st.integers(0, 2**32 - 1))
+def test_matches_dense_lu(name, log_omega, sign, real, seed):
+    part = _part(name)
+    gen = part.parent.generic
+    s = complex(real, sign * 10.0 ** log_omega)
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((gen.n, 2)) + 1j * rng.standard_normal((gen.n, 2))
+    ref = solve_complex(s * gen.E - gen.A, F, cond_limit=np.inf)
+    got = part.solve_shifted(s, F, cond_limit=np.inf)
+    assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+    # a vector right-hand side comes back as a vector
+    col = part.solve_shifted(s, F[:, 0], cond_limit=np.inf)
+    assert col.shape == (gen.n,)
+    assert np.linalg.norm(col - ref[:, 0]) <= 1e-10 * np.linalg.norm(ref[:, 0])
+
+
+def _random_ph(n, n1, rng):
+    """A pH system whose leading n1 x n1 block of E is SPD and the rest of E
+    zero, with J12^T of full rank and zero trailing J, R blocks."""
+    M = rng.standard_normal((n1, n1))
+    E = np.zeros((n, n))
+    E[:n1, :n1] = M @ M.T + n1 * np.eye(n1)
+    K = rng.standard_normal((n, n))
+    J = K - K.T
+    J[n1:, n1:] = 0.0
+    R = np.zeros((n, n))
+    R[:n1, :n1] = 0.1 * np.eye(n1)
+    return PHDAESystem(E=E, J=J, R=R, B=rng.standard_normal((n, 1)), P=np.zeros((n, 1)),
+                       S=np.zeros((1, 1)), N=np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("view", ["index1-ode", "index2-ode", "mixed-ode", "index2-no-ode"])
+def test_empty_blocks_match_dense_lu(view):
+    # partitions with no algebraic block, or (index 2 with n1 = n2) no ODE
+    rng = np.random.default_rng(7)
+    if view == "index2-no-ode":
+        part = partition_index2(_random_ph(4, 2, rng), 2)
+    else:
+        sys_ = _random_ph(5, 5, rng)
+        part = {"index1-ode": lambda: partition_index1(sys_, 5),
+                "index2-ode": lambda: partition_index2(sys_, 5),
+                "mixed-ode": lambda: partition_mixed(sys_, 0, 5)}[view]()
+    gen = part.parent.generic
+    F = rng.standard_normal((gen.n, 2)) + 1j * rng.standard_normal((gen.n, 2))
+    for s in (0.5j, 2.0 + 1j):
+        ref = solve_complex(s * gen.E - gen.A, F)
+        assert np.linalg.norm(part.solve_shifted(s, F) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("omega", [1e6, 1e8])
+def test_oseen_high_frequency_matches_lu(omega):
+    part = oseen_grid(OseenSpec(n_grid=8))
+    H = part.transfer_eval(1j * omega)
+    ref = eval_transfer(part.parent.generic, 1j * omega)
+    assert np.linalg.norm(H - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_exact_eigenvalue_raises(index1_fixture, index2_fixture):
+    # both fixtures have their one finite pole at s = -1, exactly
+    for part in (partition_index1(index1_fixture, 1), partition_index2(index2_fixture, 2)):
+        with pytest.raises(SingularMatrixError):
+            part.solve_shifted(-1.0, np.ones(part.parent.n))
+        assert np.all(np.isfinite(part.solve_shifted(-1.0 + 1e-3, np.ones(part.parent.n))))
+
+
+def test_non_finite_input_raises_contract_error(index2_fixture):
+    part = partition_index2(index2_fixture, 2)
+    rhs = np.ones(3)
+    rhs[0] = np.nan
+    for s, b in ((1.0, rhs), (np.nan, np.ones(3))):
+        with pytest.raises(LinAlgContractError) as info:
+            part.solve_shifted(s, b)
+        assert not isinstance(info.value, SingularMatrixError)
+
+
+def test_schur_pencil_rejects_indefinite_mass():
+    with pytest.raises(LinAlgContractError):
+        SchurPencil(np.diag([1.0, -1.0]), np.eye(2))
+
+
+@pytest.fixture
+def count_builds(monkeypatch):
+    built = []
+
+    class Counting(SchurPencil):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0].shape)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(systems, "SchurPencil", Counting)
+    return built
+
+
+def test_solver_built_once_per_partition(count_builds):
+    part = mass_spring_chain_b2(MassSpringSpec(k=6))
+    result = irka_reduce(part, IRKAConfig(r=4))
+    grid = FrequencyGrid.log_spaced(1e-4, 1e4, 20)
+    cli._errors_row(part, result.model, result.data, grid, with_h2=True)
+    assert len(count_builds) == 1
+
+
+def test_cli_builds_once_per_command_and_never_in_generate(count_builds, tmp_path):
+    for bench, args in (("chain", "--k 4"), ("chain-b2", "--k 4"), ("oseen", "--n-grid 3"),
+                        ("random-index1", "--n1 6 --n2 2"), ("mixed", "--k 4")):
+        assert cli.main(["generate", "--benchmark", bench, *args.split(),
+                         "--out", str(tmp_path / bench)]) == 0
+    assert count_builds == []
+    assert cli.main(["reduce", str(tmp_path / "chain-b2"), "--method", "irka", "--r", "2",
+                     "--h2", "--freq-grid", "1e-4:1e4:20", "--out", str(tmp_path / "out")]) == 0
+    assert len(count_builds) == 1
