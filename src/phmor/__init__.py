@@ -31,10 +31,8 @@ from .transfer import (
     PoleResidueForm,
     PolynomialMismatchError,
     PolynomialPart,
-    eval_tangential,
     eval_transfer,
     evaluate,
-    export_frequency_response,
     h2_error,
     hinf_error,
     pole_residue,

@@ -3,9 +3,11 @@
 Thin, contract-checked wrappers around LAPACK (via numpy/scipy) for the
 decompositions and solves the reduction machinery needs: SVD-based
 rank/nullspace decisions, shifted complex solves (dense LAPACK or sparse
-SuperLU, chosen by the matrix's storage), shifted solves of one
-symmetric-definite pencil at many shifts against a single Schur form, and
-generalized eigenproblems with two-sided eigenvectors.
+SuperLU, chosen by the matrix's storage), solves of a stack of dense
+matrices, shifted solves of one symmetric-definite pencil at many shifts
+against a single Schur form, LAPACK's 1-norm condition estimator run on
+many matrices at once, and generalized eigenproblems with two-sided
+eigenvectors.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ __all__ = [
     "GenEig",
     "solve_complex",
     "SchurPencil",
+    "solve_stacked",
+    "inverse_norm_estimates",
     "gen_eig",
     "nullspace_basis",
     "rank_tolerance",
@@ -157,6 +161,161 @@ def _solve_sparse(M, B):
     return X, (cond if np.isfinite(cond) else np.inf)
 
 
+#: LAPACK's safe minimum, ``dlamch('S')``: zlacn2 takes the sign of an
+#: entry no larger than this as 1.
+_SAFMIN = np.finfo(float).tiny
+#: zlacn2's bound on its main-loop iterations.
+_ITMAX = 5
+#: Fewest shifts :meth:`SchurPencil.solve` solves in one batch.  The batched
+#: estimator costs a fixed number of passes over the n rows of s I - T, so
+#: below about 20 (n = 12, 99) to 50 (n = 40, 49) shifts one LAPACK solve
+#: and estimate per shift is faster; grids are batched, interpolation sets
+#: (one point per reduced order) are not.
+_MIN_BATCH = 32
+
+
+def _cond_from_rcond(rcond):
+    """kappa = 1 / rcond, and inf where LAPACK would report no usable rcond
+    (0, inf or NaN)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.isfinite(rcond) & (rcond > 0.0), 1.0 / rcond, np.inf)
+
+
+def _signs(X):
+    """x / |x| entrywise, and 1 where |x| <= safmin (zlacn2's rule)."""
+    a = np.abs(X)
+    S = np.empty_like(X)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        S.real = X.real / a
+        S.imag = X.imag / a
+    S[~(a > _SAFMIN)] = 1.0
+    return S
+
+
+def inverse_norm_estimates(solve, solve_adjoint, n, k):
+    """Lower bounds on ||M_i^{-1}||_1 for k matrices M_i of order n at once.
+
+    This is LAPACK's ``zlacn2`` (Hager's method as refined by Higham, ACM
+    TOMS 14(4), 1988), the estimator inside ``zgecon`` and ``ztrcon``, run
+    for all k matrices in lockstep: start from x = 1/n, take safmin-guarded
+    signs, pick j by the first largest |z|, stop when the estimate does not
+    grow, j repeats its |z| or five iterations have run, then try the
+    alternating-sign vector.  ``solve(X, idx)`` returns M_i^{-1} X_i and
+    ``solve_adjoint(X, idx)`` returns M_i^{-H} X_i for the matrices numbered
+    ``idx``, with X of shape (n, len(idx), c) (column block X[:, i] belongs
+    to matrix idx[i]); X may also have shape (n, 1, c), one block shared by
+    all.  The alternating-sign vector is solved with the first one, which
+    changes no estimate.
+    """
+    every = np.arange(k)
+    if n == 1:
+        return np.abs(solve(np.ones((1, 1, 1), dtype=complex), every)[0, :, 0])
+    start = np.empty((n, 1, 2), dtype=complex)
+    start[:, 0, 0] = 1.0 / n
+    start[:, 0, 1] = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / (n - 1))
+    with np.errstate(all="ignore"):
+        Y = solve(start, every)
+        est = np.abs(Y[:, :, 0]).sum(axis=0)
+        alternating = 2.0 * (np.abs(Y[:, :, 1]).sum(axis=0) / (3 * n))
+        S = _signs(Y[:, :, :1])
+        del Y
+        Z = solve_adjoint(S, every)[:, :, 0]
+        del S
+        act, j = every, np.argmax(np.abs(Z), axis=0)
+        for it in range(2, _ITMAX + 1):
+            if not act.size:
+                break
+            E = np.zeros((n, act.size, 1), dtype=complex)
+            E[j, np.arange(act.size), 0] = 1.0
+            V = solve(E, act)[:, :, 0]
+            new = np.abs(V).sum(axis=0)
+            grew = new > est[act]
+            est[act] = new
+            act, j, V = act[grew], j[grew], V[:, grew]
+            if not act.size or it == _ITMAX:  # zlacn2's last z picks nothing
+                break
+            Z = np.abs(solve_adjoint(_signs(V)[:, :, None], act)[:, :, 0])
+            j_new = np.argmax(Z, axis=0)
+            cols = np.arange(act.size)
+            moved = Z[j, cols] != Z[j_new, cols]
+            act, j = act[moved], j_new[moved]
+    return np.where(alternating > est, alternating, est)
+
+
+def _stack_lower(M, X):
+    """Y with L_i Y_i = X_i, L_i the unit lower triangle of M_i (k, n, n);
+    Y has shape (n, k, c), X that or (n, 1, c)."""
+    Y = np.empty((X.shape[0], M.shape[0], X.shape[2]), dtype=complex)
+    for r in range(M.shape[1]):
+        Y[r] = X[r] - np.einsum("kj,jkc->kc", M[:, r, :r], Y[:r])
+    return Y
+
+
+def _stack_upper(M, X):
+    """Y with U_i Y_i = X_i, U_i the upper triangle of M_i (k, n, n);
+    Y has shape (n, k, c), X that or (n, 1, c)."""
+    n = M.shape[1]
+    Y = np.empty((n, M.shape[0], X.shape[2]), dtype=complex)
+    for r in range(n - 1, -1, -1):
+        acc = X[r] - np.einsum("kj,jkc->kc", M[:, r, r + 1:], Y[r + 1:])
+        Y[r] = acc / M[:, r, r, None]
+    return Y
+
+
+def solve_stacked(M, rhs):
+    """X_i = M_i^{-1} rhs for a stack M of K square matrices, shape
+    (K, n, n), with the ``zgecon`` estimate of each kappa_1(M_i).
+
+    Returns ``(X, cond)``, X of shape (K, n, m).  Nothing is rejected here:
+    the caller compares ``cond`` (inf where an LU pivot is exactly zero,
+    and there X is NaN) with its limit, as :func:`solve_complex` does for
+    one matrix.  Each M_i is factored and solved by the LAPACK calls that
+    :func:`solve_complex` makes (``zgetrf``, ``zgetrs``), so X is the same
+    to the last bit; the estimates are batched: :func:`inverse_norm_estimates`
+    applied through (L U)^{-1}, as ``zgecon`` applies it, for all K at once.
+    A NaN or inf in M or rhs raises :class:`LinAlgContractError`.
+    """
+    M = np.asarray(M, dtype=complex)
+    B = np.asarray(rhs, dtype=complex)
+    K, n = M.shape[:2]
+    if M.shape != (K, n, n) or B.ndim != 2 or B.shape[0] != n:
+        raise LinAlgContractError(f"cannot solve a stack of shape {M.shape} with {B.shape}")
+    anorm = np.abs(M).sum(axis=1).max(axis=1, initial=0.0)
+    if not np.all(np.isfinite(anorm)) or not np.all(np.isfinite(B)):
+        raise LinAlgContractError("matrix or right-hand side contains non-finite entries")
+    X = np.full((K, n, B.shape[1]), np.nan, dtype=complex)
+    cond = np.full(K, np.inf)
+    if n == 0:
+        return X, cond
+    LU = np.empty_like(M)
+    ok = np.zeros(K, dtype=bool)
+    for i in range(K):
+        lu, piv, info = lapack.zgetrf(M[i])
+        if info == 0:  # > 0: an exactly zero pivot
+            LU[i], X[i], ok[i] = lu, lapack.zgetrs(lu, piv, B)[0], True
+    k = np.count_nonzero(ok)
+    if k == 0:
+        return X, cond
+    if k < K:
+        LU = LU[ok]
+    # zgecon applies (L U)^{-1} = U^{-1} L^{-1}, the inverse of the row-permuted
+    # M, by two triangular solves; formed once, it applies as one product
+    eye = np.eye(n, dtype=complex)[:, None]
+    inv = np.ascontiguousarray(_stack_upper(LU, _stack_lower(LU, eye)).transpose(1, 0, 2))
+    del LU
+
+    def apply(V, idx, adjoint=False):  # inv_i V_i (or inv_i^H V_i), V (n, len(idx), c)
+        F = inv if idx.size == k else inv[idx]  # index sets are sorted subsets
+        V = V.transpose(1, 0, 2)
+        Y = np.matmul(F.transpose(0, 2, 1), V.conj()).conj() if adjoint else F @ V
+        return Y.transpose(1, 0, 2)
+
+    est = inverse_norm_estimates(apply, lambda V, idx: apply(V, idx, adjoint=True), n, k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond[ok] = _cond_from_rcond((1.0 / est) / anorm[ok])  # zgecon's order
+    return X, cond
+
+
 class SchurPencil:
     """Shifted solves (s M - A) X = F at many shifts s, from one
     factorization; M is symmetric positive definite.
@@ -164,8 +323,8 @@ class SchurPencil:
     The Cholesky factor M = L L^T whitens the pencil, and the whitened
     L^{-1} A L^{-T} = Z T Z^H is taken to complex Schur form once, so that
     (s M - A)^{-1} = L^{-T} Z (s I - T)^{-1} Z^H L^{-1}.  A shift then costs
-    one triangular solve (LAPACK ``ztrtrs``), the ``ztrcon`` estimate of
-    kappa_1(s I - T) and O(n^2) products, where a dense LU costs O(n^3).
+    a triangular solve with s I - T, an estimate of kappa_1(s I - T) and
+    O(n^2) products, where a dense LU costs O(n^3).
 
     With an orthonormal ``basis`` Phi (n x k), M and A are the restricted
     k x k matrices Phi^T M0 Phi and Phi^T A0 Phi, and :meth:`solve` maps
@@ -186,29 +345,109 @@ class SchurPencil:
         if basis is not None:
             right = basis @ right
         self._negT = np.asfortranarray(-T)
+        self._diag = np.diag(T).copy()
+        self._upper = np.triu(T, 1)  # -(s I - T) off the diagonal
+        self._upper_h = np.ascontiguousarray(self._upper.conj().T[::-1, ::-1])
+        self._colsums = np.abs(self._upper).sum(axis=0)  # ||.||_1 without the diagonal
         self._right = right
         self._left = right.conj().T  # Z^H L^{-1} Phi^T
 
-    def solve(self, s, rhs, cond_limit=COND_LIMIT):
-        """X with (s M - A) X = rhs (rhs a finite 2-D array).
+    def solve(self, s, F, cond_limit=COND_LIMIT):
+        """X_k with (s_k M - A) X_k = F_k for each shift of the 1-D array s.
 
-        Raises :class:`SingularMatrixError` when s I - T has an exactly
-        zero diagonal entry, the solution is not finite, or the ``ztrcon``
-        estimate of kappa_1(s I - T) exceeds ``cond_limit``.
+        F has shape (n, K, m), or (n, 1, m) for one F shared by every
+        shift, and is finite; X has shape (n, K, m).  Fewer than
+        ``_MIN_BATCH`` shifts are solved one by one by LAPACK (``ztrtrs``
+        and the ``ztrcon`` estimate).  More are solved in one
+        back-substitution over the rows of s I - T, each row one
+        matrix-vector product over all K*m columns (the off-diagonal part
+        of s I - T is the same for every shift), and kappa_1(s_k I - T) is
+        estimated for all of them by :func:`inverse_norm_estimates`,
+        ``ztrcon``'s own iteration, with ||s_k I - T||_1 taken from the
+        diagonal and the fixed off-diagonal column sums.
+
+        Raises :class:`SingularMatrixError` at the first shift, in order,
+        where s I - T has an exactly zero diagonal entry, the solution is
+        not finite, or the estimate of kappa_1(s I - T) exceeds
+        ``cond_limit`` (a scalar or one limit per shift).
         """
-        n = self._negT.shape[0]
+        s = np.asarray(s, dtype=complex).reshape(-1)
+        n, K = self._diag.size, s.size
         if n == 0:
-            return np.zeros((self._right.shape[0], rhs.shape[1]), dtype=complex)
+            return np.zeros((self._right.shape[0], K, F.shape[2]), dtype=complex)
+        G = _stack_mul(self._left, F)
+        limit = np.asarray(cond_limit, dtype=float).reshape(-1)
+        if K < _MIN_BATCH:
+            X = np.empty((n, K, G.shape[2]), dtype=complex)
+            for k in range(K):  # k % size: index k, or 0 where one G or limit serves all
+                X[:, k] = self._solve_one(s[k], G[:, k % G.shape[1]], limit[k % limit.size])
+        else:
+            X = self._solve_many(s, G, np.broadcast_to(limit, (K,)))
+        return _stack_mul(self._right, X)
+
+    def _solve_one(self, s, G, cond_limit):
+        n = self._diag.size
         U = self._negT.copy(order="F")
         U.ravel(order="F")[:: n + 1] += s  # s I - T
-        X, info = lapack.ztrtrs(U, self._left @ rhs)
+        X, info = lapack.ztrtrs(U, G)
         if info > 0:
             raise SingularMatrixError("matrix is exactly singular")
         rcond, info = lapack.ztrcon(U)
         cond = np.inf if info != 0 or rcond == 0.0 else 1.0 / rcond
         if not np.all(np.isfinite(X)) or cond > cond_limit:
             raise SingularMatrixError("matrix is singular to working precision", cond)
-        return self._right @ X
+        return X
+
+    def _solve_many(self, s, G, cond_limit):
+        d = s[None, :] - self._diag[:, None]  # diagonals of s_k I - T, (n, K)
+        with np.errstate(all="ignore"):
+            cond = self._cond_estimates(d)
+            X = self._backsolve(d, G)
+        exact = np.any(d == 0.0, axis=0)
+        failed = exact | ~np.isfinite(X).all(axis=(0, 2)) | ~(cond <= cond_limit)
+        if failed.any():
+            k = int(np.argmax(failed))
+            if exact[k]:
+                raise SingularMatrixError("matrix is exactly singular")
+            raise SingularMatrixError("matrix is singular to working precision", cond[k])
+        return X
+
+    def _backsolve(self, d, G, adjoint=False):
+        """Y with (s_k I - T) Y_k = G_k, or (s_k I - T)^H Y_k = G_k, for every
+        column k of the diagonals d (n, K'); Y has shape (n, K', c), and G
+        that or (n, 1, c).
+
+        Back-substitution over the rows, each row one product of a row of
+        T with all K' c columns solved so far.  The adjoint, lower
+        triangular, is solved as the upper triangular system of the
+        reversed row and column order."""
+        if adjoint:
+            d, G = d[::-1].conj(), G[::-1]
+        upper = self._upper_h if adjoint else self._upper
+        n, K = d.shape
+        Y = np.empty((n, K, G.shape[2]), dtype=complex)
+        flat = Y.reshape(n, -1)
+        for r in range(n - 1, -1, -1):
+            Y[r] = G[r] + (upper[r, r + 1:] @ flat[r + 1:]).reshape(K, -1)
+            Y[r] /= d[r][:, None]
+        return Y[::-1] if adjoint else Y
+
+    def _cond_estimates(self, d):
+        """ztrcon's kappa_1(s_k I - T) for every column of the diagonals d."""
+        anorm = (self._colsums[:, None] + np.abs(d)).max(axis=0)
+
+        def solve(V, idx, adjoint=False):
+            return self._backsolve(d if idx.size == d.shape[1] else d[:, idx], V, adjoint)
+
+        est = inverse_norm_estimates(
+            solve, lambda V, idx: solve(V, idx, adjoint=True), d.shape[0], d.shape[1])
+        return _cond_from_rcond((1.0 / anorm) / est)  # ztrcon's order
+
+
+def _stack_mul(M, X):
+    """M @ X_k for every k of a stack X of shape (b, K, m): (a, K, m)."""
+    b, K, m = X.shape
+    return (M @ X.reshape(b, K * m)).reshape(M.shape[0], K, m)
 
 
 def gen_eig(A, E, defective_cond_limit=1e8):

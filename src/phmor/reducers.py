@@ -40,6 +40,7 @@ from .linalg import (
     SingularMatrixError,
     orthonormalize,
     solve_complex,
+    solve_stacked,
 )
 from .systems import (
     GenericLTISystem,
@@ -66,6 +67,12 @@ __all__ = [
 
 PH_TOL = 1e-10
 _CONJ_TOL = 1e-10
+
+
+def _reduced_cond_limit(s):
+    """The condition limit above which a reduced pencil s E - A is solved
+    by least squares instead: 1e14 (1 + |s|), for a point or an array."""
+    return 1e14 * (1.0 + np.abs(s))
 
 
 @dataclass(frozen=True)
@@ -336,13 +343,33 @@ class ReducedModel:
         # the guarded solve rejects the pencil.
         pencil = s * E - A
         try:
-            X = solve_complex(pencil, B, cond_limit=1e14 * (1.0 + abs(s)))
+            X = solve_complex(pencil, B, cond_limit=_reduced_cond_limit(s))
         except SingularMatrixError:
             X = np.linalg.lstsq(pencil, B, rcond=None)[0]
         H = C @ X
         H = H + gen.D
         if self.augmented_input:
             H = H + s * self.polynomial.P1
+        return H
+
+    def transfer_evals(self, points):
+        """:meth:`transfer_eval` at every point of a 1-D array, shape
+        (K, p, m), from one stacked solve of the pencils s_k E - A
+        (:func:`~phmor.linalg.solve_stacked`).  A pencil is rejected by the
+        same rule, its ``zgecon`` estimate against the same limit, and a
+        rejected point gets the same least-squares solve."""
+        gen = self.generic
+        E, A, B, C = self._balanced
+        s = np.asarray(points, dtype=complex).reshape(-1)
+        pencils = s[:, None, None] * E - A
+        X, cond = solve_stacked(pencils, B)
+        rejected = ~(cond <= _reduced_cond_limit(s)) | ~np.isfinite(X).all(axis=(1, 2))
+        for k in np.flatnonzero(rejected):
+            X[k] = np.linalg.lstsq(pencils[k], B, rcond=None)[0]
+        H = C @ X
+        H = H + gen.D
+        if self.augmented_input:
+            H = H + s[:, None, None] * self.polynomial.P1
         return H
 
 

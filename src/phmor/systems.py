@@ -33,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spsla
 from scipy.linalg import lapack
 
-from .linalg import COND_LIMIT, LinAlgContractError, SchurPencil, solve_complex
+from .linalg import COND_LIMIT, LinAlgContractError, SchurPencil, _stack_mul, solve_complex
 
 __all__ = [
     "PHDAESystem",
@@ -333,12 +333,14 @@ def _check_zero(M, what, scale):
 
 
 def _triangular_solve(R, F, trans=0):
-    """R^{-1} F (R^{-T} F for ``trans=1``) for a complex upper-triangular R.
-    LAPACK ``ztrtrs`` is called directly: these blocks are solved at every
-    shift and are often 1 x 1, too small to pay for SciPy's checks."""
-    if R.shape[0] == 0:
+    """R^{-1} F (R^{-T} F for ``trans=1``) for a complex upper-triangular R
+    and F of shape (n, K, m).  LAPACK ``ztrtrs`` is called directly: these
+    blocks are solved at every call and are often 1 x 1, too small to pay
+    for SciPy's checks."""
+    n, K, m = F.shape
+    if n == 0:
         return np.zeros(F.shape, dtype=complex)
-    return lapack.ztrtrs(R, F, trans=trans)[0]
+    return lapack.ztrtrs(R, F.reshape(n, K * m), trans=trans)[0].reshape(n, K, m)
 
 
 def _complex_qr(M):
@@ -347,6 +349,14 @@ def _complex_qr(M):
     the per-shift products need no conversion."""
     Q, R = spla.qr(M)
     return Q.astype(complex), np.asfortranarray(R[:M.shape[1]], dtype=complex)
+
+
+# The elimination solvers below take a 1-D array of K shifts s and a
+# right-hand side F of shape (n, 1, m), one F shared by every shift, and
+# return X of shape (n, K, m).  Quantities that do not depend on the shift
+# keep a middle axis of length 1 and are computed once; numpy broadcasts
+# them against the (., K, m) ones.  `s[:, None]` scales a (., K, m) stack
+# shift by shift.
 
 
 class _Index1Elimination:
@@ -359,18 +369,18 @@ class _Index1Elimination:
         A = _dense(part.parent.generic.A)
         Q, self._R = _complex_qr(A[n1:, n1:])
         self._Qt = Q.T
-        G = self._solve_A22(A[n1:, :n1]).real  # A22^{-1} A21
+        G = self._solve_A22(A[n1:, :n1][:, None]).real[:, 0]  # A22^{-1} A21
         self._A12, self._G = A[:n1, n1:].astype(complex), G.astype(complex)
         self._ode = SchurPencil(_dense(part.E11), A[:n1, :n1] - A[:n1, n1:] @ G)
 
     def _solve_A22(self, F):
-        return _triangular_solve(self._R, self._Qt @ F)
+        return _triangular_solve(self._R, _stack_mul(self._Qt, F))
 
     def solve(self, s, F, cond_limit):
         n1 = self._n1
         w = self._solve_A22(F[n1:])
-        x1 = self._ode.solve(s, F[:n1] - self._A12 @ w, cond_limit)
-        return np.vstack([x1, -(w + self._G @ x1)])
+        x1 = self._ode.solve(s, F[:n1] - _stack_mul(self._A12, w), cond_limit)
+        return np.concatenate([x1, -(w + _stack_mul(self._G, x1))])
 
 
 class _Index2Elimination:
@@ -384,6 +394,7 @@ class _Index2Elimination:
         self._n1, n2 = part.n1, part.n2
         Q, self._R1 = _complex_qr(_dense(part.J12))
         self._Q1, Phi = Q[:, :n2], Q[:, n2:].real
+        self._Q1t = self._Q1.T
         E11, A11 = _dense(part.E11), _dense(part.A11)
         self._E11, self._A11 = E11.astype(complex), A11.astype(complex)
         self._ode = SchurPencil(Phi.T @ E11 @ Phi, Phi.T @ A11 @ Phi, basis=Phi)
@@ -392,15 +403,15 @@ class _Index2Elimination:
         F1, F2 = F[:self._n1], F[self._n1:]
 
         def residual(x):  # (s E11 - A11) x - F1
-            return s * (self._E11 @ x) - self._A11 @ x - F1
+            return s[:, None] * _stack_mul(self._E11, x) - _stack_mul(self._A11, x) - F1
 
         if np.any(F2):  # the particular solution; zero without constraint inputs
-            x1 = self._Q1 @ _triangular_solve(self._R1, F2, trans=1)
+            x1 = _stack_mul(self._Q1, _triangular_solve(self._R1, F2, trans=1))
             x1 = x1 - self._ode.solve(s, residual(x1), cond_limit)
         else:
             x1 = self._ode.solve(s, F1, cond_limit)
-        x2 = _triangular_solve(self._R1, self._Q1.T @ residual(x1))
-        return np.vstack([x1, x2])
+        x2 = _triangular_solve(self._R1, _stack_mul(self._Q1t, residual(x1)))
+        return np.concatenate([x1, x2])
 
 
 class _MixedElimination:
@@ -414,19 +425,21 @@ class _MixedElimination:
         self._n1, self._nd = n1, nd
         gen = part.parent.generic
         E, A = _dense(gen.E)[:nd, :nd], _dense(gen.A)[:nd, :nd]
-        self._Q, self._R = _complex_qr(_dense(part.J31))
+        Q, self._R = _complex_qr(_dense(part.J31))
+        self._Q, self._Qt = Q, Q.T
         self._E1, self._A1 = E[:, :n1].astype(complex), A[:, :n1].astype(complex)
         self._E12, self._A12 = E[:n1, n1:].astype(complex), A[:n1, n1:].astype(complex)
         self._ode = SchurPencil(E[n1:, n1:], A[n1:, n1:])
 
     def solve(self, s, F, cond_limit):
         n1, nd = self._n1, self._nd
-        x1 = -_triangular_solve(self._R, self._Q.T @ F[nd:])
-        K1x1 = s * (self._E1 @ x1) - self._A1 @ x1
+        x1 = -_triangular_solve(self._R, _stack_mul(self._Qt, F[nd:]))
+        K1x1 = s[:, None] * _stack_mul(self._E1, x1) - _stack_mul(self._A1, x1)
         x2 = self._ode.solve(s, F[n1:nd] - K1x1[n1:], cond_limit)
-        K12x2 = s * (self._E12 @ x2) - self._A12 @ x2
-        x3 = self._Q @ _triangular_solve(self._R, F[:n1] - K1x1[:n1] - K12x2, trans=1)
-        return np.vstack([x1, x2, x3])
+        K12x2 = s[:, None] * _stack_mul(self._E12, x2) - _stack_mul(self._A12, x2)
+        x3 = _stack_mul(self._Q, _triangular_solve(self._R, F[:n1] - K1x1[:n1] - K12x2,
+                                                   trans=1))
+        return np.concatenate([np.broadcast_to(x1, (n1, *x2.shape[1:])), x2, x3])
 
 
 class _ShiftedSolves:
@@ -464,8 +477,8 @@ class _ShiftedSolves:
                 f"right-hand side of shape {rhs.shape} does not fit n={gen.n}")
         if not (np.isfinite(s) and np.all(np.isfinite(F))):
             raise LinAlgContractError("shift or right-hand side contains non-finite entries")
-        X = self.shifted_solver.solve(complex(s), F, cond_limit)
-        return X[:, 0] if rhs.ndim == 1 else X
+        X = self.shifted_solver.solve(np.array([s], dtype=complex), F[:, None], cond_limit)
+        return X[:, 0, 0] if rhs.ndim == 1 else X[:, 0]
 
     def transfer_eval(self, s):
         """H(s) of the parent model (:func:`phmor.transfer.eval_transfer`
@@ -474,6 +487,31 @@ class _ShiftedSolves:
         from .transfer import eval_transfer
 
         return eval_transfer(self.parent.generic, s, solve=self.solve_shifted)
+
+    def transfer_evals(self, points):
+        """H(s_k) of the parent model at every point of a 1-D array, shape
+        (K, p, m), with the condition limit of :meth:`transfer_eval`.
+
+        A dense parent is solved at all points at once by
+        :attr:`shifted_solver`; the first point, in order, at which
+        :meth:`transfer_eval` would raise raises the same error.  A sparse
+        parent is evaluated point by point (one SuperLU factorization
+        each)."""
+        from .transfer import eval_transfer, transfer_cond_limit
+
+        gen = self.parent.generic
+        points = np.asarray(points, dtype=complex).reshape(-1)
+        if sp.issparse(gen.E):
+            H = [eval_transfer(gen, s, solve=self.solve_shifted) for s in points]
+            return np.array(H, dtype=complex).reshape(points.size, gen.p, gen.m)
+        finite = np.isfinite(points)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            self.transfer_evals(points[:k])  # an earlier singular point raises first
+            raise LinAlgContractError("shift or right-hand side contains non-finite entries")
+        B = np.asarray(gen.B, dtype=complex)[:, None]
+        X = self.shifted_solver.solve(points, B, transfer_cond_limit(points))
+        return _stack_mul(gen.C, X).transpose(1, 0, 2) + gen.D
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ __all__ = [
     "PolynomialMismatchError",
     "evaluate",
     "eval_transfer",
-    "eval_tangential",
+    "transfer_cond_limit",
     "frequency_response",
     "polynomial_part_index1",
     "polynomial_part_index2",
@@ -40,10 +40,14 @@ __all__ = [
     "h2_error",
     "tangential_residuals",
     "balance_realization",
-    "export_frequency_response",
 ]
 
 log = logging.getLogger(__name__)
+
+#: Points per batched call of :func:`frequency_response`: a grid is split
+#: into equal parts of at most this many points, which bounds the (n, K)
+#: temporaries of one call to a few MB at n ~ 100.
+_BATCH = 200
 
 
 class DivergentNormError(ValueError):
@@ -113,23 +117,34 @@ class PolynomialPart:
         e.g. as the subtrahend when computing strictly proper norms."""
         return self(s)
 
+    def transfer_evals(self, points):
+        """P(s_k) at every point of a 1-D array, shape (K, p, m)."""
+        return self(np.asarray(points, dtype=complex).reshape(-1, 1, 1))
+
     @classmethod
     def constant(cls, P0):
         P0 = np.atleast_2d(np.asarray(P0, dtype=float))
         return cls(P0=P0, P1=np.zeros_like(P0))
 
 
-def eval_transfer(sys, s, solve=None):
-    """H(s) = C (sE - A)^{-1} B + D for a descriptor realization.
+def transfer_cond_limit(s):
+    """The condition limit of a full-model transfer-function value at s (a
+    point or an array of points): 1e12 (1 + |s|).  The pencil condition
+    number grows linearly in |s| for DAEs without the solve losing relative
+    accuracy."""
+    return 1e12 * (1.0 + np.abs(s))
 
-    The condition limit of the pencil solve scales with |s|: the pencil
-    condition number grows linearly in |s| for DAEs without the solve
-    losing relative accuracy.  ``solve(s, rhs, cond_limit=...)`` replaces
-    the dense or sparse LU of :func:`solve_complex`; a partition passes
-    its :meth:`~phmor.systems.Index2Partition.solve_shifted` here.
+
+def eval_transfer(sys, s, solve=None):
+    """H(s) = C (sE - A)^{-1} B + D for a descriptor realization, at one
+    point s, solved with the limit :func:`transfer_cond_limit`.
+
+    ``solve(s, rhs, cond_limit=...)`` replaces the dense or sparse LU of
+    :func:`solve_complex`; a partition passes its
+    :meth:`~phmor.systems.Index2Partition.solve_shifted` here.
     """
     B = np.asarray(sys.B, dtype=complex)
-    cond_limit = 1e12 * (1.0 + abs(s))
+    cond_limit = transfer_cond_limit(s)
     if solve is None:
         X = solve_complex(s * sys.E - sys.A, B, cond_limit=cond_limit)
     else:
@@ -151,16 +166,6 @@ def evaluate(model, s):
     if isinstance(model, PHDAESystem):
         return eval_transfer(model.generic, s)
     return eval_transfer(model, s)
-
-
-def eval_tangential(sys, s, b=None, c=None):
-    """H(s) b (right) or c^T H(s) (left) along a tangent direction."""
-    if (b is None) == (c is None):
-        raise LinAlgContractError("provide exactly one of b (right) or c (left)")
-    H = evaluate(sys, s)
-    if b is not None:
-        return H @ np.asarray(b, dtype=complex)
-    return np.asarray(c, dtype=complex) @ H
 
 
 def polynomial_part_index1(part):
@@ -306,8 +311,23 @@ def pole_residue(model, defective_cond_limit=1e8):
 
 
 def frequency_response(model, grid):
-    """Transfer-function values H(i w_k) on a grid, shape (K, p, m)."""
-    return np.array([np.atleast_2d(evaluate(model, s)) for s in grid.points])
+    """Transfer-function values H(s_k), shape (K, p, m), at the points
+    s_k = i w_k of a :class:`FrequencyGrid` or at a 1-D array of points.
+
+    A partition view, a reduced model and a polynomial part evaluate the
+    points in batched calls of their ``transfer_evals`` (a 400-point grid
+    in two), which take the singular decisions that :func:`evaluate` takes
+    point by point and raise at the first failing point, in order.  Any
+    other model is evaluated point by point.
+    """
+    if isinstance(grid, FrequencyGrid):
+        points = grid.points
+    else:
+        points = np.asarray(grid, dtype=complex).reshape(-1)
+    if hasattr(model, "transfer_evals"):
+        parts = np.array_split(points, -(-points.size // _BATCH))
+        return np.concatenate([model.transfer_evals(part) for part in parts])
+    return np.array([np.atleast_2d(evaluate(model, s)) for s in points])
 
 
 def _grid_errors(full_response, reduced, grid):
@@ -402,30 +422,10 @@ def h2_error(full, reduced, lo=0.0, hi=np.inf, limit=200, poly_tol=1e-8):
 
 def tangential_residuals(full, reduced, data):
     """Relative interpolation residuals
-    ||H(s_i) b_i - Hr(s_i) b_i|| / (1 + ||H(s_i) b_i||)."""
-    out = np.empty(data.points.size)
-    for i, (s, b) in enumerate(zip(data.points, data.directions)):
-        hb = np.atleast_2d(evaluate(full, s)) @ b
-        hrb = np.atleast_2d(evaluate(reduced, s)) @ b
-        out[i] = np.linalg.norm(hb - hrb) / (1.0 + np.linalg.norm(hb))
-    return out
-
-
-def export_frequency_response(path, model, grid):
-    """Write a CSV with columns omega, re(H_jk), im(H_jk) per entry."""
-    rows = []
-    response = frequency_response(model, grid)
-    _, p, m = response.shape
-    header = ["omega"]
-    for j in range(p):
-        for k in range(m):
-            header += [f"re_H_{j}{k}", f"im_H_{j}{k}"]
-    for H, w in zip(response, grid.omegas):
-        row = [f"{w:.16e}"]
-        for j in range(p):
-            for k in range(m):
-                row += [f"{H[j, k].real:.16e}", f"{H[j, k].imag:.16e}"]
-        rows.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write("\n".join(rows) + "\n")
+    ||H(s_i) b_i - Hr(s_i) b_i|| / (1 + ||H(s_i) b_i||), each model
+    evaluated at all interpolation points by one :func:`frequency_response`
+    call, the same call the H-infinity grid makes."""
+    b = data.directions[:, :, None]
+    hb = (frequency_response(full, data.points) @ b)[:, :, 0]
+    hrb = (frequency_response(reduced, data.points) @ b)[:, :, 0]
+    return np.linalg.norm(hb - hrb, axis=1) / (1.0 + np.linalg.norm(hb, axis=1))

@@ -10,7 +10,6 @@ from phmor import (
     PolynomialMismatchError,
     PolynomialPart,
     evaluate,
-    eval_tangential,
     eval_transfer,
     h2_error,
     hinf_error,
@@ -23,7 +22,7 @@ from phmor import (
     reduce_index1_shifted,
 )
 from phmor.benchmarks import MassSpringSpec, mass_spring_chain_b2, random_ph_index1
-from phmor.transfer import export_frequency_response, frequency_response
+from phmor.transfer import frequency_response
 from phmor.linalg import LinAlgContractError
 
 
@@ -44,16 +43,6 @@ def test_transfer_value_index2_fixture(index2_fixture):
     for s in (1.0, 2j, 3.0 + 1j):
         H = evaluate(index2_fixture, s)
         assert H[0, 0] == pytest.approx(1.0 / (s + 1), abs=1e-13)
-
-
-def test_eval_tangential_directions(index1_fixture):
-    b = np.array([2.0])
-    hb = eval_tangential(index1_fixture, 1.0, b=b)
-    assert hb == pytest.approx(np.array([5.0]))
-    cth = eval_tangential(index1_fixture, 1.0, c=np.array([1.0]))
-    assert cth == pytest.approx(np.array([2.5]))
-    with pytest.raises(LinAlgContractError):
-        eval_tangential(index1_fixture, 1.0)
 
 
 def test_frequency_grid_validation():
@@ -205,13 +194,3 @@ def test_hinf_error_equals_per_point_spectral_norms():
     assert absolute == max(errs)
     assert relative == max(errs) / max(mags)
 
-
-def test_export_frequency_response(tmp_path):
-    grid = FrequencyGrid.log_spaced(1e-1, 1e1, 4)
-    path = tmp_path / "freq.csv"
-    export_frequency_response(path, _scalar_lag(), grid)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "omega,re_H_00,im_H_00"
-    assert len(lines) == 5
-    w0, re, im = map(float, lines[1].split(","))
-    assert complex(re, im) == pytest.approx(1.0 / (1.0 + 1j * w0))
