@@ -46,8 +46,6 @@ from .reducers import (
     ReducedModel,
     build_V_generic,
     build_V_saddle,
-    constraint_projectors,
-    projector_oracle_index2,
     reduce_index1_blockdiag,
     reduce_index1_shifted,
     reduce_index2,

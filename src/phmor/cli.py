@@ -14,10 +14,13 @@ directory with the fixed schema
 
     r, interp_residual_max, min_eig_W, rel_hinf, rel_h2, converged, iterations
 
-(rel_h2 is left empty unless --h2 is given).  Runs are deterministic
-for a given seed.  The default output directory is taken from the
-``PHMOR_OUT`` environment variable, falling back to the current
-directory.
+(rel_h2 is left empty unless --h2 is given).  ``--method`` names a
+reducer, run once or, with the ``irka-`` prefix, inside IRKA; ``auto``
+and ``irka`` take :func:`phmor.reducers.default_method`.  Every command
+is deterministic: ``reduce`` and ``sweep`` draw no random numbers, and
+``generate --seed`` fixes the random index-1 model.  The default output
+directory is taken from the ``PHMOR_OUT`` environment variable, falling
+back to the current directory.
 """
 
 from __future__ import annotations
@@ -32,16 +35,8 @@ import numpy as np
 from . import benchmarks, containers, regularization
 from .irka import IRKAConfig, irka_reduce
 from .linalg import LinAlgContractError
-from .reducers import (
-    InterpolationData,
-    reduce_index1_blockdiag,
-    reduce_index1_shifted,
-    reduce_index2,
-    reduce_index2_augmented,
-    reduce_mixed,
-)
+from .reducers import REDUCERS, InterpolationData, default_method
 from .systems import (
-    MixedPartition,
     PartitionError,
     PHDAESystem,
     partition_index1,
@@ -52,30 +47,22 @@ from .systems import (
 from .transfer import (
     FrequencyGrid,
     DivergentNormError,
-    PolynomialPart,
     frequency_response,
     h2_error,
     hinf_error,
     tangential_residuals,
 )
 
-_DIRECT_METHODS = {
-    "index1-shifted": reduce_index1_shifted,
-    "index1-blockdiag": reduce_index1_blockdiag,
-    "index2": reduce_index2,
-    "index2-galerkin": reduce_index2,
-    "index2-augmented": reduce_index2_augmented,
-    "mixed": reduce_mixed,
-}
+#: Short ``--method`` names of :data:`phmor.reducers.REDUCERS` entries.
+_SHORT_NAMES = {"index2": "index2-galerkin", "mixed": "mixed-blockdiag"}
 
-_IRKA_REDUCER_NAMES = {
-    "irka": None,  # pick by partition type
-    "irka-index1-shifted": "index1-shifted",
-    "irka-index1-blockdiag": "index1-blockdiag",
-    "irka-index2": "index2-galerkin",
-    "irka-index2-augmented": "index2-augmented",
-    "irka-mixed": "mixed-blockdiag",
-}
+#: The ``--method`` choices of ``reduce`` and ``sweep``: a reducer, or
+#: ``irka-`` and a reducer; ``auto`` and ``irka`` take the default one.
+METHODS = [
+    "auto", "index1-blockdiag", "index1-shifted", "index2", "index2-augmented",
+    "index2-galerkin", "mixed", "irka", "irka-index1-blockdiag",
+    "irka-index1-shifted", "irka-index2", "irka-index2-augmented", "irka-mixed",
+]
 
 CSV_HEADER = "r,interp_residual_max,min_eig_W,rel_hinf,rel_h2,converged,iterations\n"
 
@@ -129,12 +116,6 @@ def _load_partition(path):
     raise LinAlgContractError(f"unknown index kind {index!r} in {path}")
 
 
-def _full_poly(part):
-    if isinstance(part, MixedPartition):
-        return PolynomialPart.constant(part.parent.S + part.parent.N)
-    return part.polynomial_part
-
-
 def _errors_row(part, model, data, grid, with_h2, converged="", iterations="",
                 full_response=None):
     """One ``errors.csv`` row.  The partition stands for the full model, so
@@ -149,7 +130,7 @@ def _errors_row(part, model, data, grid, with_h2, converged="", iterations="",
     rel_h2 = ""
     if with_h2:
         try:
-            denom = h2_error(part, _full_poly(part))
+            denom = h2_error(part, part.polynomial_part)
             rel_h2 = (f"{h2_error(part, model) / denom:.16e}" if denom > 0
                       else f"{np.inf}")
         except DivergentNormError:
@@ -160,47 +141,44 @@ def _errors_row(part, model, data, grid, with_h2, converged="", iterations="",
     )
 
 
+def _chain_spec(args):
+    return benchmarks.MassSpringSpec(k=args.k)
+
+
+def _oseen_spec(args):
+    return benchmarks.OseenSpec(n_grid=args.n_grid)
+
+
+#: --benchmark -> (builder of the partition, builder of the sparse index-2
+#: matrices or None, argument names recorded in the manifest).  Builders
+#: take the parsed arguments and look their benchmark function up when
+#: called.
+_GENERATORS = {
+    "chain": (lambda a: benchmarks.mass_spring_chain(_chain_spec(a)),
+              lambda a: benchmarks.mass_spring_chain_sparse(_chain_spec(a)), ()),
+    "chain-b2": (lambda a: benchmarks.mass_spring_chain_b2(
+        _chain_spec(a), amplitude=a.b2_amplitude), None, ()),
+    "oseen": (lambda a: benchmarks.oseen_grid(_oseen_spec(a)),
+              lambda a: benchmarks.oseen_grid_sparse(_oseen_spec(a)), ()),
+    "random-index1": (lambda a: benchmarks.random_ph_index1(a.n1, a.n2, a.m, a.seed),
+                      None, ("seed",)),
+    "mixed": (lambda a: benchmarks.mixed_chain(_chain_spec(a)), None, ()),
+}
+
+
 def cmd_generate(args):
     out = pathlib.Path(args.out) if args.out else _default_out() / "model"
-    extra = {}
-    if args.benchmark == "chain":
-        spec = benchmarks.MassSpringSpec(k=args.k)
-        if args.sparse:
-            data = benchmarks.mass_spring_chain_sparse(spec)
-            containers.save_phdae(out, data, extra={"index": "2", "benchmark": "chain"})
-            print(f"wrote sparse chain (n={data['E'].shape[0]}) to {out}")
-            return 0
-        part = benchmarks.mass_spring_chain(spec)
-        extra = {"index": "2", "n1": part.n1, "benchmark": "chain"}
-        system = part.parent
-    elif args.benchmark == "chain-b2":
-        part = benchmarks.mass_spring_chain_b2(
-            benchmarks.MassSpringSpec(k=args.k), amplitude=args.b2_amplitude
-        )
-        extra = {"index": "2", "n1": part.n1, "benchmark": "chain-b2"}
-        system = part.parent
-    elif args.benchmark == "oseen":
-        spec = benchmarks.OseenSpec(n_grid=args.n_grid)
-        if args.sparse:
-            data = benchmarks.oseen_grid_sparse(spec)
-            containers.save_phdae(out, data, extra={"index": "2", "benchmark": "oseen"})
-            print(f"wrote sparse oseen model (n={data['E'].shape[0]}) to {out}")
-            return 0
-        part = benchmarks.oseen_grid(spec)
-        extra = {"index": "2", "n1": part.n1, "benchmark": "oseen"}
-        system = part.parent
-    elif args.benchmark == "random-index1":
-        part = benchmarks.random_ph_index1(args.n1, args.n2, args.m, args.seed)
-        extra = {"index": "1", "n1": part.n1, "benchmark": "random-index1",
-                 "seed": args.seed}
-        system = part.parent
-    elif args.benchmark == "mixed":
-        part = benchmarks.mixed_chain(benchmarks.MassSpringSpec(k=args.k))
-        extra = {"index": "mixed", "n1": part.n1, "n2": part.n2,
-                 "benchmark": "mixed"}
-        system = part.parent
-    else:  # pragma: no cover - argparse restricts choices
-        raise LinAlgContractError(f"unknown benchmark {args.benchmark}")
+    build, build_sparse, recorded = _GENERATORS[args.benchmark]
+    if args.sparse and build_sparse is not None:
+        data = build_sparse(args)
+        containers.save_phdae(out, data, extra={"index": "2", "benchmark": args.benchmark})
+        print(f"wrote sparse {args.benchmark} model (n={data['E'].shape[0]}) to {out}")
+        return 0
+    part = build(args)
+    sizes = {"n1": part.n1, "n2": part.n2} if part.index_kind == "mixed" else {"n1": part.n1}
+    extra = {"index": part.index_kind, **sizes, "benchmark": args.benchmark,
+             **{name: getattr(args, name) for name in recorded}}
+    system = part.parent
     containers.save_phdae(out, system, extra=extra)
     print(f"wrote {args.benchmark} model (n={system.n}, m={system.m}) to {out}")
     return 0
@@ -216,37 +194,38 @@ def cmd_validate(args):
     return 0 if report.passed else 1
 
 
-def _resolve_method(method, part):
-    from .systems import Index1Partition, Index2Partition
+def _parse_method(method, part):
+    """(reducer name, run inside IRKA) of a ``--method`` choice on ``part``."""
+    irka = method.startswith("irka")
+    name = method.removeprefix("irka").removeprefix("-") or "auto"
+    if name == "auto":
+        return default_method(part), irka
+    return _SHORT_NAMES.get(name, name), irka
 
-    if method != "auto":
-        return method
-    if isinstance(part, Index1Partition):
-        return "index1-shifted" if not part.b2_zero else "index1-blockdiag"
-    if isinstance(part, Index2Partition):
-        return "index2-augmented" if not part.b2_zero else "index2"
-    return "mixed"
+
+def _reduce(part, method, r, data):
+    """(model, interpolation data, converged, iterations, IRKA trace) of one
+    reduction to order r from the points ``data``; converged and iterations
+    are empty strings, and the trace None, for a direct reduction."""
+    name, irka = _parse_method(method, part)
+    if not irka:
+        return REDUCERS[name](part, data), data, "", "", None
+    result = irka_reduce(part, IRKAConfig(r=r, initial=data), method=name)
+    return (result.model, result.data, int(result.converged), result.iterations,
+            result.trace)
 
 
 def cmd_reduce(args):
     part, _ = _load_partition(args.model)
     out = pathlib.Path(args.out) if args.out else _default_out() / "reduced"
     grid = _parse_freq_grid(args.freq_grid)
-    method = _resolve_method(args.method, part)
     if args.points is not None:
         pts = _parse_points(args.points)
         data = InterpolationData(points=pts,
                                  directions=np.ones((pts.size, part.parent.m)))
     else:
         data = InterpolationData.log_spaced(args.r, part.parent.m)
-    if method in _IRKA_REDUCER_NAMES:
-        cfg = IRKAConfig(r=args.r, initial=data)
-        result = irka_reduce(part, cfg, method=_IRKA_REDUCER_NAMES[method])
-        model, data = result.model, result.data
-        conv, iters = int(result.converged), result.iterations
-    else:
-        model = _DIRECT_METHODS[method](part, data)
-        conv, iters = "", ""
+    model, data, conv, iters, _ = _reduce(part, args.method, args.r, data)
     containers.save_reduced(out, model)
     out.mkdir(parents=True, exist_ok=True)
     row = _errors_row(part, model, data, grid, args.h2, conv, iters)
@@ -294,20 +273,13 @@ def cmd_sweep(args):
     rs = _parse_int_range(args.r_sweep)
     if any(r < 1 for r in rs):
         raise LinAlgContractError("reduced orders must be >= 1")
-    method = _resolve_method(args.method, part)
     full_response = frequency_response(part, grid)
     rows = []
     for r in rs:
-        if method in _IRKA_REDUCER_NAMES:
-            cfg = IRKAConfig(r=r)
-            result = irka_reduce(part, cfg, method=_IRKA_REDUCER_NAMES[method])
-            model, data = result.model, result.data
-            conv, iters = int(result.converged), result.iterations
-            result.trace.export_csv(out / f"trace_r{r:03d}.csv")
-        else:
-            data = InterpolationData.log_spaced(r, part.parent.m)
-            model = _DIRECT_METHODS[method](part, data)
-            conv, iters = "", ""
+        start = InterpolationData.log_spaced(r, part.parent.m)
+        model, data, conv, iters, trace = _reduce(part, args.method, r, start)
+        if trace is not None:
+            trace.export_csv(out / f"trace_r{r:03d}.csv")
         containers.save_reduced(out / f"r{r:03d}", model)
         rows.append(_errors_row(part, model, data, grid, args.h2, conv, iters,
                                 full_response))
@@ -327,8 +299,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate a benchmark model container")
-    gen.add_argument("--benchmark", required=True,
-                     choices=["chain", "chain-b2", "oseen", "random-index1", "mixed"])
+    gen.add_argument("--benchmark", required=True, choices=list(_GENERATORS))
     gen.add_argument("--k", type=int, default=10, help="chain length")
     gen.add_argument("--n-grid", type=int, default=8, help="grid cells per direction")
     gen.add_argument("--n1", type=int, default=12)
@@ -347,14 +318,12 @@ def build_parser():
 
     red = sub.add_parser("reduce", help="reduce a model once")
     red.add_argument("model")
-    red.add_argument("--method", default="auto",
-                     choices=["auto"] + sorted(_DIRECT_METHODS) + sorted(_IRKA_REDUCER_NAMES))
+    red.add_argument("--method", default="auto", choices=METHODS)
     red.add_argument("--r", type=int, default=4)
     red.add_argument("--points", default=None,
                      help="comma-separated interpolation points (complex literals)")
     red.add_argument("--freq-grid", default="1e-4:1e4:400")
     red.add_argument("--h2", action="store_true", help="also compute relative H2 error")
-    red.add_argument("--seed", type=int, default=0)
     red.add_argument("--out", default=None)
     red.set_defaults(func=cmd_reduce)
 
@@ -368,12 +337,10 @@ def build_parser():
 
     sw = sub.add_parser("sweep", help="sweep reduced orders, emit errors.csv")
     sw.add_argument("model")
-    sw.add_argument("--method", default="irka",
-                    choices=["auto"] + sorted(_DIRECT_METHODS) + sorted(_IRKA_REDUCER_NAMES))
+    sw.add_argument("--method", default="irka", choices=METHODS)
     sw.add_argument("--r-sweep", required=True, help="lo:hi:step (inclusive)")
     sw.add_argument("--freq-grid", default="1e-4:1e4:400")
     sw.add_argument("--h2", action="store_true")
-    sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--out", default=None)
     sw.set_defaults(func=cmd_sweep)
     return parser
@@ -382,7 +349,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    np.random.seed(getattr(args, "seed", 0))
     try:
         return args.func(args)
     except FileNotFoundError as exc:

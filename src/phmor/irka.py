@@ -21,15 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import LinAlgContractError
-from .reducers import (
-    InterpolationData,
-    reduce_index1_blockdiag,
-    reduce_index1_shifted,
-    reduce_index2,
-    reduce_index2_augmented,
-    reduce_mixed,
-)
-from .systems import Index1Partition, Index2Partition, MixedPartition
+from .reducers import REDUCERS, InterpolationData, default_method
 from .transfer import pole_residue
 
 __all__ = [
@@ -42,14 +34,6 @@ __all__ = [
 ]
 
 AXIS_TOL = 1e-8
-
-_REDUCERS = {
-    "index1-shifted": reduce_index1_shifted,
-    "index1-blockdiag": reduce_index1_blockdiag,
-    "index2-galerkin": reduce_index2,
-    "index2-augmented": reduce_index2_augmented,
-    "mixed-blockdiag": reduce_mixed,
-}
 
 
 @dataclass(frozen=True)
@@ -191,22 +175,12 @@ def convergence_metric(prev, new):
 def irka_reduce(part, config, method=None):
     """Run the fixed-point iteration on a partitioned pHDAE.
 
-    ``method`` picks the reducer by name; by default the
-    structure-preserving reducer matching the partition type is used
-    (shifted for index-1 so the polynomial part is matched).  Returns an
+    ``method`` names the reducer (a :data:`~phmor.reducers.REDUCERS` key);
+    by default :func:`~phmor.reducers.default_method` picks it.  Returns an
     :class:`IRKAResult`; ``converged=False`` means the point movement
     never fell below ``config.tol`` and the best iterate is returned.
     """
-    if method is None:
-        if isinstance(part, Index1Partition):
-            method = "index1-shifted"
-        elif isinstance(part, Index2Partition):
-            method = "index2-augmented" if not part.b2_zero else "index2-galerkin"
-        elif isinstance(part, MixedPartition):
-            method = "mixed-blockdiag"
-        else:
-            raise LinAlgContractError(f"unsupported partition type {type(part)!r}")
-    reducer = _REDUCERS[method]
+    reducer = REDUCERS[method or default_method(part)]
     m = part.parent.m
     data = config.initial
     if data is None:

@@ -471,17 +471,26 @@ def gen_eig(A, E, defective_cond_limit=1e8):
         raise LinAlgContractError(f"E must be positive definite (min eig {lam_min:.3e})")
 
     lam, VL, VR = spla.eig(A, E, left=True, right=True)
-    # scipy's left vectors satisfy VL^H A = lam VL^H E; conjugate for the
-    # transpose convention used throughout (real A, E).
+    W = _scaled_left_vectors(VL, E, VR)
+    if np.linalg.cond(VR) > defective_cond_limit:
+        warnings.warn("eigenvector basis badly conditioned; pencil may be defective", RuntimeWarning)
+    return GenEig(eigenvalues=lam, right=VR, left=W)
+
+
+def _scaled_left_vectors(VL, E, VR):
+    """Left eigenvectors W of a real pencil (A, E) in the transpose
+    convention w_i^T A = lambda_i w_i^T E, scaled so that w_i^T E v_i = 1,
+    from scipy's ``VL`` (VL^H A = lam VL^H E) and right vectors ``VR``.
+
+    Warns when some w_i^T E v_i is below 1e-14 max(1, ||E||_2) (a
+    near-defective pencil); a scale below 1e-300 is left at 1.
+    """
     W = VL.conj()
     scale = np.einsum("ij,jk,ki->i", W.T, E, VR)
     if np.any(np.abs(scale) < 1e-14 * max(1.0, spla.norm(E, 2))):
         warnings.warn("near-defective pencil: w^T E v ~ 0 for some pair", RuntimeWarning)
         scale = np.where(np.abs(scale) < 1e-300, 1.0, scale)
-    W = W / scale[None, :]
-    if np.linalg.cond(VR) > defective_cond_limit:
-        warnings.warn("eigenvector basis badly conditioned; pencil may be defective", RuntimeWarning)
-    return GenEig(eigenvalues=lam, right=VR, left=W)
+    return W / scale[None, :]
 
 
 def nullspace_basis(M, tol=None):

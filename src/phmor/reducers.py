@@ -20,6 +20,9 @@ and returns a reduced model matching H(sigma_i) b_i.  Four families:
 * ``reduce_mixed`` — combined index-1/index-2 structure, block-diagonal
   congruence reducing only the unconstrained dynamic block.
 
+:data:`REDUCERS` maps each reducer's name to its function, and
+:func:`default_method` names the one that runs when none is asked for.
+
 The reduced matrices of the shifted and saddle reducers are formed from
 the raw (non-orthonormalized) basis so that they coincide with the
 closed-form projected quantities; near-dependent basis columns are
@@ -43,9 +46,10 @@ from .linalg import (
     solve_stacked,
 )
 from .systems import (
-    GenericLTISystem,
+    Index1Partition,
+    Index2Partition,
+    MixedPartition,
     PHDAESystem,
-    _dense,
     symmetric_skew_split,
 )
 from .transfer import PolynomialPart
@@ -61,8 +65,8 @@ __all__ = [
     "reduce_index2",
     "reduce_index2_augmented",
     "reduce_mixed",
-    "projector_oracle_index2",
-    "constraint_projectors",
+    "REDUCERS",
+    "default_method",
 ]
 
 PH_TOL = 1e-10
@@ -131,10 +135,6 @@ class InterpolationData:
     @property
     def r(self):
         return self.points.size
-
-    @property
-    def m(self):
-        return self.directions.shape[1]
 
     @classmethod
     def log_spaced(cls, r, m, lo=1e-2, hi=1e4):
@@ -240,6 +240,15 @@ def _shifted_solve(model):
     return gen, lambda s, rhs: solve_complex(s * gen.E - gen.A, rhs)
 
 
+def _basis(data, column):
+    """Realified, rank-filtered basis whose column at each point kept by
+    :func:`_conjugate_pairs` is ``column(sigma, b)``."""
+    kept = _conjugate_pairs(data.points)
+    cols = np.column_stack([column(data.points[i], data.directions[i]) for i, _ in kept])
+    V, Bd = _rank_filter(*_realify(cols, data.directions, kept))
+    return ProjectionBasis(V=V, directions=Bd, points=data.points)
+
+
 def build_V_generic(model, data):
     """Tangential Krylov basis of (sigma_i E - A)^{-1} (B - P) b_i.
 
@@ -253,14 +262,7 @@ def build_V_generic(model, data):
     the one at sigma: one solve is made per conjugate pair.
     """
     gen, solve = _shifted_solve(model)
-    kept = _conjugate_pairs(data.points)
-    cols = np.empty((gen.n, len(kept)), dtype=complex)
-    for k, (i, _) in enumerate(kept):
-        s, b = data.points[i], data.directions[i]
-        cols[:, k] = solve(s, gen.B @ b)
-    V, Bd = _realify(cols, data.directions, kept)
-    V, Bd = _rank_filter(V, Bd)
-    return ProjectionBasis(V=V, directions=Bd, points=data.points)
+    return _basis(data, lambda s, b: solve(s, gen.B @ b))
 
 
 def build_V_saddle(part, data):
@@ -281,19 +283,16 @@ def build_V_saddle(part, data):
     each conjugate pair is solved for.
     """
     n1 = part.n1
-    gen = part.parent.generic
-    kept = _conjugate_pairs(data.points)
-    cols = np.empty((n1, len(kept)), dtype=complex)
-    for k, (i, _) in enumerate(kept):
-        s, b = data.points[i], data.directions[i]
-        rhs = gen.B @ b
+    B = part.parent.generic.B
+
+    def column(s, b):
+        rhs = B @ b
         v = -part.solve_shifted(s, rhs)[:n1]
         if not part.b2_zero:
             v = v + part.Einv_J12 @ np.linalg.solve(part.coupling, rhs[n1:])
-        cols[:, k] = v
-    V, Bd = _realify(cols, data.directions, kept)
-    V, Bd = _rank_filter(V, Bd)
-    return ProjectionBasis(V=V, directions=Bd, points=data.points)
+        return v
+
+    return _basis(data, column)
 
 
 @dataclass(frozen=True)
@@ -373,18 +372,58 @@ class ReducedModel:
         return H
 
 
-def _ph_from_generic(Er, Ar, Br, Cr, Dr):
-    """Split projected generic matrices into pH form and test passivity."""
-    sym_A, Jr = symmetric_skew_split(Ar)
-    Rr = -sym_A  # A = J - R
-    Bph = 0.5 * (Br + Cr.T)
-    Pph = 0.5 * (Cr.T - Br)
-    Sr, Nr = symmetric_skew_split(Dr)
-    Esym = 0.5 * (Er + Er.T)
-    sys_r = PHDAESystem(E=Esym, J=Jr, R=Rr, B=Bph, P=Pph, S=Sr, N=Nr)
+def _finish(sys_r, method, poly, data, augmented_input=False):
+    """The :class:`ReducedModel` of the reduced pH system ``sys_r``, with
+    its passivity test: ``ph_valid`` when the smallest eigenvalue of the
+    passivity matrix is at least -PH_TOL."""
     W = sys_r.passivity_matrix
     w_min = float(spla.eigh(W, eigvals_only=True, subset_by_index=[0, 0])[0]) if W.size else 0.0
-    return sys_r, w_min
+    return ReducedModel(
+        system=sys_r,
+        method=method,
+        ph_valid=w_min >= -PH_TOL,
+        w_min_eig=w_min,
+        polynomial=poly,
+        augmented_input=augmented_input,
+        interpolation=data,
+    )
+
+
+def _ph_form(Er, Ar, Br, Cr, Dr):
+    """pH form of projected generic matrices (A = J - R, B - P, (B + P)^T,
+    S + N); it may fail the passivity inequality."""
+    sym_A, Jr = symmetric_skew_split(Ar)
+    Sr, Nr = symmetric_skew_split(Dr)
+    return PHDAESystem(E=0.5 * (Er + Er.T), J=Jr, R=-sym_A,
+                       B=0.5 * (Br + Cr.T), P=0.5 * (Cr.T - Br), S=Sr, N=Nr)
+
+
+def _block_congruence(sys, basis, lo, hi):
+    """Congruence of every system matrix with diag(I, V, I), which reduces
+    only the states lo:hi and always preserves the pH structure.  V is an
+    orthonormal basis of those rows of the interpolation basis; columns
+    lost to rank deficiency are dropped with a warning."""
+    V = orthonormalize(basis.V[lo:hi])
+    if V.shape[1] < basis.r:
+        warnings.warn(
+            f"dynamic-block basis rank-deficient: dropped "
+            f"{basis.r - V.shape[1]} columns",
+            RuntimeWarning,
+        )
+    r = V.shape[1]
+    T = np.zeros((sys.n, sys.n - (hi - lo) + r))
+    T[:lo, :lo] = np.eye(lo)
+    T[lo:hi, lo:lo + r] = V
+    T[hi:, lo + r:] = np.eye(sys.n - hi)
+    return PHDAESystem(
+        E=T.T @ sys.E @ T,
+        J=T.T @ sys.J @ T,
+        R=T.T @ sys.R @ T,
+        B=T.T @ sys.B,
+        P=T.T @ sys.P,
+        S=sys.S,
+        N=sys.N,
+    )
 
 
 def reduce_index1_shifted(part, data):
@@ -403,7 +442,8 @@ def reduce_index1_shifted(part, data):
 
     The shift preserves interpolation and the polynomial part but can
     make the passivity matrix indefinite; the returned model reports
-    this through ``ph_valid`` / ``w_min_eig``.
+    this through ``ph_valid`` / ``w_min_eig``.  With B2 = P2 = 0 the shift
+    is exactly zero and the reduction is a plain congruence.
     """
     sys = part.parent
     basis = build_V_generic(part, data)
@@ -411,22 +451,11 @@ def reduce_index1_shifted(part, data):
     poly = part.polynomial_part
     D = sys.S + sys.N
     Delta = poly.P0 - D
-    Bin = sys.B - sys.P
-    Cout = (sys.B + sys.P).T
     Er = V.T @ sys.E @ V
     Ar = V.T @ (sys.J - sys.R) @ V + Bd.T @ Delta @ Bd
-    Br = V.T @ Bin - Bd.T @ Delta
-    Cr = Cout @ V - Delta @ Bd
-    Dr = D + Delta
-    sys_r, w_min = _ph_from_generic(Er, Ar, Br, Cr, Dr)
-    return ReducedModel(
-        system=sys_r,
-        method="index1-shifted",
-        ph_valid=w_min >= -PH_TOL,
-        w_min_eig=w_min,
-        polynomial=poly,
-        interpolation=data,
-    )
+    Br = V.T @ (sys.B - sys.P) - Bd.T @ Delta
+    Cr = (sys.B + sys.P).T @ V - Delta @ Bd
+    return _finish(_ph_form(Er, Ar, Br, Cr, D + Delta), "index1-shifted", poly, data)
 
 
 def reduce_index1_blockdiag(part, data):
@@ -437,44 +466,8 @@ def reduce_index1_blockdiag(part, data):
     unchanged: a congruence with diag(V1, I), so the result is always a
     valid pHDAE of order r + n2.
     """
-    sys = part.parent
-    n1 = part.n1
-    basis = build_V_generic(part, data)
-    V1 = orthonormalize(basis.V[:n1])
-    if V1.shape[1] < basis.r:
-        warnings.warn(
-            f"dynamic-block basis rank-deficient: dropped "
-            f"{basis.r - V1.shape[1]} columns",
-            RuntimeWarning,
-        )
-    r1 = V1.shape[1]
-    Vhat = np.zeros((sys.n, r1 + part.n2))
-    Vhat[:n1, :r1] = V1
-    Vhat[n1:, r1:] = np.eye(part.n2)
-    sys_r = _congruence(sys, Vhat)
-    W = sys_r.passivity_matrix
-    w_min = float(spla.eigh(W, eigvals_only=True, subset_by_index=[0, 0])[0]) if W.size else 0.0
-    return ReducedModel(
-        system=sys_r,
-        method="index1-blockdiag",
-        ph_valid=w_min >= -PH_TOL,
-        w_min_eig=w_min,
-        polynomial=part.polynomial_part,
-        interpolation=data,
-    )
-
-
-def _congruence(sys, V):
-    """V^T (.) V congruence of all system matrices; preserves pH structure."""
-    return PHDAESystem(
-        E=V.T @ sys.E @ V,
-        J=V.T @ sys.J @ V,
-        R=V.T @ sys.R @ V,
-        B=V.T @ sys.B,
-        P=V.T @ sys.P,
-        S=sys.S,
-        N=sys.N,
-    )
+    sys_r = _block_congruence(part.parent, build_V_generic(part, data), 0, part.n1)
+    return _finish(sys_r, "index1-blockdiag", part.polynomial_part, data)
 
 
 def reduce_index2(part, data):
@@ -489,10 +482,8 @@ def reduce_index2(part, data):
         raise LinAlgContractError(
             "constraint equations carry inputs; use reduce_index2_augmented"
         )
-    basis = build_V_saddle(part, data)
-    V = basis.V
+    V = build_V_saddle(part, data).V
     sys = part.parent
-    n1 = part.n1
     Er = V.T @ part.E11 @ V
     Jr = V.T @ part.J11 @ V
     Rr = V.T @ part.R11 @ V
@@ -505,16 +496,7 @@ def reduce_index2(part, data):
         S=sys.S,
         N=sys.N,
     )
-    W = sys_r.passivity_matrix
-    w_min = float(spla.eigh(W, eigvals_only=True, subset_by_index=[0, 0])[0]) if W.size else 0.0
-    return ReducedModel(
-        system=sys_r,
-        method="index2-galerkin",
-        ph_valid=w_min >= -PH_TOL,
-        w_min_eig=w_min,
-        polynomial=PolynomialPart.constant(sys.S + sys.N),
-        interpolation=data,
-    )
+    return _finish(sys_r, "index2-galerkin", part.polynomial_part, data)
 
 
 def reduce_index2_augmented(part, data):
@@ -536,8 +518,7 @@ def reduce_index2_augmented(part, data):
     """
     if part.b2_zero:
         return reduce_index2(part, data)
-    basis = build_V_saddle(part, data)
-    V = basis.V
+    V = build_V_saddle(part, data).V
     poly = part.polynomial_part
     A11 = part.A11
     Bi1, Bi2 = part.B1 - part.P1, part.B2 - part.P2
@@ -545,20 +526,8 @@ def reduce_index2_augmented(part, data):
     Einv_J12, M = part.Einv_J12, part.coupling
     Beff = Bi1 + A11 @ (Einv_J12 @ np.linalg.solve(M, Bi2))
     Ceff = Ci1 - np.linalg.solve(M.T, Ci2.T).T @ (Einv_J12.T @ A11)
-    Er = V.T @ part.E11 @ V
-    Ar = V.T @ A11 @ V
-    Br = V.T @ Beff
-    Cr = Ceff @ V
-    sys_r, w_min = _ph_from_generic(Er, Ar, Br, Cr, poly.P0)
-    return ReducedModel(
-        system=sys_r,
-        method="index2-augmented",
-        ph_valid=w_min >= -PH_TOL,
-        w_min_eig=w_min,
-        polynomial=poly,
-        augmented_input=True,
-        interpolation=data,
-    )
+    sys_r = _ph_form(V.T @ part.E11 @ V, V.T @ A11 @ V, V.T @ Beff, Ceff @ V, poly.P0)
+    return _finish(sys_r, "index2-augmented", poly, data, augmented_input=True)
 
 
 def reduce_mixed(part, data):
@@ -570,67 +539,33 @@ def reduce_mixed(part, data):
     the interpolation basis: a congruence with diag(I, V2, I), which
     always preserves the pH structure and the polynomial part.
     """
-    sys = part.parent
-    n1, n2 = part.n1, part.n2
-    basis = build_V_generic(part, data)
-    V2 = orthonormalize(basis.V[n1:n1 + n2])
-    if V2.shape[1] < basis.r:
-        warnings.warn(
-            f"dynamic-block basis rank-deficient: dropped "
-            f"{basis.r - V2.shape[1]} columns",
-            RuntimeWarning,
-        )
-    r2 = V2.shape[1]
-    Vhat = np.zeros((sys.n, n1 + r2 + part.n3))
-    Vhat[:n1, :n1] = np.eye(n1)
-    Vhat[n1:n1 + n2, n1:n1 + r2] = V2
-    Vhat[n1 + n2:, n1 + r2:] = np.eye(part.n3)
-    sys_r = _congruence(sys, Vhat)
-    W = sys_r.passivity_matrix
-    w_min = float(spla.eigh(W, eigvals_only=True, subset_by_index=[0, 0])[0]) if W.size else 0.0
-    return ReducedModel(
-        system=sys_r,
-        method="mixed-blockdiag",
-        ph_valid=w_min >= -PH_TOL,
-        w_min_eig=w_min,
-        polynomial=PolynomialPart.constant(sys.S + sys.N),
-        interpolation=data,
-    )
+    sys_r = _block_congruence(part.parent, build_V_generic(part, data),
+                              part.n1, part.n1 + part.n2)
+    return _finish(sys_r, "mixed-blockdiag", part.polynomial_part, data)
 
 
-def constraint_projectors(part):
-    """Oblique projectors eliminating the index-2 constraints.
-
-    Returns (pi_l, pi_r) with pi_l = I - E11^{-1} J12 Z J12^T and
-    pi_r = I - J12 Z J12^T E11^{-1}, Z = (J12^T E11^{-1} J12)^{-1}.
-    They satisfy pi_r E11 pi_l^T = E11 pi_l (the projected energy matrix
-    stays symmetric) and pi_l maps onto ker(J12^T)-compatible states.
-    """
-    X = part.Einv_J12 @ np.linalg.solve(part.coupling, _dense(part.J12).T)
-    n1 = part.n1
-    pi_l = np.eye(n1) - X
-    pi_r = np.eye(n1) - X.T
-    return pi_l, pi_r
+#: Reducer name -> reducer; the name is the ``method`` of the models it
+#: returns.  The values are the functions themselves, so that a wrapper
+#: rebinding a module's functions also rebinds them here.
+REDUCERS = {
+    "index1-shifted": reduce_index1_shifted,
+    "index1-blockdiag": reduce_index1_blockdiag,
+    "index2-galerkin": reduce_index2,
+    "index2-augmented": reduce_index2_augmented,
+    "mixed-blockdiag": reduce_mixed,
+}
 
 
-def projector_oracle_index2(part):
-    """Explicit ODE realization of an index-2 system with B2 = P2 = 0.
-
-    Restricts the dynamics to an orthonormal basis Phi of ker(J12^T):
-    (Phi^T E11 Phi, Phi^T (J11 - R11) Phi, Phi^T (B1 - P1),
-    (B1 + P1)^T Phi, D).  Its transfer function equals that of the
-    original differential-algebraic system exactly, which makes it an
-    independent reference for the saddle-point reducer.
-    """
-    if not part.b2_zero:
-        raise LinAlgContractError("oracle requires B2 = P2 = 0")
-    Phi = spla.null_space(_dense(part.J12).T)
-    E11, A11 = _dense(part.E11), _dense(part.A11)
-    D = part.parent.S + part.parent.N
-    return GenericLTISystem(
-        E=Phi.T @ E11 @ Phi,
-        A=Phi.T @ A11 @ Phi,
-        B=Phi.T @ (part.B1 - part.P1),
-        C=(part.B1 + part.P1).T @ Phi,
-        D=D,
-    )
+def default_method(part):
+    """Name of the :data:`REDUCERS` entry that runs on ``part`` when no
+    reducer is named: ``index1-shifted`` for index 1, which matches the
+    polynomial part at order r; for index 2 ``index2-augmented`` when the
+    constraints carry inputs, else ``index2-galerkin``; ``mixed-blockdiag``
+    for a mixed view.  Any other object raises ``LinAlgContractError``."""
+    if isinstance(part, Index1Partition):
+        return "index1-shifted"
+    if isinstance(part, Index2Partition):
+        return "index2-galerkin" if part.b2_zero else "index2-augmented"
+    if isinstance(part, MixedPartition):
+        return "mixed-blockdiag"
+    raise LinAlgContractError(f"unsupported partition type {type(part)!r}")

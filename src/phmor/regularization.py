@@ -71,10 +71,6 @@ class DiagnosisReport:
                 return t
         raise KeyError(name)
 
-    @property
-    def regular_at_infinity(self):
-        return self["C2"].passed and self["O2"].passed
-
     def summary(self):
         lines = [
             f"pencil regular:   {'yes' if self.pencil_regular else 'NO'}",
@@ -237,10 +233,6 @@ class CondensedForm:
     block_sizes: tuple
     rank_gaps: tuple
     warnings: tuple
-
-    @property
-    def n_dynamic(self):
-        return self.block_sizes[0]
 
 
 def _split_psd(M):

@@ -514,12 +514,50 @@ class _ShiftedSolves:
         return _stack_mul(gen.C, X).transpose(1, 0, 2) + gen.D
 
 
+class _SemiExplicit(_ShiftedSolves):
+    """Blocks of a semi-explicit view, its states split after the first n1
+    (the dynamic block) and its parent model in ``parent``."""
+
+    @property
+    def E11(self):
+        return self.parent.E[: self.n1, : self.n1]
+
+    @property
+    def J11(self):
+        return self.parent.J[: self.n1, : self.n1]
+
+    @property
+    def J12(self):
+        return self.parent.J[: self.n1, self.n1:]
+
+    @property
+    def R11(self):
+        return self.parent.R[: self.n1, : self.n1]
+
+    @property
+    def B1(self):
+        return self.parent.B[: self.n1]
+
+    @property
+    def B2(self):
+        return self.parent.B[self.n1:]
+
+    @property
+    def P1(self):
+        return self.parent.P[: self.n1]
+
+    @property
+    def P2(self):
+        return self.parent.P[self.n1:]
+
+
 @dataclass(frozen=True)
-class Index1Partition(_ShiftedSolves):
+class Index1Partition(_SemiExplicit):
     """Semi-explicit index-1 view: E = diag(E11, 0) with E11 > 0 and
     J22 - R22 nonsingular."""
 
     _elimination = _Index1Elimination
+    index_kind = "1"  # the container manifest's ``index`` entry
 
     parent: PHDAESystem
     n1: int
@@ -538,28 +576,8 @@ class Index1Partition(_ShiftedSolves):
         _check_nonsingular(self.A22, "J22 - R22")
 
     @property
-    def E11(self):
-        return self.parent.E[: self.n1, : self.n1]
-
-    @property
-    def J11(self):
-        return self.parent.J[: self.n1, : self.n1]
-
-    @property
-    def J12(self):
-        return self.parent.J[: self.n1, self.n1:]
-
-    @property
     def J22(self):
         return self.parent.J[self.n1:, self.n1:]
-
-    @property
-    def R11(self):
-        return self.parent.R[: self.n1, : self.n1]
-
-    @property
-    def R12(self):
-        return self.parent.R[: self.n1, self.n1:]
 
     @property
     def R22(self):
@@ -568,22 +586,6 @@ class Index1Partition(_ShiftedSolves):
     @property
     def A22(self):
         return self.J22 - self.R22
-
-    @property
-    def B1(self):
-        return self.parent.B[: self.n1]
-
-    @property
-    def B2(self):
-        return self.parent.B[self.n1:]
-
-    @property
-    def P1(self):
-        return self.parent.P[: self.n1]
-
-    @property
-    def P2(self):
-        return self.parent.P[self.n1:]
 
     @property
     def b2_zero(self):
@@ -600,11 +602,12 @@ class Index1Partition(_ShiftedSolves):
 
 
 @dataclass(frozen=True)
-class Index2Partition(_ShiftedSolves):
+class Index2Partition(_SemiExplicit):
     """Semi-explicit index-2 view: E = diag(E11, 0), trailing J, R blocks
     zero, with E11 > 0 and J12^T E11^{-1} J12 nonsingular."""
 
     _elimination = _Index2Elimination
+    index_kind = "2"  # the container manifest's ``index`` entry
 
     parent: PHDAESystem
     n1: int
@@ -633,40 +636,8 @@ class Index2Partition(_ShiftedSolves):
         )
 
     @property
-    def E11(self):
-        return self.parent.E[: self.n1, : self.n1]
-
-    @property
-    def J11(self):
-        return self.parent.J[: self.n1, : self.n1]
-
-    @property
-    def J12(self):
-        return self.parent.J[: self.n1, self.n1:]
-
-    @property
-    def R11(self):
-        return self.parent.R[: self.n1, : self.n1]
-
-    @property
     def A11(self):
         return self.J11 - self.R11
-
-    @property
-    def B1(self):
-        return self.parent.B[: self.n1]
-
-    @property
-    def B2(self):
-        return self.parent.B[self.n1:]
-
-    @property
-    def P1(self):
-        return self.parent.P[: self.n1]
-
-    @property
-    def P2(self):
-        return self.parent.P[self.n1:]
 
     @functools.cached_property
     def Einv_J12(self):
@@ -693,11 +664,14 @@ class Index2Partition(_ShiftedSolves):
 @dataclass(frozen=True)
 class MixedPartition(_ShiftedSolves):
     """Combined index-1/index-2 view: states (x1, x2, x3) where x1 carries
-    the index-2 constraint (J31 x1 = 0 with J31 square nonsingular), x2 the
-    index-1 algebraic part (J22 - R22 nonsingular), and the leading 2x2
-    block of E is positive definite.  B3 = P3 = 0 is required."""
+    the index-2 constraint (J31 x1 = 0 with J31 square nonsingular), x2 is
+    the dynamic part left once x1 is pinned (E22 lies in the positive
+    definite leading 2x2 block of E, and x2 solves the ODE with E22 and
+    A22 = J22 - R22), and x3 holds the multipliers.  J22 - R22 must be
+    nonsingular and B3 = P3 = 0 is required."""
 
     _elimination = _MixedElimination
+    index_kind = "mixed"  # the container manifest's ``index`` entry
 
     parent: PHDAESystem
     n1: int
@@ -763,6 +737,14 @@ class MixedPartition(_ShiftedSolves):
     def P2(self):
         return self.parent.P[self.n1: self.n1 + self.n2]
 
+    @functools.cached_property
+    def polynomial_part(self):
+        """The constant polynomial part D = S + N: with B3 = P3 = 0 the
+        constraint equations carry no input."""
+        from .transfer import PolynomialPart
+
+        return PolynomialPart.constant(self.parent.S + self.parent.N)
+
 
 def partition_index1(sys, n1):
     """Semi-explicit index-1 view with dynamic block size `n1`."""
@@ -775,6 +757,6 @@ def partition_index2(sys, n1):
 
 
 def partition_mixed(sys, n1, n2):
-    """Mixed index-1/index-2 view with constrained block `n1` and index-1
-    algebraic block `n2`; the multiplier block size follows."""
+    """Mixed index-1/index-2 view with constrained block `n1` and dynamic
+    block `n2`; the multiplier block size follows."""
     return MixedPartition(parent=sys, n1=n1, n2=n2, n3=sys.n - n1 - n2)

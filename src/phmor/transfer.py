@@ -12,7 +12,6 @@ and report divergence instead of returning a meaningless number.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,13 @@ import scipy.integrate
 import scipy.linalg as spla
 import scipy.sparse as sp
 
-from .linalg import LinAlgContractError, SingularMatrixError, gen_eig, solve_complex
+from .linalg import (
+    LinAlgContractError,
+    SingularMatrixError,
+    _scaled_left_vectors,
+    gen_eig,
+    solve_complex,
+)
 from .systems import PHDAESystem
 
 __all__ = [
@@ -104,10 +109,6 @@ class PolynomialPart:
             object.__setattr__(self, name, arr)
         if self.P0.shape != self.P1.shape:
             raise LinAlgContractError("P0 and P1 must have equal shape")
-
-    @property
-    def is_constant(self):
-        return not np.any(self.P1)
 
     def __call__(self, s):
         return self.P0 + s * self.P1
@@ -291,12 +292,7 @@ def pole_residue(model, defective_cond_limit=1e8):
         lam, VL, VR = spla.eig(A, E, left=True, right=True)
         finite = np.isfinite(lam) & (np.abs(lam) < 1e12)
         lam, VL, VR = lam[finite], VL[:, finite], VR[:, finite]
-        W = VL.conj()
-        scale = np.einsum("ij,jk,ki->i", W.T, E, VR)
-        if np.any(np.abs(scale) < 1e-14):
-            warnings.warn("near-defective pencil in pole_residue", RuntimeWarning)
-            scale = np.where(np.abs(scale) < 1e-300, 1.0, scale)
-        W = W / scale[None, :]
+        W = _scaled_left_vectors(VL, E, VR)
     lefts = (C @ VR).T            # c_i rows
     rights = (B.T @ W).T          # b_i rows
     # Phase normalization: largest entry of b_i real positive.

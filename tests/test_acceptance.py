@@ -28,7 +28,6 @@ from phmor.irka import IRKAConfig, convergence_metric, irka_reduce, mirror_and_s
 from phmor.reducers import (
     InterpolationData,
     build_V_saddle,
-    projector_oracle_index2,
     reduce_index1_blockdiag,
     reduce_index1_shifted,
     reduce_index2,
@@ -46,6 +45,8 @@ from phmor.transfer import (
     polynomial_part_index1,
     tangential_residuals,
 )
+
+from oracles import projector_oracle_index2
 
 PH_METHODS = {"index1-blockdiag", "index2-galerkin", "mixed-blockdiag"}
 

@@ -5,12 +5,10 @@ from phmor import (
     InterpolationData,
     build_V_generic,
     build_V_saddle,
-    constraint_projectors,
     evaluate,
     eval_transfer,
     partition_index1,
     partition_index2,
-    projector_oracle_index2,
     reduce_index1_blockdiag,
     reduce_index1_shifted,
     reduce_index2,
@@ -27,6 +25,8 @@ from phmor.benchmarks import (
     random_ph_index1,
 )
 from phmor.linalg import LinAlgContractError
+
+from oracles import constraint_projectors, projector_oracle_index2
 
 
 def _data(points, directions):

@@ -125,7 +125,7 @@ class TestDiagnose:
         rep = diagnose(part.parent)
         assert rep.pencil_regular
         assert not rep.index_leq1
-        assert not rep.regular_at_infinity
+        assert not (rep["C2"].passed and rep["O2"].passed)
 
     def test_summary_text(self, index2_fixture):
         rep = diagnose(index2_fixture)

@@ -13,7 +13,8 @@ from phmor import (
     validate_structure,
 )
 from phmor.linalg import LinAlgContractError
-from phmor.reducers import constraint_projectors, projector_oracle_index2
+
+from oracles import constraint_projectors, projector_oracle_index2
 
 
 def _fixture_matrices():
