@@ -37,6 +37,9 @@ from .irka import IRKAConfig, irka_reduce
 from .linalg import LinAlgContractError
 from .reducers import REDUCERS, InterpolationData, default_method
 from .systems import (
+    Index1Partition,
+    Index2Partition,
+    MixedPartition,
     PartitionError,
     PHDAESystem,
     partition_index1,
@@ -93,6 +96,17 @@ def _parse_points(text):
     return np.array([complex(tok) for tok in text.split(",")])
 
 
+#: Manifest ``index`` (a partition class's ``index_kind``) -> (partition
+#: function, the block sizes it takes from the manifest and ``generate``
+#: records).  The lambdas look the functions up when called, so a wrapper
+#: that rebinds them also wraps these calls.
+_PARTITIONS = {
+    Index1Partition.index_kind: (lambda *a: partition_index1(*a), ("n1",)),
+    Index2Partition.index_kind: (lambda *a: partition_index2(*a), ("n1",)),
+    MixedPartition.index_kind: (lambda *a: partition_mixed(*a), ("n1", "n2")),
+}
+
+
 def _load_partition(path):
     """Partition view of a container; a sparse container stays sparse."""
     manifest = containers.read_manifest(pathlib.Path(path) / "manifest.txt")
@@ -107,13 +121,10 @@ def _load_partition(path):
         raise LinAlgContractError(
             f"container {path} has no 'index' manifest entry; cannot partition"
         )
-    if index == "1":
-        return partition_index1(sys_, int(manifest["n1"])), manifest
-    if index == "2":
-        return partition_index2(sys_, int(manifest["n1"])), manifest
-    if index == "mixed":
-        return partition_mixed(sys_, int(manifest["n1"]), int(manifest["n2"])), manifest
-    raise LinAlgContractError(f"unknown index kind {index!r} in {path}")
+    if index not in _PARTITIONS:
+        raise LinAlgContractError(f"unknown index kind {index!r} in {path}")
+    partition, sizes = _PARTITIONS[index]
+    return partition(sys_, *(int(manifest[name]) for name in sizes)), manifest
 
 
 def _errors_row(part, model, data, grid, with_h2, converged="", iterations="",
@@ -169,13 +180,16 @@ _GENERATORS = {
 def cmd_generate(args):
     out = pathlib.Path(args.out) if args.out else _default_out() / "model"
     build, build_sparse, recorded = _GENERATORS[args.benchmark]
-    if args.sparse and build_sparse is not None:
+    if args.sparse:
+        if build_sparse is None:
+            raise LinAlgContractError(f"benchmark {args.benchmark!r} has no sparse builder; "
+                                      "generate it without --sparse")
         data = build_sparse(args)
         containers.save_phdae(out, data, extra={"index": "2", "benchmark": args.benchmark})
         print(f"wrote sparse {args.benchmark} model (n={data['E'].shape[0]}) to {out}")
         return 0
     part = build(args)
-    sizes = {"n1": part.n1, "n2": part.n2} if part.index_kind == "mixed" else {"n1": part.n1}
+    sizes = {name: getattr(part, name) for name in _PARTITIONS[part.index_kind][1]}
     extra = {"index": part.index_kind, **sizes, "benchmark": args.benchmark,
              **{name: getattr(args, name) for name in recorded}}
     system = part.parent
@@ -195,19 +209,27 @@ def cmd_validate(args):
 
 
 def _parse_method(method, part):
-    """(reducer name, run inside IRKA) of a ``--method`` choice on ``part``."""
+    """(reducer name, run inside IRKA) of a ``--method`` choice on ``part``.
+
+    A reducer's name starts with the index kind it reduces (``index1-``,
+    ``index2-``, ``mixed-``); one that does not fit ``part.index_kind``
+    raises ``LinAlgContractError``."""
     irka = method.startswith("irka")
     name = method.removeprefix("irka").removeprefix("-") or "auto"
-    if name == "auto":
-        return default_method(part), irka
-    return _SHORT_NAMES.get(name, name), irka
+    name = default_method(part) if name == "auto" else _SHORT_NAMES.get(name, name)
+    kind = name.split("-")[0].removeprefix("index")
+    if kind != part.index_kind:
+        raise LinAlgContractError(
+            f"--method {method}: reducer {name!r} does not fit a model of index "
+            f"kind {part.index_kind!r}")
+    return name, irka
 
 
-def _reduce(part, method, r, data):
+def _reduce(part, name, irka, r, data):
     """(model, interpolation data, converged, iterations, IRKA trace) of one
-    reduction to order r from the points ``data``; converged and iterations
-    are empty strings, and the trace None, for a direct reduction."""
-    name, irka = _parse_method(method, part)
+    reduction to order r by the reducer ``name`` from the points ``data``,
+    inside IRKA when ``irka``; converged and iterations are empty strings,
+    and the trace None, for a direct reduction."""
     if not irka:
         return REDUCERS[name](part, data), data, "", "", None
     result = irka_reduce(part, IRKAConfig(r=r, initial=data), method=name)
@@ -217,6 +239,7 @@ def _reduce(part, method, r, data):
 
 def cmd_reduce(args):
     part, _ = _load_partition(args.model)
+    name, irka = _parse_method(args.method, part)
     out = pathlib.Path(args.out) if args.out else _default_out() / "reduced"
     grid = _parse_freq_grid(args.freq_grid)
     if args.points is not None:
@@ -225,7 +248,7 @@ def cmd_reduce(args):
                                  directions=np.ones((pts.size, part.parent.m)))
     else:
         data = InterpolationData.log_spaced(args.r, part.parent.m)
-    model, data, conv, iters, _ = _reduce(part, args.method, args.r, data)
+    model, data, conv, iters, _ = _reduce(part, name, irka, args.r, data)
     containers.save_reduced(out, model)
     out.mkdir(parents=True, exist_ok=True)
     row = _errors_row(part, model, data, grid, args.h2, conv, iters)
@@ -267,6 +290,7 @@ def cmd_regularize(args):
 
 def cmd_sweep(args):
     part, _ = _load_partition(args.model)
+    name, irka = _parse_method(args.method, part)
     out = pathlib.Path(args.out) if args.out else _default_out() / "sweep"
     out.mkdir(parents=True, exist_ok=True)
     grid = _parse_freq_grid(args.freq_grid)
@@ -277,7 +301,7 @@ def cmd_sweep(args):
     rows = []
     for r in rs:
         start = InterpolationData.log_spaced(r, part.parent.m)
-        model, data, conv, iters, trace = _reduce(part, args.method, r, start)
+        model, data, conv, iters, trace = _reduce(part, name, irka, r, start)
         if trace is not None:
             trace.export_csv(out / f"trace_r{r:03d}.csv")
         containers.save_reduced(out / f"r{r:03d}", model)

@@ -2,12 +2,17 @@
 
 Thin, contract-checked wrappers around LAPACK (via numpy/scipy) for the
 decompositions and solves the reduction machinery needs: SVD-based
-rank/nullspace decisions, shifted complex solves (dense LAPACK or sparse
-SuperLU, chosen by the matrix's storage), solves of a stack of dense
-matrices, shifted solves of one symmetric-definite pencil at many shifts
-against a single Schur form, LAPACK's 1-norm condition estimator run on
-many matrices at once, and generalized eigenproblems with two-sided
+rank/nullspace decisions, shifted complex solves, shifted solves of one
+symmetric-definite pencil at many shifts against a single Schur form
+(:class:`SchurPencil`), and generalized eigenproblems with two-sided
 eigenvectors.
+
+There is one dense LU kernel: :func:`solve_stacked` factors, solves and
+estimates kappa_1 of each matrix of a stack by ``zgetrf``, ``zgetrs`` and
+``zgecon``, and :func:`solve_complex` runs it on a stack of one (a sparse
+matrix goes to SuperLU instead).  :func:`inverse_norm_estimates`, LAPACK's
+1-norm condition estimator run on many triangular systems at once, serves
+:class:`SchurPencil` only.
 """
 
 from __future__ import annotations
@@ -91,22 +96,22 @@ def solve_complex(M, rhs, cond_limit=COND_LIMIT):
     singular to working precision.  Callers solving shifted pencils
     s E - A at large |s| (whose condition number grows like |s| without
     any loss of relative solution accuracy) may pass a larger
-    ``cond_limit``.  It solves sparse full models, bare systems and
-    reduced models; a dense partitioned full model is solved by its
-    partition's elimination solver and :class:`SchurPencil` instead.
+    ``cond_limit``.  It solves sparse full models and bare systems; a dense
+    partitioned full model is solved by its partition's elimination solver
+    and :class:`SchurPencil`, and reduced models by :func:`solve_stacked`.
 
     The condition number compared against ``cond_limit`` is a 1-norm
     *estimate* (Hager/Higham) from the LU factors already computed for the
-    solve; no inverse is formed.  A dense M goes straight to LAPACK
-    (``zgetrf``, ``zgetrs``, ``zgecon``, without SciPy's wrappers); the one
-    pass that takes ||M||_1 doubles as the finiteness check, so a NaN or
-    inf in M or rhs raises :class:`LinAlgContractError`, never
-    :class:`SingularMatrixError`.  A ``scipy.sparse`` M (whose stored entries
-    and rhs get the same finiteness check) is factored by SuperLU and
-    estimated by ``onenormest`` with one column, the same deterministic
-    iteration (it draws no random numbers).  The estimate is a lower bound
-    (up to rounding) on the exact kappa_1(M); on the pencils of the
-    benchmark workloads it stayed within a factor 2.6 of the exact value.
+    solve; no inverse is formed.  A dense M is :func:`solve_stacked`'s
+    stack of one (``zgetrf``, ``zgetrs``, ``zgecon``): a zero pivot raises
+    "exactly singular", and a NaN or inf in M or rhs raises
+    :class:`LinAlgContractError`, never :class:`SingularMatrixError`.  A
+    ``scipy.sparse`` M (whose stored entries and rhs get the same
+    finiteness check) is factored by SuperLU and estimated by
+    ``onenormest`` with one column, the same deterministic iteration (it
+    draws no random numbers).  The estimate is a lower bound (up to
+    rounding) on the exact kappa_1(M); on the pencils of the benchmark
+    workloads it stayed within a factor 2.6 of the exact value.
     """
     if not sp.issparse(M):
         M = np.asarray(M, dtype=complex)
@@ -117,26 +122,16 @@ def solve_complex(M, rhs, cond_limit=COND_LIMIT):
     B = rhs[:, None] if squeeze else rhs
     if B.shape[0] != M.shape[0]:
         raise LinAlgContractError("right-hand side has incompatible row count")
-    solve = _solve_sparse if sp.issparse(M) else _solve_dense
-    X, cond = solve(M, B)
+    if sp.issparse(M):
+        X, cond = _solve_sparse(M, B)
+    else:
+        X, cond, exact = _lu_solves(M[None], B)
+        if exact[0]:
+            raise SingularMatrixError("matrix is exactly singular")
+        X, cond = X[0], cond[0]
     if not np.all(np.isfinite(X)) or cond > cond_limit:
         raise SingularMatrixError("matrix is singular to working precision", cond)
     return X[:, 0] if squeeze else X
-
-
-def _solve_dense(M, B):
-    """LAPACK ``zgetrf``/``zgetrs`` solve plus the ``zgecon`` estimate of
-    kappa_1(M), called directly: the 1-norm pass doubles as the finiteness
-    check of M, so no other pass over the n x n matrix is made."""
-    anorm = np.abs(M).sum(axis=0).max(initial=0.0)
-    if not np.isfinite(anorm) or not np.all(np.isfinite(B)):
-        raise LinAlgContractError("matrix or right-hand side contains non-finite entries")
-    lu, piv, info = lapack.zgetrf(M)  # copies M: the caller's array is kept
-    if info != 0:  # > 0: a zero pivot; < 0 only for an empty M
-        raise SingularMatrixError("matrix is exactly singular")
-    X, _ = lapack.zgetrs(lu, piv, B)
-    rcond, info = lapack.zgecon(lu, anorm)
-    return X, (np.inf if info != 0 or rcond == 0.0 else 1.0 / rcond)
 
 
 def _solve_sparse(M, B):
@@ -159,6 +154,51 @@ def _solve_sparse(M, B):
         inv_norm = spsla.onenormest(inverse, t=1)
     cond = spsla.norm(M, 1) * inv_norm
     return X, (cond if np.isfinite(cond) else np.inf)
+
+
+def solve_stacked(M, rhs):
+    """X_i = M_i^{-1} rhs for a stack M of K square matrices, shape
+    (K, n, n), with the ``zgecon`` estimate of each kappa_1(M_i).
+
+    Returns ``(X, cond)``, X of shape (K, n, m).  Nothing is rejected here:
+    the caller compares ``cond`` (inf where an LU pivot is exactly zero,
+    and there X is NaN) with its limit, as :func:`solve_complex` does for
+    one matrix.  A NaN or inf in M or rhs raises
+    :class:`LinAlgContractError`.
+    """
+    X, cond, _ = _lu_solves(M, rhs)
+    return X, cond
+
+
+def _lu_solves(M, rhs):
+    """The one dense LU kernel: ``zgetrf``, ``zgetrs`` and ``zgecon`` on
+    each matrix of the stack M, called directly.  Returns X, the condition
+    estimates and a mask of the matrices with an exactly zero pivot (an
+    empty matrix counts as one), whose X is NaN and estimate inf.  The one
+    pass that takes each ||M_i||_1 doubles as the finiteness check."""
+    M = np.asarray(M, dtype=complex)
+    B = np.asarray(rhs, dtype=complex)
+    K, n = M.shape[:2]
+    if M.shape != (K, n, n) or B.ndim != 2 or B.shape[0] != n:
+        raise LinAlgContractError(f"cannot solve a stack of shape {M.shape} with {B.shape}")
+    anorm = np.abs(M).sum(axis=1).max(axis=1, initial=0.0)
+    if not (np.isfinite(anorm).all() and np.isfinite(B).all()):
+        raise LinAlgContractError("matrix or right-hand side contains non-finite entries")
+    X = np.empty((K, n, B.shape[1]), dtype=complex)
+    cond = np.full(K, np.inf)
+    if n == 0:  # an empty matrix has no LU factor
+        return X, cond, np.ones(K, dtype=bool)
+    exact = np.zeros(K, dtype=bool)
+    for i in range(K):
+        lu, piv, info = lapack.zgetrf(M[i])  # copies M_i: the caller's array is kept
+        if info != 0:  # an exactly zero pivot
+            exact[i], X[i] = True, np.nan
+            continue
+        X[i] = lapack.zgetrs(lu, piv, B)[0]
+        rcond, info = lapack.zgecon(lu, anorm[i])
+        if info == 0 and rcond > 0.0:  # else no usable estimate: cond stays inf
+            cond[i] = 1.0 / rcond
+    return X, cond, exact
 
 
 #: LAPACK's safe minimum, ``dlamch('S')``: zlacn2 takes the sign of an
@@ -200,7 +240,8 @@ def inverse_norm_estimates(solve, solve_adjoint, n, k):
     for all k matrices in lockstep: start from x = 1/n, take safmin-guarded
     signs, pick j by the first largest |z|, stop when the estimate does not
     grow, j repeats its |z| or five iterations have run, then try the
-    alternating-sign vector.  ``solve(X, idx)`` returns M_i^{-1} X_i and
+    alternating-sign vector; :class:`SchurPencil` estimates a grid's shifted
+    triangular factors with it.  ``solve(X, idx)`` returns M_i^{-1} X_i and
     ``solve_adjoint(X, idx)`` returns M_i^{-H} X_i for the matrices numbered
     ``idx``, with X of shape (n, len(idx), c) (column block X[:, i] belongs
     to matrix idx[i]); X may also have shape (n, 1, c), one block shared by
@@ -240,80 +281,6 @@ def inverse_norm_estimates(solve, solve_adjoint, n, k):
             moved = Z[j, cols] != Z[j_new, cols]
             act, j = act[moved], j_new[moved]
     return np.where(alternating > est, alternating, est)
-
-
-def _stack_lower(M, X):
-    """Y with L_i Y_i = X_i, L_i the unit lower triangle of M_i (k, n, n);
-    Y has shape (n, k, c), X that or (n, 1, c)."""
-    Y = np.empty((X.shape[0], M.shape[0], X.shape[2]), dtype=complex)
-    for r in range(M.shape[1]):
-        Y[r] = X[r] - np.einsum("kj,jkc->kc", M[:, r, :r], Y[:r])
-    return Y
-
-
-def _stack_upper(M, X):
-    """Y with U_i Y_i = X_i, U_i the upper triangle of M_i (k, n, n);
-    Y has shape (n, k, c), X that or (n, 1, c)."""
-    n = M.shape[1]
-    Y = np.empty((n, M.shape[0], X.shape[2]), dtype=complex)
-    for r in range(n - 1, -1, -1):
-        acc = X[r] - np.einsum("kj,jkc->kc", M[:, r, r + 1:], Y[r + 1:])
-        Y[r] = acc / M[:, r, r, None]
-    return Y
-
-
-def solve_stacked(M, rhs):
-    """X_i = M_i^{-1} rhs for a stack M of K square matrices, shape
-    (K, n, n), with the ``zgecon`` estimate of each kappa_1(M_i).
-
-    Returns ``(X, cond)``, X of shape (K, n, m).  Nothing is rejected here:
-    the caller compares ``cond`` (inf where an LU pivot is exactly zero,
-    and there X is NaN) with its limit, as :func:`solve_complex` does for
-    one matrix.  Each M_i is factored and solved by the LAPACK calls that
-    :func:`solve_complex` makes (``zgetrf``, ``zgetrs``), so X is the same
-    to the last bit; the estimates are batched: :func:`inverse_norm_estimates`
-    applied through (L U)^{-1}, as ``zgecon`` applies it, for all K at once.
-    A NaN or inf in M or rhs raises :class:`LinAlgContractError`.
-    """
-    M = np.asarray(M, dtype=complex)
-    B = np.asarray(rhs, dtype=complex)
-    K, n = M.shape[:2]
-    if M.shape != (K, n, n) or B.ndim != 2 or B.shape[0] != n:
-        raise LinAlgContractError(f"cannot solve a stack of shape {M.shape} with {B.shape}")
-    anorm = np.abs(M).sum(axis=1).max(axis=1, initial=0.0)
-    if not np.all(np.isfinite(anorm)) or not np.all(np.isfinite(B)):
-        raise LinAlgContractError("matrix or right-hand side contains non-finite entries")
-    X = np.full((K, n, B.shape[1]), np.nan, dtype=complex)
-    cond = np.full(K, np.inf)
-    if n == 0:
-        return X, cond
-    LU = np.empty_like(M)
-    ok = np.zeros(K, dtype=bool)
-    for i in range(K):
-        lu, piv, info = lapack.zgetrf(M[i])
-        if info == 0:  # > 0: an exactly zero pivot
-            LU[i], X[i], ok[i] = lu, lapack.zgetrs(lu, piv, B)[0], True
-    k = np.count_nonzero(ok)
-    if k == 0:
-        return X, cond
-    if k < K:
-        LU = LU[ok]
-    # zgecon applies (L U)^{-1} = U^{-1} L^{-1}, the inverse of the row-permuted
-    # M, by two triangular solves; formed once, it applies as one product
-    eye = np.eye(n, dtype=complex)[:, None]
-    inv = np.ascontiguousarray(_stack_upper(LU, _stack_lower(LU, eye)).transpose(1, 0, 2))
-    del LU
-
-    def apply(V, idx, adjoint=False):  # inv_i V_i (or inv_i^H V_i), V (n, len(idx), c)
-        F = inv if idx.size == k else inv[idx]  # index sets are sorted subsets
-        V = V.transpose(1, 0, 2)
-        Y = np.matmul(F.transpose(0, 2, 1), V.conj()).conj() if adjoint else F @ V
-        return Y.transpose(1, 0, 2)
-
-    est = inverse_norm_estimates(apply, lambda V, idx: apply(V, idx, adjoint=True), n, k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond[ok] = _cond_from_rcond((1.0 / est) / anorm[ok])  # zgecon's order
-    return X, cond
 
 
 class SchurPencil:

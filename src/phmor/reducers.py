@@ -40,7 +40,6 @@ import scipy.linalg as spla
 
 from .linalg import (
     LinAlgContractError,
-    SingularMatrixError,
     orthonormalize,
     solve_complex,
     solve_stacked,
@@ -73,12 +72,6 @@ PH_TOL = 1e-10
 _CONJ_TOL = 1e-10
 
 
-def _reduced_cond_limit(s):
-    """The condition limit above which a reduced pencil s E - A is solved
-    by least squares instead: 1e14 (1 + |s|), for a point or an array."""
-    return 1e14 * (1.0 + np.abs(s))
-
-
 @dataclass(frozen=True)
 class InterpolationData:
     """Interpolation points and right tangent directions.
@@ -108,29 +101,7 @@ class InterpolationData:
         dirs.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "directions", dirs)
-        self._check_conjugate_closed()
-
-    def _check_conjugate_closed(self):
-        pts, dirs = self.points, self.directions
-        scale = 1.0 + np.abs(pts).max()
-        matched = np.zeros(pts.size, dtype=bool)
-        for i, s in enumerate(pts):
-            if matched[i] or abs(s.imag) <= _CONJ_TOL * scale:
-                continue
-            found = False
-            for j in range(pts.size):
-                if j == i or matched[j]:
-                    continue
-                if (abs(pts[j] - s.conjugate()) <= _CONJ_TOL * scale
-                        and np.allclose(dirs[j], dirs[i].conjugate(),
-                                        atol=_CONJ_TOL, rtol=_CONJ_TOL)):
-                    matched[i] = matched[j] = True
-                    found = True
-                    break
-            if not found:
-                raise LinAlgContractError(
-                    f"interpolation set not closed under conjugation at point {s}"
-                )
+        _conjugate_pairs(pts, dirs)  # raises unless closed under conjugation
 
     @property
     def r(self):
@@ -162,14 +133,17 @@ class ProjectionBasis:
         return self.V.shape[1]
 
 
-def _conjugate_pairs(points):
+def _conjugate_pairs(points, directions):
     """The points a real basis is built from, in order, as (index, is_real).
 
-    A real point (|Im| <= _CONJ_TOL * (1 + max |point|)) stands alone; a
-    complex point is kept and its conjugate partner, the first unused point
-    within the same tolerance of its conjugate, is skipped.  For a real
-    model the partner's solution is the conjugate of the kept one, so it
-    adds nothing to the real span and is never solved for.
+    A real point (|Im| <= _CONJ_TOL * (1 + max |point|)) stands alone.  A
+    complex point is kept, and its partner is skipped: the first unused
+    point within the same tolerance of its conjugate whose direction is the
+    conjugate direction (entrywise to within _CONJ_TOL, absolute and
+    relative).  For a real model the partner's solution is the conjugate of
+    the kept one, so it adds nothing to the real span and is never solved
+    for.  A complex point without a partner raises ``LinAlgContractError``:
+    the set is not closed under conjugation.
     """
     scale = 1.0 + np.abs(points).max()
     used = np.zeros(len(points), dtype=bool)
@@ -180,10 +154,15 @@ def _conjugate_pairs(points):
         used[i] = True
         is_real = abs(s.imag) <= _CONJ_TOL * scale
         if not is_real:
-            for j in range(len(points)):
-                if not used[j] and abs(points[j] - s.conjugate()) <= _CONJ_TOL * scale:
+            for j in np.flatnonzero(~used):
+                if (abs(points[j] - s.conjugate()) <= _CONJ_TOL * scale
+                        and np.allclose(directions[j], directions[i].conjugate(),
+                                        atol=_CONJ_TOL, rtol=_CONJ_TOL)):
                     used[j] = True
                     break
+            else:
+                raise LinAlgContractError(
+                    f"interpolation set not closed under conjugation at point {s}")
         kept.append((i, is_real))
     return kept
 
@@ -243,7 +222,7 @@ def _shifted_solve(model):
 def _basis(data, column):
     """Realified, rank-filtered basis whose column at each point kept by
     :func:`_conjugate_pairs` is ``column(sigma, b)``."""
-    kept = _conjugate_pairs(data.points)
+    kept = _conjugate_pairs(data.points, data.directions)
     cols = np.column_stack([column(data.points[i], data.directions[i]) for i, _ in kept])
     V, Bd = _rank_filter(*_realify(cols, data.directions, kept))
     return ProjectionBasis(V=V, directions=Bd, points=data.points)
@@ -324,7 +303,7 @@ class ReducedModel:
 
     @cached_property
     def _balanced(self):
-        """The balanced (E, A, B, C) that :meth:`transfer_eval` solves
+        """The balanced (E, A, B, C) that :meth:`transfer_evals` solves
         with; B is stored complex, the solve's right-hand side type."""
         from .transfer import balance_realization
 
@@ -333,36 +312,26 @@ class ReducedModel:
         return E, A, B.astype(complex), C
 
     def transfer_eval(self, s):
-        gen = self.generic
-        E, A, B, C = self._balanced
-        # Reduced pencils from raw (unorthonormalized) bases can be very
-        # ill-conditioned while the transfer values stay accurate: the
-        # near-singular directions typically do not couple to the input
-        # and output maps.  Fall back to the minimum-norm solution when
-        # the guarded solve rejects the pencil.
-        pencil = s * E - A
-        try:
-            X = solve_complex(pencil, B, cond_limit=_reduced_cond_limit(s))
-        except SingularMatrixError:
-            X = np.linalg.lstsq(pencil, B, rcond=None)[0]
-        H = C @ X
-        H = H + gen.D
-        if self.augmented_input:
-            H = H + s * self.polynomial.P1
-        return H
+        """H(s) at one point: :meth:`transfer_evals` of a one-point array."""
+        return self.transfer_evals(s)[0]
 
     def transfer_evals(self, points):
-        """:meth:`transfer_eval` at every point of a 1-D array, shape
-        (K, p, m), from one stacked solve of the pencils s_k E - A
-        (:func:`~phmor.linalg.solve_stacked`).  A pencil is rejected by the
-        same rule, its ``zgecon`` estimate against the same limit, and a
-        rejected point gets the same least-squares solve."""
+        """H(s_k) at every point of a 1-D array, shape (K, p, m), from one
+        stacked solve of the pencils s_k E - A
+        (:func:`~phmor.linalg.solve_stacked`).
+
+        Reduced pencils from raw (unorthonormalized) bases can be very
+        ill-conditioned while the transfer values stay accurate: the
+        near-singular directions typically do not couple to the input and
+        output maps.  A pencil whose ``zgecon`` estimate exceeds
+        1e14 (1 + |s|), or that has an exactly zero pivot, is solved in the
+        minimum-norm least-squares sense instead."""
         gen = self.generic
         E, A, B, C = self._balanced
         s = np.asarray(points, dtype=complex).reshape(-1)
         pencils = s[:, None, None] * E - A
         X, cond = solve_stacked(pencils, B)
-        rejected = ~(cond <= _reduced_cond_limit(s)) | ~np.isfinite(X).all(axis=(1, 2))
+        rejected = ~(cond <= 1e14 * (1.0 + np.abs(s))) | ~np.isfinite(X).all(axis=(1, 2))
         for k in np.flatnonzero(rejected):
             X[k] = np.linalg.lstsq(pencils[k], B, rcond=None)[0]
         H = C @ X

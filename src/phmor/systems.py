@@ -25,7 +25,7 @@ one SuperLU factorization per shift.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as spla
@@ -481,28 +481,27 @@ class _ShiftedSolves:
         return X[:, 0, 0] if rhs.ndim == 1 else X[:, 0]
 
     def transfer_eval(self, s):
-        """H(s) of the parent model (:func:`phmor.transfer.eval_transfer`
-        solved through :meth:`solve_shifted`), so that a partition can be
-        passed wherever the full model is evaluated."""
-        from .transfer import eval_transfer
-
-        return eval_transfer(self.parent.generic, s, solve=self.solve_shifted)
+        """H(s) of the parent model at one point, :meth:`transfer_evals` of
+        a one-point array, so that a partition can be passed wherever the
+        full model is evaluated."""
+        return self.transfer_evals(s)[0]
 
     def transfer_evals(self, points):
         """H(s_k) of the parent model at every point of a 1-D array, shape
-        (K, p, m), with the condition limit of :meth:`transfer_eval`.
+        (K, p, m), with the condition limit
+        :func:`~phmor.transfer.transfer_cond_limit`.
 
         A dense parent is solved at all points at once by
-        :attr:`shifted_solver`; the first point, in order, at which
-        :meth:`transfer_eval` would raise raises the same error.  A sparse
-        parent is evaluated point by point (one SuperLU factorization
-        each)."""
+        :attr:`shifted_solver`, and the first point, in order, that is
+        singular or not finite raises.  A sparse parent is evaluated point
+        by point by :func:`~phmor.transfer.eval_transfer` (one SuperLU
+        factorization each)."""
         from .transfer import eval_transfer, transfer_cond_limit
 
         gen = self.parent.generic
         points = np.asarray(points, dtype=complex).reshape(-1)
         if sp.issparse(gen.E):
-            H = [eval_transfer(gen, s, solve=self.solve_shifted) for s in points]
+            H = [eval_transfer(gen, s) for s in points]
             return np.array(H, dtype=complex).reshape(points.size, gen.p, gen.m)
         finite = np.isfinite(points)
         if not finite.all():
@@ -516,7 +515,20 @@ class _ShiftedSolves:
 
 class _SemiExplicit(_ShiftedSolves):
     """Blocks of a semi-explicit view, its states split after the first n1
-    (the dynamic block) and its parent model in ``parent``."""
+    (the dynamic block) and its parent model in ``parent``, and the checks
+    both kinds make: block sizes that sum to n, E = diag(E11, 0) and
+    E11 > 0.  A view checks its own blocks in ``_check_blocks``."""
+
+    def __post_init__(self):
+        n1, n2, sys = self.n1, self.n2, self.parent
+        if n1 < 0 or n2 < 0 or n1 + n2 != sys.n:
+            raise PartitionError(f"block sizes ({n1}, {n2}) do not sum to n={sys.n}")
+        scale = _norm2_lower(sys.E)
+        _check_zero(sys.E[:n1, n1:], "E12", scale)
+        _check_zero(sys.E[n1:, :n1], "E21", scale)
+        _check_zero(sys.E[n1:, n1:], "E22", scale)
+        _check_spd(self.E11, "E11")
+        self._check_blocks()
 
     @property
     def E11(self):
@@ -550,6 +562,11 @@ class _SemiExplicit(_ShiftedSolves):
     def P2(self):
         return self.parent.P[self.n1:]
 
+    @functools.cached_property
+    def b2_zero(self):
+        """Whether the algebraic equations carry no input (B2 = P2 = 0)."""
+        return not (np.any(self.B2) or np.any(self.P2))
+
 
 @dataclass(frozen=True)
 class Index1Partition(_SemiExplicit):
@@ -563,16 +580,7 @@ class Index1Partition(_SemiExplicit):
     n1: int
     n2: int
 
-    def __post_init__(self):
-        n1, n2 = self.n1, self.n2
-        sys = self.parent
-        if n1 < 0 or n2 < 0 or n1 + n2 != sys.n:
-            raise PartitionError(f"block sizes ({n1}, {n2}) do not sum to n={sys.n}")
-        scale = _norm2_lower(sys.E)
-        _check_zero(sys.E[:n1, n1:], "E12", scale)
-        _check_zero(sys.E[n1:, :n1], "E21", scale)
-        _check_zero(sys.E[n1:, n1:], "E22", scale)
-        _check_spd(self.E11, "E11")
+    def _check_blocks(self):
         _check_nonsingular(self.A22, "J22 - R22")
 
     @property
@@ -586,10 +594,6 @@ class Index1Partition(_SemiExplicit):
     @property
     def A22(self):
         return self.J22 - self.R22
-
-    @property
-    def b2_zero(self):
-        return not (np.any(self.B2) or np.any(self.P2))
 
     @functools.cached_property
     def polynomial_part(self):
@@ -612,28 +616,16 @@ class Index2Partition(_SemiExplicit):
     parent: PHDAESystem
     n1: int
     n2: int
-    b2_zero: bool = field(init=False)
 
-    def __post_init__(self):
-        n1, n2 = self.n1, self.n2
-        sys = self.parent
-        if n1 <= 0 or n2 < 0 or n1 + n2 != sys.n:
-            raise PartitionError(f"block sizes ({n1}, {n2}) do not sum to n={sys.n}")
-        scale = _norm2_lower(sys.E)
-        _check_zero(sys.E[:n1, n1:], "E12", scale)
-        _check_zero(sys.E[n1:, :n1], "E21", scale)
-        _check_zero(sys.E[n1:, n1:], "E22", scale)
+    def _check_blocks(self):
+        n1, n2, sys = self.n1, self.n2, self.parent
         _check_zero(sys.J[n1:, n1:], "J22", _norm2_lower(sys.J))
         scaleR = _norm2_lower(sys.R)
         _check_zero(sys.R[:n1, n1:], "R12", scaleR)
         _check_zero(sys.R[n1:, :n1], "R21", scaleR)
         _check_zero(sys.R[n1:, n1:], "R22", scaleR)
-        _check_spd(self.E11, "E11")
         if n2 > 0:
             _check_nonsingular(self.coupling, "J12^T E11^{-1} J12 (coupling)")
-        object.__setattr__(
-            self, "b2_zero", not (np.any(self.B2) or np.any(self.P2))
-        )
 
     @property
     def A11(self):
@@ -667,8 +659,8 @@ class MixedPartition(_ShiftedSolves):
     the index-2 constraint (J31 x1 = 0 with J31 square nonsingular), x2 is
     the dynamic part left once x1 is pinned (E22 lies in the positive
     definite leading 2x2 block of E, and x2 solves the ODE with E22 and
-    A22 = J22 - R22), and x3 holds the multipliers.  J22 - R22 must be
-    nonsingular and B3 = P3 = 0 is required."""
+    A22 = J22 - R22, which may be singular), and x3 holds the
+    multipliers.  B3 = P3 = 0 is required."""
 
     _elimination = _MixedElimination
     index_kind = "mixed"  # the container manifest's ``index`` entry
@@ -701,7 +693,6 @@ class MixedPartition(_ShiftedSolves):
         _check_zero(sys.B[nd:], "B3", _norm2_lower(sys.B))
         _check_zero(sys.P[nd:], "P3", _norm2_lower(sys.P))
         _check_spd(self.E_dyn, "leading 2x2 block of E")
-        _check_nonsingular(self.A22, "J22 - R22")
         if n3 > 0:
             _check_nonsingular(self.J31, "J31")
 
@@ -709,12 +700,6 @@ class MixedPartition(_ShiftedSolves):
     def E_dyn(self):
         nd = self.n1 + self.n2
         return self.parent.E[:nd, :nd]
-
-    @property
-    def A22(self):
-        n1, nd = self.n1, self.n1 + self.n2
-        Ablk = self.parent.J - self.parent.R
-        return Ablk[n1:nd, n1:nd]
 
     @property
     def J31(self):

@@ -136,20 +136,12 @@ def transfer_cond_limit(s):
     return 1e12 * (1.0 + np.abs(s))
 
 
-def eval_transfer(sys, s, solve=None):
+def eval_transfer(sys, s):
     """H(s) = C (sE - A)^{-1} B + D for a descriptor realization, at one
-    point s, solved with the limit :func:`transfer_cond_limit`.
-
-    ``solve(s, rhs, cond_limit=...)`` replaces the dense or sparse LU of
-    :func:`solve_complex`; a partition passes its
-    :meth:`~phmor.systems.Index2Partition.solve_shifted` here.
-    """
+    point s, solved by :func:`solve_complex` with the limit
+    :func:`transfer_cond_limit`."""
     B = np.asarray(sys.B, dtype=complex)
-    cond_limit = transfer_cond_limit(s)
-    if solve is None:
-        X = solve_complex(s * sys.E - sys.A, B, cond_limit=cond_limit)
-    else:
-        X = solve(s, B, cond_limit=cond_limit)
+    X = solve_complex(s * sys.E - sys.A, B, cond_limit=transfer_cond_limit(s))
     return sys.C @ X + sys.D
 
 
@@ -160,7 +152,9 @@ def evaluate(model, s):
     exposing ``transfer_eval(s)``: a partition view, which stands for its
     full model and solves it by constraint elimination, and reduced models,
     including those with an augmented (u, u') input whose feedthrough
-    carries a linear-in-s term.  A bare system is solved by LU per point.
+    carries a linear-in-s term; their ``transfer_eval`` is their batched
+    ``transfer_evals`` at one point.  A bare system is solved by
+    :func:`eval_transfer`.
     """
     if hasattr(model, "transfer_eval"):
         return model.transfer_eval(s)
@@ -312,9 +306,8 @@ def frequency_response(model, grid):
 
     A partition view, a reduced model and a polynomial part evaluate the
     points in batched calls of their ``transfer_evals`` (a 400-point grid
-    in two), which take the singular decisions that :func:`evaluate` takes
-    point by point and raise at the first failing point, in order.  Any
-    other model is evaluated point by point.
+    in two), their one evaluation path, which raises at the first failing
+    point, in order.  Any other model is evaluated point by point.
     """
     if isinstance(grid, FrequencyGrid):
         points = grid.points

@@ -41,6 +41,16 @@ class TestGenerateValidate:
         manifest = read_manifest(out / "manifest.txt")
         assert manifest["format"] == "sparse"
 
+    @pytest.mark.parametrize("name", ["chain-b2", "random-index1", "mixed"])
+    def test_generate_sparse_without_sparse_builder_exits_1(self, tmp_path, capsys, name):
+        out = tmp_path / "model"
+        code, captured = _run(["generate", "--benchmark", name, "--k", 3,
+                               "--sparse", "--out", out], capsys)
+        assert code == 1
+        assert captured.err.startswith(f"error [generate]: benchmark '{name}' "
+                                       "has no sparse builder")
+        assert not out.exists()
+
     def test_validate_flags_broken_skewness(self, tmp_path, capsys):
         model = tmp_path / "chain"
         _run(["generate", "--benchmark", "chain", "--k", 3, "--out", model])
@@ -98,7 +108,7 @@ class TestReduce:
         model = tmp_path / "chain"
         _run(["generate", "--benchmark", "chain", "--k", 6, "--sparse", "--out", model])
         n = int(read_manifest(model / "manifest.txt")["n"])
-        scipy.io.mmwrite(model / "E.mtx", sp.eye_array(n - 1, format="coo"))
+        scipy.io.mmwrite(model / "E.mtx", sp.identity(n - 1, format="coo"))
         code, captured = _run(["reduce", model, "--method", "index2", "--r", 2,
                                "--out", tmp_path / "red"], capsys)
         assert code == 1

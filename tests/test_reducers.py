@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as spla
 
 from phmor import (
     InterpolationData,
@@ -113,12 +114,51 @@ class TestBases:
         assert np.allclose(cols[:, 2], cols[:, 1].conj(), rtol=1e-12, atol=0)
         assert np.allclose(cols[:, 4], cols[:, 3].conj(), rtol=1e-12, atol=0)
         kept = [(0, True), (1, False), (3, False)]
-        assert reducers._conjugate_pairs(data.points) == kept
+        assert reducers._conjugate_pairs(data.points, data.directions) == kept
         V, Bd = reducers._rank_filter(
             *reducers._realify(cols[:, [0, 1, 3]], data.directions, kept))
         assert basis.V.shape == (cols.shape[0], 5)
         assert np.array_equal(basis.V, V)
         assert np.array_equal(basis.directions, Bd)
+
+    def test_mimo_pairs_match_point_and_direction(self, monkeypatch):
+        # [s, s, conj s, conj s] with directions [b1, b2, conj b2, conj b1]:
+        # each point pairs with the partner that carries its conjugate
+        # direction, so two solves give the whole real span
+        from phmor import reducers
+        from phmor.systems import Index1Partition
+
+        part = random_ph_index1(8, 3, 2, seed=0)
+        s = 0.5 + 2j
+        b1, b2 = np.array([1.0, 2j]), np.array([1j - 0.5, 1.0])
+        data = _data([s, s, s.conjugate(), s.conjugate()],
+                     [b1, b2, b2.conj(), b1.conj()])
+        assert reducers._conjugate_pairs(data.points, data.directions) == [
+            (0, False), (1, False)]
+        calls = []
+        solve_shifted = Index1Partition.solve_shifted
+
+        def counting(self, s, rhs, **kwargs):
+            calls.append(s)
+            return solve_shifted(self, s, rhs, **kwargs)
+
+        monkeypatch.setattr(Index1Partition, "solve_shifted", counting)
+        basis = build_V_generic(part, data)
+        assert calls == [s, s]
+        monkeypatch.undo()
+
+        gen = part.parent.generic
+        cols = np.column_stack([part.solve_shifted(p, gen.B @ b)
+                                for p, b in zip(data.points, data.directions)])
+        every = np.column_stack([cols.real, cols.imag])
+        assert basis.V.shape == (part.parent.n, 4)
+        assert np.linalg.matrix_rank(every) == 4
+        assert np.max(spla.subspace_angles(basis.V, every)) < 1e-10
+
+    def test_mimo_pair_with_unmatched_direction_is_rejected(self):
+        s, b1, b2 = 0.5 + 2j, np.array([1.0, 2j]), np.array([1j - 0.5, 1.0])
+        with pytest.raises(LinAlgContractError, match="not closed under conjugation"):
+            _data([s, s, s.conjugate(), s.conjugate()], [b1, b2, b2.conj(), b2.conj()])
 
 
 class TestHandVerifiedValues:

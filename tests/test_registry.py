@@ -1,6 +1,7 @@
 """One rule picks the reducer: ``reduce --method auto``, ``--method irka``
-and ``irka_reduce(method=None)`` all run ``reducers.default_method``, and
-every ``--method`` choice names a ``reducers.REDUCERS`` entry."""
+and ``irka_reduce(method=None)`` all run ``reducers.default_method``,
+every ``--method`` choice names a ``reducers.REDUCERS`` entry, and a
+reducer named for another index kind than the model's is an error line."""
 
 import importlib
 import pkgutil
@@ -106,16 +107,57 @@ def _method_choices(verb):
     return next(a for a in sub._actions if a.dest == "method").choices
 
 
+# The index kind (a partition's ``index_kind``) each reducer reduces.
+REDUCER_KINDS = {
+    "index1-shifted": "1", "index1-blockdiag": "1", "index2-galerkin": "2",
+    "index2-augmented": "2", "mixed-blockdiag": "mixed",
+}
+
+
+def _named_reducer(method):
+    """The REDUCERS entry a --method choice names; None for auto and irka."""
+    name = method.removeprefix("irka").removeprefix("-")
+    return {"": None, "auto": None, "index2": "index2-galerkin",
+            "mixed": "mixed-blockdiag"}.get(name, name)
+
+
 @pytest.mark.parametrize("verb", ["reduce", "sweep"])
 def test_method_choices_unchanged_and_registered(verb):
     choices = _method_choices(verb)
     assert list(choices) == METHOD_CHOICES
+    assert sorted(REDUCER_KINDS) == sorted(REDUCERS)
     for kind, (build, _) in PARTITIONS.items():
         part = build()
         for method in choices:
+            named = _named_reducer(method)
+            if named is not None and REDUCER_KINDS[named] != part.index_kind:
+                with pytest.raises(LinAlgContractError, match="does not fit"):
+                    cli._parse_method(method, part)
+                continue
             name, irka = cli._parse_method(method, part)
             assert name in REDUCERS, (kind, method)
+            assert name == (named or default_method(part))
             assert irka == method.startswith("irka")
+
+
+@pytest.mark.parametrize("verb", ["reduce", "sweep"])
+@pytest.mark.parametrize("kind", PARTITIONS)
+def test_mismatched_reducer_is_an_error_line(verb, kind, tmp_path, capsys):
+    # every reducer named for another index kind, directly and inside IRKA
+    part = PARTITIONS[kind][0]()
+    model_dir = _save(part, tmp_path / "model")
+    mismatched = [m for m in METHOD_CHOICES if _named_reducer(m) is not None
+                  and REDUCER_KINDS[_named_reducer(m)] != part.index_kind]
+    assert len(mismatched) >= 4
+    order = ["--r", "2"] if verb == "reduce" else ["--r-sweep", "2"]
+    for method in mismatched:
+        out = tmp_path / method
+        assert cli.main([verb, model_dir, "--method", method, *order,
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{verb}]: --method {method}: reducer "), err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("module", [

@@ -165,6 +165,36 @@ def test_partition_mixed_requires_square_constraint():
         partition_mixed(part.parent, 2, part.n2 - 1)
 
 
+def test_partition_mixed_accepts_singular_A22():
+    # x2 solves the ODE (s E22 - A22) x2 = ..., which needs no nonsingular
+    # A22 = J22 - R22; with J22 = R22 = 0 the model is an integrator
+    import scipy.linalg as spla
+
+    from phmor import InterpolationData, reduce_mixed, tangential_residuals
+    from phmor.benchmarks import MassSpringSpec, mixed_chain
+    from phmor.transfer import FrequencyGrid, frequency_response
+
+    chain = mixed_chain(MassSpringSpec(k=3))
+    n1, nd = chain.n1, chain.n1 + chain.n2
+    mats = {name: getattr(chain.parent, name).copy() for name in "EJRBPSN"}
+    for name in "JR":
+        mats[name][n1:nd, n1:nd] = 0.0
+    sys = PHDAESystem(**mats)
+    part = partition_mixed(sys, chain.n1, chain.n2)
+
+    grid = FrequencyGrid.log_spaced(1e-3, 1e3, 40)
+    gen = sys.generic
+    ref = np.array([gen.C @ spla.lu_solve(spla.lu_factor(s * gen.E - gen.A), gen.B) + gen.D
+                    for s in grid.points])
+    H = frequency_response(part, grid)
+    assert np.linalg.norm(H - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    data = InterpolationData(points=np.array([1.0]), directions=np.ones((1, sys.m)))
+    model = reduce_mixed(part, data)
+    assert model.ph_valid
+    assert np.max(tangential_residuals(part, model, data)) <= 1e-10
+
+
 def _index2_chain_matrices():
     from phmor.benchmarks import MassSpringSpec, mass_spring_chain
 
