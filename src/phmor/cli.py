@@ -59,13 +59,11 @@ from .transfer import (
 #: Short ``--method`` names of :data:`phmor.reducers.REDUCERS` entries.
 _SHORT_NAMES = {"index2": "index2-galerkin", "mixed": "mixed-blockdiag"}
 
-#: The ``--method`` choices of ``reduce`` and ``sweep``: a reducer, or
-#: ``irka-`` and a reducer; ``auto`` and ``irka`` take the default one.
-METHODS = [
-    "auto", "index1-blockdiag", "index1-shifted", "index2", "index2-augmented",
-    "index2-galerkin", "mixed", "irka", "irka-index1-blockdiag",
-    "irka-index1-shifted", "irka-index2", "irka-index2-augmented", "irka-mixed",
-]
+#: The ``--method`` choices of ``reduce`` and ``sweep``: a reducer, by its
+#: registry or short name, or ``irka-`` and one; ``auto`` and ``irka`` take
+#: the default one.
+_REDUCER_NAMES = sorted([*REDUCERS, *_SHORT_NAMES])
+METHODS = ["auto", *_REDUCER_NAMES, "irka", *(f"irka-{name}" for name in _REDUCER_NAMES)]
 
 CSV_HEADER = "r,interp_residual_max,min_eig_W,rel_hinf,rel_h2,converged,iterations\n"
 

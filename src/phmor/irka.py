@@ -40,15 +40,15 @@ AXIS_TOL = 1e-8
 class IRKAConfig:
     """Iteration parameters.
 
-    ``initial`` overrides the default start (log-spaced positive real
-    points in ``init_range`` with all-ones directions).
+    ``initial`` overrides the default start,
+    :meth:`InterpolationData.log_spaced` (r positive real points in
+    1e-2..1e4 with all-ones directions).
     """
 
     r: int
     max_iterations: int = 100
     tol: float = 1e-6
     initial: InterpolationData | None = None
-    init_range: tuple = (1e-2, 1e4)
 
     def __post_init__(self):
         if self.r < 1:
@@ -184,7 +184,7 @@ def irka_reduce(part, config, method=None):
     m = part.parent.m
     data = config.initial
     if data is None:
-        data = InterpolationData.log_spaced(config.r, m, *config.init_range)
+        data = InterpolationData.log_spaced(config.r, m)
 
     trace = IRKATrace()
     best = None  # (metric, model, data, iteration)

@@ -38,12 +38,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as spla
 
-from .linalg import (
-    LinAlgContractError,
-    orthonormalize,
-    solve_complex,
-    solve_stacked,
-)
+from .linalg import LinAlgContractError, orthonormalize, solve_stacked
 from .systems import (
     Index1Partition,
     Index2Partition,
@@ -89,6 +84,8 @@ class InterpolationData:
     def __post_init__(self):
         pts = np.atleast_1d(np.asarray(self.points, dtype=complex))
         dirs = np.atleast_2d(np.asarray(self.directions, dtype=complex))
+        if pts.size == 0:
+            raise LinAlgContractError("interpolation set is empty: need at least one point")
         if dirs.shape[0] != pts.size:
             raise LinAlgContractError(
                 f"{pts.size} points but {dirs.shape[0]} direction rows"
@@ -209,16 +206,6 @@ def _rank_filter(V, Bd):
     return V, Bd
 
 
-def _shifted_solve(model):
-    """(generic realization, solve(s, rhs)) of the full model: a partition
-    solves through its :meth:`~phmor.systems.Index2Partition.solve_shifted`,
-    a bare system by one LU of s E - A per point."""
-    if hasattr(model, "solve_shifted"):
-        return model.parent.generic, model.solve_shifted
-    gen = model.generic if isinstance(model, PHDAESystem) else model
-    return gen, lambda s, rhs: solve_complex(s * gen.E - gen.A, rhs)
-
-
 def _basis(data, column):
     """Realified, rank-filtered basis whose column at each point kept by
     :func:`_conjugate_pairs` is ``column(sigma, b)``."""
@@ -231,17 +218,17 @@ def _basis(data, column):
 def build_V_generic(model, data):
     """Tangential Krylov basis of (sigma_i E - A)^{-1} (B - P) b_i.
 
-    ``model`` is a partition view (the reducers pass one, so that its
-    factored elimination solver serves every point), a PHDAESystem or a
-    GenericLTISystem; the returned basis is realified (conjugate pairs
-    merged into real/imaginary columns) and rank-filtered, with no further
-    orthonormalization so that projected matrices match the closed-form
-    expressions.  The model's
-    matrices are real, so the solution at conj(sigma) is the conjugate of
-    the one at sigma: one solve is made per conjugate pair.
+    ``model`` is a full model, solved by its ``solve_shifted``: a partition
+    view (the reducers pass one, so that its factored elimination solver
+    serves every point), a PHDAESystem or a GenericLTISystem.  The returned
+    basis is realified (conjugate pairs merged into real/imaginary columns)
+    and rank-filtered, with no further orthonormalization so that projected
+    matrices match the closed-form expressions.  The model's matrices are
+    real, so the solution at conj(sigma) is the conjugate of the one at
+    sigma: one solve is made per conjugate pair.
     """
-    gen, solve = _shifted_solve(model)
-    return _basis(data, lambda s, b: solve(s, gen.B @ b))
+    B = model.generic.B
+    return _basis(data, lambda s, b: model.solve_shifted(s, B @ b))
 
 
 def build_V_saddle(part, data):
@@ -262,7 +249,7 @@ def build_V_saddle(part, data):
     each conjugate pair is solved for.
     """
     n1 = part.n1
-    B = part.parent.generic.B
+    B = part.generic.B
 
     def column(s, b):
         rhs = B @ b

@@ -102,7 +102,7 @@ def _finite_spectrum(A, E, cap=400):
 def diagnose(model, probes=16, seed=0, spectrum_cap=400):
     """Rank-based regularity diagnosis of a descriptor realization.
 
-    Accepts a :class:`GenericLTISystem` or :class:`PHDAESystem`.  The
+    Reads ``model.generic`` (a :class:`GenericLTISystem` returns itself).  The
     finite-spectrum conditions (C1/O1) are checked at the finite pencil
     eigenvalues with Im >= 0 plus ``probes`` random complex points; the
     conditions at infinity (C2/O2) use nullspace bases of E.  The
@@ -112,7 +112,7 @@ def diagnose(model, probes=16, seed=0, spectrum_cap=400):
     either way.  ``index_leq1`` certifies that the pencil has
     differentiation index at most one.
     """
-    gen = model.generic if isinstance(model, PHDAESystem) else model
+    gen = model.generic
     E, A, B, C = gen.E, gen.A, gen.B, gen.C
     n = gen.n
     rng = np.random.default_rng(seed)
@@ -290,10 +290,11 @@ def condensed_form(sys, gap_warn=10.0):
     gaps = []
 
     def transform(sys, Q):
+        E, J, R = (Q.T @ M @ Q for M in (sys.E, sys.J, sys.R))
         return PHDAESystem(
-            E=0.5 * ((Q.T @ sys.E @ Q) + (Q.T @ sys.E @ Q).T),
-            J=0.5 * ((Q.T @ sys.J @ Q) - (Q.T @ sys.J @ Q).T),
-            R=0.5 * ((Q.T @ sys.R @ Q) + (Q.T @ sys.R @ Q).T),
+            E=0.5 * (E + E.T),
+            J=0.5 * (J - J.T),
+            R=0.5 * (R + R.T),
             B=Q.T @ sys.B,
             P=Q.T @ sys.P,
             S=sys.S,

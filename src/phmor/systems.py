@@ -14,12 +14,12 @@ as read-only ``scipy.sparse`` CSR arrays (large benchmark containers);
 B, P, S and N, being n x m or m x m, are always dense.  Partition checks
 work on either storage.
 
-Each partition view also solves its parent's shifted pencil s E - A
-(:meth:`Index1Partition.solve_shifted` and its twins) and evaluates its
-transfer function, so that it can stand in for the full model.  A dense
-parent is solved by eliminating the algebraic equations exactly and
-factoring the ODE that remains once per partition; a sparse parent keeps
-one SuperLU factorization per shift.
+Every full model (a bare system, or a partition view, which stands for
+its parent) solves its shifted pencil s E - A through one
+``shifted_solver`` (``solve_shifted``) and evaluates its transfer function
+through ``transfer_evals``.  A partition of a dense parent eliminates the
+algebraic equations exactly and factors the ODE that remains once per
+partition; a sparse parent or a bare system keeps one LU per shift.
 """
 
 from __future__ import annotations
@@ -34,6 +34,12 @@ import scipy.sparse.linalg as spsla
 from scipy.linalg import lapack
 
 from .linalg import COND_LIMIT, LinAlgContractError, SchurPencil, _stack_mul, solve_complex
+from .transfer import (
+    PolynomialPart,
+    polynomial_part_index1,
+    polynomial_part_index2,
+    transfer_cond_limit,
+)
 
 __all__ = [
     "PHDAESystem",
@@ -92,8 +98,85 @@ def _min_eig_sym(M):
     return float(spla.eigh(Ms, eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
+class _ShiftedSolves:
+    """Solves with a full model's shifted pencil s E - A (A = J - R) and
+    its transfer function, shared by the bare systems and the partition
+    views; ``generic`` is the model's realization (a view's parent's)."""
+
+    def _elimination(self):
+        """The solver of a dense model: a bare system keeps one LU per
+        shift, a partition view eliminates its algebraic equations."""
+        return _ShiftedLU(self.generic)
+
+    @functools.cached_property
+    def shifted_solver(self):
+        """The solver of s E - A, built on first use and kept for the
+        model's lifetime: one SuperLU factorization per shift for a sparse
+        model, else :meth:`_elimination`."""
+        if sp.issparse(self.generic.E):
+            return _ShiftedLU(self.generic)
+        return self._elimination()
+
+    def solve_shifted(self, s, rhs, cond_limit=COND_LIMIT):
+        """Solve (s E - A) X = rhs, with the contract of
+        :func:`phmor.linalg.solve_complex`: ``SingularMatrixError`` when
+        the pencil is singular to working precision, ``LinAlgContractError``
+        for a non-finite shift or right-hand side.
+
+        A partition of a dense parent is solved by its elimination solver,
+        which removes the algebraic equations exactly and solves the ODE
+        left over against one Schur form
+        (:class:`phmor.linalg.SchurPencil`), so the singular decision is the
+        ``ztrcon`` estimate of that ODE's shifted triangular factor.  The
+        blocks a valid partition requires to vanish are taken as zero, and
+        J21 = -J12^T."""
+        gen = self.generic
+        rhs = np.asarray(rhs, dtype=complex)
+        F = rhs[:, None] if rhs.ndim == 1 else rhs
+        if F.ndim != 2 or F.shape[0] != gen.n:
+            raise LinAlgContractError(
+                f"right-hand side of shape {rhs.shape} does not fit n={gen.n}")
+        if not (np.isfinite(s) and np.all(np.isfinite(F))):
+            raise LinAlgContractError("shift or right-hand side contains non-finite entries")
+        X = self.shifted_solver.solve(np.array([s], dtype=complex), F[:, None], cond_limit)
+        return X[:, 0, 0] if rhs.ndim == 1 else X[:, 0]
+
+    def transfer_evals(self, points):
+        """H(s_k) at every point of a 1-D array, shape (K, p, m), solved at
+        all points by :attr:`shifted_solver` with the condition limit
+        :func:`~phmor.transfer.transfer_cond_limit`; the first point, in
+        order, that is singular or not finite raises."""
+        gen = self.generic
+        points = np.asarray(points, dtype=complex).reshape(-1)
+        finite = np.isfinite(points)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            self.transfer_evals(points[:k])  # an earlier singular point raises first
+            raise LinAlgContractError("shift or right-hand side contains non-finite entries")
+        B = np.asarray(gen.B, dtype=complex)[:, None]
+        X = self.shifted_solver.solve(points, B, transfer_cond_limit(points))
+        return _stack_mul(gen.C, X).transpose(1, 0, 2) + gen.D
+
+
+class _ShiftedLU:
+    """(s E - A)^{-1} by one :func:`~phmor.linalg.solve_complex` per shift
+    (SuperLU for sparse E and A), with the elimination solvers' ``solve``
+    signature."""
+
+    def __init__(self, gen):
+        self._E, self._A = gen.E, gen.A
+
+    def solve(self, s, F, cond_limit):
+        limit = np.asarray(cond_limit, dtype=float).reshape(-1)
+        X = np.empty((F.shape[0], s.size, F.shape[2]), dtype=complex)
+        for k in range(s.size):  # k % size: index k, or 0 where one F or limit serves all
+            X[:, k] = solve_complex(s[k] * self._E - self._A, F[:, k % F.shape[1]],
+                                    cond_limit=limit[k % limit.size])
+        return X
+
+
 @dataclass(frozen=True)
-class PHDAESystem:
+class PHDAESystem(_ShiftedSolves):
     """The structured seven-matrix model.
 
     E, J, R are n x n (dense or sparse); B, P are n x m; S, N are m x m
@@ -151,7 +234,7 @@ class PHDAESystem:
 
 
 @dataclass(frozen=True)
-class GenericLTISystem:
+class GenericLTISystem(_ShiftedSolves):
     """Unstructured descriptor realization E x' = A x + B u, y = C x + D u.
 
     E and A may be sparse; B, C and D are always stored dense.
@@ -184,6 +267,10 @@ class GenericLTISystem:
     @property
     def p(self):
         return self.C.shape[0]
+
+    @property
+    def generic(self):
+        return self
 
 
 @dataclass(frozen=True)
@@ -360,18 +447,17 @@ def _complex_qr(M):
 
 
 class _Index1Elimination:
-    """(s E - A)^{-1} of a dense index-1 partition.  One QR of A22 solves
-    the algebraic rows: x2 = -A22^{-1} (F2 + A21 x1), and x1 solves the ODE
-    (s E11 - A11 + A12 A22^{-1} A21) x1 = F1 - A12 A22^{-1} F2."""
+    """(s E - A)^{-1} of a dense index-1 model with E = diag(E11, 0).  One
+    QR of A22 solves the algebraic rows: x2 = -A22^{-1} (F2 + A21 x1), and
+    x1 solves the ODE (s E11 - A11 + A12 A22^{-1} A21) x1 = F1 - A12 A22^{-1} F2."""
 
-    def __init__(self, part):
-        n1 = self._n1 = part.n1
-        A = _dense(part.parent.generic.A)
+    def __init__(self, E11, A):
+        n1 = self._n1 = E11.shape[0]
         Q, self._R = _complex_qr(A[n1:, n1:])
         self._Qt = Q.T
         G = self._solve_A22(A[n1:, :n1][:, None]).real[:, 0]  # A22^{-1} A21
         self._A12, self._G = A[:n1, n1:].astype(complex), G.astype(complex)
-        self._ode = SchurPencil(_dense(part.E11), A[:n1, :n1] - A[:n1, n1:] @ G)
+        self._ode = SchurPencil(E11, A[:n1, :n1] - A[:n1, n1:] @ G)
 
     def _solve_A22(self, F):
         return _triangular_solve(self._R, _stack_mul(self._Qt, F))
@@ -384,18 +470,18 @@ class _Index1Elimination:
 
 
 class _Index2Elimination:
-    """(s E - A)^{-1} of a dense index-2 partition.  A QR J12 = Q1 R1, with
-    Phi completing Q1 to an orthonormal basis (Phi spans ker J12^T), solves
-    the constraint J12^T x1 = F2 exactly: x1 = Q1 R1^{-T} F2 + Phi y, where y
-    solves the ODE (Phi^T E11 Phi, Phi^T A11 Phi).  The multiplier comes back
-    through the left inverse of J12: x2 = R1^{-1} Q1^T ((s E11 - A11) x1 - F1)."""
+    """(s E - A)^{-1} of a dense index-2 model, E = diag(E11, 0) and
+    A = [[A11, J12], [-J12^T, 0]].  A QR J12 = Q1 R1, with Phi completing
+    Q1 to an orthonormal basis (Phi spans ker J12^T), solves the constraint
+    J12^T x1 = F2 exactly: x1 = Q1 R1^{-T} F2 + Phi y, where y solves the
+    ODE (Phi^T E11 Phi, Phi^T A11 Phi).  The multiplier comes back through
+    the left inverse of J12: x2 = R1^{-1} Q1^T ((s E11 - A11) x1 - F1)."""
 
-    def __init__(self, part):
-        self._n1, n2 = part.n1, part.n2
-        Q, self._R1 = _complex_qr(_dense(part.J12))
+    def __init__(self, J12, E11, A11):
+        self._n1, n2 = J12.shape
+        Q, self._R1 = _complex_qr(J12)
         self._Q1, Phi = Q[:, :n2], Q[:, n2:].real
         self._Q1t = self._Q1.T
-        E11, A11 = _dense(part.E11), _dense(part.A11)
         self._E11, self._A11 = E11.astype(complex), A11.astype(complex)
         self._ode = SchurPencil(Phi.T @ E11 @ Phi, Phi.T @ A11 @ Phi, basis=Phi)
 
@@ -414,106 +500,16 @@ class _Index2Elimination:
         return np.concatenate([x1, x2])
 
 
-class _MixedElimination:
-    """(s E - A)^{-1} of a dense mixed partition.  With Kij = s Eij - Aij,
-    the index-2 constraint gives x1 = -J31^{-1} F3, x2 solves the ODE
-    (s E22 - A22) x2 = F2 - K21 x1, and the multiplier is
-    x3 = J31^{-T} (F1 - K11 x1 - K12 x2); one QR of J31 serves both."""
+class _View(_ShiftedSolves):
+    """A partition view of the model ``parent``, which it stands for: it
+    solves and evaluates the parent's realization."""
 
-    def __init__(self, part):
-        n1, nd = part.n1, part.n1 + part.n2
-        self._n1, self._nd = n1, nd
-        gen = part.parent.generic
-        E, A = _dense(gen.E)[:nd, :nd], _dense(gen.A)[:nd, :nd]
-        Q, self._R = _complex_qr(_dense(part.J31))
-        self._Q, self._Qt = Q, Q.T
-        self._E1, self._A1 = E[:, :n1].astype(complex), A[:, :n1].astype(complex)
-        self._E12, self._A12 = E[:n1, n1:].astype(complex), A[:n1, n1:].astype(complex)
-        self._ode = SchurPencil(E[n1:, n1:], A[n1:, n1:])
-
-    def solve(self, s, F, cond_limit):
-        n1, nd = self._n1, self._nd
-        x1 = -_triangular_solve(self._R, _stack_mul(self._Qt, F[nd:]))
-        K1x1 = s[:, None] * _stack_mul(self._E1, x1) - _stack_mul(self._A1, x1)
-        x2 = self._ode.solve(s, F[n1:nd] - K1x1[n1:], cond_limit)
-        K12x2 = s[:, None] * _stack_mul(self._E12, x2) - _stack_mul(self._A12, x2)
-        x3 = _stack_mul(self._Q, _triangular_solve(self._R, F[:n1] - K1x1[:n1] - K12x2,
-                                                   trans=1))
-        return np.concatenate([np.broadcast_to(x1, (n1, *x2.shape[1:])), x2, x3])
+    @property
+    def generic(self):
+        return self.parent.generic
 
 
-class _ShiftedSolves:
-    """Solves with the parent model's shifted pencil s E - A (A = J - R),
-    shared by the partition views; ``_elimination`` names the dense solver
-    class of each view."""
-
-    @functools.cached_property
-    def shifted_solver(self):
-        """The dense elimination solver, built on first use and kept for
-        the partition's lifetime."""
-        return self._elimination(self)
-
-    def solve_shifted(self, s, rhs, cond_limit=COND_LIMIT):
-        """Solve (s E - A) X = rhs for the parent model, with the contract
-        of :func:`phmor.linalg.solve_complex`: ``SingularMatrixError`` when
-        the pencil is singular to working precision, ``LinAlgContractError``
-        for a non-finite shift or right-hand side.
-
-        A sparse parent keeps the per-shift SuperLU solve of
-        ``solve_complex``.  A dense one is solved by :attr:`shifted_solver`,
-        which removes the algebraic equations exactly and solves the ODE
-        left over against one Schur form (:class:`phmor.linalg.SchurPencil`),
-        so the singular decision is the ``ztrcon`` estimate of that ODE's
-        shifted triangular factor.  The blocks a valid partition requires to
-        vanish are taken as zero, and J21 = -J12^T (J31 = -J13^T for a mixed
-        view)."""
-        gen = self.parent.generic
-        if sp.issparse(gen.E):
-            return solve_complex(s * gen.E - gen.A, rhs, cond_limit=cond_limit)
-        rhs = np.asarray(rhs, dtype=complex)
-        F = rhs[:, None] if rhs.ndim == 1 else rhs
-        if F.ndim != 2 or F.shape[0] != gen.n:
-            raise LinAlgContractError(
-                f"right-hand side of shape {rhs.shape} does not fit n={gen.n}")
-        if not (np.isfinite(s) and np.all(np.isfinite(F))):
-            raise LinAlgContractError("shift or right-hand side contains non-finite entries")
-        X = self.shifted_solver.solve(np.array([s], dtype=complex), F[:, None], cond_limit)
-        return X[:, 0, 0] if rhs.ndim == 1 else X[:, 0]
-
-    def transfer_eval(self, s):
-        """H(s) of the parent model at one point, :meth:`transfer_evals` of
-        a one-point array, so that a partition can be passed wherever the
-        full model is evaluated."""
-        return self.transfer_evals(s)[0]
-
-    def transfer_evals(self, points):
-        """H(s_k) of the parent model at every point of a 1-D array, shape
-        (K, p, m), with the condition limit
-        :func:`~phmor.transfer.transfer_cond_limit`.
-
-        A dense parent is solved at all points at once by
-        :attr:`shifted_solver`, and the first point, in order, that is
-        singular or not finite raises.  A sparse parent is evaluated point
-        by point by :func:`~phmor.transfer.eval_transfer` (one SuperLU
-        factorization each)."""
-        from .transfer import eval_transfer, transfer_cond_limit
-
-        gen = self.parent.generic
-        points = np.asarray(points, dtype=complex).reshape(-1)
-        if sp.issparse(gen.E):
-            H = [eval_transfer(gen, s) for s in points]
-            return np.array(H, dtype=complex).reshape(points.size, gen.p, gen.m)
-        finite = np.isfinite(points)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            self.transfer_evals(points[:k])  # an earlier singular point raises first
-            raise LinAlgContractError("shift or right-hand side contains non-finite entries")
-        B = np.asarray(gen.B, dtype=complex)[:, None]
-        X = self.shifted_solver.solve(points, B, transfer_cond_limit(points))
-        return _stack_mul(gen.C, X).transpose(1, 0, 2) + gen.D
-
-
-class _SemiExplicit(_ShiftedSolves):
+class _SemiExplicit(_View):
     """Blocks of a semi-explicit view, its states split after the first n1
     (the dynamic block) and its parent model in ``parent``, and the checks
     both kinds make: block sizes that sum to n, E = diag(E11, 0) and
@@ -573,7 +569,6 @@ class Index1Partition(_SemiExplicit):
     """Semi-explicit index-1 view: E = diag(E11, 0) with E11 > 0 and
     J22 - R22 nonsingular."""
 
-    _elimination = _Index1Elimination
     index_kind = "1"  # the container manifest's ``index`` entry
 
     parent: PHDAESystem
@@ -582,6 +577,9 @@ class Index1Partition(_SemiExplicit):
 
     def _check_blocks(self):
         _check_nonsingular(self.A22, "J22 - R22")
+
+    def _elimination(self):
+        return _Index1Elimination(self.E11, self.generic.A)
 
     @property
     def J22(self):
@@ -600,9 +598,7 @@ class Index1Partition(_SemiExplicit):
         """The constant polynomial part
         (:func:`phmor.transfer.polynomial_part_index1`), computed once per
         partition."""
-        from . import transfer
-
-        return transfer.polynomial_part_index1(self)
+        return polynomial_part_index1(self)
 
 
 @dataclass(frozen=True)
@@ -610,7 +606,6 @@ class Index2Partition(_SemiExplicit):
     """Semi-explicit index-2 view: E = diag(E11, 0), trailing J, R blocks
     zero, with E11 > 0 and J12^T E11^{-1} J12 nonsingular."""
 
-    _elimination = _Index2Elimination
     index_kind = "2"  # the container manifest's ``index`` entry
 
     parent: PHDAESystem
@@ -631,6 +626,9 @@ class Index2Partition(_SemiExplicit):
     def A11(self):
         return self.J11 - self.R11
 
+    def _elimination(self):
+        return _Index2Elimination(self.J12, self.E11, self.A11)
+
     @functools.cached_property
     def Einv_J12(self):
         """E11^{-1} J12 (dense n1 x n2), from one factorization of E11 per
@@ -648,21 +646,22 @@ class Index2Partition(_SemiExplicit):
     def polynomial_part(self):
         """The polynomial part, :func:`phmor.transfer.polynomial_part_index2`
         with its large-frequency check, computed once per partition."""
-        from . import transfer
-
-        return transfer.polynomial_part_index2(self, check=True)
+        return polynomial_part_index2(self, check=True)
 
 
 @dataclass(frozen=True)
-class MixedPartition(_ShiftedSolves):
+class MixedPartition(_View):
     """Combined index-1/index-2 view: states (x1, x2, x3) where x1 carries
     the index-2 constraint (J31 x1 = 0 with J31 square nonsingular), x2 is
     the dynamic part left once x1 is pinned (E22 lies in the positive
     definite leading 2x2 block of E, and x2 solves the ODE with E22 and
     A22 = J22 - R22, which may be singular), and x3 holds the
-    multipliers.  B3 = P3 = 0 is required."""
+    multipliers.  B3 = P3 = 0 is required.
 
-    _elimination = _MixedElimination
+    It solves as the index-2 view of the split (nd, n3), nd = n1 + n2: its
+    constraint block J[:nd, nd:] = [J13; 0] has full column rank, and the
+    null space of its transpose is exactly the x2 block."""
+
     index_kind = "mixed"  # the container manifest's ``index`` entry
 
     parent: PHDAESystem
@@ -706,6 +705,10 @@ class MixedPartition(_ShiftedSolves):
         nd = self.n1 + self.n2
         return self.parent.J[nd:, : self.n1]
 
+    def _elimination(self):
+        nd = self.n1 + self.n2
+        return _Index2Elimination(self.parent.J[:nd, nd:], self.E_dyn, self.generic.A[:nd, :nd])
+
     @property
     def B1(self):
         return self.parent.B[: self.n1]
@@ -726,8 +729,6 @@ class MixedPartition(_ShiftedSolves):
     def polynomial_part(self):
         """The constant polynomial part D = S + N: with B3 = P3 = 0 the
         constraint equations carry no input."""
-        from .transfer import PolynomialPart
-
         return PolynomialPart.constant(self.parent.S + self.parent.N)
 
 

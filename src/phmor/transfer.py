@@ -26,7 +26,6 @@ from .linalg import (
     gen_eig,
     solve_complex,
 )
-from .systems import PHDAESystem
 
 __all__ = [
     "FrequencyGrid",
@@ -113,14 +112,23 @@ class PolynomialPart:
     def __call__(self, s):
         return self.P0 + s * self.P1
 
-    def transfer_eval(self, s):
-        """Polynomial parts act as (improper) models in their own right,
-        e.g. as the subtrahend when computing strictly proper norms."""
-        return self(s)
-
     def transfer_evals(self, points):
-        """P(s_k) at every point of a 1-D array, shape (K, p, m)."""
+        """P(s_k) at every point of a 1-D array, shape (K, p, m): a
+        polynomial part acts as an (improper) model in its own right, e.g.
+        as the subtrahend when computing strictly proper norms."""
         return self(np.asarray(points, dtype=complex).reshape(-1, 1, 1))
+
+    @property
+    def generic(self):
+        """A realization with 2m states: E = [[0, I], [0, 0]], A = I,
+        B = [0; I] and C = [-P1, 0] give C (sE - A)^{-1} B = s P1."""
+        from .systems import GenericLTISystem
+
+        m = self.P0.shape[1]
+        E = np.zeros((2 * m, 2 * m))
+        E[:m, m:] = np.eye(m)
+        C = np.hstack([-self.P1, np.zeros_like(self.P1)])
+        return GenericLTISystem(E=E, A=np.eye(2 * m), B=np.eye(2 * m, m, -m), C=C, D=self.P0)
 
     @classmethod
     def constant(cls, P0):
@@ -136,31 +144,22 @@ def transfer_cond_limit(s):
     return 1e12 * (1.0 + np.abs(s))
 
 
-def eval_transfer(sys, s):
-    """H(s) = C (sE - A)^{-1} B + D for a descriptor realization, at one
-    point s, solved by :func:`solve_complex` with the limit
-    :func:`transfer_cond_limit`."""
-    B = np.asarray(sys.B, dtype=complex)
-    X = solve_complex(s * sys.E - sys.A, B, cond_limit=transfer_cond_limit(s))
-    return sys.C @ X + sys.D
+def eval_transfer(model, s):
+    """H(s) = C (sE - A)^{-1} B + D of ``model.generic`` at one point s, by
+    one :func:`solve_complex` with the limit :func:`transfer_cond_limit`:
+    the LU reference for a model's own evaluation."""
+    gen = model.generic
+    B = np.asarray(gen.B, dtype=complex)
+    X = solve_complex(s * gen.E - gen.A, B, cond_limit=transfer_cond_limit(s))
+    return gen.C @ X + gen.D
 
 
 def evaluate(model, s):
-    """Transfer-function value of any supported model at a complex point.
-
-    Accepts :class:`GenericLTISystem`, :class:`PHDAESystem`, or any object
-    exposing ``transfer_eval(s)``: a partition view, which stands for its
-    full model and solves it by constraint elimination, and reduced models,
-    including those with an augmented (u, u') input whose feedthrough
-    carries a linear-in-s term; their ``transfer_eval`` is their batched
-    ``transfer_evals`` at one point.  A bare system is solved by
-    :func:`eval_transfer`.
-    """
-    if hasattr(model, "transfer_eval"):
-        return model.transfer_eval(s)
-    if isinstance(model, PHDAESystem):
-        return eval_transfer(model.generic, s)
-    return eval_transfer(model, s)
+    """Transfer-function value of any model at one complex point: its
+    ``transfer_evals`` at a one-point array.  Every model has that one
+    evaluation method: a bare system, a partition view (which stands for
+    its full model), a reduced model and a polynomial part."""
+    return model.transfer_evals(s)[0]
 
 
 def polynomial_part_index1(part):
@@ -213,7 +212,7 @@ def _check_poly_against_limit(part, poly):
     """Confirm H(i w) - P(i w) stays bounded for large w; log otherwise."""
     rem = []
     for w in (1e6, 1e8):
-        H = part.transfer_eval(1j * w)
+        H = evaluate(part, 1j * w)
         rem.append(np.linalg.norm(H - poly(1j * w)))
     scale = 1.0 + np.linalg.norm(poly.P0)
     if rem[1] > 10.0 * rem[0] + 1e-8 * scale:
@@ -275,7 +274,7 @@ def pole_residue(model, defective_cond_limit=1e8):
     only the finite eigenvalues.  Residue vectors are normalized so the
     largest-magnitude entry of each right residue is real and positive.
     """
-    gen = model.generic if hasattr(model, "generic") else model
+    gen = model.generic
     E, A, B, C = balance_realization(gen.E, gen.A, gen.B, gen.C)
     D = gen.D
     lam_min = spla.eigh(0.5 * (E + E.T), eigvals_only=True, subset_by_index=[0, 0])[0]
@@ -304,19 +303,16 @@ def frequency_response(model, grid):
     """Transfer-function values H(s_k), shape (K, p, m), at the points
     s_k = i w_k of a :class:`FrequencyGrid` or at a 1-D array of points.
 
-    A partition view, a reduced model and a polynomial part evaluate the
-    points in batched calls of their ``transfer_evals`` (a 400-point grid
-    in two), their one evaluation path, which raises at the first failing
-    point, in order.  Any other model is evaluated point by point.
+    The points go in batched calls of the model's ``transfer_evals`` (a
+    400-point grid in two), its one evaluation path, which raises at the
+    first failing point, in order.
     """
     if isinstance(grid, FrequencyGrid):
         points = grid.points
     else:
         points = np.asarray(grid, dtype=complex).reshape(-1)
-    if hasattr(model, "transfer_evals"):
-        parts = np.array_split(points, -(-points.size // _BATCH))
-        return np.concatenate([model.transfer_evals(part) for part in parts])
-    return np.array([np.atleast_2d(evaluate(model, s)) for s in points])
+    parts = np.array_split(points, -(-points.size // _BATCH))
+    return np.concatenate([model.transfer_evals(part) for part in parts])
 
 
 def _grid_errors(full_response, reduced, grid):

@@ -1,10 +1,11 @@
-"""frequency_response evaluates a partition view or a reduced model at all
-points in batched calls.  Checked against the per-point transfer_eval, the
-LAPACK condition estimates (ztrcon, zgecon) and the per-point singular
-decisions."""
+"""frequency_response evaluates every model -- a partition view, a sparse
+partition, a bare system, a reduced model -- at all points in batched calls.
+Checked against the per-point evaluate, the LAPACK condition estimates
+(ztrcon, zgecon) and the per-point singular decisions."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
@@ -39,7 +40,7 @@ from phmor.linalg import (
     solve_complex,
     solve_stacked,
 )
-from phmor.transfer import FrequencyGrid, frequency_response
+from phmor.transfer import FrequencyGrid, evaluate, frequency_response
 
 PARTITIONS = {
     "chain": lambda: mass_spring_chain(MassSpringSpec(k=6)),
@@ -48,6 +49,19 @@ PARTITIONS = {
     "mixed": lambda: mixed_chain(MassSpringSpec(k=6)),
     **{f"random-index1-{seed}": (lambda seed=seed: random_ph_index1(8, 3, 2, seed))
        for seed in range(2)},
+}
+
+
+def _csr_chain():
+    mats = mass_spring_chain_sparse(MassSpringSpec(k=6))
+    n1 = mats.pop("n1")
+    return partition_index2(PHDAESystem(**mats), n1)
+
+
+# Full models solved by one LU per shift: a sparse partition and a bare system.
+LU_MODELS = {
+    "chain-csr": _csr_chain,
+    "bare-chain": lambda: mass_spring_chain(MassSpringSpec(k=6)).parent,
 }
 REDUCED = {
     "index1-shifted": lambda: reduce_index1_shifted(
@@ -68,12 +82,13 @@ def _model(name):
     """One model per name for the whole module (a partition builds its
     solver once)."""
     if name not in _MODELS:
-        _MODELS[name] = {**PARTITIONS, **{f"reduced-{k}": v for k, v in REDUCED.items()}}[name]()
+        _MODELS[name] = {**PARTITIONS, **LU_MODELS,
+                         **{f"reduced-{k}": v for k, v in REDUCED.items()}}[name]()
     return _MODELS[name]
 
 
 def _per_point(model, points):
-    return np.array([np.atleast_2d(model.transfer_eval(s)) for s in points])
+    return np.array([np.atleast_2d(evaluate(model, s)) for s in points])
 
 
 def _padded(points):
@@ -84,7 +99,8 @@ def _padded(points):
 
 
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(sorted(PARTITIONS) + [f"reduced-{k}" for k in sorted(REDUCED)]),
+@given(name=st.sampled_from(sorted(PARTITIONS) + sorted(LU_MODELS)
+                            + [f"reduced-{k}" for k in sorted(REDUCED)]),
        log_omegas=st.lists(st.floats(-3.0, 4.0), min_size=1, max_size=48),
        sign=st.sampled_from([-1.0, 1.0]),
        real=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
@@ -97,7 +113,8 @@ def test_batched_equals_per_point(name, log_omegas, sign, real):
     assert np.linalg.norm(H - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("name", sorted(PARTITIONS) + ["reduced-index2-augmented"])
+@pytest.mark.parametrize("name", sorted(PARTITIONS) + sorted(LU_MODELS)
+                         + ["reduced-index2-augmented"])
 def test_full_grid_in_batches_equals_per_point(name):
     # 400 points go in two batched calls
     model = _model(name)
@@ -205,8 +222,12 @@ def test_exact_ode_eigenvalue_raises_like_the_loop():
 
 def test_first_failing_point_raises_with_the_loop_estimate(index1_fixture, index2_fixture):
     # both fixtures have their one pole at s = -1; just off it the estimate
-    # exceeds the limit, at it the factor has an exact zero
-    for part in (partition_index1(index1_fixture, 1), partition_index2(index2_fixture, 2)):
+    # exceeds the limit, at it the factor has an exact zero.  The index-2
+    # fixture is also solved as a CSR partition and as a bare system.
+    csr = PHDAESystem(**{name: sp.csr_array(getattr(index2_fixture, name)) if name in "EJR"
+                         else getattr(index2_fixture, name) for name in "EJRBPSN"})
+    for part in (partition_index1(index1_fixture, 1), partition_index2(index2_fixture, 2),
+                 partition_index2(csr, 2), index2_fixture):
         for points in ([0.5j, -1.0 + 1e-14, -1.0], [0.5j, -1.0, -1.0 + 1e-14]):
             points = _padded(points)
             with pytest.raises(SingularMatrixError) as batched:
@@ -230,13 +251,14 @@ def test_singular_point_in_second_batch_raises():
 
 def test_nan_point_raises_contract_error(index1_fixture):
     part = partition_index1(index1_fixture, 1)
-    for model in (part, _model("reduced-index2")):
+    for model in (part, index1_fixture, _model("reduced-index2")):
         with pytest.raises(LinAlgContractError) as info:
             frequency_response(model, np.array([1j, np.nan, 2j]))
         assert not isinstance(info.value, SingularMatrixError)
     # the loop would meet the singular point first
-    with pytest.raises(SingularMatrixError):
-        frequency_response(part, _padded([1j, -1.0, np.nan]))
+    for model in (part, index1_fixture):
+        with pytest.raises(SingularMatrixError):
+            frequency_response(model, _padded([1j, -1.0, np.nan]))
 
 
 def test_raw_basis_chain_lstsq_points_match_per_point():
@@ -258,6 +280,6 @@ def test_tangential_residuals_keep_the_per_point_formula():
     data, model = result.data, result.model
     ref = []
     for s, b in zip(data.points, data.directions):
-        hb = part.transfer_eval(s) @ b
+        hb = evaluate(part, s) @ b
         ref.append(np.linalg.norm(hb - model.transfer_eval(s) @ b) / (1.0 + np.linalg.norm(hb)))
     np.testing.assert_allclose(tangential_residuals(part, model, data), ref, rtol=0, atol=1e-13)

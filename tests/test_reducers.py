@@ -49,6 +49,10 @@ class TestInterpolationData:
         with pytest.raises(LinAlgContractError):
             _data([1.0], [[0.0]])
 
+    def test_rejects_empty_set(self):
+        with pytest.raises(LinAlgContractError, match="interpolation set is empty"):
+            InterpolationData(points=[], directions=np.zeros((0, 1)))
+
     def test_log_spaced(self):
         data = InterpolationData.log_spaced(3, 2, 1e-1, 1e1)
         assert np.allclose(data.points, [0.1, 1.0, 10.0])

@@ -22,11 +22,13 @@ from phmor.irka import IRKAConfig, irka_reduce
 from phmor.linalg import LinAlgContractError
 from phmor.reducers import REDUCERS, default_method
 
-# The --method choices of `reduce` and `sweep`, in the order the CLI lists them.
+# The --method choices of `reduce` and `sweep`, in the order the CLI lists
+# them: every REDUCERS name and short name, directly and inside IRKA.
 METHOD_CHOICES = [
     "auto", "index1-blockdiag", "index1-shifted", "index2", "index2-augmented",
-    "index2-galerkin", "mixed", "irka", "irka-index1-blockdiag",
-    "irka-index1-shifted", "irka-index2", "irka-index2-augmented", "irka-mixed",
+    "index2-galerkin", "mixed", "mixed-blockdiag", "irka", "irka-index1-blockdiag",
+    "irka-index1-shifted", "irka-index2", "irka-index2-augmented", "irka-index2-galerkin",
+    "irka-mixed", "irka-mixed-blockdiag",
 ]
 
 
@@ -138,6 +140,19 @@ def test_method_choices_unchanged_and_registered(verb):
             assert name in REDUCERS, (kind, method)
             assert name == (named or default_method(part))
             assert irka == method.startswith("irka")
+
+
+def test_registry_name_writes_the_short_name_row(tmp_path):
+    # the method a saved mixed model records is accepted as --method
+    model_dir = _save(mixed_chain(MassSpringSpec(k=4)), tmp_path / "model")
+    rows = []
+    for method in ("mixed", "mixed-blockdiag"):
+        out = tmp_path / method
+        assert cli.main(["reduce", model_dir, "--method", method, "--r", "2",
+                         "--freq-grid", "1e-4:1e4:20", "--out", str(out)]) == 0
+        assert containers.load_reduced(out).method == "mixed-blockdiag"
+        rows.append((out / "errors.csv").read_text())
+    assert rows[0] == rows[1]
 
 
 @pytest.mark.parametrize("verb", ["reduce", "sweep"])

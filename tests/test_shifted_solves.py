@@ -20,7 +20,7 @@ from phmor.benchmarks import (
 from phmor.irka import IRKAConfig, irka_reduce
 from phmor.linalg import LinAlgContractError, SchurPencil, SingularMatrixError, solve_complex
 from phmor.systems import PHDAESystem, partition_index1, partition_index2, partition_mixed
-from phmor.transfer import FrequencyGrid, eval_transfer
+from phmor.transfer import FrequencyGrid, eval_transfer, evaluate
 
 MODELS = {
     "chain": lambda: mass_spring_chain(MassSpringSpec(k=6)),
@@ -98,9 +98,16 @@ def test_empty_blocks_match_dense_lu(view):
 @pytest.mark.parametrize("omega", [1e6, 1e8])
 def test_oseen_high_frequency_matches_lu(omega):
     part = oseen_grid(OseenSpec(n_grid=8))
-    H = part.transfer_eval(1j * omega)
+    H = evaluate(part, 1j * omega)
     ref = eval_transfer(part.parent.generic, 1j * omega)
     assert np.linalg.norm(H - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_mixed_view_solves_as_an_index2_view():
+    part = _part("mixed")
+    assert type(part.shifted_solver) is systems._Index2Elimination
+    # the constraint's null space is the x2 block: the ODE maps to no x1 row
+    assert not np.any(part.shifted_solver._ode._right[:part.n1])
 
 
 def test_exact_eigenvalue_raises(index1_fixture, index2_fixture):

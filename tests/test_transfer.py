@@ -77,6 +77,16 @@ def test_polynomial_part_index2_linear_term():
         assert abs(H[0, 0] - poly(1j * w)[0, 0]) < 1e-6 * (1 + w * abs(poly.P1[0, 0]))
 
 
+def test_polynomial_part_realization_evaluates_to_the_part():
+    # every model exposes a realization; a polynomial part's is improper
+    poly = PolynomialPart(P0=[[1.0, 2.0], [0.5, -1.0]], P1=[[0.3, 0.0], [0.0, 2.0]])
+    points = np.array([0.5j, 3.0 + 1j, 1e4j])
+    H = frequency_response(poly.generic, points)
+    np.testing.assert_allclose(H, poly.transfer_evals(points), rtol=1e-12, atol=0)
+    gen = _scalar_lag()
+    assert gen.generic is gen
+
+
 def test_polynomial_part_index2_constant_when_b2_zero(index2_fixture):
     part = partition_index2(index2_fixture, 2)
     poly = polynomial_part_index2(part)
