@@ -200,9 +200,10 @@ def cmd_validate(args):
     system, _ = containers.load_phdae(args.model)
     report = validate_structure(system)
     print(report.summary())
-    if system.n <= 400:
-        diag = regularization.diagnose(system)
-        print(diag.summary())
+    if system.n <= regularization.DIAGNOSE_MAX_N:
+        print(regularization.diagnose(system).summary())
+    else:
+        print(f"diagnosis skipped: n = {system.n} > {regularization.DIAGNOSE_MAX_N}")
     return 0 if report.passed else 1
 
 

@@ -61,15 +61,11 @@ def _shape_of(name, n, m):
     }[name]
 
 
-def _write_matrix(directory, name, M, omit_zero=True):
-    if sp.issparse(M):
-        if omit_zero and M.nnz == 0:
-            return
-        scipy.io.mmwrite(str(directory / f"{name}.mtx"), M)
-    else:
+def _write_matrix(directory, name, M):
+    """Write M unless it is all zero (an omitted matrix reads back as zeros)."""
+    if not sp.issparse(M):
         M = np.atleast_2d(np.asarray(M))
-        if omit_zero and not np.any(M):
-            return
+    if M.nnz if sp.issparse(M) else np.any(M):
         scipy.io.mmwrite(str(directory / f"{name}.mtx"), M)
 
 
@@ -134,16 +130,13 @@ def load_phdae(path):
     Returns ``(system, manifest)``; manifest values are strings except
     for the reconstructed n/m.
     """
-    directory = pathlib.Path(path)
-    mats, manifest = _load_matrices(directory, sparse=False)
-    sys = PHDAESystem(**mats)
-    return sys, manifest
+    mats, manifest = _load_matrices(pathlib.Path(path), sparse=False)
+    return PHDAESystem(**mats), manifest
 
 
 def load_phdae_sparse(path):
     """Load a container as a dict of CSR matrices plus the manifest."""
-    directory = pathlib.Path(path)
-    mats, manifest = _load_matrices(directory, sparse=True)
+    mats, manifest = _load_matrices(pathlib.Path(path), sparse=True)
     if "n1" in manifest:
         mats["n1"] = int(manifest["n1"])
     return mats, manifest

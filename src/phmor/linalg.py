@@ -10,9 +10,10 @@ eigenvectors.
 There is one dense LU kernel: :func:`solve_stacked` factors, solves and
 estimates kappa_1 of each matrix of a stack by ``zgetrf``, ``zgetrs`` and
 ``zgecon``, and :func:`solve_complex` runs it on a stack of one (a sparse
-matrix goes to SuperLU instead).  :func:`inverse_norm_estimates`, LAPACK's
-1-norm condition estimator run on many triangular systems at once, serves
-:class:`SchurPencil` only.
+matrix goes to SuperLU instead).  :class:`LUFactor` keeps the ``dgetrf``
+factor and ``dgecon`` estimate of a real constraint block.
+:func:`inverse_norm_estimates`, LAPACK's 1-norm condition estimator run on
+many triangular systems at once, serves :class:`SchurPencil` only.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "SingularMatrixError",
     "GenEig",
     "solve_complex",
+    "LUFactor",
     "SchurPencil",
     "solve_stacked",
     "inverse_norm_estimates",
@@ -199,6 +201,29 @@ def _lu_solves(M, rhs):
         if info == 0 and rcond > 0.0:  # else no usable estimate: cond stays inf
             cond[i] = 1.0 / rcond
     return X, cond, exact
+
+
+class LUFactor:
+    """The LU factor of one real square matrix M (``dgetrf``) and the
+    ``dgecon`` estimate ``cond`` of kappa_1(M): inf for an exactly zero
+    pivot, 1 for an empty M.  :meth:`solve` applies M^{-1} (M^{-T} with
+    ``trans=1``) to a real or complex F of shape (n, ...)."""
+
+    def __init__(self, M):
+        M = _as_matrix(M, "M").astype(float)
+        self.cond = 1.0
+        if M.size:
+            self._lu, self._piv, info = lapack.dgetrf(M)
+            rcond = lapack.dgecon(self._lu, np.abs(M).sum(axis=0).max())[0] if info == 0 else 0
+            self.cond = 1.0 / rcond if rcond > 0.0 else np.inf
+
+    def solve(self, F, trans=0):
+        if np.iscomplexobj(F):
+            return self.solve(F.real, trans) + 1j * self.solve(F.imag, trans)
+        if F.size == 0:
+            return np.zeros(F.shape)
+        flat = F.reshape(F.shape[0], -1)
+        return lapack.dgetrs(self._lu, self._piv, flat, trans=trans)[0].reshape(F.shape)
 
 
 #: LAPACK's safe minimum, ``dlamch('S')``: zlacn2 takes the sign of an
@@ -460,27 +485,26 @@ def _scaled_left_vectors(VL, E, VR):
     return W / scale[None, :]
 
 
-def nullspace_basis(M, tol=None):
-    """Orthonormal basis of the right nullspace of M at tolerance `tol`.
+def nullspace_basis(M):
+    """Orthonormal basis of the right nullspace of M at the tolerance
+    :func:`rank_tolerance`.
 
-    The column count is ``cols - rank(M, tol)``; an empty basis is a valid
+    The column count is ``cols - rank(M)``; an empty basis is a valid
     result. Transpose the input to obtain a left-nullspace basis.
     """
     M = _as_matrix(M, "M")
     if M.size == 0 or not np.any(M):
         return np.eye(M.shape[1])
     U, s, Vt = spla.svd(M)
-    if tol is None:
-        tol = rank_tolerance(M, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
+    rank = int(np.sum(s > rank_tolerance(M, s[0] if s.size else 0.0)))
     return Vt[rank:].T.copy()
 
 
-def orthonormalize(V, tol_factor=1e-12):
+def orthonormalize(V):
     """Orthonormal basis of span(V) via rank-revealing QR.
 
-    Columns whose contribution falls below ``tol_factor * sigma_1`` are
-    dropped; the caller is told how many survived via the returned shape.
+    Columns whose contribution falls below 1e-12 sigma_1 are dropped; the
+    caller is told how many survived via the returned shape.
     """
     V = _as_matrix(V, "V")
     if V.shape[1] == 0:
@@ -489,5 +513,5 @@ def orthonormalize(V, tol_factor=1e-12):
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag[0] == 0.0:
         return np.empty((V.shape[0], 0))
-    keep = int(np.sum(diag > tol_factor * diag[0]))
+    keep = int(np.sum(diag > 1e-12 * diag[0]))
     return Q[:, :keep]

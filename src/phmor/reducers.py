@@ -123,7 +123,6 @@ class ProjectionBasis:
 
     V: np.ndarray
     directions: np.ndarray
-    points: np.ndarray
 
     @property
     def r(self):
@@ -212,7 +211,7 @@ def _basis(data, column):
     kept = _conjugate_pairs(data.points, data.directions)
     cols = np.column_stack([column(data.points[i], data.directions[i]) for i, _ in kept])
     V, Bd = _rank_filter(*_realify(cols, data.directions, kept))
-    return ProjectionBasis(V=V, directions=Bd, points=data.points)
+    return ProjectionBasis(V=V, directions=Bd)
 
 
 def build_V_generic(model, data):
@@ -243,8 +242,9 @@ def build_V_saddle(part, data):
     so it is solved with the partition's full-model solver
     (:meth:`~phmor.systems.Index2Partition.solve_shifted`) and
     v = -x[:n1].  When the constraint equations carry inputs, v is then
-    projected back onto ker(J12^T) along the energy inner product, so that
-    J12^T V = 0 holds for the returned basis.  As in
+    projected back onto ker(J12^T) along the energy inner product by adding
+    G b, G the partition's input lift E11^{-1} J12 M^{-1} (B2 - P2), so
+    that J12^T V = 0 holds for the returned basis.  As in
     :func:`build_V_generic`, the matrices are real and only one member of
     each conjugate pair is solved for.
     """
@@ -252,10 +252,9 @@ def build_V_saddle(part, data):
     B = part.generic.B
 
     def column(s, b):
-        rhs = B @ b
-        v = -part.solve_shifted(s, rhs)[:n1]
+        v = -part.solve_shifted(s, B @ b)[:n1]
         if not part.b2_zero:
-            v = v + part.Einv_J12 @ np.linalg.solve(part.coupling, rhs[n1:])
+            v = v + part.input_lift @ b
         return v
 
     return _basis(data, column)
@@ -278,7 +277,6 @@ class ReducedModel:
     w_min_eig: float
     polynomial: PolynomialPart
     augmented_input: bool = False
-    interpolation: InterpolationData | None = None
 
     @property
     def order(self):
@@ -321,14 +319,13 @@ class ReducedModel:
         rejected = ~(cond <= 1e14 * (1.0 + np.abs(s))) | ~np.isfinite(X).all(axis=(1, 2))
         for k in np.flatnonzero(rejected):
             X[k] = np.linalg.lstsq(pencils[k], B, rcond=None)[0]
-        H = C @ X
-        H = H + gen.D
+        H = C @ X + gen.D
         if self.augmented_input:
             H = H + s[:, None, None] * self.polynomial.P1
         return H
 
 
-def _finish(sys_r, method, poly, data, augmented_input=False):
+def _finish(sys_r, method, poly, augmented_input=False):
     """The :class:`ReducedModel` of the reduced pH system ``sys_r``, with
     its passivity test: ``ph_valid`` when the smallest eigenvalue of the
     passivity matrix is at least -PH_TOL."""
@@ -341,7 +338,6 @@ def _finish(sys_r, method, poly, data, augmented_input=False):
         w_min_eig=w_min,
         polynomial=poly,
         augmented_input=augmented_input,
-        interpolation=data,
     )
 
 
@@ -411,7 +407,7 @@ def reduce_index1_shifted(part, data):
     Ar = V.T @ (sys.J - sys.R) @ V + Bd.T @ Delta @ Bd
     Br = V.T @ (sys.B - sys.P) - Bd.T @ Delta
     Cr = (sys.B + sys.P).T @ V - Delta @ Bd
-    return _finish(_ph_form(Er, Ar, Br, Cr, D + Delta), "index1-shifted", poly, data)
+    return _finish(_ph_form(Er, Ar, Br, Cr, D + Delta), "index1-shifted", poly)
 
 
 def reduce_index1_blockdiag(part, data):
@@ -423,7 +419,7 @@ def reduce_index1_blockdiag(part, data):
     valid pHDAE of order r + n2.
     """
     sys_r = _block_congruence(part.parent, build_V_generic(part, data), 0, part.n1)
-    return _finish(sys_r, "index1-blockdiag", part.polynomial_part, data)
+    return _finish(sys_r, "index1-blockdiag", part.polynomial_part)
 
 
 def reduce_index2(part, data):
@@ -439,7 +435,6 @@ def reduce_index2(part, data):
             "constraint equations carry inputs; use reduce_index2_augmented"
         )
     V = build_V_saddle(part, data).V
-    sys = part.parent
     Er = V.T @ part.E11 @ V
     Jr = V.T @ part.J11 @ V
     Rr = V.T @ part.R11 @ V
@@ -449,23 +444,25 @@ def reduce_index2(part, data):
         R=0.5 * (Rr + Rr.T),
         B=V.T @ part.B1,
         P=V.T @ part.P1,
-        S=sys.S,
-        N=sys.N,
+        S=part.parent.S,
+        N=part.parent.N,
     )
-    return _finish(sys_r, "index2-galerkin", part.polynomial_part, data)
+    return _finish(sys_r, "index2-galerkin", part.polynomial_part)
 
 
 def reduce_index2_augmented(part, data):
     """Interpolatory reduction of an index-2 system with constraint inputs.
 
     Eliminating the constraints turns the system into an ODE on
-    ker(J12^T) driven by (u, u'): with Z = (J12^T E11^{-1} J12)^{-1},
+    ker(J12^T) driven by (u, u'):
 
         E11 xbar' = Pi (J11 - R11) xbar + Pi Beff u,  J12^T xbar = 0
         y = Ceff xbar + P0 u + P1 u'
 
-    where Beff = (B1 - P1) + (J11 - R11) E11^{-1} J12 Z (B2 - P2) and
-    Ceff = (B1 + P1)^T - (B2 + P2)^T Z J12^T E11^{-1} (J11 - R11).
+    where Beff = (B1 - P1) + (J11 - R11) G and
+    Ceff = (B1 + P1)^T - H^T (J11 - R11), with the partition's constraint
+    lifts G = E11^{-1} J12 M^{-1} (B2 - P2) and
+    H = E11^{-1} J12 M^{-T} (B2 + P2), M = J12^T E11^{-1} J12.
     Galerkin projection with the constraint-compatible saddle basis
     yields a reduced model whose transfer function
     C (sE - A)^{-1} B + P0 + s P1 matches the full model tangentially
@@ -477,13 +474,10 @@ def reduce_index2_augmented(part, data):
     V = build_V_saddle(part, data).V
     poly = part.polynomial_part
     A11 = part.A11
-    Bi1, Bi2 = part.B1 - part.P1, part.B2 - part.P2
-    Ci1, Ci2 = (part.B1 + part.P1).T, (part.B2 + part.P2).T
-    Einv_J12, M = part.Einv_J12, part.coupling
-    Beff = Bi1 + A11 @ (Einv_J12 @ np.linalg.solve(M, Bi2))
-    Ceff = Ci1 - np.linalg.solve(M.T, Ci2.T).T @ (Einv_J12.T @ A11)
+    Beff = part.B1 - part.P1 + A11 @ part.input_lift
+    Ceff = (part.B1 + part.P1).T - part.output_lift.T @ A11
     sys_r = _ph_form(V.T @ part.E11 @ V, V.T @ A11 @ V, V.T @ Beff, Ceff @ V, poly.P0)
-    return _finish(sys_r, "index2-augmented", poly, data, augmented_input=True)
+    return _finish(sys_r, "index2-augmented", poly, augmented_input=True)
 
 
 def reduce_mixed(part, data):
@@ -497,7 +491,7 @@ def reduce_mixed(part, data):
     """
     sys_r = _block_congruence(part.parent, build_V_generic(part, data),
                               part.n1, part.n1 + part.n2)
-    return _finish(sys_r, "mixed-blockdiag", part.polynomial_part, data)
+    return _finish(sys_r, "mixed-blockdiag", part.polynomial_part)
 
 
 #: Reducer name -> reducer; the name is the ``method`` of the models it

@@ -30,6 +30,7 @@ from .linalg import LinAlgContractError, nullspace_basis, rank_tolerance
 from .systems import PHDAESystem
 
 __all__ = [
+    "DIAGNOSE_MAX_N",
     "RankTest",
     "DiagnosisReport",
     "CondensedForm",
@@ -39,6 +40,13 @@ __all__ = [
     "condensed_report",
     "output_feedback_regularize",
 ]
+
+
+#: Largest order whose finite spectrum :func:`diagnose` computes; the
+#: diagnosis is O(n^4), so ``phmor validate`` skips it above this order.
+DIAGNOSE_MAX_N = 400
+_PROBES = 16  # random probe points of diagnose, drawn with seed 0
+_GAP_WARN = 10.0  # condensed_form warns about a staircase rank gap below this
 
 
 @dataclass(frozen=True)
@@ -92,19 +100,20 @@ def _rank(M):
     return int(np.sum(s > rank_tolerance(M, s[0])))
 
 
-def _finite_spectrum(A, E, cap=400):
-    if A.shape[0] > cap:
+def _finite_spectrum(A, E):
+    if A.shape[0] > DIAGNOSE_MAX_N:
         return np.array([], dtype=complex)
     lam = spla.eigvals(A, E)
     return lam[np.isfinite(lam) & (np.abs(lam) < 1e10)]
 
 
-def diagnose(model, probes=16, seed=0, spectrum_cap=400):
+def diagnose(model):
     """Rank-based regularity diagnosis of a descriptor realization.
 
     Reads ``model.generic`` (a :class:`GenericLTISystem` returns itself).  The
     finite-spectrum conditions (C1/O1) are checked at the finite pencil
-    eigenvalues with Im >= 0 plus ``probes`` random complex points; the
+    eigenvalues with Im >= 0 (none above order ``DIAGNOSE_MAX_N``) plus
+    ``_PROBES`` random complex points drawn with a fixed seed; the
     conditions at infinity (C2/O2) use nullspace bases of E.  The
     matrices are real, so the rank at conj(lambda) equals the rank at
     lambda and the Im < 0 member of each eigenvalue pair is skipped;
@@ -115,12 +124,12 @@ def diagnose(model, probes=16, seed=0, spectrum_cap=400):
     gen = model.generic
     E, A, B, C = gen.E, gen.A, gen.B, gen.C
     n = gen.n
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     scale = 1.0 + max(spla.norm(A, 2), spla.norm(E, 2))
 
-    lam_eig = _finite_spectrum(A, E, spectrum_cap)
+    lam_eig = _finite_spectrum(A, E)
     lam_eig = lam_eig[lam_eig.imag >= 0]
-    lam_rand = scale * (rng.standard_normal(probes) + 1j * rng.standard_normal(probes))
+    lam_rand = scale * (rng.standard_normal(_PROBES) + 1j * rng.standard_normal(_PROBES))
     points = np.concatenate([lam_eig, lam_rand])
 
     # pencil regularity: det(lambda E - A) != 0 somewhere
@@ -245,11 +254,7 @@ def _split_psd(M):
     w, Q = w[order], Q[:, order]
     tol = rank_tolerance(M, max(w.max(initial=0.0), 0.0))
     rank = int(np.sum(w > tol))
-    gap = np.inf
-    if 0 < rank < w.size and w[rank] > 0:
-        gap = w[rank - 1] / w[rank]
-    elif rank < w.size:
-        gap = np.inf
+    gap = w[rank - 1] / w[rank] if 0 < rank < w.size and w[rank] > 0 else np.inf
     return Q, rank, gap
 
 
@@ -272,7 +277,7 @@ def _split_range(M):
     return Q, rank, gap
 
 
-def condensed_form(sys, gap_warn=10.0):
+def condensed_form(sys):
     """Orthogonal staircase congruence separating the system by index.
 
     Steps: (1) eigendecompose E to isolate the dynamic block, (2) split
@@ -281,7 +286,7 @@ def condensed_form(sys, gap_warn=10.0):
     compress the couplings of the leftover states into the earlier
     blocks.  All steps are orthogonal congruences, so the result is a
     pHDAE with the same transfer function.  Small rank gaps (below
-    ``gap_warn``) are reported — they mean the block sizes are decided
+    ``_GAP_WARN``) are reported — they mean the block sizes are decided
     by nearly-tied singular values.
     """
     n = sys.n
@@ -342,10 +347,10 @@ def condensed_form(sys, gap_warn=10.0):
     n_sing = n - off2 - n_ind2
 
     for i, g in enumerate(gaps):
-        if g < gap_warn:
+        if g < _GAP_WARN:
             notes.append(
                 f"staircase step {i + 1} decided a rank with gap {g:.2f} "
-                f"(below {gap_warn:g}); block sizes may be unreliable"
+                f"(below {_GAP_WARN:g}); block sizes may be unreliable"
             )
             warnings.warn(notes[-1], RuntimeWarning)
 

@@ -20,12 +20,16 @@ its parent) solves its shifted pencil s E - A through one
 through ``transfer_evals``.  A partition of a dense parent eliminates the
 algebraic equations exactly and factors the ODE that remains once per
 partition; a sparse parent or a bare system keeps one LU per shift.
+
+A partition factors its constraint block once, A22 = J22 - R22 (index 1)
+or M = J12^T E11^{-1} J12 (index 2), for its check, polynomial part,
+reducers and solver; a mixed view is the index-2 view of its split.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as spla
@@ -33,7 +37,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spsla
 from scipy.linalg import lapack
 
-from .linalg import COND_LIMIT, LinAlgContractError, SchurPencil, _stack_mul, solve_complex
+from .linalg import (COND_LIMIT, LinAlgContractError, LUFactor, SchurPencil, _stack_mul,
+                     solve_complex)
 from .transfer import (
     PolynomialPart,
     polynomial_part_index1,
@@ -86,16 +91,10 @@ def _frozen(a, sparse_ok=False, dtype=float):
     return a
 
 
-def _values(M):
-    """The stored entries of a dense or sparse matrix."""
-    return M.data if sp.issparse(M) else M
-
-
 def _min_eig_sym(M):
     if M.size == 0:
         return 0.0
-    Ms = 0.5 * (M + M.T)
-    return float(spla.eigh(Ms, eigvals_only=True, subset_by_index=[0, 0])[0])
+    return float(spla.eigh(0.5 * (M + M.T), eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
 class _ShiftedSolves:
@@ -124,12 +123,9 @@ class _ShiftedSolves:
         for a non-finite shift or right-hand side.
 
         A partition of a dense parent is solved by its elimination solver,
-        which removes the algebraic equations exactly and solves the ODE
-        left over against one Schur form
-        (:class:`phmor.linalg.SchurPencil`), so the singular decision is the
-        ``ztrcon`` estimate of that ODE's shifted triangular factor.  The
-        blocks a valid partition requires to vanish are taken as zero, and
-        J21 = -J12^T."""
+        whose singular decision is the ``ztrcon`` estimate of the remaining
+        ODE's shifted Schur factor (:class:`phmor.linalg.SchurPencil`); the
+        blocks a valid partition requires to vanish are taken as zero."""
         gen = self.generic
         rhs = np.asarray(rhs, dtype=complex)
         F = rhs[:, None] if rhs.ndim == 1 else rhs
@@ -196,7 +192,7 @@ class PHDAESystem(_ShiftedSolves):
     def __post_init__(self):
         for name in ("E", "J", "R", "B", "P", "S", "N"):
             arr = _frozen(getattr(self, name), sparse_ok=name in ("E", "J", "R"))
-            if not np.all(np.isfinite(_values(arr))):
+            if not np.all(np.isfinite(arr.data if sp.issparse(arr) else arr)):
                 raise LinAlgContractError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, arr)
         n = self.E.shape[0]
@@ -265,10 +261,6 @@ class GenericLTISystem(_ShiftedSolves):
         return self.B.shape[1]
 
     @property
-    def p(self):
-        return self.C.shape[0]
-
-    @property
     def generic(self):
         return self
 
@@ -303,11 +295,11 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_structure(sys, tol=TOL_PSD):
+def validate_structure(sys):
     """Check the four defining structural conditions of a system.
 
     Returns a :class:`ValidationReport` listing, per condition, whether it
-    holds at tolerance `tol` and the measured violation:
+    holds at tolerance ``TOL_PSD`` and the measured violation:
 
     - ``E_symmetric`` : ||E - E^T||_F relative to ||E||_F
     - ``E_psd``       : negative part of the smallest eigenvalue of sym(E)
@@ -335,13 +327,13 @@ def validate_structure(sys, tol=TOL_PSD):
     ) / (spla.norm(sys.S + sys.N, "fro") or 1.0)
 
     checks = (
-        ConditionCheck("E_symmetric", e_sym_viol <= tol, e_sym_viol),
-        ConditionCheck("E_psd", min_eig_E >= -tol * scaleE, max(0.0, -min_eig_E),
+        ConditionCheck("E_symmetric", e_sym_viol <= TOL_PSD, e_sym_viol),
+        ConditionCheck("E_psd", min_eig_E >= -TOL_PSD * scaleE, max(0.0, -min_eig_E),
                        f"min eig {min_eig_E:.3e}"),
-        ConditionCheck("J_skew", j_skew_viol <= tol, j_skew_viol),
-        ConditionCheck("W_psd", min_eig_W >= -tol * scaleW, max(0.0, -min_eig_W),
+        ConditionCheck("J_skew", j_skew_viol <= TOL_PSD, j_skew_viol),
+        ConditionCheck("W_psd", min_eig_W >= -TOL_PSD * scaleW, max(0.0, -min_eig_W),
                        f"min eig {min_eig_W:.3e}"),
-        ConditionCheck("SN_split", sn_viol <= tol, sn_viol),
+        ConditionCheck("SN_split", sn_viol <= TOL_PSD, sn_viol),
     )
     return ValidationReport(checks=checks)
 
@@ -390,28 +382,43 @@ def _norm2_lower(M):
 
 def _check_spd(M, what):
     """Positive definiteness of sym(M): its smallest eigenvalue must exceed
-    tau = TOL_PSD * ||M||_F (an upper bound on ||M||_2).  Decided by one
-    Cholesky factorization of sym(M) - tau I, which exists exactly when it
-    does; the eigenvalue is computed only for the error message.  A sparse
-    M is densified."""
+    tau = TOL_PSD * ||M||_F (an upper bound on ||M||_2), that is,
+    sym(M) - tau I must be positive definite.  A dense M is decided by one
+    Cholesky factorization (``dpotrf``) of that matrix, a sparse one by
+    :func:`_sparse_positive_definite`; both decisions are exact.  The
+    eigenvalue is computed only for the error message."""
     if 0 in M.shape:
         raise PartitionError(f"{what} is empty")
-    Md = _dense(M)
     tau = TOL_PSD * (_fro(M) or 1.0)
-    shifted = 0.5 * (Md + Md.T)
-    shifted[np.diag_indices_from(shifted)] -= tau
-    _, info = lapack.dpotrf(shifted, overwrite_a=True)
-    if info != 0:
-        lam = _min_eig_sym(Md)
+    if sp.issparse(M):
+        definite = _sparse_positive_definite(0.5 * (M + M.T) - tau * sp.identity(M.shape[0]))
+    else:
+        shifted = 0.5 * (M + M.T)
+        shifted[np.diag_indices_from(shifted)] -= tau
+        definite = lapack.dpotrf(shifted, overwrite_a=True)[1] == 0
+    if not definite:
+        lam = _min_eig_sym(_dense(M))
         raise PartitionError(f"{what} is not positive definite (min eig {lam:.3e})")
 
 
-def _check_nonsingular(M, what):
-    if 0 in M.shape:
-        return
-    cond = np.linalg.cond(_dense(M))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise PartitionError(f"{what} is singular to working precision (cond {cond:.3e})")
+def _sparse_positive_definite(S):
+    """Whether the sparse symmetric S is positive definite, by a SuperLU
+    factorization in symmetric mode with no pivoting: with equal row and
+    column permutations it is an L D L^T, and S > 0 exactly when D > 0."""
+    try:
+        lu = spsla.splu(sp.csc_array(S), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True})
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        return False
+    return np.array_equal(lu.perm_r, lu.perm_c) and bool(np.all(lu.U.diagonal() > 0.0))
+
+
+def _check_nonsingular(factor, what):
+    """The ``dgecon`` estimate of an :class:`~phmor.linalg.LUFactor` must
+    not exceed COND_LIMIT."""
+    if not factor.cond <= COND_LIMIT:
+        raise PartitionError(
+            f"{what} is singular to working precision (cond {factor.cond:.3e})")
 
 
 def _check_zero(M, what, scale):
@@ -430,14 +437,6 @@ def _triangular_solve(R, F, trans=0):
     return lapack.ztrtrs(R, F.reshape(n, K * m), trans=trans)[0].reshape(n, K, m)
 
 
-def _complex_qr(M):
-    """Full QR of a real block with full column rank: Q and the square top
-    of R, both stored complex (R in Fortran order for ``ztrtrs``), so that
-    the per-shift products need no conversion."""
-    Q, R = spla.qr(M)
-    return Q.astype(complex), np.asfortranarray(R[:M.shape[1]], dtype=complex)
-
-
 # The elimination solvers below take a 1-D array of K shifts s and a
 # right-hand side F of shape (n, 1, m), one F shared by every shift, and
 # return X of shape (n, K, m).  Quantities that do not depend on the shift
@@ -447,24 +446,21 @@ def _complex_qr(M):
 
 
 class _Index1Elimination:
-    """(s E - A)^{-1} of a dense index-1 model with E = diag(E11, 0).  One
-    QR of A22 solves the algebraic rows: x2 = -A22^{-1} (F2 + A21 x1), and
-    x1 solves the ODE (s E11 - A11 + A12 A22^{-1} A21) x1 = F1 - A12 A22^{-1} F2."""
+    """(s E - A)^{-1} of a dense index-1 model with E = diag(E11, 0).  The
+    partition's LU factor of A22 solves the algebraic rows:
+    x2 = -A22^{-1} (F2 + A21 x1), and x1 solves the ODE
+    (s E11 - A11 + A12 A22^{-1} A21) x1 = F1 - A12 A22^{-1} F2."""
 
-    def __init__(self, E11, A):
+    def __init__(self, E11, A, A22_lu):
         n1 = self._n1 = E11.shape[0]
-        Q, self._R = _complex_qr(A[n1:, n1:])
-        self._Qt = Q.T
-        G = self._solve_A22(A[n1:, :n1][:, None]).real[:, 0]  # A22^{-1} A21
+        self._A22_lu = A22_lu
+        G = A22_lu.solve(A[n1:, :n1])  # A22^{-1} A21
         self._A12, self._G = A[:n1, n1:].astype(complex), G.astype(complex)
         self._ode = SchurPencil(E11, A[:n1, :n1] - A[:n1, n1:] @ G)
 
-    def _solve_A22(self, F):
-        return _triangular_solve(self._R, _stack_mul(self._Qt, F))
-
     def solve(self, s, F, cond_limit):
         n1 = self._n1
-        w = self._solve_A22(F[n1:])
+        w = self._A22_lu.solve(F[n1:])
         x1 = self._ode.solve(s, F[:n1] - _stack_mul(self._A12, w), cond_limit)
         return np.concatenate([x1, -(w + _stack_mul(self._G, x1))])
 
@@ -479,8 +475,9 @@ class _Index2Elimination:
 
     def __init__(self, J12, E11, A11):
         self._n1, n2 = J12.shape
-        Q, self._R1 = _complex_qr(J12)
-        self._Q1, Phi = Q[:, :n2], Q[:, n2:].real
+        Q, R = spla.qr(J12)  # stored complex, R in Fortran order for ztrtrs
+        self._R1 = np.asfortranarray(R[:n2], dtype=complex)
+        self._Q1, Phi = Q[:, :n2].astype(complex), Q[:, n2:]
         self._Q1t = self._Q1.T
         self._E11, self._A11 = E11.astype(complex), A11.astype(complex)
         self._ode = SchurPencil(Phi.T @ E11 @ Phi, Phi.T @ A11 @ Phi, basis=Phi)
@@ -576,22 +573,19 @@ class Index1Partition(_SemiExplicit):
     n2: int
 
     def _check_blocks(self):
-        _check_nonsingular(self.A22, "J22 - R22")
+        _check_nonsingular(self.A22_lu, "J22 - R22")
 
     def _elimination(self):
-        return _Index1Elimination(self.E11, self.generic.A)
-
-    @property
-    def J22(self):
-        return self.parent.J[self.n1:, self.n1:]
-
-    @property
-    def R22(self):
-        return self.parent.R[self.n1:, self.n1:]
+        return _Index1Elimination(self.E11, self.generic.A, self.A22_lu)
 
     @property
     def A22(self):
-        return self.J22 - self.R22
+        return self.parent.J[self.n1:, self.n1:] - self.parent.R[self.n1:, self.n1:]
+
+    @functools.cached_property
+    def A22_lu(self):
+        """The partition's one :class:`~phmor.linalg.LUFactor` of A22."""
+        return LUFactor(_dense(self.A22))
 
     @functools.cached_property
     def polynomial_part(self):
@@ -620,7 +614,7 @@ class Index2Partition(_SemiExplicit):
         _check_zero(sys.R[n1:, :n1], "R21", scaleR)
         _check_zero(sys.R[n1:, n1:], "R22", scaleR)
         if n2 > 0:
-            _check_nonsingular(self.coupling, "J12^T E11^{-1} J12 (coupling)")
+            _check_nonsingular(self.coupling_lu, "J12^T E11^{-1} J12 (coupling)")
 
     @property
     def A11(self):
@@ -639,14 +633,29 @@ class Index2Partition(_SemiExplicit):
 
     @functools.cached_property
     def coupling(self):
-        """J12^T E11^{-1} J12 (nonsingular for a valid index-2 form)."""
+        """M = J12^T E11^{-1} J12 (nonsingular for a valid index-2 form)."""
         return self.J12.T @ self.Einv_J12
+
+    @functools.cached_property
+    def coupling_lu(self):
+        """The partition's one :class:`~phmor.linalg.LUFactor` of M."""
+        return LUFactor(self.coupling)
+
+    @functools.cached_property
+    def input_lift(self):
+        """G = E11^{-1} J12 M^{-1} (B2 - P2), the constraint lift of the input."""
+        return self.Einv_J12 @ self.coupling_lu.solve(self.B2 - self.P2)
+
+    @functools.cached_property
+    def output_lift(self):
+        """H = E11^{-1} J12 M^{-T} (B2 + P2), the constraint lift of the output."""
+        return self.Einv_J12 @ self.coupling_lu.solve(self.B2 + self.P2, trans=1)
 
     @functools.cached_property
     def polynomial_part(self):
         """The polynomial part, :func:`phmor.transfer.polynomial_part_index2`
         with its large-frequency check, computed once per partition."""
-        return polynomial_part_index2(self, check=True)
+        return polynomial_part_index2(self)
 
 
 @dataclass(frozen=True)
@@ -658,9 +667,10 @@ class MixedPartition(_View):
     A22 = J22 - R22, which may be singular), and x3 holds the
     multipliers.  B3 = P3 = 0 is required.
 
-    It solves as the index-2 view of the split (nd, n3), nd = n1 + n2: its
-    constraint block J[:nd, nd:] = [J13; 0] has full column rank, and the
-    null space of its transpose is exactly the x2 block."""
+    ``split`` is its index-2 view with blocks (n1 + n2, n3), whose
+    constraint block [J13; 0] has full column rank and whose null space is
+    the x2 block.  The split makes the checks of E, R and J33 and solves;
+    the mixed view adds n3 = n1, J23 = J32 = 0, B3 = P3 = 0 and J31."""
 
     index_kind = "mixed"  # the container manifest's ``index`` entry
 
@@ -668,6 +678,7 @@ class MixedPartition(_View):
     n1: int
     n2: int
     n3: int
+    split: Index2Partition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n1, n2, n3 = self.n1, self.n2, self.n3
@@ -679,51 +690,23 @@ class MixedPartition(_View):
                 f"index-2 constraint block must be square: n3={n3} != n1={n1}"
             )
         nd = n1 + n2
-        scaleE = _norm2_lower(sys.E)
+        object.__setattr__(self, "split", Index2Partition(parent=sys, n1=nd, n2=n3))
         scaleJ = _norm2_lower(sys.J)
-        scaleR = _norm2_lower(sys.R)
-        _check_zero(sys.E[:nd, nd:], "E(:,3)", scaleE)
-        _check_zero(sys.E[nd:, :], "E(3,:)", scaleE)
         _check_zero(sys.J[n1:nd, nd:], "J23", scaleJ)
         _check_zero(sys.J[nd:, n1:nd], "J32", scaleJ)
-        _check_zero(sys.J[nd:, nd:], "J33", scaleJ)
-        _check_zero(sys.R[:, nd:], "R(:,3)", scaleR)
-        _check_zero(sys.R[nd:, :], "R(3,:)", scaleR)
         _check_zero(sys.B[nd:], "B3", _norm2_lower(sys.B))
         _check_zero(sys.P[nd:], "P3", _norm2_lower(sys.P))
-        _check_spd(self.E_dyn, "leading 2x2 block of E")
-        if n3 > 0:
-            _check_nonsingular(self.J31, "J31")
-
-    @property
-    def E_dyn(self):
-        nd = self.n1 + self.n2
-        return self.parent.E[:nd, :nd]
+        _check_nonsingular(LUFactor(_dense(self.J31)), "J31")
 
     @property
     def J31(self):
         nd = self.n1 + self.n2
         return self.parent.J[nd:, : self.n1]
 
-    def _elimination(self):
-        nd = self.n1 + self.n2
-        return _Index2Elimination(self.parent.J[:nd, nd:], self.E_dyn, self.generic.A[:nd, :nd])
-
     @property
-    def B1(self):
-        return self.parent.B[: self.n1]
-
-    @property
-    def B2(self):
-        return self.parent.B[self.n1: self.n1 + self.n2]
-
-    @property
-    def P1(self):
-        return self.parent.P[: self.n1]
-
-    @property
-    def P2(self):
-        return self.parent.P[self.n1: self.n1 + self.n2]
+    def shifted_solver(self):
+        """The split's solver of s E - A."""
+        return self.split.shifted_solver
 
     @functools.cached_property
     def polynomial_part(self):

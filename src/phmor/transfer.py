@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.integrate
 import scipy.linalg as spla
-import scipy.sparse as sp
 
 from .linalg import (
     LinAlgContractError,
@@ -52,6 +51,8 @@ log = logging.getLogger(__name__)
 #: into equal parts of at most this many points, which bounds the (n, K)
 #: temporaries of one call to a few MB at n ~ 100.
 _BATCH = 200
+#: Absolute slack, relative to ||H(i)||, of :func:`h2_error`'s divergence probes.
+_H2_PROBE_TOL = 1e-8
 
 
 class DivergentNormError(ValueError):
@@ -166,45 +167,41 @@ def polynomial_part_index1(part):
     """Constant polynomial part of a semi-explicit index-1 system.
 
     P0 = D - (B2+P2)^T (J22-R22)^{-1} (B2-P2), the limit of H(s) as
-    |s| -> infinity; the linear term vanishes for index-1 systems.
+    |s| -> infinity, solved with the partition's LU factor of A22; the
+    linear term vanishes for index-1 systems.
     """
     D = part.parent.S + part.parent.N
     if part.n2 == 0 or part.b2_zero:
         return PolynomialPart.constant(D)
-    A22 = part.A22.toarray() if sp.issparse(part.A22) else part.A22
-    X = spla.solve(A22, part.B2 - part.P2)
-    P0 = D - (part.B2 + part.P2).T @ X
+    P0 = D - (part.B2 + part.P2).T @ part.A22_lu.solve(part.B2 - part.P2)
     return PolynomialPart.constant(P0)
 
 
-def polynomial_part_index2(part, check=True):
+def polynomial_part_index2(part):
     """Polynomial part P0 + s P1 of a semi-explicit index-2 system.
 
-    With M = J12^T E11^{-1} J12 (the coupling matrix), Z = M^{-1},
-    Bi = B_i - P_i and Ci = (B_i + P_i)^T::
+    With M = J12^T E11^{-1} J12 (the coupling matrix), Bi = B_i - P_i,
+    Ci = (B_i + P_i)^T and the partition's constraint lifts
+    G = E11^{-1} J12 M^{-1} B2 and H = E11^{-1} J12 M^{-T} C2^T::
 
-        P1 = C2 Z B2
-        P0 = D + C1 G - C2 Z J12^T E11^{-1} (A11 G + B1),   G = E11^{-1} J12 Z B2
+        P1 = C2 M^{-1} B2
+        P0 = D + C1 G - H^T (A11 G + B1)
 
     These coefficients are obtained from the constraint elimination
-    x2 = Z B2 u' - Z J12^T E11^{-1} (A11 x1 + B1 u); the sign of the
-    linear term is fixed against the large-frequency limit of the
-    transfer function (``check=True``) rather than taken on faith.
+    x2 = M^{-1} B2 u' - M^{-1} J12^T E11^{-1} (A11 x1 + B1 u); the sign of
+    the linear term is checked against the large-frequency limit of the
+    transfer function rather than taken on faith.
     """
     D = part.parent.S + part.parent.N
     if part.n2 == 0 or part.b2_zero:
         return PolynomialPart.constant(D)
     Bi1, Bi2 = part.B1 - part.P1, part.B2 - part.P2
     Ci1, Ci2 = (part.B1 + part.P1).T, (part.B2 + part.P2).T
-    Einv_J12, M = part.Einv_J12, part.coupling
-    ZB2 = spla.solve(M, Bi2)
-    G = Einv_J12 @ ZB2
-    P1 = Ci2 @ ZB2
-    rhs = part.A11 @ G + Bi1
-    P0 = D + Ci1 @ G - Ci2 @ spla.solve(M, Einv_J12.T @ rhs)
+    G, H = part.input_lift, part.output_lift
+    P1 = Ci2 @ part.coupling_lu.solve(Bi2)
+    P0 = D + Ci1 @ G - H.T @ (part.A11 @ G + Bi1)
     poly = PolynomialPart(P0=P0, P1=P1)
-    if check:
-        _check_poly_against_limit(part, poly)
+    _check_poly_against_limit(part, poly)
     return poly
 
 
@@ -265,7 +262,7 @@ class PoleResidueForm:
         return H
 
 
-def pole_residue(model, defective_cond_limit=1e8):
+def pole_residue(model):
     """Pole-residue decomposition of a reduced model.
 
     The fast path assumes the reduced energy matrix is positive definite
@@ -279,7 +276,7 @@ def pole_residue(model, defective_cond_limit=1e8):
     D = gen.D
     lam_min = spla.eigh(0.5 * (E + E.T), eigvals_only=True, subset_by_index=[0, 0])[0]
     if lam_min > 0 and spla.norm(E - E.T, "fro") <= 1e-10 * spla.norm(E, "fro"):
-        eig = gen_eig(A, E, defective_cond_limit=defective_cond_limit)
+        eig = gen_eig(A, E)
         lam, VR, W = eig.eigenvalues, eig.right, eig.left
     else:
         lam, VL, VR = spla.eig(A, E, left=True, right=True)
@@ -340,37 +337,39 @@ def _check_divergence(errs, mags, grid):
         )
 
 
-def hinf_error(full, reduced, grid=None, check_divergence=True, full_response=None):
+def hinf_error(full, reduced, grid=None, full_response=None):
     """(absolute, relative) grid estimate of the H-infinity error.
 
     The supremum of the spectral norm of H(i w) - Hr(i w) is approximated
     by its maximum over the grid, and normalized by the grid maximum of
-    ||H(i w)||_2 for the relative value.  ``full_response``, the full
-    model's :func:`frequency_response` on the same grid, lets callers
-    comparing several reduced models against one full model evaluate the
-    full model once.
+    ||H(i w)||_2 for the relative value; monotone error growth at the
+    grid's high end raises :class:`PolynomialMismatchError`.
+    ``full_response``, the full model's :func:`frequency_response` on the
+    same grid, lets callers comparing several reduced models against one
+    full model evaluate the full model once.
     """
     if grid is None:
         grid = FrequencyGrid.log_spaced()
     if full_response is None:
         full_response = frequency_response(full, grid)
     errs, mags = _grid_errors(full_response, reduced, grid)
-    if check_divergence:
-        _check_divergence(errs, mags, grid)
+    _check_divergence(errs, mags, grid)
     absolute = float(errs.max())
     denom = float(mags.max())
     relative = absolute / denom if denom > 0 else np.inf
     return absolute, relative
 
 
-def h2_error(full, reduced, lo=0.0, hi=np.inf, limit=200, poly_tol=1e-8):
+def h2_error(full, reduced):
     """H2 distance via adaptive frequency quadrature.
 
     sqrt( (1/pi) * int_0^inf ||H(i w) - Hr(i w)||_F^2 dw ), using the
     conjugate symmetry of real-matrix systems to halve the integration
-    range.  Before integrating, the difference is probed at both ends of
-    the range with one rule: growth by more than tenfold over two decades
-    means the integral diverges, and :class:`DivergentNormError` is raised.
+    range; ``scipy.integrate.quad`` subdivides it at most 200 times.
+    Before integrating, the difference is probed at both ends of
+    the range with one rule: growth by more than tenfold (plus
+    ``_H2_PROBE_TOL`` times the scale ||H(i)||) over two decades means the
+    integral diverges, and :class:`DivergentNormError` is raised.
     From w = 1e-6 to 1e-8 such growth means ||H - Hr||_F^2 >~ 1/w, which is
     not integrable at the origin; a pencil singular to working precision at
     these probes (a pole at the origin) counts the same.  From w = 1e6 to
@@ -389,19 +388,19 @@ def h2_error(full, reduced, lo=0.0, hi=np.inf, limit=200, poly_tol=1e-8):
         raise DivergentNormError(
             f"pencil singular at a low-frequency probe ({exc}); H2 error diverges"
         ) from exc
-    if low[1] > 10.0 * low[0] + poly_tol * scale:
+    if low[1] > 10.0 * low[0] + _H2_PROBE_TOL * scale:
         raise DivergentNormError(
             "transfer-function difference grows toward omega = 0 "
             f"({low[0]:.3e} at 1e-6, {low[1]:.3e} at 1e-8); H2 error diverges"
         )
     high = [gap(w) for w in (1e6, 1e8)]
-    if high[1] > 10.0 * high[0] + poly_tol * scale or high[1] > 1e-2 * scale:
+    if high[1] > 10.0 * high[0] + _H2_PROBE_TOL * scale or high[1] > 1e-2 * scale:
         raise PolynomialMismatchError(
             "transfer-function difference does not vanish at large frequency "
             f"({high[0]:.3e} at 1e6, {high[1]:.3e} at 1e8); H2 error diverges"
         )
 
-    val, _ = scipy.integrate.quad(lambda w: gap(w) ** 2, lo, hi, limit=limit)
+    val, _ = scipy.integrate.quad(lambda w: gap(w) ** 2, 0.0, np.inf, limit=200)
     return float(np.sqrt(val / np.pi))
 
 

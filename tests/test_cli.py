@@ -61,6 +61,16 @@ class TestGenerateValidate:
         assert code == 1
         assert "skew" in captured.out.lower()
 
+    def test_validate_says_when_it_skips_the_diagnosis(self, tmp_path, capsys):
+        model = tmp_path / "chain"
+        _run(["generate", "--benchmark", "chain", "--k", 200, "--out", model], capsys)
+        code, captured = _run(["validate", model], capsys)
+        assert code == 0
+        lines = captured.out.splitlines()
+        assert lines[-1] == "diagnosis skipped: n = 401 > 400"
+        assert "pencil regular" not in captured.out
+        assert all(line.split()[1] == "pass" for line in lines[:-1])
+
     def test_missing_path_exits_2(self, tmp_path, capsys):
         code, captured = _run(["validate", tmp_path / "nope"], capsys)
         assert code == 2

@@ -265,6 +265,99 @@ class TestInterpolationProperty:
             reduce_index2(part, _data([1.0], [[1.0]]))
 
 
+def _random_index2_with_constraint_inputs(seed, n1=10, n2=3, m=2):
+    """A random index-2 pH model whose constraint rows carry inputs (B2 != 0,
+    P = 0, S = I), partitioned after n1."""
+    from phmor import PHDAESystem
+
+    rng = np.random.default_rng(seed)
+    n = n1 + n2
+    E, J, R = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    X, K, Y = (rng.standard_normal((n1, n1)) for _ in range(3))
+    E[:n1, :n1] = X @ X.T + n1 * np.eye(n1)
+    J[:n1, :n1] = K - K.T
+    J12 = rng.standard_normal((n1, n2))
+    J[:n1, n1:], J[n1:, :n1] = J12, -J12.T
+    R[:n1, :n1] = Y @ Y.T / n1 + 0.1 * np.eye(n1)
+    sys = PHDAESystem(E=E, J=J, R=R, B=rng.standard_normal((n, m)), P=np.zeros((n, m)),
+                      S=np.eye(m), N=np.zeros((m, m)))
+    return partition_index2(sys, n1)
+
+
+class TestMIMOConstraintInputs:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_augmented_reduction(self, seed):
+        part = _random_index2_with_constraint_inputs(seed)
+        assert part.n2 == 3 and part.parent.m == 2 and not part.b2_zero
+        b = np.array([0.3 + 1j, -0.7 + 0.2j])
+        data = _data([0.5, 1 + 2j, 1 - 2j, 3.0],
+                     [[1.0, 1.0], b, b.conj(), [1.0, -1.0]])
+        assert np.max(np.abs(part.J12.T @ build_V_saddle(part, data).V)) <= 1e-12
+        model = reduce_index2_augmented(part, data)
+        assert model.augmented_input and model.ph_valid and model.order == 4
+        assert tangential_residuals(part, model, data).max() <= 1e-8
+
+        # closed form with explicit inverses: P1 = C2 M^-1 B2 and
+        # P0 = D + C1 G - C2 M^-1 J12^T E11^-1 (A11 G + B1), G = E11^-1 J12 M^-1 B2
+        E11inv = np.linalg.inv(part.E11)
+        Minv = np.linalg.inv(part.J12.T @ E11inv @ part.J12)
+        B1, B2 = part.B1 - part.P1, part.B2 - part.P2
+        C1, C2 = (part.B1 + part.P1).T, (part.B2 + part.P2).T
+        G = E11inv @ part.J12 @ Minv @ B2
+        P1 = C2 @ Minv @ B2
+        P0 = (part.parent.S + part.parent.N + C1 @ G
+              - C2 @ Minv @ part.J12.T @ E11inv @ (part.A11 @ G + B1))
+        for got in (part.polynomial_part, model.polynomial):
+            assert np.allclose(got.P0, P0, rtol=0, atol=1e-12 * (1 + np.abs(P0).max()))
+            assert np.allclose(got.P1, P1, rtol=0, atol=1e-12 * (1 + np.abs(P1).max()))
+
+
+class TestConstraintFactorsOnce:
+    """The constraint blocks, M = J12^T E11^{-1} J12 and A22 = J22 - R22,
+    are factored when the partition is checked, and every later solve with
+    them goes through that factor."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        from phmor import linalg
+
+        calls = []
+
+        def recording(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for mod, name in ((np.linalg, "solve"), (np.linalg, "inv"), (spla, "solve"),
+                          (spla, "inv"), (spla, "lu_factor"), (spla, "lstsq")):
+            monkeypatch.setattr(mod, name, recording(name, getattr(mod, name)))
+        monkeypatch.setattr(linalg.LUFactor, "__init__",
+                            recording("LUFactor", linalg.LUFactor.__init__))
+        return calls
+
+    def test_irka_on_chain_b2(self, solves):
+        from phmor import IRKAConfig, irka_reduce
+
+        parent = mass_spring_chain_b2(MassSpringSpec(k=10), amplitude=0.7).parent
+        solves.clear()
+        part = partition_index2(parent, parent.n - 1)
+        assert solves == ["solve", "LUFactor"]  # E11^{-1} J12, then M: once each
+        solves.clear()
+        result = irka_reduce(part, IRKAConfig(r=4), method="index2-augmented")
+        assert result.model.order == 4 and not part.b2_zero
+        assert solves == []
+
+    @pytest.mark.parametrize("reducer", [reduce_index1_shifted, reduce_index1_blockdiag])
+    def test_index1_reduction(self, solves, reducer):
+        part = random_ph_index1(12, 4, 2, seed=3)
+        assert solves == ["LUFactor"]  # A22, once, by the partition check
+        solves.clear()
+        data = _data([0.5, 2.0], np.ones((2, 2)))
+        reducer(part, data)
+        assert solves == []
+
+
 class TestStructurePreservation:
     @pytest.mark.parametrize("seed", range(3))
     def test_blockdiag_always_ph(self, seed):

@@ -12,6 +12,7 @@ from phmor import (
     symmetric_skew_split,
     validate_structure,
 )
+from phmor.benchmarks import OseenSpec
 from phmor.linalg import LinAlgContractError
 
 from oracles import constraint_projectors, projector_oracle_index2
@@ -154,6 +155,83 @@ def test_check_spd_threshold_is_tol_times_frobenius_norm(factor, sparse):
     else:
         with pytest.raises(PartitionError, match=rf"M is not positive definite \(min eig {lam:.3e}\)"):
             _check_spd(M_in, "M")
+
+
+def _spd_fixtures():
+    """(name, sparse matrix) parameters: definite, indefinite, and with a
+    smallest eigenvalue of sym(M) just below tau = TOL_PSD * ||M||_F."""
+    import scipy.sparse as sp
+
+    from phmor.benchmarks import MassSpringSpec, mass_spring_chain_sparse, oseen_grid_sparse
+    from phmor.systems import TOL_PSD
+
+    rng = np.random.default_rng(3)
+    chain = mass_spring_chain_sparse(MassSpringSpec(k=30))
+    n1 = chain["n1"]
+    E11 = sp.csr_array(chain["E"])[:n1, :n1]
+    oseen = oseen_grid_sparse(OseenSpec(n_grid=4))
+    K = sp.random(40, 40, density=0.1, random_state=rng, format="csr")
+    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(50, 50), format="csr")
+    lam_min = np.linalg.eigvalsh(lap.toarray())[0]
+    below = lap - (lam_min - 0.5 * TOL_PSD * sp.linalg.norm(lap)) * sp.identity(50)
+    fixtures = {
+        "chain-E11": E11,
+        "oseen-E11": sp.csr_array(oseen["E"])[:oseen["n1"], :oseen["n1"]],
+        "laplacian": lap,
+        "random-spd-plus-skew": K @ K.T + sp.identity(40) + (K - K.T),
+        "indefinite": lap - 1.0 * sp.identity(50),
+        "negative-pivot-first": sp.csr_array(np.diag([-1.0, 2.0, 3.0])),
+        "zero-diagonal": sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]])),
+        "singular": sp.csr_array(np.diag([1.0, 0.0, 2.0])),
+        "below-tau": below,
+        "chain-E11-shifted-below-tau": E11 - (np.linalg.eigvalsh(E11.toarray())[0]
+                                              - 0.5 * TOL_PSD * sp.linalg.norm(E11))
+        * sp.identity(n1),
+    }
+    return [pytest.param(name, M, id=name) for name, M in fixtures.items()]
+
+
+@pytest.mark.parametrize("name,M", _spd_fixtures())
+def test_sparse_check_spd_decides_like_dense(name, M):
+    import scipy.sparse as sp
+
+    from phmor.systems import _check_spd
+
+    outcomes = []
+    for variant in (M.toarray(), sp.csr_array(M)):
+        try:
+            _check_spd(variant, "M")
+            outcomes.append(None)
+        except PartitionError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    definite = np.linalg.eigvalsh(0.5 * (M + M.T).toarray())[0] > 0
+    assert (outcomes[0] is None) == (definite and "below-tau" not in name)
+
+
+def test_sparse_definiteness_needs_symmetric_pivots():
+    # SuperLU takes the pivots of [[0, 1], [1, 0]] off the diagonal, both
+    # positive: not an L D L^T, and the matrix is indefinite
+    import scipy.sparse as sp
+
+    from phmor.systems import _sparse_positive_definite
+
+    assert not _sparse_positive_definite(sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    assert _sparse_positive_definite(sp.csr_array(np.array([[2.0, 1.0], [1.0, 2.0]])))
+
+
+@pytest.mark.parametrize("k", [3, 6, 20])
+def test_mixed_view_is_its_index2_split(k):
+    from phmor.benchmarks import MassSpringSpec, mixed_chain
+    from phmor.transfer import FrequencyGrid, frequency_response
+
+    part = mixed_chain(MassSpringSpec(k=k))
+    split = partition_index2(part.parent, part.n1 + part.n2)
+    grid = FrequencyGrid.log_spaced()
+    assert np.array_equal(frequency_response(part, grid), frequency_response(split, grid))
+    for name in ("P0", "P1"):
+        assert np.array_equal(getattr(part.polynomial_part, name),
+                              getattr(split.polynomial_part, name))
 
 
 def test_partition_mixed_requires_square_constraint():
