@@ -18,14 +18,17 @@
   couples to a single state, giving the combined index-1/index-2 block
   form.
 
-Each dense generator has a ``*_sparse`` counterpart assembling
-scipy.sparse matrices directly, for orders where dense storage is not
-an option.
+The chain and the Oseen flow are assembled once, by
+``mass_spring_chain_sparse`` and ``oseen_grid_sparse``, as a
+:class:`PHDAESystem` with CSR E, J and R for orders where dense storage
+is not an option; ``mass_spring_chain`` and ``oseen_grid`` are the
+index-2 partitions of its dense copy.  The physical parameters are the
+module constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 import scipy.linalg as spla
@@ -46,97 +49,88 @@ __all__ = [
     "mixed_chain",
 ]
 
+# chain: masses, spring and damper constants, and the mass the input forces
+CHAIN_MASS = 4.0
+CHAIN_SPRING = 4.0
+CHAIN_DAMPER = 1.0
+CHAIN_GROUND_SPRING = 4.0
+CHAIN_GROUND_DAMPER = 1.0
+CHAIN_INPUT_NODE = 0
+# Oseen flow: viscosity and the constant wind (a1, a2)
+OSEEN_VISCOSITY = 0.1
+OSEEN_WIND = (1.0, 0.0)
+# mixed chain: strength of the skew interconnection of the pinned mass
+MIXED_COUPLING = 0.5
 
-@dataclass(frozen=True)
+
+@dataclasses.dataclass(frozen=True)
 class MassSpringSpec:
-    """Chain of k masses with nearest-neighbor and ground springs/dampers.
+    """Chain of k masses with nearest-neighbor and ground springs/dampers
+    (the ``CHAIN_*`` constants).
 
-    The input is a force on ``input_node``; the collocated output is
-    that mass's velocity.  The first and last masses are linked by a
-    rigid (velocity) constraint enforced through one Lagrange
+    The input is a force on mass ``CHAIN_INPUT_NODE``; the collocated
+    output is that mass's velocity.  The first and last masses are linked
+    by a rigid (velocity) constraint enforced through one Lagrange
     multiplier.
     """
 
     k: int
-    mass: float = 4.0
-    spring: float = 4.0
-    damper: float = 1.0
-    ground_spring: float = 4.0
-    ground_damper: float = 1.0
-    input_node: int = 0
 
     def __post_init__(self):
         if self.k < 2:
             raise LinAlgContractError("chain needs at least two masses")
-        if not 0 <= self.input_node < self.k:
-            raise LinAlgContractError("input node out of range")
-        if min(self.mass, self.spring, self.ground_spring) <= 0:
-            raise LinAlgContractError("masses and springs must be positive")
-        if min(self.damper, self.ground_damper) < 0:
-            raise LinAlgContractError("dampers must be nonnegative")
 
     @property
     def n(self):
         return 2 * self.k + 1
 
+    @property
+    def n1(self):
+        """Dynamic block size: the velocities and positions."""
+        return 2 * self.k
 
-def _chain_graph_matrices(spec, xp):
-    """Stiffness and damping matrices of the chain (dense or sparse)."""
+
+def _chain_graph_matrices(spec):
+    """Sparse stiffness and damping matrices of the chain."""
     k = spec.k
-    main_s = np.full(k, spec.ground_spring)
-    main_s[:-1] += spec.spring
-    main_s[1:] += spec.spring
-    off_s = np.full(k - 1, -spec.spring)
-    main_c = np.full(k, spec.ground_damper)
-    main_c[:-1] += spec.damper
-    main_c[1:] += spec.damper
-    off_c = np.full(k - 1, -spec.damper)
-    if xp == "sparse":
-        Kmat = sp.diags([off_s, main_s, off_s], [-1, 0, 1], format="csr")
-        Cmat = sp.diags([off_c, main_c, off_c], [-1, 0, 1], format="csr")
-    else:
-        Kmat = np.diag(main_s) + np.diag(off_s, 1) + np.diag(off_s, -1)
-        Cmat = np.diag(main_c) + np.diag(off_c, 1) + np.diag(off_c, -1)
+    main_s = np.full(k, CHAIN_GROUND_SPRING)
+    main_s[:-1] += CHAIN_SPRING
+    main_s[1:] += CHAIN_SPRING
+    off_s = np.full(k - 1, -CHAIN_SPRING)
+    main_c = np.full(k, CHAIN_GROUND_DAMPER)
+    main_c[:-1] += CHAIN_DAMPER
+    main_c[1:] += CHAIN_DAMPER
+    off_c = np.full(k - 1, -CHAIN_DAMPER)
+    Kmat = sp.diags([off_s, main_s, off_s], [-1, 0, 1], format="csr")
+    Cmat = sp.diags([off_c, main_c, off_c], [-1, 0, 1], format="csr")
     return Kmat, Cmat
 
 
+def _dense_index2(sys, n1, **changes):
+    """The index-2 partition, with dynamic block size n1, of the dense copy
+    of the sparse system ``sys`` with the matrices in ``changes`` replaced."""
+    dense = dataclasses.replace(sys, E=sys.E.toarray(), J=sys.J.toarray(),
+                                R=sys.R.toarray(), **changes)
+    return partition_index2(dense, n1)
+
+
 def mass_spring_chain(spec):
-    """Constrained mass-spring chain as an index-2 partition.
+    """Constrained mass-spring chain as an index-2 partition of the dense
+    copy of :func:`mass_spring_chain_sparse`."""
+    return _dense_index2(mass_spring_chain_sparse(spec), spec.n1)
+
+
+def mass_spring_chain_sparse(spec):
+    """The constrained chain as a :class:`PHDAESystem` with CSR E, J, R.
 
     State (v, p, lam): velocities, positions, multiplier.  In energy
     coordinates E11 = diag(M, K), the dynamics carry
     J11 = [[0, -K], [K, 0]], R11 = diag(C, 0); the rigid-bar constraint
     G v = 0 with G = e_1^T - e_k^T enters through J12 = [G^T; 0].
     """
-    k = spec.k
-    Kmat, Cmat = _chain_graph_matrices(spec, "dense")
-    M = spec.mass * np.eye(k)
-    E = np.zeros((spec.n, spec.n))
-    E[:k, :k] = M
-    E[k:2 * k, k:2 * k] = Kmat
-    J = np.zeros_like(E)
-    J[:k, k:2 * k] = -Kmat
-    J[k:2 * k, :k] = Kmat
-    G = np.zeros(k)
-    G[0], G[-1] = 1.0, -1.0
-    J[:k, 2 * k] = G
-    J[2 * k, :k] = -G
-    R = np.zeros_like(E)
-    R[:k, :k] = Cmat
-    B = np.zeros((spec.n, 1))
-    B[spec.input_node, 0] = 1.0
-    P = np.zeros_like(B)
-    sys = PHDAESystem(E=E, J=J, R=R, B=B, P=P, S=np.zeros((1, 1)), N=np.zeros((1, 1)))
-    return partition_index2(sys, 2 * k)
-
-
-def mass_spring_chain_sparse(spec):
-    """Sparse assembly of the constrained chain; returns a dict of CSR
-    matrices (E, J, R, B, P, S, N) plus the dynamic block size n1."""
-    k = spec.k
-    Kmat, Cmat = _chain_graph_matrices(spec, "sparse")
-    n = spec.n
-    M = sp.identity(k, format="csr") * spec.mass
+    k, n = spec.k, spec.n
+    Kmat, Cmat = _chain_graph_matrices(spec)
+    M = sp.identity(k, format="csr") * CHAIN_MASS
     E = sp.block_diag([M, Kmat, sp.csr_matrix((1, 1))], format="csr")
     G = sp.csr_matrix((np.array([1.0, -1.0]), (np.array([0, k - 1]), np.array([0, 0]))),
                       shape=(k, 1))
@@ -148,15 +142,10 @@ def mass_spring_chain_sparse(spec):
         format="csr",
     )
     R = sp.block_diag([Cmat, Z, sp.csr_matrix((1, 1))], format="csr")
-    B = sp.csr_matrix((np.array([1.0]), (np.array([spec.input_node]), np.array([0]))),
-                      shape=(n, 1))
-    return {
-        "E": E, "J": J, "R": R, "B": B,
-        "P": sp.csr_matrix((n, 1)),
-        "S": sp.csr_matrix((1, 1)),
-        "N": sp.csr_matrix((1, 1)),
-        "n1": 2 * k,
-    }
+    B = np.zeros((n, 1))
+    B[CHAIN_INPUT_NODE, 0] = 1.0
+    return PHDAESystem(E=E, J=J, R=R, B=B, P=np.zeros((n, 1)),
+                       S=np.zeros((1, 1)), N=np.zeros((1, 1)))
 
 
 def mass_spring_chain_b2(spec, amplitude=1.0):
@@ -166,33 +155,28 @@ def mass_spring_chain_b2(spec, amplitude=1.0):
     function gains a linear polynomial part with slope
     amplitude^2 / (1/m_1 + 1/m_k).
     """
-    base = mass_spring_chain(spec)
-    sys = base.parent
+    sys = mass_spring_chain_sparse(spec)
     B = sys.B.copy()
-    B[2 * spec.k, 0] = amplitude
-    sys2 = PHDAESystem(E=sys.E, J=sys.J, R=sys.R, B=B, P=sys.P, S=sys.S, N=sys.N)
-    return partition_index2(sys2, 2 * spec.k)
+    B[spec.n1, 0] = amplitude
+    return _dense_index2(sys, spec.n1, B=B)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class OseenSpec:
     """Staggered-grid discretization of the Oseen equations on the unit
-    square with no-slip walls, constant wind ``wind`` and viscosity
-    ``viscosity``; ``n_grid`` cells per direction.  The input forces the
-    horizontal velocity on the left half of the domain."""
+    square with no-slip walls, constant wind ``OSEEN_WIND`` and viscosity
+    ``OSEEN_VISCOSITY``; ``n_grid`` cells per direction.  The input forces
+    the horizontal velocity on the left half of the domain."""
 
     n_grid: int
-    viscosity: float = 0.1
-    wind: tuple = (1.0, 0.0)
 
     def __post_init__(self):
         if self.n_grid < 2:
             raise LinAlgContractError("need at least a 2 x 2 grid")
-        if self.viscosity <= 0:
-            raise LinAlgContractError("viscosity must be positive")
 
     @property
     def n_velocity(self):
+        """Dynamic block size: the face velocities."""
         return 2 * (self.n_grid - 1) * self.n_grid
 
     @property
@@ -228,7 +212,7 @@ def _oseen_blocks(spec):
     h, T_int, T_tan, skew, d = _oseen_operators(spec)
     I_g = sp.identity(g)
     I_f = sp.identity(g - 1)
-    mu, (a1, a2) = spec.viscosity, spec.wind
+    mu, (a1, a2) = OSEEN_VISCOSITY, OSEEN_WIND
 
     L_u = (sp.kron(T_int, I_g) + sp.kron(I_f, T_tan)) / h ** 2
     L_v = (sp.kron(T_tan, I_f) + sp.kron(I_g, T_int)) / h ** 2
@@ -260,37 +244,23 @@ def _oseen_blocks(spec):
 
 
 def oseen_grid(spec):
-    """Dense Oseen system as an index-2 partition (use the sparse
-    variant beyond a few thousand unknowns)."""
-    blocks = oseen_grid_sparse(spec)
-    sys = PHDAESystem(
-        E=blocks["E"].toarray(),
-        J=blocks["J"].toarray(),
-        R=blocks["R"].toarray(),
-        B=blocks["B"].toarray(),
-        P=blocks["P"].toarray(),
-        S=blocks["S"].toarray(),
-        N=blocks["N"].toarray(),
-    )
-    return partition_index2(sys, blocks["n1"])
+    """Oseen flow as an index-2 partition of the dense copy of
+    :func:`oseen_grid_sparse` (use that beyond a few thousand unknowns)."""
+    return _dense_index2(oseen_grid_sparse(spec), spec.n_velocity)
 
 
 def oseen_grid_sparse(spec):
-    """Sparse Oseen assembly; returns a dict of CSR matrices plus n1."""
+    """The Oseen flow as a :class:`PHDAESystem` with CSR E, J, R; the
+    velocities are its first ``spec.n_velocity`` states."""
     R11, J11, J12, B1 = _oseen_blocks(spec)
     n1, n2 = spec.n_velocity, spec.n_pressure
     n = n1 + n2
     E = sp.block_diag([sp.identity(n1), sp.csr_matrix((n2, n2))], format="csr")
     J = sp.bmat([[0.5 * (J11 - J11.T), J12], [-J12.T, None]], format="csr")
     R = sp.block_diag([0.5 * (R11 + R11.T), sp.csr_matrix((n2, n2))], format="csr")
-    B = sp.vstack([sp.csr_matrix(B1), sp.csr_matrix((n2, 1))], format="csr")
-    return {
-        "E": E, "J": J, "R": R, "B": B,
-        "P": sp.csr_matrix((n, 1)),
-        "S": sp.csr_matrix((1, 1)),
-        "N": sp.csr_matrix((1, 1)),
-        "n1": n1,
-    }
+    B = np.vstack([B1, np.zeros((n2, 1))])
+    return PHDAESystem(E=E, J=J, R=R, B=B, P=np.zeros((n, 1)),
+                       S=np.zeros((1, 1)), N=np.zeros((1, 1)))
 
 
 def random_ph_index1(n1, n2, m, seed):
@@ -322,41 +292,41 @@ def random_ph_index1(n1, n2, m, seed):
     return partition_index1(sys, n1)
 
 
-def mixed_chain(spec, coupling=0.5):
+def mixed_chain(spec):
     """Combined index-1/index-2 benchmark built from the chain.
 
     An extra mass is adjoined to the unconstrained chain and pinned to
     zero velocity by one Lagrange multiplier (its constraint block is
     the 1x1 identity, trivially nonsingular), while coupling into the
     chain dynamics through a skew interconnection of strength
-    ``coupling``.  State ordering: (pinned velocity, chain states,
+    ``MIXED_COUPLING``.  State ordering: (pinned velocity, chain states,
     multiplier), giving a mixed partition with block sizes
     (1, 2k, 1); the dynamic chain block has a nonsingular J22 - R22
     because the ground springs make its stiffness matrix definite.
     """
     k = spec.k
-    Kmat, Cmat = _chain_graph_matrices(spec, "dense")
-    nc = 2 * k  # chain block (velocities, positions)
+    Kmat, Cmat = (M.toarray() for M in _chain_graph_matrices(spec))
+    nc = spec.n1  # chain block (velocities, positions)
     n = 1 + nc + 1
     E = np.zeros((n, n))
-    E[0, 0] = spec.mass
-    E[1:1 + k, 1:1 + k] = spec.mass * np.eye(k)
+    E[0, 0] = CHAIN_MASS
+    E[1:1 + k, 1:1 + k] = CHAIN_MASS * np.eye(k)
     E[1 + k:1 + nc, 1 + k:1 + nc] = Kmat
     J = np.zeros((n, n))
     J[1:1 + k, 1 + k:1 + nc] = -Kmat
     J[1 + k:1 + nc, 1:1 + k] = Kmat
     # skew interconnection between the pinned mass and the chain positions
-    J[0, 1 + k] = coupling
-    J[1 + k, 0] = -coupling
+    J[0, 1 + k] = MIXED_COUPLING
+    J[1 + k, 0] = -MIXED_COUPLING
     # constraint: multiplier pins the adjoined velocity
     J[0, n - 1] = 1.0
     J[n - 1, 0] = -1.0
     R = np.zeros((n, n))
-    R[0, 0] = spec.ground_damper
+    R[0, 0] = CHAIN_GROUND_DAMPER
     R[1:1 + k, 1:1 + k] = Cmat
     B = np.zeros((n, 1))
     B[0, 0] = 0.5
-    B[1 + spec.input_node, 0] = 1.0
+    B[1 + CHAIN_INPUT_NODE, 0] = 1.0
     sys = PHDAESystem(E=E, J=J, R=R, B=B, P=np.zeros((n, 1)),
                       S=np.zeros((1, 1)), N=np.zeros((1, 1)))
     return partition_mixed(sys, 1, nc)

@@ -41,7 +41,6 @@ from .systems import (
     Index2Partition,
     MixedPartition,
     PartitionError,
-    PHDAESystem,
     partition_index1,
     partition_index2,
     partition_mixed,
@@ -109,9 +108,7 @@ def _load_partition(path):
     """Partition view of a container; a sparse container stays sparse."""
     manifest = containers.read_manifest(pathlib.Path(path) / "manifest.txt")
     if manifest.get("format") == "sparse":
-        mats, manifest = containers.load_phdae_sparse(path)
-        mats.pop("n1", None)
-        sys_ = PHDAESystem(**mats)
+        sys_, manifest = containers.load_phdae_sparse(path)
     else:
         sys_, manifest = containers.load_phdae(path)
     index = manifest.get("index")
@@ -125,23 +122,32 @@ def _load_partition(path):
     return partition(sys_, *(int(manifest[name]) for name in sizes)), manifest
 
 
-def _errors_row(part, model, data, grid, with_h2, converged="", iterations="",
+def _h2_denominator(part):
+    """||H - P||_H2 of the full model against its polynomial part, or inf
+    when that integral diverges; computed once per command."""
+    try:
+        return h2_error(part, part.polynomial_part)
+    except DivergentNormError:
+        return np.inf
+
+
+def _errors_row(part, model, data, grid, h2_denom, converged="", iterations="",
                 full_response=None):
     """One ``errors.csv`` row.  The partition stands for the full model, so
-    every full-model evaluation goes through its elimination solver.  The H2
-    denominator is integrated first: when it diverges or vanishes the entry
-    is inf whatever the numerator is, and that quadrature is skipped."""
+    every full-model evaluation goes through its elimination solver.
+    ``h2_denom`` is :func:`_h2_denominator`, or None without ``--h2``: when
+    it is infinite or zero the entry is inf whatever the numerator is, and
+    that quadrature is skipped."""
     res = tangential_residuals(part, model, data)
     try:
         _, rel_hinf = hinf_error(part, model, grid, full_response=full_response)
     except DivergentNormError:
         rel_hinf = np.inf
     rel_h2 = ""
-    if with_h2:
+    if h2_denom is not None:
         try:
-            denom = h2_error(part, part.polynomial_part)
-            rel_h2 = (f"{h2_error(part, model) / denom:.16e}" if denom > 0
-                      else f"{np.inf}")
+            rel_h2 = (f"{h2_error(part, model) / h2_denom:.16e}"
+                      if 0 < h2_denom < np.inf else f"{np.inf}")
         except DivergentNormError:
             rel_h2 = f"{np.inf}"
     return (
@@ -158,17 +164,25 @@ def _oseen_spec(args):
     return benchmarks.OseenSpec(n_grid=args.n_grid)
 
 
+def _sparse_chain(args):
+    spec = _chain_spec(args)
+    return benchmarks.mass_spring_chain_sparse(spec), spec.n1
+
+
+def _sparse_oseen(args):
+    spec = _oseen_spec(args)
+    return benchmarks.oseen_grid_sparse(spec), spec.n_velocity
+
+
 #: --benchmark -> (builder of the partition, builder of the sparse index-2
-#: matrices or None, argument names recorded in the manifest).  Builders
-#: take the parsed arguments and look their benchmark function up when
-#: called.
+#: system and its dynamic block size or None, argument names recorded in
+#: the manifest).  Builders take the parsed arguments and look their
+#: benchmark function up when called.
 _GENERATORS = {
-    "chain": (lambda a: benchmarks.mass_spring_chain(_chain_spec(a)),
-              lambda a: benchmarks.mass_spring_chain_sparse(_chain_spec(a)), ()),
+    "chain": (lambda a: benchmarks.mass_spring_chain(_chain_spec(a)), _sparse_chain, ()),
     "chain-b2": (lambda a: benchmarks.mass_spring_chain_b2(
         _chain_spec(a), amplitude=a.b2_amplitude), None, ()),
-    "oseen": (lambda a: benchmarks.oseen_grid(_oseen_spec(a)),
-              lambda a: benchmarks.oseen_grid_sparse(_oseen_spec(a)), ()),
+    "oseen": (lambda a: benchmarks.oseen_grid(_oseen_spec(a)), _sparse_oseen, ()),
     "random-index1": (lambda a: benchmarks.random_ph_index1(a.n1, a.n2, a.m, a.seed),
                       None, ("seed",)),
     "mixed": (lambda a: benchmarks.mixed_chain(_chain_spec(a)), None, ()),
@@ -182,9 +196,10 @@ def cmd_generate(args):
         if build_sparse is None:
             raise LinAlgContractError(f"benchmark {args.benchmark!r} has no sparse builder; "
                                       "generate it without --sparse")
-        data = build_sparse(args)
-        containers.save_phdae(out, data, extra={"index": "2", "benchmark": args.benchmark})
-        print(f"wrote sparse {args.benchmark} model (n={data['E'].shape[0]}) to {out}")
+        system, n1 = build_sparse(args)
+        containers.save_phdae(out, system, extra={
+            "index": Index2Partition.index_kind, "benchmark": args.benchmark, "n1": n1})
+        print(f"wrote sparse {args.benchmark} model (n={system.n}) to {out}")
         return 0
     part = build(args)
     sizes = {name: getattr(part, name) for name in _PARTITIONS[part.index_kind][1]}
@@ -250,7 +265,8 @@ def cmd_reduce(args):
     model, data, conv, iters, _ = _reduce(part, name, irka, args.r, data)
     containers.save_reduced(out, model)
     out.mkdir(parents=True, exist_ok=True)
-    row = _errors_row(part, model, data, grid, args.h2, conv, iters)
+    h2_denom = _h2_denominator(part) if args.h2 else None
+    row = _errors_row(part, model, data, grid, h2_denom, conv, iters)
     csv_path = out / "errors.csv"
     new = not csv_path.exists()
     with open(csv_path, "a") as fh:
@@ -291,12 +307,15 @@ def cmd_sweep(args):
     part, _ = _load_partition(args.model)
     name, irka = _parse_method(args.method, part)
     out = pathlib.Path(args.out) if args.out else _default_out() / "sweep"
-    out.mkdir(parents=True, exist_ok=True)
     grid = _parse_freq_grid(args.freq_grid)
     rs = _parse_int_range(args.r_sweep)
+    if not rs:
+        raise LinAlgContractError(f"--r-sweep {args.r_sweep} requests no reduced order")
     if any(r < 1 for r in rs):
         raise LinAlgContractError("reduced orders must be >= 1")
+    out.mkdir(parents=True, exist_ok=True)
     full_response = frequency_response(part, grid)
+    h2_denom = _h2_denominator(part) if args.h2 else None
     rows = []
     for r in rs:
         start = InterpolationData.log_spaced(r, part.parent.m)
@@ -304,7 +323,7 @@ def cmd_sweep(args):
         if trace is not None:
             trace.export_csv(out / f"trace_r{r:03d}.csv")
         containers.save_reduced(out / f"r{r:03d}", model)
-        rows.append(_errors_row(part, model, data, grid, args.h2, conv, iters,
+        rows.append(_errors_row(part, model, data, grid, h2_denom, conv, iters,
                                 full_response))
         print(f"r={r}: done (order {model.order}, ph_valid={model.ph_valid})")
     with open(out / "errors.csv", "w") as fh:

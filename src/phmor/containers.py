@@ -84,33 +84,22 @@ def _read_matrix(directory, name, shape, sparse=False):
 
 
 def save_phdae(path, system, extra=None):
-    """Write a pHDAE to a directory container.
+    """Write a :class:`PHDAESystem` to a directory container.
 
-    ``system`` is a :class:`PHDAESystem` or a dict of (dense or sparse)
-    matrices keyed E, J, R, B, P, S, N.  ``extra`` entries (for example
-    ``n1`` or ``index``) are merged into the manifest.
+    The manifest records ``format = sparse`` exactly when ``system.E`` is
+    sparse; a sparse container holds every matrix in coordinate form.
+    ``extra`` entries (for example ``n1`` or ``index``) are merged into the
+    manifest, an entry of the same key keeping its position.
     """
     directory = pathlib.Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-    if isinstance(system, PHDAESystem):
-        mats = {name: getattr(system, name) for name in _MATRIX_NAMES}
-        n, m = system.n, system.m
-        fmt = "dense"
-    else:
-        mats = {name: system[name] for name in _MATRIX_NAMES}
-        n = mats["E"].shape[0]
-        m = mats["B"].shape[1]
-        fmt = "sparse" if sp.issparse(mats["E"]) else "dense"
-        if "n1" in system and extra is not None and "n1" not in extra:
-            extra = dict(extra, n1=system["n1"])
-        elif "n1" in system and extra is None:
-            extra = {"n1": system["n1"]}
-    manifest = {"kind": "phdae", "n": n, "m": m, "format": fmt}
-    if extra:
-        manifest.update(extra)
+    sparse = sp.issparse(system.E)
+    manifest = {"kind": "phdae", "n": system.n, "m": system.m,
+                "format": "sparse" if sparse else "dense", **(extra or {})}
     write_manifest(directory / "manifest.txt", manifest)
-    for name, M in mats.items():
-        _write_matrix(directory, name, M)
+    for name in _MATRIX_NAMES:
+        M = getattr(system, name)
+        _write_matrix(directory, name, sp.csr_matrix(M) if sparse else M)
     return directory
 
 
@@ -135,31 +124,23 @@ def load_phdae(path):
 
 
 def load_phdae_sparse(path):
-    """Load a container as a dict of CSR matrices plus the manifest."""
+    """Load a container as a :class:`PHDAESystem` with CSR E, J and R.
+
+    Returns ``(system, manifest)`` like :func:`load_phdae`.
+    """
     mats, manifest = _load_matrices(pathlib.Path(path), sparse=True)
-    if "n1" in manifest:
-        mats["n1"] = int(manifest["n1"])
-    return mats, manifest
+    return PHDAESystem(**mats), manifest
 
 
 def save_reduced(path, model):
     """Write a reduced model (matrices, metadata, polynomial part)."""
-    directory = pathlib.Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
-    sys = model.system
-    manifest = {
+    directory = save_phdae(path, model.system, extra={
         "kind": "reduced",
-        "n": sys.n,
-        "m": sys.m,
-        "format": "dense",
         "method": model.method,
         "ph_valid": int(model.ph_valid),
         "w_min_eig": repr(model.w_min_eig),
         "augmented_input": int(model.augmented_input),
-    }
-    write_manifest(directory / "manifest.txt", manifest)
-    for name in _MATRIX_NAMES:
-        _write_matrix(directory, name, getattr(sys, name))
+    })
     _write_matrix(directory, "P0", model.polynomial.P0)
     _write_matrix(directory, "P1", model.polynomial.P1)
     return directory

@@ -178,7 +178,9 @@ def irka_reduce(part, config, method=None):
     ``method`` names the reducer (a :data:`~phmor.reducers.REDUCERS` key);
     by default :func:`~phmor.reducers.default_method` picks it.  Returns an
     :class:`IRKAResult`; ``converged=False`` means the point movement
-    never fell below ``config.tol`` and the best iterate is returned.
+    never fell below ``config.tol`` and the best iterate is returned.  The
+    first sweep whose mirrored pole set holds fewer than ``config.r`` points
+    warns (``RuntimeWarning``); the iteration goes on with that set.
     """
     reducer = REDUCERS[method or default_method(part)]
     m = part.parent.m
@@ -189,12 +191,20 @@ def irka_reduce(part, config, method=None):
     trace = IRKATrace()
     best = None  # (metric, model, data, iteration)
     converged = False
+    short = False  # whether a sweep has already warned of a short pole set
     model = None
     it = 0
     for it in range(1, config.max_iterations + 1):
         model = reducer(part, data)
         pr = pole_residue(model)
         nxt = mirror_and_sanitize(pr.poles, pr.right)
+        if nxt.r < config.r and not short:
+            short = True
+            warnings.warn(
+                f"sweep {it}: {nxt.r} mirrored poles for r = {config.r}; the basis lost "
+                "columns or non-finite poles were dropped, so the order falls short",
+                RuntimeWarning,
+            )
         metric = convergence_metric(data.points, nxt.points)
         trace.append(it, metric, data.points, model.ph_valid, model.w_min_eig)
         if best is None or metric < best[0]:

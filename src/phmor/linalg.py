@@ -46,6 +46,10 @@ __all__ = [
 #: to working precision.
 COND_LIMIT = 1e12
 
+#: Condition number of a pencil's right-eigenvector basis beyond which
+#: :func:`gen_eig` warns that the pencil may be defective.
+DEFECTIVE_COND_LIMIT = 1e8
+
 
 class LinAlgContractError(ValueError):
     """An input violates a kernel precondition (shape, symmetry, finiteness)."""
@@ -442,14 +446,14 @@ def _stack_mul(M, X):
     return (M @ X.reshape(b, K * m)).reshape(M.shape[0], K, m)
 
 
-def gen_eig(A, E, defective_cond_limit=1e8):
+def gen_eig(A, E):
     """Generalized eigenpairs of (A, E) with E symmetric positive definite.
 
     Returns eigenvalues together with right eigenvectors ``v_i`` and left
     eigenvectors ``w_i`` satisfying ``A v_i = lambda_i E v_i`` and
     ``w_i^T A = lambda_i w_i^T E``, scaled so that ``w_i^T E v_i = 1``.
-    Warns when the right-eigenvector basis is ill conditioned (defective or
-    nearly defective pencil).
+    Warns when the condition number of the right-eigenvector basis exceeds
+    ``DEFECTIVE_COND_LIMIT`` (defective or nearly defective pencil).
     """
     A = _as_matrix(A, "A")
     E = _as_matrix(E, "E")
@@ -464,7 +468,7 @@ def gen_eig(A, E, defective_cond_limit=1e8):
 
     lam, VL, VR = spla.eig(A, E, left=True, right=True)
     W = _scaled_left_vectors(VL, E, VR)
-    if np.linalg.cond(VR) > defective_cond_limit:
+    if np.linalg.cond(VR) > DEFECTIVE_COND_LIMIT:
         warnings.warn("eigenvector basis badly conditioned; pencil may be defective", RuntimeWarning)
     return GenEig(eigenvalues=lam, right=VR, left=W)
 

@@ -73,9 +73,9 @@ class InterpolationData:
 
     ``points`` is a length-r complex vector, ``directions`` an r x m
     complex matrix (row i is the direction at points[i]).  The set must
-    be closed under conjugation so that real bases exist: every point
-    with nonzero imaginary part needs a partner at the conjugate point
-    with the conjugate direction.
+    be finite and closed under conjugation so that real bases exist:
+    every point with nonzero imaginary part needs a partner at the
+    conjugate point with the conjugate direction.
     """
 
     points: np.ndarray
@@ -90,6 +90,8 @@ class InterpolationData:
             raise LinAlgContractError(
                 f"{pts.size} points but {dirs.shape[0]} direction rows"
             )
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(dirs))):
+            raise LinAlgContractError("interpolation points and directions must be finite")
         if np.any(np.all(dirs == 0, axis=1)):
             raise LinAlgContractError("tangent directions must be nonzero")
         pts = pts.copy()

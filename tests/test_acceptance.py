@@ -239,18 +239,19 @@ def test_criterion_5_hand_verified_fixtures(index1_fixture, index2_fixture):
 def test_criterion_6_large_sparse_assembly():
     start = time.monotonic()
     chain = mass_spring_chain_sparse(MassSpringSpec(k=5000))
-    ok = chain["E"].shape == (10001, 10001)
+    ok = chain.E.shape == (10001, 10001)
 
-    oseen = oseen_grid_sparse(OseenSpec(n_grid=50))
-    n1, n = oseen["n1"], oseen["E"].shape[0]
+    spec = OseenSpec(n_grid=50)
+    oseen = oseen_grid_sparse(spec)
+    n1, n = spec.n_velocity, oseen.n
     ok &= n1 == 4900 and n - n1 == 2499 and n == 7399
 
     import scipy.sparse.linalg as spsla
 
-    for data in (chain, oseen):
-        ok &= abs(data["E"] - data["E"].T).max() <= 1e-12
-        ok &= abs(data["J"] + data["J"].T).max() <= 1e-12
-        R = data["R"].asfptype().tocsc()
+    for sys in (chain, oseen):
+        ok &= abs(sys.E - sys.E.T).max() <= 1e-12
+        ok &= abs(sys.J + sys.J.T).max() <= 1e-12
+        R = sys.R.tocsc()
         ok &= abs(R - R.T).max() <= 1e-12
         lam = spsla.eigsh(R, k=1, sigma=-1.0, which="LM",
                           return_eigenvectors=False)[0]

@@ -53,9 +53,8 @@ PARTITIONS = {
 
 
 def _csr_chain():
-    mats = mass_spring_chain_sparse(MassSpringSpec(k=6))
-    n1 = mats.pop("n1")
-    return partition_index2(PHDAESystem(**mats), n1)
+    spec = MassSpringSpec(k=6)
+    return partition_index2(mass_spring_chain_sparse(spec), spec.n1)
 
 
 # Full models solved by one LU per shift: a sparse partition and a bare system.
@@ -264,9 +263,8 @@ def test_nan_point_raises_contract_error(index1_fixture):
 def test_raw_basis_chain_lstsq_points_match_per_point():
     # the reduced model of the large-sparse-reduce workload at k = 50: its
     # raw-basis pencil is rejected at most grid points
-    mats = mass_spring_chain_sparse(MassSpringSpec(k=50))
-    n1 = mats.pop("n1")
-    model = reduce_index2(partition_index2(PHDAESystem(**mats), n1),
+    spec = MassSpringSpec(k=50)
+    model = reduce_index2(partition_index2(mass_spring_chain_sparse(spec), spec.n1),
                           InterpolationData.log_spaced(10, 1))
     grid = FrequencyGrid.log_spaced(1e-4, 1e4, 40)
     _, cond = solve_stacked(*_pencils(model, grid.points))

@@ -4,6 +4,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from phmor.cli import main
+from phmor import PHDAESystem
 from phmor.containers import load_phdae, load_reduced, read_manifest, save_phdae
 
 
@@ -124,6 +125,17 @@ class TestReduce:
         assert code == 1
         assert "E.mtx has shape" in captured.err
 
+    @pytest.mark.parametrize("points", ["nan,1", "inf"])
+    def test_reduce_non_finite_points_exits_1(self, tmp_path, index2_fixture, capsys,
+                                              points):
+        model = tmp_path / "fixture"
+        save_phdae(model, index2_fixture, extra={"index": "2", "n1": 2})
+        code, captured = _run(["reduce", model, "--method", "index2", "--points", points,
+                               "--out", tmp_path / "red"], capsys)
+        assert code == 1
+        assert captured.err == ("error [reduce]: interpolation points and directions "
+                                "must be finite\n")
+
     def test_reduce_unpartitioned_container_exits_1(self, tmp_path, index2_fixture,
                                                     capsys):
         model = tmp_path / "plain"
@@ -164,6 +176,29 @@ class TestSweepRegularize:
             assert _run(["reduce", model, "--method", "irka", "--r", r,
                          "--out", red]) == 0
             assert (red / "errors.csv").read_text().splitlines(keepends=True)[1] == row
+
+    def test_sweep_empty_order_range_exits_1(self, tmp_path, capsys):
+        model = tmp_path / "chain"
+        _run(["generate", "--benchmark", "chain", "--k", 4, "--out", model])
+        out = tmp_path / "sweep"
+        code, captured = _run(["sweep", model, "--r-sweep", "2:1", "--out", out], capsys)
+        assert code == 1
+        assert captured.err == "error [sweep]: --r-sweep 2:1 requests no reduced order\n"
+        assert not (out / "errors.csv").exists()
+
+    def test_sweep_h2_denominator_integrated_once(self, tmp_path, monkeypatch):
+        from phmor import cli
+
+        calls = []
+        h2_error = cli.h2_error
+        monkeypatch.setattr(cli, "h2_error", lambda *a: calls.append(a[1]) or h2_error(*a))
+        model = tmp_path / "chain"
+        _run(["generate", "--benchmark", "chain", "--k", 6, "--out", model])
+        assert _run(["sweep", model, "--r-sweep", "2:4:2", "--h2",
+                     "--freq-grid", "1e-4:1e4:20", "--out", tmp_path / "sweep"]) == 0
+        assert len(calls) == 3
+        rows = _rows(tmp_path / "sweep" / "errors.csv")
+        assert len(rows) == 2 and all(float(row["rel_h2"]) > 0 for row in rows)
 
     def test_sweep_errors_decay(self, tmp_path):
         model = tmp_path / "chain"
@@ -259,7 +294,8 @@ def test_sparse_index1_and_mixed_containers_match_dense(tmp_path, kind):
     else:
         part = mixed_chain(MassSpringSpec(k=6))
         extra = {"index": "mixed", "n1": part.n1, "n2": part.n2}
-    sparse = {name: sp.csr_array(getattr(part.parent, name)) for name in "EJRBPSN"}
+    sparse = PHDAESystem(**{name: sp.csr_array(getattr(part.parent, name))
+                            for name in "EJRBPSN"})
     rows = []
     for name, system in (("dense", part.parent), ("sparse", sparse)):
         save_phdae(tmp_path / name, system, extra=extra)

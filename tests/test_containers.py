@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from phmor import InterpolationData, evaluate, partition_index2, reduce_index2
-from phmor.benchmarks import MassSpringSpec, mass_spring_chain_sparse, random_ph_index1
+from phmor import (Index2Partition, InterpolationData, PHDAESystem, cli, evaluate,
+                   partition_index2, reduce_index2)
+from phmor.benchmarks import (MassSpringSpec, mass_spring_chain, mass_spring_chain_sparse,
+                              random_ph_index1)
 from phmor.containers import (
     load_phdae,
     load_phdae_sparse,
@@ -37,6 +40,7 @@ def test_dense_round_trip(tmp_path):
     loaded, manifest = load_phdae(tmp_path / "model")
     for name in ("E", "J", "R", "B", "P", "S", "N"):
         assert np.allclose(getattr(loaded, name), getattr(sys, name))
+    assert manifest["format"] == "dense"
     assert manifest["index"] == "1"
     assert int(manifest["n1"]) == 6
 
@@ -53,13 +57,29 @@ def test_zero_matrices_omitted(tmp_path, index2_fixture):
 
 
 def test_sparse_round_trip(tmp_path):
-    data = mass_spring_chain_sparse(MassSpringSpec(k=10))
-    out = save_phdae(tmp_path / "model", data, extra={"index": "2"})
+    sys = mass_spring_chain_sparse(MassSpringSpec(k=10))
+    out = save_phdae(tmp_path / "model", sys, extra={"index": "2", "n1": 20})
     loaded, manifest = load_phdae_sparse(out)
     assert manifest["format"] == "sparse"
-    assert loaded["n1"] == 20
-    assert (loaded["J"] - data["J"]).nnz == 0
-    assert (loaded["E"] - data["E"]).nnz == 0
+    assert manifest["n1"] == "20"
+    assert isinstance(loaded, PHDAESystem) and sp.issparse(loaded.E)
+    for name in "EJR":
+        assert (getattr(loaded, name) - getattr(sys, name)).nnz == 0
+    for name in "BPSN":
+        assert np.array_equal(getattr(loaded, name), getattr(sys, name))
+
+
+def test_csr_system_saves_sparse_and_partitions_sparse(tmp_path):
+    spec = MassSpringSpec(k=10)
+    out = save_phdae(tmp_path / "model", mass_spring_chain_sparse(spec),
+                     extra={"index": "2", "n1": spec.n1})
+    assert read_manifest(out / "manifest.txt")["format"] == "sparse"
+    part, _ = cli._load_partition(out)
+    assert isinstance(part, Index2Partition) and part.n1 == spec.n1
+    assert all(sp.issparse(getattr(part.parent, name)) for name in "EJR")
+    dense = mass_spring_chain(spec)
+    for s in (1j, 2.0):
+        assert np.allclose(evaluate(part, s), evaluate(dense, s), rtol=1e-12, atol=0)
 
 
 def test_reduced_round_trip(tmp_path, index2_fixture):
@@ -92,8 +112,8 @@ def test_shape_mismatch_detected(tmp_path, index1_fixture):
 
 
 def test_sparse_shape_mismatch_detected(tmp_path):
-    data = mass_spring_chain_sparse(MassSpringSpec(k=10))
-    out = save_phdae(tmp_path / "model", data, extra={"index": "2"})
+    sys = mass_spring_chain_sparse(MassSpringSpec(k=10))
+    out = save_phdae(tmp_path / "model", sys, extra={"index": "2"})
     manifest = read_manifest(out / "manifest.txt")
     manifest["n"] = int(manifest["n"]) + 1
     write_manifest(out / "manifest.txt", manifest)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,25 @@ class TestIRKAChain:
         assert not result.converged
         assert result.model is not None
         assert np.isfinite(result.final_metric)
+
+
+def test_short_pole_set_warns_once():
+    # chain k=50 at r=12: the rank filter drops a column in the first sweep,
+    # which leaves 11 mirrored poles
+    part = mass_spring_chain(MassSpringSpec(k=50))
+    with pytest.warns(RuntimeWarning) as record:
+        result = irka_reduce(part, IRKAConfig(r=12, max_iterations=1))
+    short = [str(w.message) for w in record if "mirrored poles" in str(w.message)]
+    assert short == ["sweep 1: 11 mirrored poles for r = 12; the basis lost columns or "
+                     "non-finite poles were dropped, so the order falls short"]
+    assert result.model.order == 11
+
+
+def test_full_pole_set_does_not_warn():
+    part = mass_spring_chain(MassSpringSpec(k=20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert irka_reduce(part, IRKAConfig(r=4)).converged
 
 
 def test_config_validation():

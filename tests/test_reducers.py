@@ -49,6 +49,15 @@ class TestInterpolationData:
         with pytest.raises(LinAlgContractError):
             _data([1.0], [[0.0]])
 
+    @pytest.mark.parametrize("points, directions", [
+        ([np.nan, 1.0], [[1.0], [1.0]]),
+        ([np.inf], [[1.0]]),
+        ([1.0], [[np.nan]]),
+    ], ids=["nan-point", "inf-point", "nan-direction"])
+    def test_rejects_non_finite_data(self, points, directions):
+        with pytest.raises(LinAlgContractError, match="must be finite"):
+            _data(points, directions)
+
     def test_rejects_empty_set(self):
         with pytest.raises(LinAlgContractError, match="interpolation set is empty"):
             InterpolationData(points=[], directions=np.zeros((0, 1)))

@@ -150,7 +150,7 @@ def test_solver_built_once_per_partition(count_builds):
     part = mass_spring_chain_b2(MassSpringSpec(k=6))
     result = irka_reduce(part, IRKAConfig(r=4))
     grid = FrequencyGrid.log_spaced(1e-4, 1e4, 20)
-    cli._errors_row(part, result.model, result.data, grid, with_h2=True)
+    cli._errors_row(part, result.model, result.data, grid, cli._h2_denominator(part))
     assert len(count_builds) == 1
 
 

@@ -166,17 +166,17 @@ def _spd_fixtures():
     from phmor.systems import TOL_PSD
 
     rng = np.random.default_rng(3)
-    chain = mass_spring_chain_sparse(MassSpringSpec(k=30))
-    n1 = chain["n1"]
-    E11 = sp.csr_array(chain["E"])[:n1, :n1]
-    oseen = oseen_grid_sparse(OseenSpec(n_grid=4))
+    chain = MassSpringSpec(k=30)
+    n1 = chain.n1
+    E11 = mass_spring_chain_sparse(chain).E[:n1, :n1]
+    oseen = OseenSpec(n_grid=4)
     K = sp.random(40, 40, density=0.1, random_state=rng, format="csr")
     lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(50, 50), format="csr")
     lam_min = np.linalg.eigvalsh(lap.toarray())[0]
     below = lap - (lam_min - 0.5 * TOL_PSD * sp.linalg.norm(lap)) * sp.identity(50)
     fixtures = {
         "chain-E11": E11,
-        "oseen-E11": sp.csr_array(oseen["E"])[:oseen["n1"], :oseen["n1"]],
+        "oseen-E11": oseen_grid_sparse(oseen).E[:oseen.n_velocity, :oseen.n_velocity],
         "laplacian": lap,
         "random-spd-plus-skew": K @ K.T + sp.identity(40) + (K - K.T),
         "indefinite": lap - 1.0 * sp.identity(50),

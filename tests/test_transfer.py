@@ -21,7 +21,8 @@ from phmor import (
     reduce_index1_blockdiag,
     reduce_index1_shifted,
 )
-from phmor.benchmarks import MassSpringSpec, mass_spring_chain_b2, random_ph_index1
+from phmor.benchmarks import (CHAIN_MASS, MassSpringSpec, mass_spring_chain_b2,
+                              random_ph_index1)
 from phmor.transfer import frequency_response
 from phmor.linalg import LinAlgContractError
 
@@ -69,7 +70,7 @@ def test_polynomial_part_index2_linear_term():
     part = mass_spring_chain_b2(spec, amplitude=amp)
     poly = polynomial_part_index2(part)
     # slope amp^2 / (1/m_1 + 1/m_k) with equal masses m
-    expected = amp ** 2 * spec.mass / 2.0
+    expected = amp ** 2 * CHAIN_MASS / 2.0
     assert poly.P1[0, 0] == pytest.approx(expected, rel=1e-12)
     # large-frequency agreement: H(iw) ~ P0 + iw P1
     for w in (1e6, 1e8):
