@@ -18,6 +18,7 @@ from .systems import (
     PHDAESystem,
     ValidationReport,
     as_generic,
+    congruence,
     hamiltonian,
     partition_index1,
     partition_index2,

@@ -39,6 +39,7 @@ __all__ = [
     "gen_eig",
     "nullspace_basis",
     "rank_tolerance",
+    "qr_rank",
     "orthonormalize",
 ]
 
@@ -504,18 +505,23 @@ def nullspace_basis(M):
     return Vt[rank:].T.copy()
 
 
-def orthonormalize(V):
-    """Orthonormal basis of span(V) via rank-revealing QR.
+def qr_rank(V):
+    """Pivoted QR V[:, piv] = Q R and the rank it reveals: the number of
+    |R_ii| above 1e-12 |R_00| (0 when R_00 = 0).  Returns (Q, rank, piv);
+    Q[:, :rank] spans the kept columns V[:, piv[:rank]]."""
+    Q, R, piv = spla.qr(V, mode="economic", pivoting=True)
+    d = np.abs(np.diag(R))
+    rank = int(np.sum(d > 1e-12 * d[0])) if d.size and d[0] > 0 else 0
+    return Q, rank, piv
 
-    Columns whose contribution falls below 1e-12 sigma_1 are dropped; the
-    caller is told how many survived via the returned shape.
+
+def orthonormalize(V):
+    """Orthonormal basis of span(V): the first :func:`qr_rank` columns of
+    its pivoted QR.  The caller is told how many columns survived via the
+    returned shape.
     """
     V = _as_matrix(V, "V")
     if V.shape[1] == 0:
         return V.copy()
-    Q, R, _ = spla.qr(V, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        return np.empty((V.shape[0], 0))
-    keep = int(np.sum(diag > 1e-12 * diag[0]))
-    return Q[:, :keep]
+    Q, rank, _ = qr_rank(V)
+    return Q[:, :rank]

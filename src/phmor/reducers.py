@@ -2,31 +2,35 @@
 
 Each reducer takes a partitioned system and interpolation data
 (points sigma_i with tangent directions b_i, closed under conjugation)
-and returns a reduced model matching H(sigma_i) b_i.  Four families:
+and returns a reduced model matching H(sigma_i) b_i.  Every reducer
+projects the pH matrices by one congruence,
+:func:`~phmor.systems.congruence` (sym(T^T E T), skew(T^T J T),
+sym(T^T R T), T^T B, T^T P), which keeps the pH structure:
 
-* ``reduce_index1_shifted`` — index-1, projects the dynamic block and
-  shifts the feedthrough so the reduced model matches the full model's
-  constant polynomial part.  The shift can break the passivity
+* ``reduce_index1_shifted`` — index-1, the congruence with the
+  interpolation basis plus a feedthrough shift that matches the full
+  model's constant polynomial part.  The shift can break the passivity
   structure; the result carries an explicit ``ph_valid`` flag.
 * ``reduce_index1_blockdiag`` — index-1, block-diagonal congruence that
   keeps the algebraic equations; always structure-preserving, reduced
   order r + n2.
-* ``reduce_index2`` — index-2 with no input in the constraint
-  equations; Galerkin projection with constraint-satisfying basis
-  vectors from saddle-point solves.  Always structure-preserving.
-* ``reduce_index2_augmented`` — index-2 with inputs entering the
-  constraints; the transfer function has a linear-in-s polynomial part,
-  reproduced exactly through an augmented (u, u') feedthrough.
+* ``reduce_index2_augmented`` — index-2, the congruence of the x1 blocks
+  with a constraint-satisfying basis from saddle-point solves, the
+  constraint lifts folded into the port terms.  With inputs entering the
+  constraints the transfer function has a linear-in-s polynomial part,
+  reproduced exactly through an augmented (u, u') feedthrough; without
+  them the lifts vanish and the model is a valid pHDAE.
+  ``reduce_index2`` is the same reducer restricted to the latter case.
 * ``reduce_mixed`` — combined index-1/index-2 structure, block-diagonal
   congruence reducing only the unconstrained dynamic block.
 
 :data:`REDUCERS` maps each reducer's name to its function, and
 :func:`default_method` names the one that runs when none is asked for.
 
-The reduced matrices of the shifted and saddle reducers are formed from
-the raw (non-orthonormalized) basis so that they coincide with the
-closed-form projected quantities; near-dependent basis columns are
-detected by a rank-revealing QR and dropped with a warning.
+The shifted and saddle reducers project with the raw (non-orthonormalized)
+basis so that the reduced matrices coincide with the closed-form projected
+quantities; near-dependent basis columns are detected by a rank-revealing
+QR and dropped with a warning.
 """
 
 from __future__ import annotations
@@ -38,12 +42,13 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as spla
 
-from .linalg import LinAlgContractError, orthonormalize, solve_stacked
+from .linalg import LinAlgContractError, orthonormalize, qr_rank, solve_stacked
 from .systems import (
     Index1Partition,
     Index2Partition,
     MixedPartition,
     PHDAESystem,
+    congruence,
     symmetric_skew_split,
 )
 from .transfer import PolynomialPart
@@ -185,7 +190,7 @@ def _realify(cols, dirs, kept):
 
 
 def _rank_filter(V, Bd):
-    """Drop near-dependent basis columns (rank-revealing QR, tol 1e-12).
+    """Drop near-dependent basis columns (:func:`~phmor.linalg.qr_rank`).
 
     Columns are normalized for the rank decision only (their norms can
     span many orders of magnitude over wide point ranges); the returned
@@ -193,9 +198,7 @@ def _rank_filter(V, Bd):
     """
     norms = np.linalg.norm(V, axis=0)
     norms = np.where(norms > 0, norms, 1.0)
-    _, Rq, piv = spla.qr(V / norms, mode="economic", pivoting=True)
-    d = np.abs(np.diag(Rq))
-    rank = int(np.sum(d > 1e-12 * d[0])) if d.size and d[0] > 0 else 0
+    _, rank, piv = qr_rank(V / norms)
     if rank < V.shape[1]:
         warnings.warn(
             f"near-duplicate interpolation points: basis rank {rank} < "
@@ -343,20 +346,11 @@ def _finish(sys_r, method, poly, augmented_input=False):
     )
 
 
-def _ph_form(Er, Ar, Br, Cr, Dr):
-    """pH form of projected generic matrices (A = J - R, B - P, (B + P)^T,
-    S + N); it may fail the passivity inequality."""
-    sym_A, Jr = symmetric_skew_split(Ar)
-    Sr, Nr = symmetric_skew_split(Dr)
-    return PHDAESystem(E=0.5 * (Er + Er.T), J=Jr, R=-sym_A,
-                       B=0.5 * (Br + Cr.T), P=0.5 * (Cr.T - Br), S=Sr, N=Nr)
-
-
 def _block_congruence(sys, basis, lo, hi):
-    """Congruence of every system matrix with diag(I, V, I), which reduces
-    only the states lo:hi and always preserves the pH structure.  V is an
-    orthonormal basis of those rows of the interpolation basis; columns
-    lost to rank deficiency are dropped with a warning."""
+    """:func:`~phmor.systems.congruence` with diag(I, V, I), which reduces
+    only the states lo:hi.  V is an orthonormal basis of those rows of the
+    interpolation basis; columns lost to rank deficiency are dropped with a
+    warning."""
     V = orthonormalize(basis.V[lo:hi])
     if V.shape[1] < basis.r:
         warnings.warn(
@@ -369,30 +363,20 @@ def _block_congruence(sys, basis, lo, hi):
     T[:lo, :lo] = np.eye(lo)
     T[lo:hi, lo:lo + r] = V
     T[hi:, lo + r:] = np.eye(sys.n - hi)
-    return PHDAESystem(
-        E=T.T @ sys.E @ T,
-        J=T.T @ sys.J @ T,
-        R=T.T @ sys.R @ T,
-        B=T.T @ sys.B,
-        P=T.T @ sys.P,
-        S=sys.S,
-        N=sys.N,
-    )
+    return congruence(T, sys.E, sys.J, sys.R, sys.B, sys.P, sys.S, sys.N)
 
 
 def reduce_index1_shifted(part, data):
     """Interpolatory reduction of an index-1 system with a feedthrough
     shift that matches the full model's constant polynomial part.
 
-    With Delta = P0 - D (the algebraic contribution to the feedthrough)
-    and direction matrix Bd paired with the basis columns, the reduced
-    matrices are::
-
-        Er = V^T E V
-        Ar = V^T (J - R) V + Bd^T Delta Bd
-        Br = V^T (B - P) - Bd^T Delta
-        Cr = (B + P)^T V - Delta Bd
-        Dr = D + Delta
+    The congruence with the basis V is shifted by Delta = P0 - D (the
+    algebraic contribution to the feedthrough), with the direction matrix
+    Bd paired with the basis columns: K = Bd^T Delta Bd adds skew(K) to J
+    and -sym(K) to R, -Bd^T sym(Delta) to B, Bd^T skew(Delta) to P, and
+    sym(Delta), skew(Delta) to S, N.  That is the generic projection
+    (V^T E V, V^T A V + K, V^T (B - P) - Bd^T Delta,
+    (B + P)^T V - Delta Bd, P0) in pH form.
 
     The shift preserves interpolation and the polynomial part but can
     make the passivity matrix indefinite; the returned model reports
@@ -401,15 +385,16 @@ def reduce_index1_shifted(part, data):
     """
     sys = part.parent
     basis = build_V_generic(part, data)
-    V, Bd = basis.V, basis.directions
+    Bd = basis.directions
     poly = part.polynomial_part
-    D = sys.S + sys.N
-    Delta = poly.P0 - D
-    Er = V.T @ sys.E @ V
-    Ar = V.T @ (sys.J - sys.R) @ V + Bd.T @ Delta @ Bd
-    Br = V.T @ (sys.B - sys.P) - Bd.T @ Delta
-    Cr = (sys.B + sys.P).T @ V - Delta @ Bd
-    return _finish(_ph_form(Er, Ar, Br, Cr, D + Delta), "index1-shifted", poly)
+    proj = congruence(basis.V, sys.E, sys.J, sys.R, sys.B, sys.P, sys.S, sys.N)
+    Delta = poly.P0 - (sys.S + sys.N)
+    sym_d, skew_d = symmetric_skew_split(Delta)
+    sym_k, skew_k = symmetric_skew_split(Bd.T @ Delta @ Bd)
+    sys_r = PHDAESystem(E=proj.E, J=proj.J + skew_k, R=proj.R - sym_k,
+                        B=proj.B - Bd.T @ sym_d, P=proj.P + Bd.T @ skew_d,
+                        S=sys.S + sym_d, N=sys.N + skew_d)
+    return _finish(sys_r, "index1-shifted", poly)
 
 
 def reduce_index1_blockdiag(part, data):
@@ -425,61 +410,46 @@ def reduce_index1_blockdiag(part, data):
 
 
 def reduce_index2(part, data):
-    """Galerkin reduction of an index-2 system without constraint inputs.
-
-    Requires B2 = P2 = 0.  The saddle-point basis satisfies J12^T V = 0,
-    so projecting the dynamic block alone reproduces the behavior on the
-    constraint manifold; the result is always a valid pHDAE (an ODE of
-    order r) with the same constant polynomial part D.
-    """
+    """:func:`reduce_index2_augmented` of an index-2 system without
+    constraint inputs (B2 = P2 = 0), which it requires: a Galerkin
+    projection of the x1 blocks, always a valid pHDAE (an ODE of order r)
+    with the same constant polynomial part D."""
     if not part.b2_zero:
         raise LinAlgContractError(
             "constraint equations carry inputs; use reduce_index2_augmented"
         )
-    V = build_V_saddle(part, data).V
-    Er = V.T @ part.E11 @ V
-    Jr = V.T @ part.J11 @ V
-    Rr = V.T @ part.R11 @ V
-    sys_r = PHDAESystem(
-        E=0.5 * (Er + Er.T),
-        J=0.5 * (Jr - Jr.T),
-        R=0.5 * (Rr + Rr.T),
-        B=V.T @ part.B1,
-        P=V.T @ part.P1,
-        S=part.parent.S,
-        N=part.parent.N,
-    )
-    return _finish(sys_r, "index2-galerkin", part.polynomial_part)
+    return reduce_index2_augmented(part, data)
 
 
 def reduce_index2_augmented(part, data):
-    """Interpolatory reduction of an index-2 system with constraint inputs.
+    """Galerkin reduction of an index-2 system, with or without inputs in
+    the constraint equations.
 
-    Eliminating the constraints turns the system into an ODE on
-    ker(J12^T) driven by (u, u'):
+    The saddle basis V satisfies J12^T V = 0, so the constraints reduce to
+    the x1 blocks (E11, J11, R11), projected by V, with the constraint
+    lifts folded into the port terms.  With the partition's lifts G and H,
+    A11 = J11 - R11 and D = S + N::
 
-        E11 xbar' = Pi (J11 - R11) xbar + Pi Beff u,  J12^T xbar = 0
-        y = Ceff xbar + P0 u + P1 u'
+        B1~ = B1 + (A11 G - A11^T H) / 2,   P1~ = P1 - (A11 G + A11^T H) / 2
+        S~ = S + sym(P0 - D),               N~ = N + skew(P0 - D)
 
-    where Beff = (B1 - P1) + (J11 - R11) G and
-    Ceff = (B1 + P1)^T - H^T (J11 - R11), with the partition's constraint
-    lifts G = E11^{-1} J12 M^{-1} (B2 - P2) and
-    H = E11^{-1} J12 M^{-T} (B2 + P2), M = J12^T E11^{-1} J12.
-    Galerkin projection with the constraint-compatible saddle basis
-    yields a reduced model whose transfer function
-    C (sE - A)^{-1} B + P0 + s P1 matches the full model tangentially
-    and reproduces the polynomial part exactly.  Passivity of the
-    reduced (u, u') realization is tested and reported via ``ph_valid``.
+    The reduced transfer function C (sE - A)^{-1} B + P0 + s P1 matches
+    the full model tangentially and reproduces the polynomial part.  With
+    B2 = P2 = 0 the lifts and P0 - D are zero, and the model is
+    ``index2-galerkin``, a valid pHDAE; otherwise it is
+    ``index2-augmented``, with an augmented (u, u') input, and its
+    passivity is tested and reported via ``ph_valid``.
     """
-    if part.b2_zero:
-        return reduce_index2(part, data)
     V = build_V_saddle(part, data).V
     poly = part.polynomial_part
-    A11 = part.A11
-    Beff = part.B1 - part.P1 + A11 @ part.input_lift
-    Ceff = (part.B1 + part.P1).T - part.output_lift.T @ A11
-    sys_r = _ph_form(V.T @ part.E11 @ V, V.T @ A11 @ V, V.T @ Beff, Ceff @ V, poly.P0)
-    return _finish(sys_r, "index2-augmented", poly, augmented_input=True)
+    sys, A11 = part.parent, part.A11
+    AG, AtH = A11 @ part.input_lift, A11.T @ part.output_lift
+    sym_d, skew_d = symmetric_skew_split(poly.P0 - (sys.S + sys.N))
+    sys_r = congruence(V, part.E11, part.J11, part.R11,
+                       part.B1 + 0.5 * (AG - AtH), part.P1 - 0.5 * (AG + AtH),
+                       sys.S + sym_d, sys.N + skew_d)
+    method = "index2-galerkin" if part.b2_zero else "index2-augmented"
+    return _finish(sys_r, method, poly, augmented_input=not part.b2_zero)
 
 
 def reduce_mixed(part, data):

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg as spla
 
 from .linalg import LinAlgContractError, nullspace_basis, rank_tolerance
-from .systems import PHDAESystem
+from .systems import PHDAESystem, congruence
 
 __all__ = [
     "DIAGNOSE_MAX_N",
@@ -94,10 +94,7 @@ class DiagnosisReport:
 
 
 def _rank(M):
-    if M.size == 0:
-        return 0
-    s = spla.svdvals(M)
-    return int(np.sum(s > rank_tolerance(M, s[0])))
+    return _rank_gap(M, spla.svdvals(M))[0] if M.size else 0
 
 
 def _finite_spectrum(A, E):
@@ -207,21 +204,7 @@ def remove_singular_part(sys):
         U, _, _ = spla.svd(B2)
         V1 = V1 @ spla.block_diag(np.eye(sys.n - k), U)
     dropped = k - r2
-    keep = sys.n - dropped
-    Et = V1.T @ sys.E @ V1
-    Jt = V1.T @ sys.J @ V1
-    Rt = V1.T @ sys.R @ V1
-    Bt = V1.T @ sys.B
-    Pt = V1.T @ sys.P
-    sub = PHDAESystem(
-        E=0.5 * (Et[:keep, :keep] + Et[:keep, :keep].T),
-        J=0.5 * (Jt[:keep, :keep] - Jt[:keep, :keep].T),
-        R=0.5 * (Rt[:keep, :keep] + Rt[:keep, :keep].T),
-        B=Bt[:keep],
-        P=Pt[:keep],
-        S=sys.S,
-        N=sys.N,
-    )
+    sub = congruence(V1[:, :sys.n - dropped], sys.E, sys.J, sys.R, sys.B, sys.P, sys.S, sys.N)
     return sub, dropped, V1
 
 
@@ -244,37 +227,34 @@ class CondensedForm:
     warnings: tuple
 
 
+def _rank_gap(M, s):
+    """Numerical rank of M from its singular values s (or, for a symmetric
+    psd M, its eigenvalues), sorted descending, and the rank gap: the ratio
+    of the smallest value kept to the largest dropped (inf if none is)."""
+    rank = int(np.sum(s > rank_tolerance(M, max(s[0], 0.0))))
+    gap = s[rank - 1] / s[rank] if 0 < rank < s.size and s[rank] > 0 else np.inf
+    return rank, gap
+
+
 def _split_psd(M):
     """Eigendecomposition split of a symmetric psd matrix: returns
     (Q, rank, gap) with the positive eigenvector block first."""
-    if M.shape[0] == 0:
-        return np.eye(0), 0, np.inf
+    if M.size == 0:
+        return np.eye(M.shape[0]), 0, np.inf
     w, Q = spla.eigh(0.5 * (M + M.T))
     order = np.argsort(w)[::-1]
-    w, Q = w[order], Q[:, order]
-    tol = rank_tolerance(M, max(w.max(initial=0.0), 0.0))
-    rank = int(np.sum(w > tol))
-    gap = w[rank - 1] / w[rank] if 0 < rank < w.size and w[rank] > 0 else np.inf
-    return Q, rank, gap
+    return (Q[:, order], *_rank_gap(M, w[order]))
 
 
 def _split_range(M):
-    """Orthogonal split of a square matrix into range/nullspace blocks:
-    returns (Q, rank, gap) with Q = [range basis, nullspace basis]."""
-    if M.shape[0] == 0:
-        return np.eye(0), 0, np.inf
+    """Orthogonal split of the rows of M into range(M) and its orthogonal
+    complement: (Q, rank, gap) with Q the left singular vectors (I at rank
+    0).  For a skew M the complement is its null space."""
+    if M.size == 0:
+        return np.eye(M.shape[0]), 0, np.inf
     U, s, _ = spla.svd(M)
-    tol = rank_tolerance(M, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    gap = s[rank - 1] / s[rank] if 0 < rank < s.size and s[rank] > 0 else np.inf
-    N = nullspace_basis(M)
-    if N.shape[1] != M.shape[0] - rank:
-        # fall back to consistent SVD-based complement
-        N = U[:, rank:]
-    Q = np.hstack([U[:, :rank], N]) if rank > 0 else np.eye(M.shape[0])
-    # re-orthonormalize against roundoff
-    Q, _ = spla.qr(Q, mode="economic")
-    return Q, rank, gap
+    rank, gap = _rank_gap(M, s)
+    return (U if rank else np.eye(M.shape[0])), rank, gap
 
 
 def condensed_form(sys):
@@ -284,67 +264,34 @@ def condensed_form(sys):
     the algebraic block of R into definite and zero parts, (3) split the
     remaining skew block of J into nonsingular and zero parts, (4) row
     compress the couplings of the leftover states into the earlier
-    blocks.  All steps are orthogonal congruences, so the result is a
-    pHDAE with the same transfer function.  Small rank gaps (below
-    ``_GAP_WARN``) are reported — they mean the block sizes are decided
-    by nearly-tied singular values.
+    blocks.  Each step is an orthogonal :func:`~phmor.systems.congruence`
+    of the trailing states, so the result is a pHDAE with the same
+    transfer function.  Small rank gaps (below ``_GAP_WARN``) are
+    reported — they mean the block sizes are decided by nearly-tied
+    singular values.
     """
     n = sys.n
-    V = np.eye(n)
-    notes = []
-    gaps = []
+    V, cur = np.eye(n), sys
+    sizes, gaps, notes = [], [], []
 
-    def transform(sys, Q):
-        E, J, R = (Q.T @ M @ Q for M in (sys.E, sys.J, sys.R))
-        return PHDAESystem(
-            E=0.5 * (E + E.T),
-            J=0.5 * (J - J.T),
-            R=0.5 * (R + R.T),
-            B=Q.T @ sys.B,
-            P=Q.T @ sys.P,
-            S=sys.S,
-            N=sys.N,
-        )
-
-    # step 1: dynamic block from E
-    Q1, n_dyn, gap = _split_psd(sys.E)
-    gaps.append(gap)
-    V = V @ Q1
-    cur = transform(sys, Q1)
-
-    # step 2: dissipative algebraic block from trailing R
-    tail = n - n_dyn
-    Q2t, n_diss, gap = _split_psd(cur.R[n_dyn:, n_dyn:])
-    gaps.append(gap)
-    Q2 = spla.block_diag(np.eye(n_dyn), Q2t)
-    V = V @ Q2
-    cur = transform(cur, Q2)
-
-    # step 3: skew algebraic block from trailing J
-    off = n_dyn + n_diss
-    J33 = cur.J[off:, off:]
-    Q3t, n_skew, gap = _split_range(J33)
-    gaps.append(gap)
-    Q3 = spla.block_diag(np.eye(off), Q3t)
-    V = V @ Q3
-    cur = transform(cur, Q3)
-
-    # step 4: index-2 couplings of the leftover states
-    off2 = off + n_skew
-    coupling = cur.J[off2:, :off]  # rows [J41 J42]
-    if coupling.shape[0]:
-        U4, s4, _ = spla.svd(coupling) if coupling.size else (np.eye(coupling.shape[0]), np.array([]), None)
-        tol = rank_tolerance(coupling, s4[0]) if s4.size else 0.0
-        n_ind2 = int(np.sum(s4 > tol))
-        gap = s4[n_ind2 - 1] / s4[n_ind2] if 0 < n_ind2 < s4.size and s4[n_ind2] > 0 else np.inf
+    def step(split, block):
+        """Split the trailing states by ``split(block)`` and project the
+        system; returns the number of states placed so far."""
+        nonlocal V, cur
+        Qt, size, gap = split(block)
+        off = n - Qt.shape[0]
+        Q = spla.block_diag(np.eye(off), Qt)
+        V = V @ Q
+        cur = congruence(Q, cur.E, cur.J, cur.R, cur.B, cur.P, cur.S, cur.N)
+        sizes.append(size)
         gaps.append(gap)
-        Q4 = spla.block_diag(np.eye(off2), U4)
-        V = V @ Q4
-        cur = transform(cur, Q4)
-    else:
-        n_ind2 = 0
-        gaps.append(np.inf)
-    n_sing = n - off2 - n_ind2
+        return off + size
+
+    off = step(_split_psd, sys.E)  # 1: dynamic block from E
+    off = step(_split_psd, cur.R[off:, off:])  # 2: dissipative algebraic block
+    off3 = step(_split_range, cur.J[off:, off:])  # 3: skew algebraic block
+    step(_split_range, cur.J[off3:, :off])  # 4: index-2 couplings [J41 J42]
+    sizes.append(n - sum(sizes))
 
     for i, g in enumerate(gaps):
         if g < _GAP_WARN:
@@ -357,7 +304,7 @@ def condensed_form(sys):
     return CondensedForm(
         system=cur,
         V=V,
-        block_sizes=(n_dyn, n_diss, n_skew, n_ind2, n_sing),
+        block_sizes=tuple(sizes),
         rank_gaps=tuple(gaps),
         warnings=tuple(notes),
     )

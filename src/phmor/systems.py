@@ -58,6 +58,7 @@ __all__ = [
     "validate_structure",
     "hamiltonian",
     "symmetric_skew_split",
+    "congruence",
     "as_generic",
     "partition_index1",
     "partition_index2",
@@ -347,12 +348,25 @@ def hamiltonian(sys, x):
 
 
 def symmetric_skew_split(M):
-    """Exact decomposition M = sym + skew with sym = (M+M^T)/2."""
+    """The parts sym = (M + M^T)/2 and skew = (M - M^T)/2 of a square M.
+    Each is symmetric or skew bit for bit; M = sym + skew to rounding."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise LinAlgContractError("symmetric_skew_split needs a square matrix")
-    sym = 0.5 * (M + M.T)
-    return sym, M - sym
+    return 0.5 * (M + M.T), 0.5 * (M - M.T)
+
+
+def congruence(T, E, J, R, B, P, S, N):
+    """The pH model (E, J, R, B, P, S, N) projected by T (n x r, dense):
+    (sym(T^T E T), skew(T^T J T), sym(T^T R T), T^T B, T^T P, S, N).
+
+    E, J and R may be sparse.  The result is a pH model whenever the input
+    is one: its passivity matrix is diag(T, I)^T W diag(T, I), and its E and
+    R are symmetric, and J skew, bit for bit.  Every structure-preserving
+    projection of a pH model is this one function."""
+    Et, Jt, Rt = (T.T @ M @ T for M in (E, J, R))
+    return PHDAESystem(E=0.5 * (Et + Et.T), J=0.5 * (Jt - Jt.T), R=0.5 * (Rt + Rt.T),
+                       B=T.T @ B, P=T.T @ P, S=S, N=N)
 
 
 def as_generic(sys):

@@ -1,13 +1,19 @@
-"""Independent references for the index-2 reducers, built from explicit
-projectors and a null-space basis of the constraints.  They accept dense
-or CSR partitions."""
+"""Independent references for the reducers.
+
+The index-2 references are built from explicit projectors and a
+null-space basis of the constraints, and accept dense or CSR partitions.
+The generic-form references reduce a dense partition through its
+unstructured realization (E, A, B, C, D) and convert the projection to pH
+form at the end, the route the reducers took before they were written as
+one congruence."""
 
 import numpy as np
 import scipy.linalg as spla
 import scipy.sparse as sp
 
-from phmor import GenericLTISystem
+from phmor import GenericLTISystem, PHDAESystem, build_V_generic, build_V_saddle
 from phmor.linalg import LinAlgContractError
+from phmor.reducers import _finish
 
 
 def _dense(M):
@@ -50,3 +56,44 @@ def projector_oracle_index2(part):
         C=(part.B1 + part.P1).T @ Phi,
         D=D,
     )
+
+
+def ph_form(Er, Ar, Br, Cr, Dr):
+    """pH form of projected generic matrices (A = J - R, B - P, (B + P)^T,
+    S + N); it may fail the passivity inequality."""
+    sym_A, skew_A = 0.5 * (Ar + Ar.T), 0.5 * (Ar - Ar.T)
+    return PHDAESystem(E=0.5 * (Er + Er.T), J=skew_A, R=-sym_A,
+                       B=0.5 * (Br + Cr.T), P=0.5 * (Cr.T - Br),
+                       S=0.5 * (Dr + Dr.T), N=0.5 * (Dr - Dr.T))
+
+
+def generic_index1_shifted(part, data):
+    """Shifted index-1 reduction in generic form: with Delta = P0 - D and
+    the basis directions Bd, (V^T E V, V^T A V + Bd^T Delta Bd,
+    V^T (B - P) - Bd^T Delta, (B + P)^T V - Delta Bd, P0)."""
+    sys, poly = part.parent, part.polynomial_part
+    basis = build_V_generic(part, data)
+    V, Bd = basis.V, basis.directions
+    D = sys.S + sys.N
+    Delta = poly.P0 - D
+    sys_r = ph_form(V.T @ sys.E @ V,
+                    V.T @ (sys.J - sys.R) @ V + Bd.T @ Delta @ Bd,
+                    V.T @ (sys.B - sys.P) - Bd.T @ Delta,
+                    (sys.B + sys.P).T @ V - Delta @ Bd,
+                    D + Delta)
+    return _finish(sys_r, "index1-shifted", poly)
+
+
+def generic_index2(part, data):
+    """Index-2 reduction in generic form: the ODE on ker(J12^T) driven by
+    (u, u'), with Beff = (B1 - P1) + A11 G and Ceff = (B1 + P1)^T - H^T A11
+    (G, H the partition's constraint lifts), projected by the saddle basis:
+    (V^T E11 V, V^T A11 V, V^T Beff, Ceff V, P0), plus s P1 with constraint
+    inputs."""
+    V = build_V_saddle(part, data).V
+    poly = part.polynomial_part
+    A11 = part.A11
+    Beff = part.B1 - part.P1 + A11 @ part.input_lift
+    Ceff = (part.B1 + part.P1).T - part.output_lift.T @ A11
+    sys_r = ph_form(V.T @ part.E11 @ V, V.T @ A11 @ V, V.T @ Beff, Ceff @ V, poly.P0)
+    return _finish(sys_r, "index2-augmented", poly, augmented_input=not part.b2_zero)

@@ -8,6 +8,7 @@ from phmor.linalg import (
     gen_eig,
     nullspace_basis,
     orthonormalize,
+    qr_rank,
     rank_tolerance,
     solve_complex,
 )
@@ -136,6 +137,19 @@ def test_orthonormalize_drops_dependent_columns():
     Q = orthonormalize(V)
     assert Q.shape == (3, 2)
     assert np.allclose(Q.T @ Q, np.eye(2), atol=1e-12)
+
+
+def test_qr_rank_threshold_is_relative_to_leading_pivot():
+    rng = np.random.default_rng(0)
+    U = np.linalg.qr(rng.standard_normal((8, 4)))[0]
+    for d, rank in (([1.0, 1e-3, 1e-11, 1e-13], 3), ([1e5, 1e-6, 1e-8, 0.0], 2),
+                    ([0.0] * 4, 0)):
+        Q, got, piv = qr_rank(U * np.array(d))
+        assert got == rank
+        assert Q.shape == (8, 4) and sorted(piv) == [0, 1, 2, 3]
+    # orthonormalize keeps exactly the columns qr_rank counts
+    V = U * np.array([1.0, 1e-3, 1e-11, 1e-13])
+    assert np.array_equal(orthonormalize(V), qr_rank(V)[0][:, :3])
 
 
 def test_rank_tolerance_scales_with_sigma():

@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phmor import (
     InterpolationData,
@@ -26,8 +30,14 @@ from phmor.benchmarks import (
     random_ph_index1,
 )
 from phmor.linalg import LinAlgContractError
+from phmor.reducers import REDUCERS
 
-from oracles import constraint_projectors, projector_oracle_index2
+from oracles import (
+    constraint_projectors,
+    generic_index1_shifted,
+    generic_index2,
+    projector_oracle_index2,
+)
 
 
 def _data(points, directions):
@@ -436,3 +446,98 @@ class TestReducedModelRoundTrip:
         s = 1.5 + 0.5j
         direct = gen.C @ np.linalg.solve(s * gen.E - gen.A, gen.B) + gen.D
         assert np.allclose(direct, model.transfer_eval(s))
+
+
+def _chain(k):
+    return mass_spring_chain(MassSpringSpec(k=k))
+
+
+def _chain_b2(k):
+    return mass_spring_chain_b2(MassSpringSpec(k=k), amplitude=0.7)
+
+
+_index1_models = st.builds(random_ph_index1, n1=st.integers(4, 14), n2=st.integers(1, 5),
+                           m=st.integers(1, 3), seed=st.integers(0, 2**16))
+_chain_sizes = st.integers(3, 12)
+#: Reducer name -> the models it is drawn on.
+_MODELS = {
+    "index1-shifted": _index1_models,
+    "index1-blockdiag": _index1_models,
+    "index2-galerkin": _chain_sizes.map(_chain),
+    "index2-augmented": st.one_of(_chain_sizes.map(_chain), _chain_sizes.map(_chain_b2)),
+    "mixed-blockdiag": _chain_sizes.map(lambda k: mixed_chain(MassSpringSpec(k=k))),
+}
+
+
+class TestExactStructure:
+    """Every reducer returns E and R symmetric and J skew bit for bit: the
+    one congruence symmetrizes its projections, and the index-1 shift adds
+    exactly symmetric and skew parts."""
+
+    def test_every_reducer_is_drawn(self):
+        assert set(_MODELS) == set(REDUCERS)
+
+    @pytest.mark.parametrize("method", sorted(REDUCERS))
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_reduced_matrices_exactly_structured(self, method, data):
+        part = data.draw(_MODELS[method])
+        r = data.draw(st.integers(1, 4))
+        interp = InterpolationData.log_spaced(r, part.parent.m, 1e-1, 1e2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # rank drops
+            model = REDUCERS[method](part, interp)
+        E, J, R = model.system.E, model.system.J, model.system.R
+        assert np.array_equal(E, E.T)
+        assert np.array_equal(R, R.T)
+        assert np.array_equal(J, -J.T)
+
+
+_GRID = 1j * np.logspace(-2, 3, 50)
+
+
+def _assert_same_transfer(model, reference, data):
+    """Transfer functions equal to 1e-12 relative at the interpolation
+    points and on a 50-point imaginary-axis grid."""
+    for points in (data.points, _GRID):
+        got, want = model.transfer_evals(points), reference.transfer_evals(points)
+        scale = np.max(np.linalg.norm(want, 2, axis=(1, 2)))
+        assert np.max(np.linalg.norm(got - want, 2, axis=(1, 2))) <= 1e-12 * scale
+    assert model.augmented_input == reference.augmented_input
+    assert np.array_equal(model.polynomial.P0, reference.polynomial.P0)
+
+
+class TestGenericFormReferences:
+    """The congruence reducers against the generic-form route (project
+    (E, A, B, C, D), then take the pH form) that they replace."""
+
+    @pytest.mark.parametrize("k", [6, 20])
+    def test_index2_chain_b2(self, k):
+        part = _chain_b2(k)
+        data = _data([0.4, 2.0 + 1j, 2.0 - 1j, 10.0], [[1.0], [1j], [-1j], [1.0]])
+        _assert_same_transfer(reduce_index2_augmented(part, data), generic_index2(part, data), data)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_index2_mimo_constraint_inputs(self, seed):
+        part = _random_index2_with_constraint_inputs(seed)
+        b = np.array([0.3 + 1j, -0.7 + 0.2j])
+        data = _data([0.5, 1 + 2j, 1 - 2j, 3.0],
+                     [[1.0, 1.0], b, b.conj(), [1.0, -1.0]])
+        _assert_same_transfer(reduce_index2_augmented(part, data), generic_index2(part, data), data)
+
+    def test_index2_without_constraint_inputs(self):
+        part = _chain(9)
+        data = _data([0.4, 2.0 + 1j, 2.0 - 1j], [[1.0], [1j], [-1j]])
+        _assert_same_transfer(reduce_index2(part, data), generic_index2(part, data), data)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_index1_shifted(self, seed):
+        part = random_ph_index1(10, 3, 2, seed=seed)
+        rng = np.random.default_rng(100 + seed)
+        b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        data = _data([0.7, 1.5 + 1j, 1.5 - 1j],
+                     [rng.standard_normal(2), b, b.conjugate()])
+        model = reduce_index1_shifted(part, data)
+        reference = generic_index1_shifted(part, data)
+        _assert_same_transfer(model, reference, data)
+        assert model.w_min_eig == pytest.approx(reference.w_min_eig, rel=1e-10, abs=1e-12)

@@ -4,6 +4,7 @@ import pytest
 from phmor import (
     GenericLTISystem,
     PHDAESystem,
+    congruence,
     evaluate,
     validate_structure,
 )
@@ -107,6 +108,31 @@ class TestCondensedForm:
         assert np.linalg.eigvalsh(E11).min() > 0
         report = condensed_report(cf)
         assert "dynamic" in report and "index-2 coupled" in report
+
+    def test_skew_algebraic_block(self):
+        # four dynamic states, a skew-coupled algebraic pair and a multiplier
+        # on state 0, the algebraic states randomly rotated among themselves
+        rng = np.random.default_rng(0)
+        n = 7
+        E, J, R = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+        E[:4, :4] = np.eye(4)
+        K = rng.standard_normal((4, 4))
+        J[:4, :4] = K - K.T
+        J[4, 5], J[5, 4], J[6, 0], J[0, 6] = 2.0, -2.0, 1.0, -1.0
+        R[:4, :4] = 0.1 * np.eye(4)
+        Q = np.eye(n)
+        Q[4:, 4:] = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        sys = congruence(Q, E, J, R, rng.standard_normal((n, 1)), np.zeros((n, 1)),
+                         np.eye(1), np.zeros((1, 1)))
+        cf = condensed_form(sys)
+        assert cf.block_sizes == (4, 0, 2, 1, 0)
+        assert np.allclose(cf.V.T @ cf.V, np.eye(n), atol=1e-12)
+        Jc = cf.system.J
+        assert np.abs(np.linalg.eigvals(Jc[4:6, 4:6])).min() > 1.0
+        # the trailing rows of the skew split are its null space: no coupling back
+        assert np.max(np.abs(Jc[6:, 4:6])) <= 1e-12
+        assert np.array_equal(Jc, -Jc.T) and np.array_equal(cf.system.E, cf.system.E.T)
+        assert _transfer_close(sys, cf.system)
 
     def test_transformed_system_is_ph(self, index2_fixture):
         cf = condensed_form(index2_fixture)

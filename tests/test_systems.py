@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phmor import (
     PartitionError,
     PHDAESystem,
     as_generic,
+    congruence,
     hamiltonian,
     partition_index1,
     partition_index2,
@@ -66,6 +69,26 @@ def test_symmetric_skew_split_exact():
     assert np.allclose(sym, sym.T)
     assert np.allclose(skew, -skew.T)
     assert np.allclose(sym + skew, M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10), m=st.integers(1, 3),
+       r=st.integers(1, 10), w_rank=st.integers(0, 13))
+def test_congruence_keeps_passivity(seed, n, m, r, w_rank):
+    # W = [[R, P], [P^T, S]] >= 0 of rank w_rank (at most n + m), and any T
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n + m, min(w_rank, n + m)))
+    W = X @ X.T
+    Y, K = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    T = rng.standard_normal((n, r)) * 10.0 ** rng.uniform(-3, 3, r)
+    sys_r = congruence(T, Y @ Y.T, K - K.T, W[:n, :n], rng.standard_normal((n, m)),
+                       W[:n, n:], W[n:, n:], np.zeros((m, m)))
+    assert sys_r.n == r and sys_r.m == m
+    Wr = sys_r.passivity_matrix
+    assert np.linalg.eigvalsh(Wr)[0] >= -1e-12 * np.linalg.norm(Wr, 2)
+    E, J, R = sys_r.E, sys_r.J, sys_r.R
+    assert np.array_equal(E, E.T) and np.array_equal(R, R.T) and np.array_equal(J, -J.T)
+    assert np.allclose(E, T.T @ Y @ Y.T @ T, rtol=1e-12, atol=1e-12 * np.abs(E).max())
 
 
 def test_as_generic_transfer_ingredients(index1_fixture):
