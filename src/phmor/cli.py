@@ -279,6 +279,36 @@ def cmd_reduce(args):
     return 0
 
 
+def _condensed_index(sizes, system):
+    """The manifest entries ``index`` and ``n1`` that condensed block sizes
+    (dynamic, dissipative, skew, index-2 coupled, free) determine: no
+    algebraic block and an index-2 block give index 2, algebraic blocks
+    and no index-2 block give index 1.  They are written only if that
+    partition of ``system`` constructs and ``system`` has ports (a closed
+    loop has no transfer function to reduce); otherwise a printed line
+    says why there is none."""
+    dynamic, dissipative, skew, coupled, _ = sizes
+    algebraic = dissipative + skew
+    if system.m == 0:
+        print("no index entry: the model has no inputs or outputs to reduce")
+        return {}
+    if coupled and not algebraic:
+        index = Index2Partition.index_kind
+    elif algebraic and not coupled:
+        index = Index1Partition.index_kind
+    else:
+        print(f"no index entry: {algebraic} algebraic and {coupled} index-2 coupled "
+              "states fit no semi-explicit partition")
+        return {}
+    try:
+        _PARTITIONS[index][0](system, dynamic)
+    except PartitionError as exc:
+        print(f"no index entry: the index-{index} partition with n1 = {dynamic} "
+              f"does not construct ({exc})")
+        return {}
+    return {"index": index, "n1": dynamic}
+
+
 def cmd_regularize(args):
     system, _ = containers.load_phdae(args.model)
     out = pathlib.Path(args.out) if args.out else _default_out() / "regularized"
@@ -298,6 +328,8 @@ def cmd_regularize(args):
         K = args.feedback * np.eye(current.m)
         current = regularization.output_feedback_regularize(current, K)
         print(f"applied output feedback u = -{args.feedback:g} I y")
+    if args.condense:
+        extra.update(_condensed_index(cf.block_sizes, current))
     containers.save_phdae(out, current, extra=extra)
     print(f"wrote regularized model (n={current.n}) to {out}")
     return 0

@@ -238,12 +238,16 @@ def _rank_gap(M, s):
 
 def _split_psd(M):
     """Eigendecomposition split of a symmetric psd matrix: returns
-    (Q, rank, gap) with the positive eigenvector block first."""
+    (Q, rank, gap) with the positive eigenvector block first.  The rank is
+    decided on the eigenvalues-only call: the call with eigenvectors leaves
+    a zero eigenvalue above the rank tolerance n eps ||M|| (up to 3.6e-15
+    for a rotated diag(I4, 0) of order 7), the eigenvalues-only one well
+    below it."""
     if M.size == 0:
         return np.eye(M.shape[0]), 0, np.inf
-    w, Q = spla.eigh(0.5 * (M + M.T))
-    order = np.argsort(w)[::-1]
-    return (Q[:, order], *_rank_gap(M, w[order]))
+    S = 0.5 * (M + M.T)
+    w, Q = spla.eigh(S)
+    return (Q[:, np.argsort(w)[::-1]], *_rank_gap(M, spla.eigh(S, eigvals_only=True)[::-1]))
 
 
 def _split_range(M):

@@ -1,8 +1,14 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
 
+import phmor
 from phmor.cli import main
 from phmor import PHDAESystem
 from phmor.containers import load_phdae, load_reduced, read_manifest, save_phdae
@@ -145,6 +151,25 @@ class TestReduce:
         assert "index" in captured.err
 
 
+def test_h2_reduce_does_not_import_scipy_integrate(tmp_path):
+    # tests may import scipy.integrate themselves, so the reduce runs in a
+    # fresh interpreter
+    model, out = tmp_path / "ri1", tmp_path / "red"
+    assert _run(["generate", "--benchmark", "random-index1", "--out", model]) == 0
+    script = ("import sys\n"
+              "from phmor.cli import main\n"
+              f"assert main(['reduce', {str(model)!r}, '--method', 'index1-shifted', '--r', '4', "
+              f"'--h2', '--out', {str(out)!r}]) == 0\n"
+              "assert 'scipy.integrate' not in sys.modules\n")
+    src = str(pathlib.Path(phmor.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert float(_rows(out / "errors.csv")[0]["rel_h2"]) > 0
+
+
 class TestSweepRegularize:
     def test_sweep_is_deterministic(self, tmp_path):
         model = tmp_path / "chain"
@@ -242,6 +267,56 @@ class TestSweepRegularize:
         assert _run(["validate", out]) == 0
         loaded, _ = load_phdae(out)
         assert loaded.m == 0
+
+
+class TestRegularizeThenReduce:
+    @pytest.mark.parametrize("model_args, index, n1, method", [
+        (["chain", "--k", 5], "2", "10", "index2"),
+        (["random-index1"], "1", "12", "index1-shifted"),
+    ])
+    def test_condensed_container_reduces_like_the_original(self, tmp_path, model_args,
+                                                           index, n1, method):
+        model, reg = tmp_path / "model", tmp_path / "reg"
+        assert _run(["generate", "--benchmark", *model_args, "--out", model]) == 0
+        assert _run(["regularize", model, "--condense", "--out", reg]) == 0
+        manifest = read_manifest(reg / "manifest.txt")
+        assert (manifest["index"], manifest["n1"]) == (index, n1)
+        rows = []
+        for name in (model, reg):
+            out = tmp_path / f"out_{name.name}"
+            assert _run(["reduce", name, "--method", method, "--r", 4, "--out", out]) == 0
+            rows.append(_rows(out / "errors.csv")[0])
+        direct, condensed = rows
+        assert direct["r"] == condensed["r"]
+        assert float(direct["interp_residual_max"]) <= 1e-12
+        assert float(condensed["interp_residual_max"]) <= 1e-12
+        assert float(direct["min_eig_W"]) == pytest.approx(float(condensed["min_eig_W"]),
+                                                           rel=1e-10, abs=1e-12)
+        # the chain's raw saddle basis gives a reduced E of condition ~4e12,
+        # so the two coordinate systems agree to ~2e-10 here
+        assert float(direct["rel_hinf"]) == pytest.approx(float(condensed["rel_hinf"]),
+                                                          rel=1e-9)
+
+    def test_condensed_container_without_partition_has_no_index(self, tmp_path, capsys):
+        # four dynamic states, a skew algebraic pair and a multiplier: both
+        # algebraic and index-2 blocks
+        n = 7
+        E, J, R = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+        E[:4, :4] = np.eye(4)
+        J[0, 1], J[1, 0], J[4, 5], J[5, 4], J[6, 0], J[0, 6] = 1.0, -1.0, 2.0, -2.0, 1.0, -1.0
+        R[:4, :4] = 0.1 * np.eye(4)
+        model = tmp_path / "model"
+        save_phdae(model, PHDAESystem(E=E, J=J, R=R, B=np.ones((n, 1)), P=np.zeros((n, 1)),
+                                      S=np.eye(1), N=np.zeros((1, 1))))
+        for flags in ([], ["--feedback", "0.5"]):
+            out = tmp_path / f"reg{len(flags)}"
+            code, captured = _run(["regularize", model, "--condense", *flags, "--out", out],
+                                  capsys)
+            assert code == 0
+            assert "no index entry" in captured.out
+            manifest = read_manifest(out / "manifest.txt")
+            assert manifest["block_sizes"] == "4:0:2:1:0"
+            assert "index" not in manifest and "n1" not in manifest
 
 
 def test_load_partition_keeps_sparse_container_sparse(tmp_path):

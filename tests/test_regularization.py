@@ -79,6 +79,18 @@ class TestRemoveSingularPart:
         assert np.allclose(V, np.eye(part.parent.n))
 
 
+def _skew_staircase(K):
+    """(E, J, R) with four dynamic states (skew part K - K^T), a skew-coupled
+    algebraic pair and a multiplier on state 0: block sizes (4, 0, 2, 1, 0)."""
+    n = 7
+    E, J, R = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    E[:4, :4] = np.eye(4)
+    J[:4, :4] = K - K.T
+    J[4, 5], J[5, 4], J[6, 0], J[0, 6] = 2.0, -2.0, 1.0, -1.0
+    R[:4, :4] = 0.1 * np.eye(4)
+    return E, J, R
+
+
 class TestCondensedForm:
     def test_fixture_block_sizes(self, index2_fixture):
         cf = condensed_form(index2_fixture)
@@ -110,16 +122,10 @@ class TestCondensedForm:
         assert "dynamic" in report and "index-2 coupled" in report
 
     def test_skew_algebraic_block(self):
-        # four dynamic states, a skew-coupled algebraic pair and a multiplier
-        # on state 0, the algebraic states randomly rotated among themselves
+        # the algebraic states randomly rotated among themselves
         rng = np.random.default_rng(0)
         n = 7
-        E, J, R = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
-        E[:4, :4] = np.eye(4)
-        K = rng.standard_normal((4, 4))
-        J[:4, :4] = K - K.T
-        J[4, 5], J[5, 4], J[6, 0], J[0, 6] = 2.0, -2.0, 1.0, -1.0
-        R[:4, :4] = 0.1 * np.eye(4)
+        E, J, R = _skew_staircase(rng.standard_normal((4, 4)))
         Q = np.eye(n)
         Q[4:, 4:] = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         sys = congruence(Q, E, J, R, rng.standard_normal((n, 1)), np.zeros((n, 1)),
@@ -132,6 +138,19 @@ class TestCondensedForm:
         # the trailing rows of the skew split are its null space: no coupling back
         assert np.max(np.abs(Jc[6:, 4:6])) <= 1e-12
         assert np.array_equal(Jc, -Jc.T) and np.array_equal(cf.system.E, cf.system.E.T)
+        assert _transfer_close(sys, cf.system)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rank_of_rotated_energy_matrix(self, seed):
+        # every state rotated: eigh with eigenvectors returns the zero
+        # eigenvalues of E above the rank tolerance 7 eps ||E|| (5 of 6 seeds)
+        rng = np.random.default_rng(seed)
+        Q = np.linalg.qr(rng.standard_normal((7, 7)))[0]
+        E, J, R = _skew_staircase(rng.standard_normal((4, 4)))
+        sys = congruence(Q, E, J, R, rng.standard_normal((7, 1)), np.zeros((7, 1)),
+                         np.eye(1), np.zeros((1, 1)))
+        cf = condensed_form(sys)
+        assert cf.block_sizes[0] == 4
         assert _transfer_close(sys, cf.system)
 
     def test_transformed_system_is_ph(self, index2_fixture):

@@ -21,10 +21,17 @@ from phmor import (
     reduce_index1_blockdiag,
     reduce_index1_shifted,
 )
-from phmor.benchmarks import (CHAIN_MASS, MassSpringSpec, mass_spring_chain_b2,
-                              random_ph_index1)
+from phmor.benchmarks import (CHAIN_MASS, MassSpringSpec, mass_spring_chain,
+                              mass_spring_chain_b2, random_ph_index1)
+from phmor.reducers import reduce_index2
 from phmor.transfer import frequency_response
 from phmor.linalg import LinAlgContractError
+
+from oracles import quad_h2_error
+
+#: Absolute and relative tolerance of h2_error's quadrature, on the integral
+#: pi * h2_error**2.
+H2_QUAD_TOL = 1.49e-8
 
 
 def _scalar_lag():
@@ -188,7 +195,68 @@ def test_h2_error_low_probe_quiet_without_pole_at_origin(monkeypatch):
     points = _count_evaluations(monkeypatch)
     value = h2_error(part.parent, reduced)
     assert np.isfinite(value) and value > 0
-    assert 1e-8j in points and 1e-6j in points
+    # the only one-point evaluations: the scale at omega = 1 and the four
+    # probes at both models; the quadrature nodes go through frequency_response
+    assert points == [1j, 1e-6j, 1e-6j, 1e-8j, 1e-8j, 1e6j, 1e6j, 1e8j, 1e8j]
+
+
+def _h2_agrees(value, reference):
+    """h2_error's integral pi * value**2 is within the quadrature tolerance
+    of the reference's."""
+    integral, exact = np.pi * value ** 2, np.pi * reference ** 2
+    return abs(integral - exact) <= H2_QUAD_TOL * max(1.0, exact)
+
+
+def _resonant_pair(zeta, eps):
+    """(full, reduced, exact H2 error): a stable 12-state model plus the
+    resonance eps / (s^2 + 2 zeta w0 s + w0^2), w0 = 1.5, and the 12-state
+    model alone.  Their difference is the resonance, whose squared H2 norm
+    is C P C^T with P the controllability Gramian."""
+    rng = np.random.default_rng(3)
+    n, w0 = 12, 1.5
+    Q, K = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    A1 = -(Q @ Q.T) / n - 0.1 * np.eye(n) + (K - K.T)
+    B1, C1 = rng.standard_normal((n, 1)), rng.standard_normal((1, n))
+    A2 = np.array([[0.0, 1.0], [-w0 ** 2, -2.0 * zeta * w0]])
+    B2, C2 = np.array([[0.0], [eps]]), np.array([[1.0, 0.0]])
+    D = np.zeros((1, 1))
+    full = GenericLTISystem(E=np.eye(n + 2), A=spla.block_diag(A1, A2),
+                            B=np.vstack([B1, B2]), C=np.hstack([C1, C2]), D=D)
+    reduced = GenericLTISystem(E=np.eye(n), A=A1, B=B1, C=C1, D=D)
+    gram = spla.solve_continuous_lyapunov(A2, -B2 @ B2.T)
+    return full, reduced, float(np.sqrt((C2 @ gram @ C2.T)[0, 0]))
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2])
+@pytest.mark.parametrize("zeta", [0.1, 0.01, 0.001])
+def test_h2_error_resonant_oracle(zeta, eps):
+    # the peak at w0 narrows to a width of about zeta * w0
+    full, reduced, exact = _resonant_pair(zeta, eps)
+    assert _h2_agrees(h2_error(full, reduced), exact)
+
+
+@pytest.mark.parametrize("case", ["random-index1-0", "random-index1-1", "random-index1-2",
+                                  "chain-r4", "chain-r8"])
+def test_h2_error_agrees_with_point_by_point_quadrature(case):
+    model, _, number = case.rpartition("-")
+    if model == "random-index1":
+        part = random_ph_index1(12, 4, 2, seed=int(number))
+        reduced = reduce_index1_shifted(part, InterpolationData.log_spaced(6, 2))
+    else:
+        part = mass_spring_chain(MassSpringSpec(k=20))
+        reduced = reduce_index2(part, InterpolationData.log_spaced(int(number[1:]), 1))
+    assert _h2_agrees(h2_error(part, reduced), quad_h2_error(part, reduced))
+
+
+def test_h2_error_warns_once_at_the_panel_cap(monkeypatch):
+    import phmor.transfer as transfer
+
+    monkeypatch.setattr(transfer, "_H2_PANEL_LIMIT", 10)
+    full, reduced, _ = _resonant_pair(0.001, 0.1)
+    with pytest.warns(RuntimeWarning, match="H2 quadrature reached 10 panels") as caught:
+        value = h2_error(full, reduced)
+    assert len(caught) == 1
+    assert np.isfinite(value) and value > 0
 
 
 def test_hinf_error_equals_per_point_spectral_norms():
