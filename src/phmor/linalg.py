@@ -9,9 +9,13 @@ eigenvectors.
 
 There is one dense LU kernel: :func:`solve_stacked` factors, solves and
 estimates kappa_1 of each matrix of a stack by ``zgetrf``, ``zgetrs`` and
-``zgecon``, and :func:`solve_complex` runs it on a stack of one (a sparse
-matrix goes to SuperLU instead).  :class:`LUFactor` keeps the ``dgetrf``
-factor and ``dgecon`` estimate of a real constraint block.
+``zgecon``, and :func:`solve_complex` runs it on a stack of one.  There is
+one sparse kernel: a SuperLU factorization, its solve and a one-column
+Higham-Tisseur estimate of ||M^{-1}||_1 taken on the SuperLU factor
+directly; :func:`solve_complex` runs it on a sparse matrix, and
+:class:`SparsePencil` once per shift of a sparse pencil, with one column
+ordering per pencil.  :class:`LUFactor` keeps the ``dgetrf`` factor and
+``dgecon`` estimate of a real constraint block.
 :func:`inverse_norm_estimates`, LAPACK's 1-norm condition estimator run on
 many triangular systems at once, serves :class:`SchurPencil` only.
 """
@@ -34,6 +38,7 @@ __all__ = [
     "solve_complex",
     "LUFactor",
     "SchurPencil",
+    "SparsePencil",
     "solve_stacked",
     "inverse_norm_estimates",
     "gen_eig",
@@ -110,15 +115,17 @@ def solve_complex(M, rhs, cond_limit=COND_LIMIT):
     The condition number compared against ``cond_limit`` is a 1-norm
     *estimate* (Hager/Higham) from the LU factors already computed for the
     solve; no inverse is formed.  A dense M is :func:`solve_stacked`'s
-    stack of one (``zgetrf``, ``zgetrs``, ``zgecon``): a zero pivot raises
-    "exactly singular", and a NaN or inf in M or rhs raises
+    stack of one (``zgetrf``, ``zgetrs``, ``zgecon``): a zero pivot or an
+    empty M raises "exactly singular", and a NaN or inf in M or rhs raises
     :class:`LinAlgContractError`, never :class:`SingularMatrixError`.  A
     ``scipy.sparse`` M (whose stored entries and rhs get the same
-    finiteness check) is factored by SuperLU and estimated by
-    ``onenormest`` with one column, the same deterministic iteration (it
-    draws no random numbers).  The estimate is a lower bound (up to
-    rounding) on the exact kappa_1(M); on the pencils of the benchmark
-    workloads it stayed within a factor 2.6 of the exact value.
+    finiteness check, and which raises the same way when empty) is
+    factored by SuperLU with the COLAMD ordering, and ||M^{-1}||_1 is
+    estimated on that factor by SciPy's sparse 1-norm estimator with one
+    column, reproduced step for step (it draws no random numbers).  The
+    estimate is a lower bound (up to rounding) on the exact kappa_1(M); on
+    the pencils of the benchmark workloads it stayed within a factor 2.6
+    of the exact value.
     """
     if not sp.issparse(M):
         M = np.asarray(M, dtype=complex)
@@ -130,37 +137,93 @@ def solve_complex(M, rhs, cond_limit=COND_LIMIT):
     if B.shape[0] != M.shape[0]:
         raise LinAlgContractError("right-hand side has incompatible row count")
     if sp.issparse(M):
-        X, cond = _solve_sparse(M, B)
+        X = _sparse_solve(sp.csc_array(M, dtype=complex), B, cond_limit)[1]
     else:
         X, cond, exact = _lu_solves(M[None], B)
         if exact[0]:
             raise SingularMatrixError("matrix is exactly singular")
         X, cond = X[0], cond[0]
-    if not np.all(np.isfinite(X)) or cond > cond_limit:
-        raise SingularMatrixError("matrix is singular to working precision", cond)
+        if not np.all(np.isfinite(X)) or cond > cond_limit:
+            raise SingularMatrixError("matrix is singular to working precision", cond)
     return X[:, 0] if squeeze else X
 
 
-def _solve_sparse(M, B):
-    """SuperLU solve plus ||M||_1 times the one-column estimate of ||M^-1||_1.
-    The stored entries of M and the rhs are checked for finiteness first,
-    as in the dense branch."""
-    M = sp.csc_array(M, dtype=complex)
-    if not np.all(np.isfinite(M.data)) or not np.all(np.isfinite(B)):
+def _sparse_solve(M, B, cond_limit, order=None):
+    """The one sparse factor-and-estimate step: X with M0 X = B from one
+    SuperLU factorization, and the decision on it that :func:`solve_complex`
+    documents.  Returns (lu, X).
+
+    M is a complex CSC matrix.  Without ``order`` it is M0 itself and is
+    factored with the COLAMD ordering.  With ``order`` (an earlier COLAMD
+    ordering of the same pattern) it holds the columns of M0 in that order,
+    M = M0[:, order], and is factored in its natural order; solutions and
+    adjoint right-hand sides are permuted here, so the estimate is that of
+    M0.  B is solved together with the estimator's first product, as one
+    block.
+    """
+    if not (np.isfinite(M.data).all() and np.isfinite(B).all()):
         raise LinAlgContractError("matrix or right-hand side contains non-finite entries")
+    n, m = M.shape[0], B.shape[1]
+    if n == 0:  # an empty matrix has no LU factor, as in the dense branch
+        raise SingularMatrixError("matrix is exactly singular")
     try:
-        lu = spsla.splu(M)
+        lu = spsla.splu(M, permc_spec="COLAMD" if order is None else "NATURAL")
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularMatrixError("matrix is exactly singular") from exc
+    if order is None:
+        solve, solve_adjoint = lu.solve, lambda V: lu.solve(V, trans="H")
+    else:
+        unpermute = np.argsort(order)
+        solve = lambda V: lu.solve(V)[unpermute]  # noqa: E731
+        solve_adjoint = lambda V: lu.solve(V[order], trans="H")  # noqa: E731
+    # ||M||_1 from the column sums of |M|, each summed in row order
+    columns = np.repeat(np.arange(n), np.diff(M.indptr))
+    anorm = np.bincount(columns, weights=np.abs(M.data), minlength=n).max()
     with np.errstate(all="ignore"):
-        X = lu.solve(B)
-        inverse = spsla.LinearOperator(
-            M.shape, dtype=complex, matvec=lu.solve, matmat=lu.solve,
-            rmatvec=lambda x: lu.solve(x, trans="H"),
-            rmatmat=lambda x: lu.solve(x, trans="H"))
-        inv_norm = spsla.onenormest(inverse, t=1)
-    cond = spsla.norm(M, 1) * inv_norm
-    return X, (cond if np.isfinite(cond) else np.inf)
+        Y = solve(np.column_stack((B, np.full(n, 1.0 / n))))
+        cond = anorm * _inverse_norm_estimate(solve, solve_adjoint, Y[:, m])
+    X = Y[:, :m]
+    if not np.isfinite(cond):
+        cond = np.inf
+    if not np.all(np.isfinite(X)) or cond > cond_limit:
+        raise SingularMatrixError("matrix is singular to working precision", cond)
+    return lu, X
+
+
+def _inverse_norm_estimate(solve, solve_adjoint, y):
+    """||M^{-1}||_1 estimated as SciPy's sparse 1-norm estimator with t = 1
+    estimates it, step for step: Higham & Tisseur's block method (SIMAX
+    21(4), 2000, Algorithm 2.4) with one column and at most five
+    iterations, which draws no random numbers.  ``solve(V)`` applies M^{-1}
+    and ``solve_adjoint(V)`` M^{-H}; y = M^{-1} 1/n is the first product,
+    already solved.  For n = 1 the value is exact."""
+    n = y.size
+    if n == 1:  # y is M^{-1} itself
+        return np.abs(y).sum()
+    est_old, S, j = 0.0, np.zeros(n), None
+    for k in range(1, _ITMAX + 2):
+        est = np.abs(y).sum()
+        if k >= 2 and est <= est_old:
+            return est_old
+        est_old, S_old = est, S
+        if k > _ITMAX:
+            break
+        S = y.copy()
+        S[S == 0] = 1
+        S /= np.abs(S)
+        if np.dot(S, S_old) == n:  # S repeats S_old: no new direction
+            break
+        h = np.abs(solve_adjoint(S))
+        hmax = h.max()
+        if hmax != hmax:  # NaN: the estimator compares with Python's max()
+            hmax = max(h)
+        if k >= 2 and hmax == h[j]:
+            break
+        j = np.argsort(h)[-1]
+        e = np.zeros(n, dtype=complex)
+        e[j] = 1.0
+        y = solve(e)
+    return est
 
 
 def solve_stacked(M, rhs):
@@ -231,10 +294,70 @@ class LUFactor:
         return lapack.dgetrs(self._lu, self._piv, flat, trans=trans)[0].reshape(F.shape)
 
 
+class SparsePencil:
+    """Shifted solves (s E - A) X = F of one sparse pencil at many shifts s,
+    one SuperLU factorization per shift, with :class:`SchurPencil`'s
+    ``solve`` signature.
+
+    E and A are stored once, as values on the union of their nonzero
+    patterns in CSC form, so a shift forms the values of s E - A by one
+    vector operation.  The pattern does not change with s, and neither
+    does its COLAMD column ordering: the first factorization computes it,
+    the stored pattern's columns are then permuted into that order once,
+    and every later shift is factored in its natural order.  Each shift is
+    solved and estimated as by :func:`solve_complex`.
+    """
+
+    def __init__(self, E, A):
+        E, A = sp.coo_array(E, dtype=float), sp.coo_array(A, dtype=float)
+        if E.shape != A.shape or E.shape[0] != E.shape[1]:
+            raise LinAlgContractError("E and A must be square and of equal shape")
+        E.eliminate_zeros()
+        A.eliminate_zeros()
+        at = (np.concatenate((E.row, A.row)), np.concatenate((E.col, A.col)))
+        # the same coordinates give both the same canonical CSC pattern
+        Eu = sp.csc_array((np.concatenate((E.data, np.zeros(A.nnz))), at), shape=E.shape)
+        Au = sp.csc_array((np.concatenate((np.zeros(E.nnz), A.data)), at), shape=A.shape)
+        self._E, self._A = Eu.data, Au.data
+        self._pattern = Eu.indices, Eu.indptr
+        self._order = None  # the COLAMD column order, once a shift has found it
+
+    def solve(self, s, F, cond_limit=COND_LIMIT):
+        """X_k with (s_k E - A) X_k = F_k for each shift of the 1-D array s.
+
+        F has shape (n, K, m), or (n, 1, m) for one F shared by every
+        shift; X has shape (n, K, m).  The shifts are solved in order, and
+        the first that :func:`solve_complex` would reject raises the same
+        error: :class:`SingularMatrixError` for an exactly singular or
+        ill-conditioned s E - A (``cond_limit`` is a scalar or one limit
+        per shift), :class:`LinAlgContractError` for non-finite values."""
+        limit = np.asarray(cond_limit, dtype=float).reshape(-1)
+        n = F.shape[0]
+        X = np.empty((n, s.size, F.shape[2]), dtype=complex)
+        for k in range(s.size):  # k % size: index k, or 0 where one F or limit serves all
+            M = sp.csc_array((s[k] * self._E - self._A, *self._pattern), shape=(n, n))
+            lu, X[:, k] = _sparse_solve(M, F[:, k % F.shape[1]], limit[k % limit.size],
+                                        self._order)
+            if self._order is None:
+                self._permute_columns(np.argsort(lu.perm_c))
+        return X
+
+    def _permute_columns(self, order):
+        """Store the pattern with its columns in ``order``."""
+        indices, indptr = self._pattern
+        counts = np.diff(indptr)[order]
+        new_indptr = np.concatenate(([0], np.cumsum(counts))).astype(indptr.dtype)
+        # entry i of new column c is entry i of old column order[c]
+        take = np.repeat(indptr[order] - new_indptr[:-1], counts) + np.arange(new_indptr[-1])
+        self._E, self._A = self._E[take], self._A[take]
+        self._pattern = indices[take], new_indptr
+        self._order = order
+
+
 #: LAPACK's safe minimum, ``dlamch('S')``: zlacn2 takes the sign of an
 #: entry no larger than this as 1.
 _SAFMIN = np.finfo(float).tiny
-#: zlacn2's bound on its main-loop iterations.
+#: zlacn2's bound on its main-loop iterations, and SciPy's 1-norm estimator's.
 _ITMAX = 5
 #: Fewest shifts :meth:`SchurPencil.solve` solves in one batch.  The batched
 #: estimator costs a fixed number of passes over the n rows of s I - T, so

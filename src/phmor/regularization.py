@@ -227,27 +227,30 @@ class CondensedForm:
     warnings: tuple
 
 
-def _rank_gap(M, s):
+def _rank_gap(M, s, scale=None):
     """Numerical rank of M from its singular values s (or, for a symmetric
     psd M, its eigenvalues), sorted descending, and the rank gap: the ratio
-    of the smallest value kept to the largest dropped (inf if none is)."""
-    rank = int(np.sum(s > rank_tolerance(M, max(s[0], 0.0))))
+    of the smallest value kept to the largest dropped (inf if none is).
+    The rank tolerance is relative to ``scale``, by default to s[0]."""
+    rank = int(np.sum(s > rank_tolerance(M, max(s[0], 0.0) if scale is None else scale)))
     gap = s[rank - 1] / s[rank] if 0 < rank < s.size and s[rank] > 0 else np.inf
     return rank, gap
 
 
-def _split_psd(M):
+def _split_psd(M, scale=None):
     """Eigendecomposition split of a symmetric psd matrix: returns
-    (Q, rank, gap) with the positive eigenvector block first.  The rank is
-    decided on the eigenvalues-only call: the call with eigenvectors leaves
-    a zero eigenvalue above the rank tolerance n eps ||M|| (up to 3.6e-15
-    for a rotated diag(I4, 0) of order 7), the eigenvalues-only one well
-    below it."""
+    (Q, rank, gap) with the positive eigenvector block first, the rank
+    relative to ``scale`` (see :func:`_rank_gap`).  The rank is decided on
+    the eigenvalues-only call: the call with eigenvectors leaves a zero
+    eigenvalue above the rank tolerance n eps ||M|| (up to 3.6e-15 for a
+    rotated diag(I4, 0) of order 7), the eigenvalues-only one well below
+    it."""
     if M.size == 0:
         return np.eye(M.shape[0]), 0, np.inf
     S = 0.5 * (M + M.T)
     w, Q = spla.eigh(S)
-    return (Q[:, np.argsort(w)[::-1]], *_rank_gap(M, spla.eigh(S, eigvals_only=True)[::-1]))
+    return (Q[:, np.argsort(w)[::-1]],
+            *_rank_gap(M, spla.eigh(S, eigvals_only=True)[::-1], scale))
 
 
 def _split_range(M):
@@ -265,7 +268,9 @@ def condensed_form(sys):
     """Orthogonal staircase congruence separating the system by index.
 
     Steps: (1) eigendecompose E to isolate the dynamic block, (2) split
-    the algebraic block of R into definite and zero parts, (3) split the
+    the algebraic block of R into definite and zero parts, with its rank
+    relative to ||R||_2 of the whole system (so that a block of rounding
+    noise left by step 1 has rank 0), (3) split the
     remaining skew block of J into nonsingular and zero parts, (4) row
     compress the couplings of the leftover states into the earlier
     blocks.  Each step is an orthogonal :func:`~phmor.systems.congruence`
@@ -292,7 +297,9 @@ def condensed_form(sys):
         return off + size
 
     off = step(_split_psd, sys.E)  # 1: dynamic block from E
-    off = step(_split_psd, cur.R[off:, off:])  # 2: dissipative algebraic block
+    R_norm = spla.norm(sys.R, 2) if n else 0.0
+    # 2: dissipative algebraic block, its rank on the scale of the whole R
+    off = step(lambda M: _split_psd(M, R_norm), cur.R[off:, off:])
     off3 = step(_split_range, cur.J[off:, off:])  # 3: skew algebraic block
     step(_split_range, cur.J[off3:, :off])  # 4: index-2 couplings [J41 J42]
     sizes.append(n - sum(sizes))

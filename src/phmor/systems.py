@@ -19,7 +19,9 @@ its parent) solves its shifted pencil s E - A through one
 ``shifted_solver`` (``solve_shifted``) and evaluates its transfer function
 through ``transfer_evals``.  A partition of a dense parent eliminates the
 algebraic equations exactly and factors the ODE that remains once per
-partition; a sparse parent or a bare system keeps one LU per shift.
+partition; a sparse model factors its pencil once per shift
+(:class:`~phmor.linalg.SparsePencil`), and a dense bare system keeps one
+LU per shift.
 
 A partition factors its constraint block once, A22 = J22 - R22 (index 1)
 or M = J12^T E11^{-1} J12 (index 2), for its check, polynomial part,
@@ -37,8 +39,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spsla
 from scipy.linalg import lapack
 
-from .linalg import (COND_LIMIT, LinAlgContractError, LUFactor, SchurPencil, _stack_mul,
-                     solve_complex)
+from .linalg import (COND_LIMIT, LinAlgContractError, LUFactor, SchurPencil, SparsePencil,
+                     _stack_mul, solve_complex)
 from .transfer import (
     PolynomialPart,
     polynomial_part_index1,
@@ -111,10 +113,12 @@ class _ShiftedSolves:
     @functools.cached_property
     def shifted_solver(self):
         """The solver of s E - A, built on first use and kept for the
-        model's lifetime: one SuperLU factorization per shift for a sparse
+        model's lifetime: a :class:`~phmor.linalg.SparsePencil` (one SuperLU
+        factorization per shift, one column ordering per model) for a sparse
         model, else :meth:`_elimination`."""
-        if sp.issparse(self.generic.E):
-            return _ShiftedLU(self.generic)
+        gen = self.generic
+        if sp.issparse(gen.E):
+            return SparsePencil(gen.E, gen.A)
         return self._elimination()
 
     def solve_shifted(self, s, rhs, cond_limit=COND_LIMIT):
@@ -156,9 +160,9 @@ class _ShiftedSolves:
 
 
 class _ShiftedLU:
-    """(s E - A)^{-1} by one :func:`~phmor.linalg.solve_complex` per shift
-    (SuperLU for sparse E and A), with the elimination solvers' ``solve``
-    signature."""
+    """(s E - A)^{-1} of a dense bare system by one
+    :func:`~phmor.linalg.solve_complex` per shift, with the elimination
+    solvers' ``solve`` signature."""
 
     def __init__(self, gen):
         self._E, self._A = gen.E, gen.A

@@ -6,12 +6,14 @@ The generic-form references reduce a dense partition through its
 unstructured realization (E, A, B, C, D) and convert the projection to pH
 form at the end, the route the reducers took before they were written as
 one congruence.  The H2 reference integrates the error one point at a
-time with ``scipy.integrate.quad``."""
+time with ``scipy.integrate.quad``.  The sparse condition reference is
+``scipy.sparse.linalg.onenormest`` on M^{-1} applied through SuperLU."""
 
 import numpy as np
 import scipy.integrate
 import scipy.linalg as spla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spsla
 
 from phmor import GenericLTISystem, PHDAESystem, build_V_generic, build_V_saddle
 from phmor.linalg import LinAlgContractError
@@ -112,3 +114,14 @@ def quad_h2_error(full, reduced):
 
     val, _ = scipy.integrate.quad(lambda w: gap(w) ** 2, 0.0, np.inf, limit=200)
     return float(np.sqrt(val / np.pi))
+
+
+def onenormest_inverse(M):
+    """||M^{-1}||_1 estimated by ``scipy.sparse.linalg.onenormest`` with
+    one column, M^{-1} (and its adjoint, through ``trans="H"``) applied by
+    a SuperLU factor of M with its default COLAMD ordering."""
+    lu = spsla.splu(sp.csc_array(M, dtype=complex))
+    inverse = spsla.LinearOperator(
+        M.shape, dtype=complex, matvec=lu.solve, matmat=lu.solve,
+        rmatvec=lambda x: lu.solve(x, trans="H"), rmatmat=lambda x: lu.solve(x, trans="H"))
+    return spsla.onenormest(inverse, t=1)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spsla
 
+from oracles import onenormest_inverse
 from phmor.linalg import (
     LinAlgContractError,
     SingularMatrixError,
+    _inverse_norm_estimate,
     gen_eig,
     nullspace_basis,
     orthonormalize,
@@ -90,7 +93,7 @@ def test_solve_complex_sparse_cond_estimate_bounds_exact_value():
 
 
 def test_solve_complex_sparse_cond_estimate_ignores_global_rng():
-    # one-column onenormest draws nothing from numpy's global generator
+    # the one-column estimator draws nothing from numpy's global generator
     M = _sparse_complex(60, 5)
     estimates = []
     for seed in (0, 12345):
@@ -99,6 +102,37 @@ def test_solve_complex_sparse_cond_estimate_ignores_global_rng():
             solve_complex(M, np.ones(60), cond_limit=1.0)
         estimates.append(info.value.cond_estimate)
     assert estimates[0] == estimates[1]
+
+
+def _random_sparse_complex(n, seed):
+    """A sparse complex n x n matrix with random entries, a few per column,
+    and a random complex diagonal."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < min(1.0, 3.0 / n)
+    M = np.where(mask, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 0.0)
+    M[np.diag_indices(n)] += rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return sp.csr_array(M)
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_inverse_norm_estimate_is_scipy_onenormest(n):
+    M = _random_sparse_complex(n, seed=100 + n)
+    lu = spsla.splu(sp.csc_array(M))
+    y = lu.solve(np.full(n, 1.0 / n, dtype=complex))
+    est = _inverse_norm_estimate(lu.solve, lambda V: lu.solve(V, trans="H"), y)
+    assert est == onenormest_inverse(M)
+    # solve_complex's condition estimate is ||M||_1 times that estimate
+    with pytest.raises(SingularMatrixError) as info:
+        solve_complex(M, np.ones(n), cond_limit=0.0)
+    assert info.value.cond_estimate == spsla.norm(M, 1) * est
+
+
+def test_solve_complex_empty_sparse_is_exactly_singular():
+    # the dense branch's answer: an empty matrix has no LU factor
+    with pytest.raises(SingularMatrixError, match="exactly singular"):
+        solve_complex(sp.csr_array((0, 0)), np.ones(0))
+    with pytest.raises(SingularMatrixError, match="exactly singular"):
+        solve_complex(np.zeros((0, 0)), np.ones(0))
 
 
 def test_gen_eig_biorthogonal_scaling():

@@ -1,9 +1,13 @@
-"""The partition views' shifted solver: exact elimination of the algebraic
-equations plus one Schur form per partition, checked against a dense LU of
-the full pencil s E - A."""
+"""The full models' shifted solvers: for a dense partition, exact
+elimination of the algebraic equations plus one Schur form per partition,
+checked against a dense LU of the full pencil s E - A; for a sparse model,
+one SuperLU factorization per shift with one column ordering per model,
+checked against :func:`solve_complex` of s E - A."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spsla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,12 +17,20 @@ from phmor.benchmarks import (
     OseenSpec,
     mass_spring_chain,
     mass_spring_chain_b2,
+    mass_spring_chain_sparse,
     mixed_chain,
     oseen_grid,
+    oseen_grid_sparse,
     random_ph_index1,
 )
 from phmor.irka import IRKAConfig, irka_reduce
-from phmor.linalg import LinAlgContractError, SchurPencil, SingularMatrixError, solve_complex
+from phmor.linalg import (
+    LinAlgContractError,
+    SchurPencil,
+    SingularMatrixError,
+    SparsePencil,
+    solve_complex,
+)
 from phmor.systems import PHDAESystem, partition_index1, partition_index2, partition_mixed
 from phmor.transfer import FrequencyGrid, eval_transfer, evaluate
 
@@ -163,3 +175,124 @@ def test_cli_builds_once_per_command_and_never_in_generate(count_builds, tmp_pat
     assert cli.main(["reduce", str(tmp_path / "chain-b2"), "--method", "irka", "--r", "2",
                      "--h2", "--freq-grid", "1e-4:1e4:20", "--out", str(tmp_path / "out")]) == 0
     assert len(count_builds) == 1
+
+
+SPARSE_MODELS = {
+    "chain-6": lambda: mass_spring_chain_sparse(MassSpringSpec(k=6)),
+    "chain-50": lambda: mass_spring_chain_sparse(MassSpringSpec(k=50)),
+    "oseen-3": lambda: oseen_grid_sparse(OseenSpec(n_grid=3)),
+    "oseen-8": lambda: oseen_grid_sparse(OseenSpec(n_grid=8)),
+}
+_SPARSE = {}
+
+
+def _sparse_model(name):
+    """One sparse model per module, so its solver keeps the column ordering
+    of its first shift across examples, as within one CLI command."""
+    if name not in _SPARSE:
+        _SPARSE[name] = SPARSE_MODELS[name]()
+    return _SPARSE[name]
+
+
+def _outcome(solve):
+    """The solution, or the type and message of the error raised."""
+    try:
+        return solve()
+    except LinAlgContractError as exc:
+        return type(exc), str(exc)
+
+
+_shifts = st.builds(
+    complex,
+    st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e) | st.just(0.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SPARSE_MODELS)),
+       shifts=st.lists(_shifts, min_size=1, max_size=4),
+       log_limit=st.one_of(st.just(12.0), st.floats(0.0, 8.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_sparse_pencil_matches_solve_complex(name, shifts, log_limit, seed):
+    model = _sparse_model(name)
+    assert type(model.shifted_solver) is SparsePencil
+    gen = model.generic
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((gen.n, 1, 2)) + 1j * rng.standard_normal((gen.n, 1, 2))
+    s = np.array(shifts, dtype=complex)
+    limit = 10.0 ** log_limit
+    got = _outcome(lambda: model.shifted_solver.solve(s, F, limit))
+
+    def reference():  # solve_complex of each shift in order: the first error raises
+        return np.stack([solve_complex(sk * gen.E - gen.A, F[:, 0], cond_limit=limit)
+                         for sk in s], axis=1)
+
+    ref = _outcome(reference)
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:
+        assert not isinstance(got, tuple), got
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _sparse_pole_at_minus_one(index2_fixture):
+    """The index-2 fixture with CSR E, J and R; its one pole is s = -1."""
+    f = index2_fixture
+    return SparsePencil(sp.csr_array(f.E), sp.csr_array(f.J - f.R))
+
+
+def test_sparse_pencil_exact_eigenvalue_raises(index2_fixture):
+    pencil = _sparse_pole_at_minus_one(index2_fixture)
+    F = np.ones((3, 1, 1), dtype=complex)
+    with pytest.raises(SingularMatrixError, match="exactly singular"):
+        pencil.solve(np.array([-1.0 + 0j]), F)
+    assert np.all(np.isfinite(pencil.solve(np.array([-1.0 + 1e-3j]), F)))
+
+
+def test_sparse_pencil_nan_shift_is_contract_error(index2_fixture):
+    pencil = _sparse_pole_at_minus_one(index2_fixture)
+    with pytest.raises(LinAlgContractError) as info:
+        pencil.solve(np.array([np.nan + 0j]), np.ones((3, 1, 1), dtype=complex))
+    assert not isinstance(info.value, SingularMatrixError)
+
+
+@pytest.mark.parametrize("shifts, error", [
+    ([0.5j, -1.0, np.nan], SingularMatrixError),
+    ([0.5j, np.nan, -1.0], LinAlgContractError),
+])
+def test_sparse_pencil_first_failing_shift_raises(index2_fixture, shifts, error):
+    pencil = _sparse_pole_at_minus_one(index2_fixture)
+    with pytest.raises(LinAlgContractError) as info:
+        pencil.solve(np.array(shifts, dtype=complex), np.ones((3, 1, 1), dtype=complex))
+    assert type(info.value) is error
+
+
+def test_sparse_pencil_empty_is_exactly_singular():
+    pencil = SparsePencil(sp.csr_array((0, 0)), sp.csr_array((0, 0)))
+    with pytest.raises(SingularMatrixError, match="exactly singular"):
+        pencil.solve(np.array([1j]), np.ones((0, 1, 1), dtype=complex))
+
+
+def test_sparse_reduce_orders_each_pencil_once(monkeypatch, tmp_path):
+    # the large-sparse-reduce command on small models: 62 factorizations
+    # per model, of which 60 of the n x n pencil, the first with COLAMD
+    # and the rest in that order
+    splu, calls = spsla.splu, []
+
+    def counting(A, permc_spec=None, *args, **kwargs):
+        calls.append((A.shape[0], permc_spec))
+        return splu(A, permc_spec, *args, **kwargs)
+
+    monkeypatch.setattr(spsla, "splu", counting)
+    for bench, args in (("chain", "--k 10"), ("oseen", "--n-grid 5")):
+        out = tmp_path / bench
+        assert cli.main(["generate", "--benchmark", bench, *args.split(), "--sparse",
+                         "--out", str(out)]) == 0
+        calls.clear()
+        assert cli.main(["reduce", str(out), "--method", "index2", "--r", "10",
+                         "--freq-grid", "1e-4:1e4:40", "--out", str(tmp_path / "r")]) == 0
+        assert len(calls) == 62
+        n = max(size for size, _ in calls)
+        pencil = [spec for size, spec in calls if size == n]
+        assert pencil == ["COLAMD"] + ["NATURAL"] * 59
