@@ -123,6 +123,12 @@ def mirror_and_sanitize(poles, residues=None):
 
     order = np.argsort(np.abs(sigma.imag), kind="stable")
     sigma, residues = sigma[order], residues[order]
+    on_axis = np.abs(sigma.imag) <= AXIS_TOL * (1.0 + np.hypot(sigma.real, sigma.imag))
+    gap = sigma[None, :] - sigma.conj()[:, None]  # [i, j]: sigma[j] - conj(sigma[i])
+    # Python's abs(complex), bit for bit; a partner is a later point at a
+    # finite distance, so the rest (NaN included) are masked by inf
+    dist = np.hypot(gap.real, gap.imag)
+    dist[np.tri(sigma.size, dtype=bool) | np.isnan(dist)] = np.inf
     pts, dirs = [], []
     used = np.zeros(sigma.size, dtype=bool)
     for i, s in enumerate(sigma):
@@ -132,19 +138,16 @@ def mirror_and_sanitize(poles, residues=None):
         b = residues[i]
         if not np.any(b):
             b = np.ones_like(b)
-        if abs(s.imag) <= AXIS_TOL * (1.0 + abs(s)):
+        if on_axis[i]:
             pts.append(complex(s.real, 0.0))
             dirs.append(b.real if np.any(b.real) else np.abs(b))
         else:
-            # consume the nearest conjugate partner and emit an exact pair
-            best, dist = -1, np.inf
-            for j in range(i + 1, sigma.size):
-                if not used[j]:
-                    d = abs(sigma[j] - s.conjugate())
-                    if d < dist:
-                        best, dist = j, d
-            if best >= 0:
-                used[best] = True
+            # consume the nearest (the first nearest) unused conjugate
+            # partner and emit an exact pair
+            j = int(np.argmin(dist[i]))
+            if dist[i, j] < np.inf:
+                used[j] = True
+                dist[:, j] = np.inf
             s = complex(s.real, abs(s.imag))
             pts.extend([s, s.conjugate()])
             dirs.extend([b, b.conjugate()])
@@ -157,18 +160,25 @@ def convergence_metric(prev, new):
     Points are matched greedily (closest pairs first) so reorderings do
     not register as movement; each matched pair contributes
     |s_old - s_new| / (1 + |s_old|).  Mismatched set sizes give inf.
+    The distances form one matrix, and each match masks its row and column.
     """
-    prev = list(np.atleast_1d(np.asarray(prev, dtype=complex)))
-    new = list(np.atleast_1d(np.asarray(new, dtype=complex)))
-    if len(prev) != len(new):
+    prev = np.atleast_1d(np.asarray(prev, dtype=complex))
+    new = np.atleast_1d(np.asarray(new, dtype=complex))
+    if prev.size != new.size:
         return np.inf
+    gap = prev[:, None] - new[None, :]
+    dist = np.hypot(gap.real, gap.imag)  # Python's abs(complex), bit for bit
+    scale = 1.0 + np.hypot(prev.real, prev.imag)
+    left = dist.copy()  # matched rows and columns masked by inf
+    rows, cols = np.ones(prev.size, dtype=bool), np.ones(new.size, dtype=bool)
     worst = 0.0
-    while prev:
-        dist = np.array([[abs(p - q) for q in new] for p in prev])
-        i, j = np.unravel_index(np.argmin(dist), dist.shape)
-        worst = max(worst, dist[i, j] / (1.0 + abs(prev[i])))
-        prev.pop(i)
-        new.pop(j)
+    for _ in range(prev.size):
+        i, j = divmod(int(np.argmin(left)), new.size)  # the first NaN, if any
+        if left[i, j] == np.inf:  # every entry left is inf: take the first
+            i, j = int(np.argmax(rows)), int(np.argmax(cols))
+        worst = max(worst, dist[i, j] / scale[i])
+        left[i], left[:, j] = np.inf, np.inf
+        rows[i] = cols[j] = False
     return float(worst)
 
 

@@ -468,7 +468,10 @@ class SchurPencil:
         self._diag = np.diag(T).copy()
         self._upper = np.triu(T, 1)  # -(s I - T) off the diagonal
         self._upper_h = np.ascontiguousarray(self._upper.conj().T[::-1, ::-1])
-        self._colsums = np.abs(self._upper).sum(axis=0)  # ||.||_1 without the diagonal
+        abs_upper = np.abs(self._upper)
+        self._colsums = abs_upper.sum(axis=0)  # ||.||_1 without the diagonal
+        # the comparison matrix of s I - T; its diagonal is set per shift
+        self._comparison = np.asfortranarray(-abs_upper)
         self._right = right
         self._left = right.conj().T  # Z^H L^{-1} Phi^T
 
@@ -477,19 +480,27 @@ class SchurPencil:
 
         F has shape (n, K, m), or (n, 1, m) for one F shared by every
         shift, and is finite; X has shape (n, K, m).  Fewer than
-        ``_MIN_BATCH`` shifts are solved one by one by LAPACK (``ztrtrs``
-        and the ``ztrcon`` estimate).  More are solved in one
-        back-substitution over the rows of s I - T, each row one
-        matrix-vector product over all K*m columns (the off-diagonal part
-        of s I - T is the same for every shift), and kappa_1(s_k I - T) is
-        estimated for all of them by :func:`inverse_norm_estimates`,
-        ``ztrcon``'s own iteration, with ||s_k I - T||_1 taken from the
-        diagonal and the fixed off-diagonal column sums.
+        ``_MIN_BATCH`` shifts are solved one by one by LAPACK (``ztrtrs``).
+        More are solved in one back-substitution over the rows of s I - T,
+        each row one matrix-vector product over all K*m columns (the
+        off-diagonal part of s I - T is the same for every shift).
+
+        Each shift is first tested by an O(n^2) upper bound on
+        kappa_1(s I - T) (:meth:`_cond_bounds`, Higham, *Accuracy and
+        Stability of Numerical Algorithms*, 2nd ed., Thm 8.12).  A shift
+        whose bound is within ``cond_limit`` is accepted, which is the
+        decision the ``ztrcon`` estimate (a lower bound on kappa_1) would
+        make.  Only the other shifts, and any shift whose solution is not
+        finite, are estimated as before: by ``ztrcon`` one by one, or, in
+        a batch, by :func:`inverse_norm_estimates`, ``ztrcon``'s own
+        iteration, with ||s_k I - T||_1 taken from the diagonal and the
+        fixed off-diagonal column sums.
 
         Raises :class:`SingularMatrixError` at the first shift, in order,
         where s I - T has an exactly zero diagonal entry, the solution is
         not finite, or the estimate of kappa_1(s I - T) exceeds
-        ``cond_limit`` (a scalar or one limit per shift).
+        ``cond_limit`` (a scalar or one limit per shift); the error
+        carries the estimate.
         """
         s = np.asarray(s, dtype=complex).reshape(-1)
         n, K = self._diag.size, s.size
@@ -512,19 +523,26 @@ class SchurPencil:
         X, info = lapack.ztrtrs(U, G)
         if info > 0:
             raise SingularMatrixError("matrix is exactly singular")
+        finite = np.all(np.isfinite(X))
+        if finite and self._cond_bounds(U.diagonal()[:, None])[0] <= cond_limit:
+            return X
         rcond, info = lapack.ztrcon(U)
         cond = np.inf if info != 0 or rcond == 0.0 else 1.0 / rcond
-        if not np.all(np.isfinite(X)) or cond > cond_limit:
+        if not finite or cond > cond_limit:
             raise SingularMatrixError("matrix is singular to working precision", cond)
         return X
 
     def _solve_many(self, s, G, cond_limit):
         d = s[None, :] - self._diag[:, None]  # diagonals of s_k I - T, (n, K)
         with np.errstate(all="ignore"):
-            cond = self._cond_estimates(d)
             X = self._backsolve(d, G)
+            finite = np.isfinite(X).all(axis=(0, 2))
+            cond = self._cond_bounds(d)
+            estimate = ~(cond <= cond_limit) | ~finite
+            if estimate.any():
+                cond[estimate] = self._cond_estimates(d[:, estimate])
         exact = np.any(d == 0.0, axis=0)
-        failed = exact | ~np.isfinite(X).all(axis=(0, 2)) | ~(cond <= cond_limit)
+        failed = exact | ~finite | ~(cond <= cond_limit)
         if failed.any():
             k = int(np.argmax(failed))
             if exact[k]:
@@ -551,6 +569,39 @@ class SchurPencil:
             Y[r] = G[r] + (upper[r, r + 1:] @ flat[r + 1:]).reshape(K, -1)
             Y[r] /= d[r][:, None]
         return Y[::-1] if adjoint else Y
+
+    def _cond_bounds(self, d):
+        """Upper bounds on kappa_1(s_k I - T) for every column of the
+        diagonals d (n, K'), in O(n^2) each; inf or NaN where none is
+        found.
+
+        For triangular U, |U^{-1}| <= M(U)^{-1} entrywise, with the
+        comparison matrix M(U) (|u_ii| on the diagonal, -|u_ij| above it),
+        so ||U^{-1}||_1 <= max(y) with M(U)^T y = 1, a recurrence over the
+        rows that adds non-negative terms only.  Times ||U||_1 that bounds
+        kappa_1(U) and so ``ztrcon``'s estimate, which is ||U||_1 times a
+        lower bound on ||U^{-1}||_1 (Higham, Thm 8.12 and Sec. 15.3).
+        Rounding may raise the estimate above the exact kappa_1: its
+        solves are exact for some U + dU with |dU| <= c n u |U|, whose
+        comparison matrix differs from M(U) by that much, and this grows
+        M^{-1} by at most a factor 1 + 2 c n^2 u; with the rounding of the
+        sums here the returned bound is the computed one times
+        1 + 10 (n + 2)^2 u.  A single shift solves the recurrence by one
+        ``dtrtrs``; a batch runs it over the rows for all shifts at once,
+        each row one product with a (contiguous) column of M(U)."""
+        absd = np.abs(d)
+        n, K = d.shape
+        M = self._comparison
+        if K == 1:
+            M.ravel(order="F")[:: n + 1] = absd[:, 0]
+            y, info = lapack.dtrtrs(M, np.ones(n), trans=1)
+            y = y[:, None] if info == 0 else np.full((n, 1), np.inf)
+        else:
+            y = np.empty((n, K))
+            for j in range(n):  # rows above j only: the diagonal is not read
+                y[j] = (1.0 - M[:j, j] @ y[:j]) / absd[j]
+        anorm = (self._colsums[:, None] + absd).max(axis=0)
+        return anorm * y.max(axis=0) * (1.0 + 10.0 * (n + 2) ** 2 * np.finfo(float).eps)
 
     def _cond_estimates(self, d):
         """ztrcon's kappa_1(s_k I - T) for every column of the diagonals d."""
@@ -589,7 +640,12 @@ def gen_eig(A, E):
     lam_min = spla.eigh(0.5 * (E + E.T), eigvals_only=True, subset_by_index=[0, 0])[0]
     if lam_min <= 0:
         raise LinAlgContractError(f"E must be positive definite (min eig {lam_min:.3e})")
+    return _definite_gen_eig(A, E)
 
+
+def _definite_gen_eig(A, E):
+    """:func:`gen_eig` after its checks of E, for a caller that has made
+    them: A must be a finite square matrix of E's shape."""
     lam, VL, VR = spla.eig(A, E, left=True, right=True)
     W = _scaled_left_vectors(VL, E, VR)
     if np.linalg.cond(VR) > DEFECTIVE_COND_LIMIT:

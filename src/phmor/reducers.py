@@ -36,7 +36,7 @@ QR and dropped with a warning.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -80,11 +80,14 @@ class InterpolationData:
     complex matrix (row i is the direction at points[i]).  The set must
     be finite and closed under conjugation so that real bases exist:
     every point with nonzero imaginary part needs a partner at the
-    conjugate point with the conjugate direction.
+    conjugate point with the conjugate direction.  ``pairs`` holds the
+    points a real basis is built from, the :func:`_conjugate_pairs` of the
+    set, found once here.
     """
 
     points: np.ndarray
     directions: np.ndarray
+    pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.atleast_1d(np.asarray(self.points, dtype=complex))
@@ -105,7 +108,8 @@ class InterpolationData:
         dirs.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "directions", dirs)
-        _conjugate_pairs(pts, dirs)  # raises unless closed under conjugation
+        # raises unless closed under conjugation
+        object.__setattr__(self, "pairs", tuple(_conjugate_pairs(pts, dirs)))
 
     @property
     def r(self):
@@ -143,30 +147,35 @@ def _conjugate_pairs(points, directions):
     complex point is kept, and its partner is skipped: the first unused
     point within the same tolerance of its conjugate whose direction is the
     conjugate direction (entrywise to within _CONJ_TOL, absolute and
-    relative).  For a real model the partner's solution is the conjugate of
-    the kept one, so it adds nothing to the real span and is never solved
-    for.  A complex point without a partner raises ``LinAlgContractError``:
-    the set is not closed under conjugation.
+    relative, the test of :func:`numpy.allclose`).  For a real model the
+    partner's solution is the conjugate of the kept one, so it adds nothing
+    to the real span and is never solved for.  A complex point without a
+    partner raises ``LinAlgContractError``: the set is not closed under
+    conjugation.  Every point's possible partners are found at once, from
+    one distance matrix (``np.hypot``, which is Python's ``abs`` of a
+    complex number bit for bit) and one direction comparison.
     """
-    scale = 1.0 + np.abs(points).max()
+    tol = _CONJ_TOL * (1.0 + np.abs(points).max())
+    is_real = np.abs(points.imag) <= tol
+    gap = points[None, :] - points.conj()[:, None]  # [i, j]: points[j] - conj(points[i])
+    # np.allclose(directions[j], directions[i].conj()), for finite values
+    wanted = directions.conj()[:, None, :]
+    partner = (np.hypot(gap.real, gap.imag) <= tol) & (
+        np.abs(directions[None, :, :] - wanted) <= _CONJ_TOL + _CONJ_TOL * np.abs(wanted)
+    ).all(axis=2)
     used = np.zeros(len(points), dtype=bool)
     kept = []
-    for i, s in enumerate(points):
+    for i in range(len(points)):
         if used[i]:
             continue
         used[i] = True
-        is_real = abs(s.imag) <= _CONJ_TOL * scale
-        if not is_real:
-            for j in np.flatnonzero(~used):
-                if (abs(points[j] - s.conjugate()) <= _CONJ_TOL * scale
-                        and np.allclose(directions[j], directions[i].conjugate(),
-                                        atol=_CONJ_TOL, rtol=_CONJ_TOL)):
-                    used[j] = True
-                    break
-            else:
+        if not is_real[i]:
+            free = np.flatnonzero(partner[i] & ~used)
+            if not free.size:
                 raise LinAlgContractError(
-                    f"interpolation set not closed under conjugation at point {s}")
-        kept.append((i, is_real))
+                    f"interpolation set not closed under conjugation at point {points[i]}")
+            used[free[0]] = True
+        kept.append((i, is_real[i]))
     return kept
 
 
@@ -212,10 +221,9 @@ def _rank_filter(V, Bd):
 
 def _basis(data, column):
     """Realified, rank-filtered basis whose column at each point kept by
-    :func:`_conjugate_pairs` is ``column(sigma, b)``."""
-    kept = _conjugate_pairs(data.points, data.directions)
-    cols = np.column_stack([column(data.points[i], data.directions[i]) for i, _ in kept])
-    V, Bd = _rank_filter(*_realify(cols, data.directions, kept))
+    :func:`_conjugate_pairs` (``data.pairs``) is ``column(sigma, b)``."""
+    cols = np.column_stack([column(data.points[i], data.directions[i]) for i, _ in data.pairs])
+    V, Bd = _rank_filter(*_realify(cols, data.directions, data.pairs))
     return ProjectionBasis(V=V, directions=Bd)
 
 

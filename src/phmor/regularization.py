@@ -7,7 +7,8 @@ the feedthrough may be deficient.  This module provides
 
 * ``diagnose`` — rank tests for controllability/observability at
   infinity and along the finite spectrum, pencil regularity, and an
-  index <= 1 certificate;
+  index <= 1 certificate, in O(n^3): one QZ with both eigenvector sets
+  settles most eigenvalues, and an SVD ranks the rest;
 * ``remove_singular_part`` — splits off states that appear in no
   equation (common nullspace of E, J, R) by an orthogonal congruence;
 * ``condensed_form`` — staircase congruence ordering the state into
@@ -20,14 +21,16 @@ the feedthrough may be deficient.  This module provides
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as spla
+import scipy.sparse as sp
 
 from .linalg import LinAlgContractError, nullspace_basis, rank_tolerance
-from .systems import PHDAESystem, congruence
+from .systems import PHDAESystem, _dense, congruence
 
 __all__ = [
     "DIAGNOSE_MAX_N",
@@ -42,9 +45,12 @@ __all__ = [
 ]
 
 
-#: Largest order whose finite spectrum :func:`diagnose` computes; the
-#: diagnosis is O(n^4), so ``phmor validate`` skips it above this order.
-DIAGNOSE_MAX_N = 400
+#: Largest order whose finite spectrum :func:`diagnose` computes, and above
+#: which ``phmor validate`` skips the diagnosis.  The O(n^3) diagnosis of a
+#: chain takes 1.2, 6.5, 16 and 39 s at n = 401, 601, 801 and 1001 (one
+#: BLAS thread, 2-vCPU VM), against 24.5 s at n = 399 for the earlier
+#: O(n^4) one; 801 is the largest of those orders that is no slower.
+DIAGNOSE_MAX_N = 801
 _PROBES = 16  # random probe points of diagnose, drawn with seed 0
 _GAP_WARN = 10.0  # condensed_form warns about a staircase rank gap below this
 
@@ -97,59 +103,162 @@ def _rank(M):
     return _rank_gap(M, spla.svdvals(M))[0] if M.size else 0
 
 
-def _finite_spectrum(A, E):
-    if A.shape[0] > DIAGNOSE_MAX_N:
-        return np.array([], dtype=complex)
-    lam = spla.eigvals(A, E)
-    return lam[np.isfinite(lam) & (np.abs(lam) < 1e10)]
+def _spectrum(A, E):
+    """The finite eigenvalues (|lambda| < 1e10) of the pencil (A, E) with
+    their left vectors (columns of VL, w^H A = lambda w^H E) and right
+    vectors (columns of VR), from one QZ: ``(lam, VL, VR)``."""
+    lam, VL, VR = spla.eig(A, E, left=True, right=True)
+    finite = np.isfinite(lam) & (np.abs(lam) < 1e10)
+    return lam[finite], VL[:, finite], VR[:, finite]
+
+
+def _rank_floors(lam, VL, VR, A, E, B, C, norms, probe):
+    """Lower bounds on the numerical rank of [lambda_i E - A, B] (C1) and of
+    [lambda_i E - A; C] (O1) at each eigenvalue, as two integer arrays:
+    n where the one-vector screen proves full rank, n - 1 at a simple
+    eigenvalue it does not clear, 0 at an eigenvalue too close to another
+    (or too ill-conditioned) for either statement.  ``norms`` holds
+    ||A||_2 and ||E||_2, ``probe`` the regularity probe z and the smallest
+    singular value of z E - A.
+
+    With u the unit roundoff, K = lambda E - A and s = ||A|| + |lambda| ||E||
+    >= ||K||, :func:`_rank` calls [K, B] rank deficient when its n-th
+    singular value is at most t = (n + m) u (s + ||B||), i.e. when some unit
+    x has ||x^H K|| <= t and ||x^H B|| <= t.  If sigma_{n-1}(K) >= g, both
+    x and the computed unit left vector w (residual rho = ||w^H K||) lie
+    within (t + rho) / g of the left singular vector of sigma_n(K), so
+    ||w^H B|| <= t + 2 (t + rho) ||B|| / g.  A larger ||w^H B|| therefore
+    proves full rank; O1 is the same with the right vector v, ||K v|| and
+    ||C v||.  The estimate of sigma_{n-1}(K) is first order: a
+    perturbation of A that gives lambda a second eigenvector must move
+    another eigenvalue onto it, which takes at least
+    |lambda - lambda_j| / (kappa + kappa_j), kappa = ||w|| ||v|| / |w^H E v|
+    each eigenvalue's condition number; and a nearly singular pencil (a
+    tiny algebraic pivot) keeps sigma_{n-1}(K) small with no eigenvalue
+    near, which sigma_min(z E - A) at the probe shows, scaled by
+    min(1, |z| / |lambda|) for the growth of an index-2 part away from z.
+    g is the smallest of these over the other finite eigenvalues, divided
+    by 10 for the neglected higher-order terms.  Where g >= sqrt(u) s (far
+    above t), sigma_{n-1} of the stack exceeds the rank tolerance and the
+    rank is at least n - 1.  An eigenvalue in a cluster (a repeated
+    eigenvalue, whose geometric multiplicity may exceed the port count
+    whatever its computed vectors say), a defective one, and one with
+    kappa ||E|| >= 1/sqrt(u) fail that and get the floor 0."""
+    n = A.shape[0]
+    u = np.finfo(float).eps
+    nA, nE = norms
+    VL, VR = VL / np.linalg.norm(VL, axis=0), VR / np.linalg.norm(VR, axis=0)
+    W = VL.conj().T
+    WE = W @ E
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = 1.0 / np.abs(np.sum(WE * VR.T, axis=1))
+        dist = np.abs(lam[:, None] - lam[None, :]) / (kappa[:, None] + kappa[None, :])
+    np.fill_diagonal(dist, np.inf)
+    z, sigma_z = probe
+    with np.errstate(divide="ignore"):
+        g = np.minimum(dist.min(axis=1, initial=np.inf),
+                       sigma_z * np.minimum(1.0, np.abs(z) / np.abs(lam))) / 10.0
+    s = nA + np.abs(lam) * nE
+    simple = (g >= np.sqrt(u) * s) & (kappa * nE < 1.0 / np.sqrt(u))
+
+    def floors(rho, seen, port, size):
+        nP = spla.norm(port, 2) if port.size else 0.0
+        t = (n + size) * u * (s + nP)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cleared = seen > t + 2.0 * (t + rho) * nP / g
+        return np.where(simple & cleared, n, np.where(simple, n - 1, 0))
+
+    c1 = floors(np.linalg.norm(lam[:, None] * WE - W @ A, axis=1),
+                np.linalg.norm(W @ B, axis=1), B, B.shape[1])
+    o1 = floors(np.linalg.norm((E @ VR) * lam - A @ VR, axis=0),
+                np.linalg.norm(C @ VR, axis=0), C, C.shape[0])
+    return c1, o1
 
 
 def diagnose(model):
     """Rank-based regularity diagnosis of a descriptor realization.
 
-    Reads ``model.generic`` (a :class:`GenericLTISystem` returns itself).  The
-    finite-spectrum conditions (C1/O1) are checked at the finite pencil
-    eigenvalues with Im >= 0 (none above order ``DIAGNOSE_MAX_N``) plus
-    ``_PROBES`` random complex points drawn with a fixed seed; the
-    conditions at infinity (C2/O2) use nullspace bases of E.  The
-    matrices are real, so the rank at conj(lambda) equals the rank at
-    lambda and the Im < 0 member of each eigenvalue pair is skipped;
-    LAPACK lists the Im > 0 member first, so it is the reported witness
-    either way.  ``index_leq1`` certifies that the pencil has
-    differentiation index at most one.
+    Reads ``model.generic`` (a :class:`GenericLTISystem` returns itself),
+    densified once if its matrices are sparse.  The finite-spectrum
+    conditions (C1/O1) are checked at the finite pencil eigenvalues with
+    Im >= 0 (none above order ``DIAGNOSE_MAX_N``) plus ``_PROBES`` random
+    complex points drawn with a fixed seed; the conditions at infinity
+    (C2/O2) use nullspace bases of E.  The matrices are real, so the rank
+    at conj(lambda) equals the rank at lambda and the Im < 0 member of each
+    eigenvalue pair is skipped; LAPACK lists the Im > 0 member first, so it
+    is the reported witness either way.  ``index_leq1`` certifies that the
+    pencil has differentiation index at most one.
+
+    The rank at a point is that of an SVD (:func:`_rank`); a test's
+    measured rank is the smallest over its points, its witness the first
+    point that reaches it.  The eigenvalues and both vector sets come from
+    one QZ, and :func:`_rank_floors` bounds the rank at each eigenvalue
+    from below: full rank where the one-vector screen clears it, n - 1 at
+    another simple eigenvalue, 0 at a clustered or ill-conditioned one.
+    Points of floor 0 are ranked first; the others are ranked in order
+    only while they could still lower the rank, so the first simple
+    eigenvalue that fails ends the search.  At a probe of a regular pencil
+    (decided by the probe loop) lambda E - A is nonsingular, so C1 and O1
+    hold there; the probes are ranked only for a singular pencil, where
+    every point is ranked.  The cost is O(n^3) unless many eigenvalues
+    cluster: one QZ with vectors and a few SVDs.
     """
     gen = model.generic
-    E, A, B, C = gen.E, gen.A, gen.B, gen.C
+    E, A, B, C = _dense(gen.E), _dense(gen.A), gen.B, gen.C
     n = gen.n
     rng = np.random.default_rng(0)
-    scale = 1.0 + max(spla.norm(A, 2), spla.norm(E, 2))
+    norms = spla.norm(A, 2), spla.norm(E, 2)
+    scale = 1.0 + max(norms)
 
-    lam_eig = _finite_spectrum(A, E)
-    lam_eig = lam_eig[lam_eig.imag >= 0]
+    if n > DIAGNOSE_MAX_N:
+        lam = np.array([], dtype=complex)
+        VL = VR = np.zeros((n, 0), dtype=complex)
+    else:
+        lam, VL, VR = _spectrum(A, E)
+    upper = lam.imag >= 0
     lam_rand = scale * (rng.standard_normal(_PROBES) + 1j * rng.standard_normal(_PROBES))
-    points = np.concatenate([lam_eig, lam_rand])
+    points = np.concatenate([lam[upper], lam_rand])
 
-    # pencil regularity: det(lambda E - A) != 0 somewhere
-    regular = False
-    witness_reg = None
-    for lam in lam_rand:
-        if _rank(lam * E - A) == n:
-            regular = True
-            witness_reg = lam
+    # pencil regularity: det(lambda E - A) != 0 somewhere; the probe found
+    # keeps the smallest singular value there
+    probe = None
+    for lam_r in lam_rand:
+        M = lam_r * E - A
+        sv = spla.svdvals(M)
+        if (_rank_gap(M, sv)[0] if M.size else 0) == n:  # _rank(M), keeping sv
+            probe = lam_r, sv[-1] if sv.size else 0.0
             break
+    regular = probe is not None
 
-    def spectrum_test(name, stack):
+    def spectrum_test(name, stack, floors):
+        # floors[k] is a lower bound on the rank at points[k].  A point of
+        # floor 0 is ranked whatever else is found, so those go first; the
+        # rest are ranked in order while they could still lower the rank
+        ranks = floors.copy()  # the rank where known, else the floor
+        known = floors == n
+        for k in np.flatnonzero(floors == 0):
+            ranks[k], known[k] = _rank(stack(points[k])), True
+        ahead = np.minimum.accumulate(ranks[::-1])[::-1]
         worst_rank, worst_lam = n, None
-        for lam in points:
-            r = _rank(stack(lam))
-            if r < worst_rank:
-                worst_rank, worst_lam = r, lam
+        for k, lam_k in enumerate(points):
+            if worst_rank <= ahead[k]:  # no later point can go lower
+                break
+            if not known[k] and ranks[k] < worst_rank:
+                ranks[k] = _rank(stack(lam_k))
+            if ranks[k] < worst_rank:
+                worst_rank, worst_lam = ranks[k], lam_k
         return RankTest(name=name, passed=worst_rank == n,
                         expected_rank=n, measured_rank=worst_rank,
                         witness=worst_lam)
 
-    c1 = spectrum_test("C1", lambda lam: np.hstack([lam * E - A, B]))
-    o1 = spectrum_test("O1", lambda lam: np.vstack([lam * E - A, C]))
+    if regular:
+        probes = np.full(_PROBES, n)
+        f_c1, f_o1 = (np.concatenate([f[upper], probes])
+                      for f in _rank_floors(lam, VL, VR, A, E, B, C, norms, probe))
+    else:  # a singular pencil: rank at every point
+        f_c1 = f_o1 = np.zeros(points.size, dtype=int)
+    c1 = spectrum_test("C1", lambda lam_k: np.hstack([lam_k * E - A, B]), f_c1)
+    o1 = spectrum_test("O1", lambda lam_k: np.vstack([lam_k * E - A, C]), f_o1)
 
     S_inf = nullspace_basis(E)       # right nullspace of E
     T_inf = nullspace_basis(E.T)     # left nullspace of E
@@ -169,9 +278,17 @@ def diagnose(model):
         index_leq1=bool(index_leq1),
         tests=(c1, c2, o1, o2),
     )
-    if witness_reg is None and not regular:
+    if not regular:
         warnings.warn("pencil appears singular at all probe points", RuntimeWarning)
     return report
+
+
+def _dense_system(sys):
+    """``sys`` with dense E, J and R: a CSR system's dense copy, as
+    :func:`~phmor.containers.load_phdae` would read it."""
+    if not any(sp.issparse(M) for M in (sys.E, sys.J, sys.R)):
+        return sys
+    return dataclasses.replace(sys, E=_dense(sys.E), J=_dense(sys.J), R=_dense(sys.R))
 
 
 def remove_singular_part(sys):
@@ -182,8 +299,10 @@ def remove_singular_part(sys):
     the kept block as pure input constraints) or not at all (dropped).
     Returns ``(subsystem, dropped, V)`` with V orthogonal and
     V^T (.) V / V^T B reproducing the transformed system; the leading
-    ``sys.n - dropped`` states form the subsystem.
+    ``sys.n - dropped`` states form the subsystem.  A CSR system is
+    densified first.
     """
+    sys = _dense_system(sys)
     K = nullspace_basis(np.vstack([sys.E, sys.J, sys.R]))
     k = K.shape[1]
     if k == 0:
@@ -277,8 +396,9 @@ def condensed_form(sys):
     of the trailing states, so the result is a pHDAE with the same
     transfer function.  Small rank gaps (below ``_GAP_WARN``) are
     reported — they mean the block sizes are decided by nearly-tied
-    singular values.
+    singular values.  A CSR system is densified first.
     """
+    sys = _dense_system(sys)
     n = sys.n
     V, cur = np.eye(n), sys
     sizes, gaps, notes = [], [], []

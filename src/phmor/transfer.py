@@ -24,8 +24,9 @@ import scipy.linalg as spla
 from .linalg import (
     LinAlgContractError,
     SingularMatrixError,
+    _as_matrix,
+    _definite_gen_eig,
     _scaled_left_vectors,
-    gen_eig,
     solve_complex,
 )
 
@@ -307,7 +308,8 @@ def pole_residue(model):
     D = gen.D
     lam_min = spla.eigh(0.5 * (E + E.T), eigvals_only=True, subset_by_index=[0, 0])[0]
     if lam_min > 0 and spla.norm(E - E.T, "fro") <= 1e-10 * spla.norm(E, "fro"):
-        eig = gen_eig(A, E)
+        # E passed gen_eig's own symmetry and definiteness tests just now
+        eig = _definite_gen_eig(_as_matrix(A, "A"), E)
         lam, VR, W = eig.eigenvalues, eig.right, eig.left
     else:
         lam, VL, VR = spla.eig(A, E, left=True, right=True)
@@ -317,13 +319,13 @@ def pole_residue(model):
     lefts = (C @ VR).T            # c_i rows
     rights = (B.T @ W).T          # b_i rows
     # Phase normalization: largest entry of b_i real positive.
-    for i in range(len(lam)):
-        b = rights[i]
-        k = int(np.argmax(np.abs(b)))
-        if np.abs(b[k]) > 0:
-            phase = b[k] / np.abs(b[k])
-            rights[i] = b / phase
-            lefts[i] = lefts[i] * phase
+    big = rights[np.arange(len(lam)), np.argmax(np.abs(rights), axis=1)]
+    size = np.abs(big)
+    turn = (size > 0)[:, None]  # a zero (or NaN) row keeps its phase
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phase = (big / size)[:, None]
+        rights = np.where(turn, rights / phase, rights)
+        lefts = np.where(turn, lefts * phase, lefts)
     return PoleResidueForm(poles=lam, left=lefts, right=rights, D=np.asarray(D, dtype=float))
 
 

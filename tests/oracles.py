@@ -7,7 +7,13 @@ unstructured realization (E, A, B, C, D) and convert the projection to pH
 form at the end, the route the reducers took before they were written as
 one congruence.  The H2 reference integrates the error one point at a
 time with ``scipy.integrate.quad``.  The sparse condition reference is
-``scipy.sparse.linalg.onenormest`` on M^{-1} applied through SuperLU."""
+``scipy.sparse.linalg.onenormest`` on M^{-1} applied through SuperLU.
+The diagnosis reference ranks C1 and O1 by SVD at every finite
+eigenvalue, and the IRKA bookkeeping references (conjugate pairing,
+mirroring, the convergence metric) are the loops the package ran before
+it worked on whole arrays."""
+
+import warnings
 
 import numpy as np
 import scipy.integrate
@@ -16,8 +22,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spsla
 
 from phmor import GenericLTISystem, PHDAESystem, build_V_generic, build_V_saddle
+from phmor.irka import AXIS_TOL
 from phmor.linalg import LinAlgContractError
-from phmor.reducers import _finish
+from phmor.reducers import _CONJ_TOL, InterpolationData, _finish
+from phmor.regularization import _PROBES, RankTest, _rank, _spectrum
 from phmor.transfer import evaluate
 
 
@@ -125,3 +133,130 @@ def onenormest_inverse(M):
         M.shape, dtype=complex, matvec=lu.solve, matmat=lu.solve,
         rmatvec=lambda x: lu.solve(x, trans="H"), rmatmat=lambda x: lu.solve(x, trans="H"))
     return spsla.onenormest(inverse, t=1)
+
+
+def reference_spectrum_tests(gen):
+    """C1 and O1 of :func:`phmor.regularization.diagnose`, ranked by SVD at
+    every finite eigenvalue (both members of each conjugate pair) plus the
+    same random probes: the measured rank is the smallest, the witness the
+    first point where it is reached."""
+    E, A, B, C = (_dense(M) for M in (gen.E, gen.A, gen.B, gen.C))
+    rng = np.random.default_rng(0)
+    scale = 1.0 + max(np.linalg.norm(A, 2), np.linalg.norm(E, 2))
+    lam_rand = scale * (rng.standard_normal(_PROBES) + 1j * rng.standard_normal(_PROBES))
+    points = np.concatenate([_spectrum(A, E)[0], lam_rand])
+    tests = []
+    for name, stack in (("C1", lambda lam: np.hstack([lam * E - A, B])),
+                        ("O1", lambda lam: np.vstack([lam * E - A, C]))):
+        ranks = [_rank(stack(lam)) for lam in points]
+        worst = int(np.argmin(ranks))  # the first point of minimum rank
+        rank = min(ranks)
+        tests.append(RankTest(name=name, passed=rank == gen.n, expected_rank=gen.n,
+                              measured_rank=rank,
+                              witness=points[worst] if rank < gen.n else None))
+    return tests
+
+
+def conjugate_pairs(points, directions):
+    """The kept (index, is_real) entries of a conjugate-closed point set,
+    pairing each complex point with the first unused point at its
+    conjugate (within _CONJ_TOL) that carries the conjugate direction."""
+    scale = 1.0 + np.abs(points).max()
+    used = np.zeros(len(points), dtype=bool)
+    kept = []
+    for i, s in enumerate(points):
+        if used[i]:
+            continue
+        used[i] = True
+        is_real = abs(s.imag) <= _CONJ_TOL * scale
+        if not is_real:
+            for j in np.flatnonzero(~used):
+                if (abs(points[j] - s.conjugate()) <= _CONJ_TOL * scale
+                        and np.allclose(directions[j], directions[i].conjugate(),
+                                        atol=_CONJ_TOL, rtol=_CONJ_TOL)):
+                    used[j] = True
+                    break
+            else:
+                raise LinAlgContractError(
+                    f"interpolation set not closed under conjugation at point {s}")
+        kept.append((i, is_real))
+    return kept
+
+
+def mirror_and_sanitize(poles, residues=None):
+    """:func:`phmor.irka.mirror_and_sanitize`, each partner found by a
+    scalar loop over the unused points."""
+    poles = np.atleast_1d(np.asarray(poles, dtype=complex))
+    if residues is None:
+        residues = np.ones((poles.size, 1), dtype=complex)
+    residues = np.atleast_2d(np.asarray(residues, dtype=complex))
+    finite = np.isfinite(poles) & np.all(np.isfinite(residues), axis=1)
+    if not finite.all():
+        warnings.warn("dropping non-finite poles from the interpolation set",
+                      RuntimeWarning)
+        poles, residues = poles[finite], residues[finite]
+    if poles.size == 0:
+        raise LinAlgContractError("no finite poles available for the next sweep")
+    sigma = -poles
+    re = np.abs(sigma.real)
+    re = np.where(re < AXIS_TOL, AXIS_TOL, re)
+    sigma = re + 1j * sigma.imag
+    order = np.argsort(np.abs(sigma.imag), kind="stable")
+    sigma, residues = sigma[order], residues[order]
+    pts, dirs = [], []
+    used = np.zeros(sigma.size, dtype=bool)
+    for i, s in enumerate(sigma):
+        if used[i]:
+            continue
+        used[i] = True
+        b = residues[i]
+        if not np.any(b):
+            b = np.ones_like(b)
+        if abs(s.imag) <= AXIS_TOL * (1.0 + abs(s)):
+            pts.append(complex(s.real, 0.0))
+            dirs.append(b.real if np.any(b.real) else np.abs(b))
+        else:
+            best, dist = -1, np.inf
+            for j in range(i + 1, sigma.size):
+                if not used[j]:
+                    d = abs(sigma[j] - s.conjugate())
+                    if d < dist:
+                        best, dist = j, d
+            if best >= 0:
+                used[best] = True
+            s = complex(s.real, abs(s.imag))
+            pts.extend([s, s.conjugate()])
+            dirs.extend([b, b.conjugate()])
+    return InterpolationData(points=np.array(pts), directions=np.vstack(dirs))
+
+
+def convergence_metric(prev, new):
+    """:func:`phmor.irka.convergence_metric` by rebuilding the distance
+    list after each greedy match."""
+    prev = list(np.atleast_1d(np.asarray(prev, dtype=complex)))
+    new = list(np.atleast_1d(np.asarray(new, dtype=complex)))
+    if len(prev) != len(new):
+        return np.inf
+    worst = 0.0
+    while prev:
+        dist = np.array([[abs(p - q) for q in new] for p in prev])
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        worst = max(worst, dist[i, j] / (1.0 + abs(prev[i])))
+        prev.pop(i)
+        new.pop(j)
+    return float(worst)
+
+
+def normalize_phases(lefts, rights):
+    """The phase normalization of :func:`phmor.transfer.pole_residue`, one
+    pole at a time: the largest-magnitude entry of each right residue
+    becomes real and positive, and the left residue takes the phase."""
+    lefts, rights = lefts.copy(), rights.copy()
+    for i in range(rights.shape[0]):
+        b = rights[i]
+        k = int(np.argmax(np.abs(b)))
+        if np.abs(b[k]) > 0:
+            phase = b[k] / np.abs(b[k])
+            rights[i] = b / phase
+            lefts[i] = lefts[i] * phase
+    return lefts, rights

@@ -35,6 +35,7 @@ from phmor.benchmarks import (
 from phmor.irka import IRKAConfig, irka_reduce
 from phmor.linalg import (
     LinAlgContractError,
+    SchurPencil,
     SingularMatrixError,
     inverse_norm_estimates,
     solve_complex,
@@ -143,6 +144,97 @@ def test_schur_estimates_equal_ztrcon(name):
     assert np.count_nonzero(ref[checked] > 1e5) >= 1
     np.testing.assert_allclose(got[checked], ref[checked], rtol=1e-10)
     assert np.all(got[~checked] > 1e9)
+
+
+@st.composite
+def _triangles(draw):
+    """A SchurPencil of a real matrix drawn upper quasi-triangular (2x2
+    blocks give complex pairs), with off-diagonal entries up to 1e4 times
+    the diagonal and diagonals down to 1e-12, and shifts near and far
+    from its eigenvalues."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    skew = 10.0 ** draw(st.integers(0, 4))
+    tiny = 10.0 ** -draw(st.integers(0, 12))
+    A = np.triu(skew * rng.standard_normal((n, n)), 1)
+    diag = rng.standard_normal(n) * np.where(rng.random(n) < 0.3, tiny, 1.0)
+    A[np.diag_indices(n)] = diag
+    for i in range(0, n - 1, 3):  # a complex pair every third position
+        A[i + 1, i] = -A[i, i + 1]
+    pencil = SchurPencil(np.eye(n), A)
+    eig = pencil._diag
+    near = eig + rng.standard_normal(eig.size) * 10.0 ** rng.integers(-14, 1, eig.size)
+    shifts = np.concatenate([near, 1j * 10.0 ** rng.uniform(-3, 3, 4), rng.standard_normal(4)])
+    return pencil, shifts
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_triangles())
+def test_comparison_bound_dominates_kappa_and_ztrcon(case):
+    pencil, shifts = case
+    n = pencil._diag.size
+    d = shifts[None, :] - pencil._diag[:, None]
+    with np.errstate(all="ignore"):
+        batched = pencil._cond_bounds(d)
+    for k, s in enumerate(shifts):
+        U = -pencil._negT.copy(order="F")
+        U[np.diag_indices(n)] = d[:, k]
+        one = pencil._cond_bounds(d[:, [k]])[0]
+        # the one-shift dtrtrs and the batched recurrence agree to rounding
+        assert one == pytest.approx(batched[k], rel=1e-12) or not np.isfinite(one)
+        if not np.isfinite(one):
+            continue
+        inverse = lapack.ztrtri(U)[0]
+        kappa = np.abs(U).sum(axis=0).max() * np.abs(np.triu(inverse)).sum(axis=0).max()
+        if kappa < 1e8:  # the dense inverse is accurate to about 1e-8 here
+            assert one >= kappa * (1.0 - 1e-7)
+        # where the bound clears a limit, ztrcon's estimate clears it too
+        assert _ztrcon(pencil._negT, s) <= one
+
+
+@pytest.mark.filterwarnings("ignore:near-defective pencil")
+def test_irka_basis_solves_call_no_ztrcon(monkeypatch):
+    # chain k=50, IRKA r=10: every basis shift is cleared by the bound, and
+    # each solution is LAPACK's ztrtrs solution, bit for bit
+    calls, solved = [], []
+    ztrcon = lapack.ztrcon
+    monkeypatch.setattr(lapack, "ztrcon", lambda *a, **k: calls.append(1) or ztrcon(*a, **k))
+    solve_one = SchurPencil._solve_one
+
+    def recording(self, s, G, cond_limit):
+        X = solve_one(self, s, G, cond_limit)
+        solved.append((self._negT, s, G, X))
+        return X
+
+    monkeypatch.setattr(SchurPencil, "_solve_one", recording)
+    result = irka_reduce(mass_spring_chain(MassSpringSpec(k=50)), IRKAConfig(r=10))
+    assert result.converged and len(solved) > 50
+    assert calls == []
+    for negT, s, G, X in solved:
+        U = negT.copy(order="F")
+        U[np.diag_indices_from(U)] += s
+        assert np.array_equal(X, lapack.ztrtrs(U, G)[0])
+
+
+def test_grid_estimates_only_uncleared_shifts(monkeypatch):
+    # the H-inf grid of chain k=6 is cleared by the bound; two shifts at an
+    # eigenvalue are not, and raise with the batched ztrcon estimate
+    part = mass_spring_chain(MassSpringSpec(k=6))
+    ode = part.shifted_solver._ode
+    estimated = []
+    cond_estimates = SchurPencil._cond_estimates
+    monkeypatch.setattr(SchurPencil, "_cond_estimates",
+                        lambda self, d: estimated.append(d.shape[1]) or cond_estimates(self, d))
+    frequency_response(part, FrequencyGrid.log_spaced())
+    assert estimated == []
+    eig = ode._diag[0]
+    shifts = np.concatenate([1j * np.logspace(-2, 2, 40), [eig * (1 + 1e-15)]])
+    F = np.ones((ode._right.shape[0], 1, 1))
+    with pytest.raises(SingularMatrixError) as exc:
+        ode.solve(shifts, F)
+    assert estimated == [1]
+    d = shifts[None, :] - ode._diag[:, None]
+    assert exc.value.cond_estimate == cond_estimates(ode, d)[-1]
 
 
 def _pencils(model, points):

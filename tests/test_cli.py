@@ -70,11 +70,11 @@ class TestGenerateValidate:
 
     def test_validate_says_when_it_skips_the_diagnosis(self, tmp_path, capsys):
         model = tmp_path / "chain"
-        _run(["generate", "--benchmark", "chain", "--k", 200, "--out", model], capsys)
+        _run(["generate", "--benchmark", "chain", "--k", 401, "--out", model], capsys)
         code, captured = _run(["validate", model], capsys)
         assert code == 0
         lines = captured.out.splitlines()
-        assert lines[-1] == "diagnosis skipped: n = 401 > 400"
+        assert lines[-1] == "diagnosis skipped: n = 803 > 801"
         assert "pencil regular" not in captured.out
         assert all(line.split()[1] == "pass" for line in lines[:-1])
 

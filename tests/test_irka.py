@@ -1,11 +1,17 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from phmor import (
     IRKAConfig,
     InterpolationData,
+    PHDAESystem,
     convergence_metric,
     irka_reduce,
     mirror_and_sanitize,
@@ -13,7 +19,9 @@ from phmor import (
     pole_residue,
 )
 from phmor.benchmarks import MassSpringSpec, mass_spring_chain
-from phmor.linalg import LinAlgContractError
+from phmor.linalg import LinAlgContractError, gen_eig
+from phmor.reducers import _conjugate_pairs
+from phmor.transfer import balance_realization
 
 
 class TestMirrorAndSanitize:
@@ -141,3 +149,106 @@ def test_irka_checks_polynomial_part_once_per_partition(monkeypatch):
     result = irka_reduce(part, IRKAConfig(r=2))
     assert result.converged and len(result.trace) > 1
     assert len(calls) == 1
+
+
+# Values with ties, points on and within 1e-8 of the imaginary axis, parts
+# below and near the pairing tolerances, and non-finite poles.
+_PARTS = st.sampled_from([0.0, -0.0, 1e-12, -1e-9, 1e-8, 2e-8, 0.5, -1.0, 1.0, 1.0 + 1e-11,
+                          -2.5, 3.0, 1e3, -1e6])
+_ODD = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def _poles(draw, odd=True):
+    """Poles closed under conjugation (each complex pole with its partner,
+    in any order), with residue rows that are conjugate for partners."""
+    m = draw(st.integers(1, 2))
+    poles, rows = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        re = draw(_PARTS)
+        im = draw(_PARTS) if draw(st.booleans()) else 0.0
+        if odd and draw(st.integers(0, 9)) == 0:
+            re = draw(_ODD)
+        row = np.array([complex(draw(_PARTS), draw(_PARTS)) for _ in range(m)])
+        poles.append(complex(re, im))
+        rows.append(row)
+        if im != 0.0:
+            poles.append(complex(re, -im))
+            rows.append(row.conj())
+    order = draw(st.permutations(range(len(poles))))
+    return np.array(poles)[order], np.array(rows)[order]
+
+
+def _same(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+class TestBookkeepingMatchesLoops:
+    """The array forms of the IRKA bookkeeping give the old loops' result,
+    bit for bit (tests/oracles.py holds the loops)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_poles(), residues=st.booleans())
+    def test_mirror_and_sanitize(self, case, residues):
+        poles, rows = case
+        args = (poles, rows) if residues else (poles,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                want = oracles.mirror_and_sanitize(*args)
+            except LinAlgContractError as exc:
+                with pytest.raises(LinAlgContractError, match=re.escape(str(exc))):
+                    mirror_and_sanitize(*args)
+                return
+            got = mirror_and_sanitize(*args)
+        assert _same(got.points, want.points)
+        assert _same(got.directions, want.directions)
+        assert got.pairs == tuple(want.pairs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=_poles(), b=_poles(), shuffle=st.booleans())
+    def test_convergence_metric(self, a, b, shuffle):
+        prev, new = a[0], (a[0][::-1] if shuffle else b[0])
+        with warnings.catch_warnings(), np.errstate(invalid="ignore", over="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got, want = convergence_metric(prev, new), oracles.convergence_metric(prev, new)
+        assert got == want or (np.isnan(got) and np.isnan(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_poles(odd=False), broken=st.booleans())
+    def test_conjugate_pairs(self, case, broken):
+        points, rows = case
+        if broken:  # the first complex point loses its partner's direction
+            rows = rows.copy()
+            rows[np.flatnonzero(points.imag)[:1]] += 1e-3
+        try:
+            want = oracles.conjugate_pairs(points, rows)
+        except LinAlgContractError as exc:
+            with pytest.raises(LinAlgContractError, match=re.escape(str(exc))):
+                _conjugate_pairs(points, rows)
+            return
+        assert _conjugate_pairs(points, rows) == want
+
+
+def test_pole_residue_phases_match_the_loop():
+    # the phase of each residue pair is normalized in one array operation
+    for k in (6, 20):
+        result = irka_reduce(mass_spring_chain(MassSpringSpec(k=k)), IRKAConfig(r=4))
+        pr = pole_residue(result.model)
+        gen = result.model.generic
+        E, A, B, C = balance_realization(gen.E, gen.A, gen.B, gen.C)
+        eig = gen_eig(A, E)
+        lefts, rights = oracles.normalize_phases((C @ eig.right).T, (B.T @ eig.left).T)
+        assert _same(pr.poles, eig.eigenvalues)
+        assert _same(pr.left, lefts) and _same(pr.right, rights)
+
+
+def test_pole_residue_keeps_the_gen_eig_message():
+    # balancing E = diag(1e-200, 1) scales A's first entry by 1e200 to -inf;
+    # E passes the definiteness test, so gen_eig's own check of A reports it
+    sys = PHDAESystem(E=np.diag([1e-200, 1.0]), J=np.zeros((2, 2)), R=np.diag([1e200, 1.0]),
+                      B=np.ones((2, 1)), P=np.zeros((2, 1)), S=np.zeros((1, 1)),
+                      N=np.zeros((1, 1)))
+    with pytest.raises(LinAlgContractError, match="A contains non-finite entries"):
+        with np.errstate(over="ignore"):
+            pole_residue(sys)

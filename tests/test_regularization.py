@@ -1,6 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg as spla
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_spectrum_tests
 from phmor import (
     GenericLTISystem,
     PHDAESystem,
@@ -8,11 +15,19 @@ from phmor import (
     evaluate,
     validate_structure,
 )
-from phmor.benchmarks import MassSpringSpec, mass_spring_chain, mixed_chain, random_ph_index1
+from phmor.benchmarks import (
+    MassSpringSpec,
+    OseenSpec,
+    mass_spring_chain,
+    mass_spring_chain_b2,
+    mass_spring_chain_sparse,
+    mixed_chain,
+    oseen_grid,
+    random_ph_index1,
+)
 from phmor.regularization import (
-    RankTest,
-    _finite_spectrum,
-    _rank,
+    _rank_floors,
+    _spectrum,
     condensed_form,
     condensed_report,
     diagnose,
@@ -190,35 +205,46 @@ class TestDiagnose:
         assert all(t.passed for t in rep.tests)
 
 
-def _reference_spectrum_tests(gen, probes=16, seed=0):
-    """C1 and O1 ranked at every finite eigenvalue, both members of each
-    conjugate pair, plus the same random probes as :func:`diagnose`."""
-    E, A, B, C = gen.E, gen.A, gen.B, gen.C
+def _assert_reference(gen):
+    """diagnose's C1 and O1 equal the SVD ranking at every eigenvalue,
+    field for field; returns the report."""
+    rep = diagnose(gen)
+    c1, o1 = reference_spectrum_tests(gen)
+    assert rep["C1"] == c1
+    assert rep["O1"] == o1
+    return rep
+
+
+BENCHMARK_GENERICS = {
+    **{f"{make.__name__}-k{k}": (lambda make=make, k=k: make(MassSpringSpec(k=k)))
+       for make in (mass_spring_chain, mixed_chain, mass_spring_chain_b2) for k in (20, 50)},
+    **{f"oseen-{g}": (lambda g=g: oseen_grid(OseenSpec(n_grid=g))) for g in (3, 8)},
+    **{f"random-index1-{seed}": (lambda seed=seed: random_ph_index1(12, 4, 2, seed=seed))
+       for seed in range(10)},
+}
+
+
+def _lti(E, A, B, C):
+    return GenericLTISystem(E=np.asarray(E, dtype=float), A=np.asarray(A, dtype=float),
+                            B=np.asarray(B, dtype=float), C=np.asarray(C, dtype=float),
+                            D=np.zeros((np.shape(C)[0], np.shape(B)[1])))
+
+
+def _rotated(E, A, B, C, seed):
+    """(Q^T E Z, Q^T A Z, Q^T B, C Z) for random orthogonal Q, Z: the same
+    pencil, controllability and observability in other coordinates."""
     rng = np.random.default_rng(seed)
-    scale = 1.0 + max(np.linalg.norm(A, 2), np.linalg.norm(E, 2))
-    lam_rand = scale * (rng.standard_normal(probes) + 1j * rng.standard_normal(probes))
-    points = np.concatenate([_finite_spectrum(A, E), lam_rand])
-    tests = []
-    for name, stack in (("C1", lambda lam: np.hstack([lam * E - A, B])),
-                        ("O1", lambda lam: np.vstack([lam * E - A, C]))):
-        ranks = [_rank(stack(lam)) for lam in points]
-        worst = int(np.argmin(ranks))  # the first point of minimum rank
-        rank = min(ranks)
-        tests.append(RankTest(name=name, passed=rank == gen.n, expected_rank=gen.n,
-                              measured_rank=rank,
-                              witness=points[worst] if rank < gen.n else None))
-    return tests
+    n = len(A)
+    Q, Z = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    return _lti(Q.T @ E @ Z, Q.T @ A @ Z, Q.T @ B, C @ Z)
 
 
 class TestDiagnoseConjugatePairs:
     @pytest.mark.parametrize("make", [mass_spring_chain, mixed_chain], ids=["chain", "mixed"])
     def test_report_equals_ranking_every_eigenvalue(self, make):
         gen = make(MassSpringSpec(k=20)).parent.generic
-        assert np.any(_finite_spectrum(gen.A, gen.E).imag < 0)  # pairs to skip
-        rep = diagnose(gen)
-        c1, o1 = _reference_spectrum_tests(gen)
-        assert rep["C1"] == c1
-        assert rep["O1"] == o1
+        assert np.any(_spectrum(gen.A, gen.E)[0].imag < 0)  # pairs to skip
+        _assert_reference(gen)
 
     def test_uncontrollable_complex_mode_witness(self):
         # the mode pair -1 +- 2i does not see the input
@@ -233,7 +259,131 @@ class TestDiagnoseConjugatePairs:
         assert c1.measured_rank == 3
         assert c1.witness == pytest.approx(-1.0 + 2.0j, rel=1e-12)
         assert rep["O1"].passed
-        assert [rep["C1"], rep["O1"]] == _reference_spectrum_tests(gen)
+        assert [rep["C1"], rep["O1"]] == reference_spectrum_tests(gen)
+
+
+class TestDiagnoseEqualsSVDRanking:
+    """The screened diagnosis ranks by SVD only where the one-vector test
+    cannot decide, and must report what ranking every eigenvalue reports."""
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_GENERICS))
+    def test_benchmark_models(self, name):
+        _assert_reference(BENCHMARK_GENERICS[name]().parent.generic)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_double_eigenvalue_beyond_the_port_count(self, seed):
+        # -1 twice with two eigenvectors and one input: no B reaches both
+        gen = _rotated(np.eye(4), np.diag([-1.0, -1.0, -2.0, -3.0]), np.ones((4, 1)),
+                       np.ones((1, 4)), seed)
+        rep = _assert_reference(gen)
+        assert not rep["C1"].passed and not rep["O1"].passed
+        assert rep["C1"].measured_rank == 3
+        assert rep["C1"].witness == pytest.approx(-1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("controllable", [True, False])
+    def test_jordan_block(self, controllable):
+        # the left eigenvector of the block at -1 is e2: B = e1 + e3 misses it.
+        # QZ splits the block into -1 +- O(sqrt(eps)) with condition ~1/sqrt(eps),
+        # where no one-vector test is trusted: both get the floor 0 (ranked)
+        A = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -2.0]])
+        B = np.array([[0.0], [1.0], [1.0]]) if controllable else np.array([[1.0], [0.0], [1.0]])
+        gen = _rotated(np.eye(3), A, B, np.ones((1, 3)), 3)
+        _assert_reference(gen)
+        lam, VL, VR = _spectrum(gen.A, gen.E)
+        norms = (np.linalg.norm(gen.A, 2), 1.0)
+        c1, o1 = _rank_floors(lam, VL, VR, gen.A, gen.E, gen.B, gen.C, norms, (10.0, 1.0))
+        at_block = np.abs(lam + 1.0) < 1e-6
+        assert np.count_nonzero(at_block) == 2
+        assert np.all(c1[at_block] == 0) and np.all(o1[at_block] == 0)
+
+    def test_unobservable_mode(self):
+        A = np.diag([-1.0, -2.0, -3.0])
+        A[0, 1] = 0.5
+        # the right eigenvector of -2 is (0.5, -1, 0); C annihilates it
+        C = np.array([[2.0, 1.0, 1.0]])
+        rep = _assert_reference(_rotated(np.diag([1.0, 1.0, 2.0]), A, np.ones((3, 1)), C, 4))
+        assert rep["C1"].passed
+        assert not rep["O1"].passed and rep["O1"].witness == pytest.approx(-2.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unobservable_mode_beside_a_tiny_algebraic_pivot(self, seed):
+        # the pivot 1e-6 keeps sigma_{n-1}(lambda E - A) near 1e-6 at every
+        # lambda, so the computed eigenvector of -0.5 is off by ~1e-10 and
+        # C v is not small; only the probe's sigma_min reveals it
+        gen = _rotated(np.diag([1.0, 1.0, 0.0]), np.diag([-0.5, -2.0, -1e-6]),
+                       np.array([[1.0], [1.0], [0.0]]), np.array([[0.0, 1.0, 1.0]]), seed)
+        rep = _assert_reference(gen)
+        assert rep["C1"].passed
+        assert not rep["O1"].passed and rep["O1"].witness == pytest.approx(-0.5)
+
+    def test_singular_pencil_ranks_every_point(self):
+        # the third state appears in no equation: det(lambda E - A) = 0 everywhere
+        gen = _lti(np.diag([1.0, 1.0, 0.0]), np.diag([-1.0, -2.0, 0.0]),
+                   np.ones((3, 1)), np.ones((1, 3)))
+        with pytest.warns(RuntimeWarning, match="singular at all probe points"):
+            rep = diagnose(gen)
+        assert not rep.pencil_regular
+        assert [rep["C1"], rep["O1"]] == reference_spectrum_tests(gen)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_planted_block_diagonal_models(self, data):
+        # blocks: real modes, complex pairs, Jordan pairs and algebraic states,
+        # eigenvalues from a short list (so some repeat); inputs and outputs
+        # left out of planted blocks
+        kind = st.sampled_from(["real", "pair", "jordan", "algebraic"])
+        blocks = data.draw(st.lists(st.tuples(kind, st.sampled_from([-0.5, -1.0, -2.0, 0.0]),
+                                              st.sampled_from([0.5, 1.0, 3.0]),
+                                              st.booleans(), st.booleans()),
+                                    min_size=1, max_size=6))
+        m = data.draw(st.integers(1, 2))
+        p = data.draw(st.integers(1, 2))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        Es, As, Bs, Cs = [], [], [], []
+        for name, a, b, blind, deaf in blocks:
+            size = 2 if name in ("pair", "jordan") else 1
+            As.append({"real": [[a]], "algebraic": [[-b]], "pair": [[a, b], [-b, a]],
+                       "jordan": [[a, b], [0.0, a]]}[name])
+            Es.append(np.zeros((1, 1)) if name == "algebraic" else np.eye(size))
+            Bs.append(np.zeros((size, m)) if blind else rng.standard_normal((size, m)))
+            Cs.append(np.zeros((p, size)) if deaf else rng.standard_normal((p, size)))
+        gen = _rotated(spla.block_diag(*Es), spla.block_diag(*As), np.vstack(Bs),
+                       np.hstack(Cs), seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a singular pencil warns
+            _assert_reference(gen)
+
+
+class TestSparseModels:
+    """A CSR model is diagnosed and regularized as its dense copy is."""
+
+    def _pair(self):
+        sparse = mass_spring_chain_sparse(MassSpringSpec(k=4))
+        return sparse, mass_spring_chain(MassSpringSpec(k=4)).parent
+
+    def test_diagnose(self):
+        sparse, dense = self._pair()
+        assert diagnose(sparse) == diagnose(dense)
+        assert diagnose(sparse.generic) == diagnose(dense)
+
+    def test_condensed_form(self):
+        sparse, dense = self._pair()
+        got, want = condensed_form(sparse), condensed_form(dense)
+        assert got.block_sizes == want.block_sizes
+        assert np.array_equal(got.V, want.V)
+        assert np.array_equal(got.system.J, want.system.J)
+
+    def test_remove_singular_part(self):
+        sparse, dense = self._pair()
+        padded = _pad(dense, 2)
+        sub, dropped, V = remove_singular_part(
+            PHDAESystem(E=sp.csr_array(padded.E), J=sp.csr_array(padded.J),
+                        R=sp.csr_array(padded.R), B=padded.B, P=padded.P, S=padded.S, N=padded.N))
+        want = remove_singular_part(padded)
+        assert dropped == want[1] == 2
+        assert np.array_equal(V, want[2]) and np.array_equal(sub.E, want[0].E)
+        assert remove_singular_part(sparse)[1] == 0
 
 
 class TestOutputFeedback:
