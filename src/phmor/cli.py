@@ -15,12 +15,13 @@ directory with the fixed schema
     r, interp_residual_max, min_eig_W, rel_hinf, rel_h2, converged, iterations
 
 (rel_h2 is left empty unless --h2 is given).  ``--method`` names a
-reducer, run once or, with the ``irka-`` prefix, inside IRKA; ``auto``
-and ``irka`` take :func:`phmor.reducers.default_method`.  Every command
-is deterministic: ``reduce`` and ``sweep`` draw no random numbers, and
-``generate --seed`` fixes the random index-1 model.  The default output
-directory is taken from the ``PHMOR_OUT`` environment variable, falling
-back to the current directory.
+:data:`phmor.reducers.REDUCERS` entry, run once or, with the ``irka-``
+prefix, inside IRKA; ``auto`` and ``irka`` take
+:func:`phmor.reducers.default_method`.  Every command is deterministic:
+``reduce`` and ``sweep`` draw no random numbers, and ``generate --seed``
+fixes the random index-1 model.  The default output directory is taken
+from the ``PHMOR_OUT`` environment variable, falling back to the current
+directory.
 """
 
 from __future__ import annotations
@@ -55,13 +56,10 @@ from .transfer import (
     tangential_residuals,
 )
 
-#: Short ``--method`` names of :data:`phmor.reducers.REDUCERS` entries.
-_SHORT_NAMES = {"index2": "index2-galerkin", "mixed": "mixed-blockdiag"}
-
-#: The ``--method`` choices of ``reduce`` and ``sweep``: a reducer, by its
-#: registry or short name, or ``irka-`` and one; ``auto`` and ``irka`` take
-#: the default one.
-_REDUCER_NAMES = sorted([*REDUCERS, *_SHORT_NAMES])
+#: The ``--method`` choices of ``reduce`` and ``sweep``: a reducer's
+#: registry name, or ``irka-`` and one; ``auto`` and ``irka`` take the
+#: default one.
+_REDUCER_NAMES = sorted(REDUCERS)
 METHODS = ["auto", *_REDUCER_NAMES, "irka", *(f"irka-{name}" for name in _REDUCER_NAMES)]
 
 CSV_HEADER = "r,interp_residual_max,min_eig_W,rel_hinf,rel_h2,converged,iterations\n"
@@ -225,12 +223,12 @@ def cmd_validate(args):
 def _parse_method(method, part):
     """(reducer name, run inside IRKA) of a ``--method`` choice on ``part``.
 
-    A reducer's name starts with the index kind it reduces (``index1-``,
-    ``index2-``, ``mixed-``); one that does not fit ``part.index_kind``
-    raises ``LinAlgContractError``."""
+    A reducer's name starts with the index kind it reduces (``index1``,
+    ``index2``, ``mixed``); one that does not fit ``part.index_kind`` raises
+    ``LinAlgContractError``."""
     irka = method.startswith("irka")
     name = method.removeprefix("irka").removeprefix("-") or "auto"
-    name = default_method(part) if name == "auto" else _SHORT_NAMES.get(name, name)
+    name = default_method(part) if name == "auto" else name
     kind = name.split("-")[0].removeprefix("index")
     if kind != part.index_kind:
         raise LinAlgContractError(

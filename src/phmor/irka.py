@@ -42,7 +42,7 @@ class IRKAConfig:
 
     ``initial`` overrides the default start,
     :meth:`InterpolationData.log_spaced` (r positive real points in
-    1e-2..1e4 with all-ones directions).
+    1e-2..1e4 with all-ones directions); it must hold r points.
     """
 
     r: int
@@ -55,6 +55,9 @@ class IRKAConfig:
             raise LinAlgContractError("reduced order must be at least 1")
         if self.max_iterations < 1 or self.tol <= 0:
             raise LinAlgContractError("need max_iterations >= 1 and tol > 0")
+        if self.initial is not None and self.initial.r != self.r:
+            raise LinAlgContractError(
+                f"{self.initial.r} initial interpolation points for reduced order {self.r}")
 
 
 @dataclass

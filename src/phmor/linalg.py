@@ -15,9 +15,9 @@ Higham-Tisseur estimate of ||M^{-1}||_1 taken on the SuperLU factor
 directly; :func:`solve_complex` runs it on a sparse matrix, and
 :class:`SparsePencil` once per shift of a sparse pencil, with one column
 ordering per pencil.  :class:`LUFactor` keeps the ``dgetrf`` factor and
-``dgecon`` estimate of a real constraint block.
-:func:`inverse_norm_estimates`, LAPACK's 1-norm condition estimator run on
-many triangular systems at once, serves :class:`SchurPencil` only.
+``dgecon`` estimate of a real constraint block.  :class:`SchurPencil`
+accepts a shift by an O(n^2) bound on kappa_1(s I - T), and estimates
+kappa_1 of any other shift by ``ztrcon``, one shift at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "SchurPencil",
     "SparsePencil",
     "solve_stacked",
-    "inverse_norm_estimates",
     "gen_eig",
     "nullspace_basis",
     "rank_tolerance",
@@ -188,6 +187,10 @@ def _sparse_solve(M, B, cond_limit, order=None):
     if not np.all(np.isfinite(X)) or cond > cond_limit:
         raise SingularMatrixError("matrix is singular to working precision", cond)
     return lu, X
+
+
+#: The iteration bound of SciPy's 1-norm estimator.
+_ITMAX = 5
 
 
 def _inverse_norm_estimate(solve, solve_adjoint, y):
@@ -354,86 +357,13 @@ class SparsePencil:
         self._order = order
 
 
-#: LAPACK's safe minimum, ``dlamch('S')``: zlacn2 takes the sign of an
-#: entry no larger than this as 1.
-_SAFMIN = np.finfo(float).tiny
-#: zlacn2's bound on its main-loop iterations, and SciPy's 1-norm estimator's.
-_ITMAX = 5
-#: Fewest shifts :meth:`SchurPencil.solve` solves in one batch.  The batched
-#: estimator costs a fixed number of passes over the n rows of s I - T, so
-#: below about 20 (n = 12, 99) to 50 (n = 40, 49) shifts one LAPACK solve
-#: and estimate per shift is faster; grids are batched, interpolation sets
-#: (one point per reduced order) are not.
+#: Fewest shifts :meth:`SchurPencil.solve` solves in one batch, by one
+#: back-substitution over the rows of s I - T for all of them; fewer are
+#: solved by one ``ztrtrs`` each.  Grids are batched, interpolation sets
+#: (one point per reduced order) are not.  The two solves round
+#: differently, so this number decides which solver a point gets, and with
+#: that the output bits.
 _MIN_BATCH = 32
-
-
-def _cond_from_rcond(rcond):
-    """kappa = 1 / rcond, and inf where LAPACK would report no usable rcond
-    (0, inf or NaN)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.isfinite(rcond) & (rcond > 0.0), 1.0 / rcond, np.inf)
-
-
-def _signs(X):
-    """x / |x| entrywise, and 1 where |x| <= safmin (zlacn2's rule)."""
-    a = np.abs(X)
-    S = np.empty_like(X)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        S.real = X.real / a
-        S.imag = X.imag / a
-    S[~(a > _SAFMIN)] = 1.0
-    return S
-
-
-def inverse_norm_estimates(solve, solve_adjoint, n, k):
-    """Lower bounds on ||M_i^{-1}||_1 for k matrices M_i of order n at once.
-
-    This is LAPACK's ``zlacn2`` (Hager's method as refined by Higham, ACM
-    TOMS 14(4), 1988), the estimator inside ``zgecon`` and ``ztrcon``, run
-    for all k matrices in lockstep: start from x = 1/n, take safmin-guarded
-    signs, pick j by the first largest |z|, stop when the estimate does not
-    grow, j repeats its |z| or five iterations have run, then try the
-    alternating-sign vector; :class:`SchurPencil` estimates a grid's shifted
-    triangular factors with it.  ``solve(X, idx)`` returns M_i^{-1} X_i and
-    ``solve_adjoint(X, idx)`` returns M_i^{-H} X_i for the matrices numbered
-    ``idx``, with X of shape (n, len(idx), c) (column block X[:, i] belongs
-    to matrix idx[i]); X may also have shape (n, 1, c), one block shared by
-    all.  The alternating-sign vector is solved with the first one, which
-    changes no estimate.
-    """
-    every = np.arange(k)
-    if n == 1:
-        return np.abs(solve(np.ones((1, 1, 1), dtype=complex), every)[0, :, 0])
-    start = np.empty((n, 1, 2), dtype=complex)
-    start[:, 0, 0] = 1.0 / n
-    start[:, 0, 1] = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / (n - 1))
-    with np.errstate(all="ignore"):
-        Y = solve(start, every)
-        est = np.abs(Y[:, :, 0]).sum(axis=0)
-        alternating = 2.0 * (np.abs(Y[:, :, 1]).sum(axis=0) / (3 * n))
-        S = _signs(Y[:, :, :1])
-        del Y
-        Z = solve_adjoint(S, every)[:, :, 0]
-        del S
-        act, j = every, np.argmax(np.abs(Z), axis=0)
-        for it in range(2, _ITMAX + 1):
-            if not act.size:
-                break
-            E = np.zeros((n, act.size, 1), dtype=complex)
-            E[j, np.arange(act.size), 0] = 1.0
-            V = solve(E, act)[:, :, 0]
-            new = np.abs(V).sum(axis=0)
-            grew = new > est[act]
-            est[act] = new
-            act, j, V = act[grew], j[grew], V[:, grew]
-            if not act.size or it == _ITMAX:  # zlacn2's last z picks nothing
-                break
-            Z = np.abs(solve_adjoint(_signs(V)[:, :, None], act)[:, :, 0])
-            j_new = np.argmax(Z, axis=0)
-            cols = np.arange(act.size)
-            moved = Z[j, cols] != Z[j_new, cols]
-            act, j = act[moved], j_new[moved]
-    return np.where(alternating > est, alternating, est)
 
 
 class SchurPencil:
@@ -443,7 +373,7 @@ class SchurPencil:
     The Cholesky factor M = L L^T whitens the pencil, and the whitened
     L^{-1} A L^{-T} = Z T Z^H is taken to complex Schur form once, so that
     (s M - A)^{-1} = L^{-T} Z (s I - T)^{-1} Z^H L^{-1}.  A shift then costs
-    a triangular solve with s I - T, an estimate of kappa_1(s I - T) and
+    a triangular solve with s I - T, a bound on kappa_1(s I - T) and
     O(n^2) products, where a dense LU costs O(n^3).
 
     With an orthonormal ``basis`` Phi (n x k), M and A are the restricted
@@ -467,7 +397,6 @@ class SchurPencil:
         self._negT = np.asfortranarray(-T)
         self._diag = np.diag(T).copy()
         self._upper = np.triu(T, 1)  # -(s I - T) off the diagonal
-        self._upper_h = np.ascontiguousarray(self._upper.conj().T[::-1, ::-1])
         abs_upper = np.abs(self._upper)
         self._colsums = abs_upper.sum(axis=0)  # ||.||_1 without the diagonal
         # the comparison matrix of s I - T; its diagonal is set per shift
@@ -491,10 +420,7 @@ class SchurPencil:
         whose bound is within ``cond_limit`` is accepted, which is the
         decision the ``ztrcon`` estimate (a lower bound on kappa_1) would
         make.  Only the other shifts, and any shift whose solution is not
-        finite, are estimated as before: by ``ztrcon`` one by one, or, in
-        a batch, by :func:`inverse_norm_estimates`, ``ztrcon``'s own
-        iteration, with ||s_k I - T||_1 taken from the diagonal and the
-        fixed off-diagonal column sums.
+        finite, are estimated, by ``ztrcon``, one at a time and in order.
 
         Raises :class:`SingularMatrixError` at the first shift, in order,
         where s I - T has an exactly zero diagonal entry, the solution is
@@ -524,12 +450,8 @@ class SchurPencil:
         if info > 0:
             raise SingularMatrixError("matrix is exactly singular")
         finite = np.all(np.isfinite(X))
-        if finite and self._cond_bounds(U.diagonal()[:, None])[0] <= cond_limit:
-            return X
-        rcond, info = lapack.ztrcon(U)
-        cond = np.inf if info != 0 or rcond == 0.0 else 1.0 / rcond
-        if not finite or cond > cond_limit:
-            raise SingularMatrixError("matrix is singular to working precision", cond)
+        if not (finite and self._cond_bounds(U.diagonal()[:, None])[0] <= cond_limit):
+            _check_estimate(U, finite, cond_limit)
         return X
 
     def _solve_many(self, s, G, cond_limit):
@@ -537,38 +459,30 @@ class SchurPencil:
         with np.errstate(all="ignore"):
             X = self._backsolve(d, G)
             finite = np.isfinite(X).all(axis=(0, 2))
-            cond = self._cond_bounds(d)
-            estimate = ~(cond <= cond_limit) | ~finite
-            if estimate.any():
-                cond[estimate] = self._cond_estimates(d[:, estimate])
-        exact = np.any(d == 0.0, axis=0)
-        failed = exact | ~finite | ~(cond <= cond_limit)
-        if failed.any():
-            k = int(np.argmax(failed))
-            if exact[k]:
-                raise SingularMatrixError("matrix is exactly singular")
-            raise SingularMatrixError("matrix is singular to working precision", cond[k])
+            cleared = finite & (self._cond_bounds(d) <= cond_limit)
+        if not cleared.all():
+            U = self._negT.copy(order="F")
+            diagonal = U.ravel(order="F")[:: d.shape[0] + 1]
+            for k in np.flatnonzero(~cleared):
+                if np.any(d[:, k] == 0.0):
+                    raise SingularMatrixError("matrix is exactly singular")
+                diagonal[:] = d[:, k]  # s_k I - T
+                _check_estimate(U, finite[k], cond_limit[k])
         return X
 
-    def _backsolve(self, d, G, adjoint=False):
-        """Y with (s_k I - T) Y_k = G_k, or (s_k I - T)^H Y_k = G_k, for every
-        column k of the diagonals d (n, K'); Y has shape (n, K', c), and G
-        that or (n, 1, c).
+    def _backsolve(self, d, G):
+        """Y with (s_k I - T) Y_k = G_k for every column k of the diagonals
+        d (n, K); Y has shape (n, K, c), and G that or (n, 1, c).
 
         Back-substitution over the rows, each row one product of a row of
-        T with all K' c columns solved so far.  The adjoint, lower
-        triangular, is solved as the upper triangular system of the
-        reversed row and column order."""
-        if adjoint:
-            d, G = d[::-1].conj(), G[::-1]
-        upper = self._upper_h if adjoint else self._upper
+        T with all K c columns solved so far."""
         n, K = d.shape
         Y = np.empty((n, K, G.shape[2]), dtype=complex)
         flat = Y.reshape(n, -1)
         for r in range(n - 1, -1, -1):
-            Y[r] = G[r] + (upper[r, r + 1:] @ flat[r + 1:]).reshape(K, -1)
+            Y[r] = G[r] + (self._upper[r, r + 1:] @ flat[r + 1:]).reshape(K, -1)
             Y[r] /= d[r][:, None]
-        return Y[::-1] if adjoint else Y
+        return Y
 
     def _cond_bounds(self, d):
         """Upper bounds on kappa_1(s_k I - T) for every column of the
@@ -603,16 +517,15 @@ class SchurPencil:
         anorm = (self._colsums[:, None] + absd).max(axis=0)
         return anorm * y.max(axis=0) * (1.0 + 10.0 * (n + 2) ** 2 * np.finfo(float).eps)
 
-    def _cond_estimates(self, d):
-        """ztrcon's kappa_1(s_k I - T) for every column of the diagonals d."""
-        anorm = (self._colsums[:, None] + np.abs(d)).max(axis=0)
 
-        def solve(V, idx, adjoint=False):
-            return self._backsolve(d if idx.size == d.shape[1] else d[:, idx], V, adjoint)
-
-        est = inverse_norm_estimates(
-            solve, lambda V, idx: solve(V, idx, adjoint=True), d.shape[0], d.shape[1])
-        return _cond_from_rcond((1.0 / anorm) / est)  # ztrcon's order
+def _check_estimate(U, finite, cond_limit):
+    """Raise :class:`SingularMatrixError` with the ``ztrcon`` estimate of
+    kappa_1(U), U = s I - T, unless the solution is finite and the estimate
+    is within ``cond_limit``."""
+    rcond, info = lapack.ztrcon(U)
+    cond = np.inf if info != 0 or rcond == 0.0 else 1.0 / rcond
+    if not finite or not cond <= cond_limit:
+        raise SingularMatrixError("matrix is singular to working precision", cond)
 
 
 def _stack_mul(M, X):

@@ -18,9 +18,10 @@ sym(T^T R T), T^T B, T^T P), which keeps the pH structure:
   with a constraint-satisfying basis from saddle-point solves, the
   constraint lifts folded into the port terms.  With inputs entering the
   constraints the transfer function has a linear-in-s polynomial part,
-  reproduced exactly through an augmented (u, u') feedthrough; without
-  them the lifts vanish and the model is a valid pHDAE.
-  ``reduce_index2`` is the same reducer restricted to the latter case.
+  reproduced exactly through an augmented (u, u') feedthrough
+  (``index2-augmented``); without them the lifts vanish and the model is
+  a valid pH ODE of order r (``index2-galerkin``).  ``reduce_index2`` is
+  the same reducer restricted to the latter case.
 * ``reduce_mixed`` — combined index-1/index-2 structure, block-diagonal
   congruence reducing only the unconstrained dynamic block.
 
@@ -474,14 +475,15 @@ def reduce_mixed(part, data):
     return _finish(sys_r, "mixed-blockdiag", part.polynomial_part)
 
 
-#: Reducer name -> reducer; the name is the ``method`` of the models it
-#: returns.  The values are the functions themselves, so that a wrapper
-#: rebinding a module's functions also rebinds them here.
+#: Reducer name -> reducer.  A model's ``method`` is the registry name,
+#: except that the ``index2`` reducer names its models ``index2-galerkin``
+#: or ``index2-augmented`` by whether the constraints carry inputs.  The
+#: values are the functions themselves, so that a wrapper rebinding a
+#: module's functions also rebinds them here.
 REDUCERS = {
     "index1-shifted": reduce_index1_shifted,
     "index1-blockdiag": reduce_index1_blockdiag,
-    "index2-galerkin": reduce_index2,
-    "index2-augmented": reduce_index2_augmented,
+    "index2": reduce_index2_augmented,
     "mixed-blockdiag": reduce_mixed,
 }
 
@@ -489,13 +491,13 @@ REDUCERS = {
 def default_method(part):
     """Name of the :data:`REDUCERS` entry that runs on ``part`` when no
     reducer is named: ``index1-shifted`` for index 1, which matches the
-    polynomial part at order r; for index 2 ``index2-augmented`` when the
-    constraints carry inputs, else ``index2-galerkin``; ``mixed-blockdiag``
-    for a mixed view.  Any other object raises ``LinAlgContractError``."""
+    polynomial part at order r, ``index2`` for index 2 and
+    ``mixed-blockdiag`` for a mixed view.  Any other object raises
+    ``LinAlgContractError``."""
     if isinstance(part, Index1Partition):
         return "index1-shifted"
     if isinstance(part, Index2Partition):
-        return "index2-galerkin" if part.b2_zero else "index2-augmented"
+        return "index2"
     if isinstance(part, MixedPartition):
         return "mixed-blockdiag"
     raise LinAlgContractError(f"unsupported partition type {type(part)!r}")

@@ -34,10 +34,10 @@ from phmor.benchmarks import (
 )
 from phmor.irka import IRKAConfig, irka_reduce
 from phmor.linalg import (
+    COND_LIMIT,
     LinAlgContractError,
     SchurPencil,
     SingularMatrixError,
-    inverse_norm_estimates,
     solve_complex,
     solve_stacked,
 )
@@ -131,19 +131,29 @@ def _ztrcon(negT, s):
     return np.inf if info != 0 or rcond == 0.0 else 1.0 / rcond
 
 
+def _raised(solve, *args):
+    with pytest.raises(SingularMatrixError) as info:
+        solve(*args)
+    return info.value
+
+
 @pytest.mark.parametrize("name", sorted(PARTITIONS))
 def test_schur_estimates_equal_ztrcon(name):
+    # a batch whose last shift lies just off an eigenvalue of the ODE: it
+    # raises with ztrcon's estimate for that shift, bit for bit, the error
+    # the one-shift solve raises there
     ode = _model(name).shifted_solver._ode
     eig = -np.diag(ode._negT)
-    # the imaginary axis, and points ever closer to the ODE's eigenvalues
-    shifts = np.concatenate([1j * np.logspace(-3, 4, 40)]
-                            + [eig + t * (1.0 + np.abs(eig)) for t in (1e-2, 1e-5, 1e-8)])
-    got = ode._cond_estimates(shifts[None, :] - ode._diag[:, None])
-    ref = np.array([_ztrcon(ode._negT, s) for s in shifts])
-    checked = ref <= 1e10
-    assert np.count_nonzero(ref[checked] > 1e5) >= 1
-    np.testing.assert_allclose(got[checked], ref[checked], rtol=1e-10)
-    assert np.all(got[~checked] > 1e9)
+    k = int(np.argmax(np.abs(eig)))
+    near = eig[k] + 1e-14 * (1.0 + np.abs(eig[k]))
+    shifts = np.concatenate([1j * np.logspace(-3, 4, 40), eig[:5] + 1.0, [near]])
+    F = np.ones((ode._right.shape[0], 1, 1))
+    batched = _raised(ode.solve, shifts, F)
+    one = _raised(ode._solve_one, near, F[:, 0], COND_LIMIT)
+    assert str(batched) == str(one)
+    assert batched.cond_estimate == one.cond_estimate == _ztrcon(ode._negT, near)
+    assert batched.cond_estimate > COND_LIMIT
+    ode.solve(shifts[:-1], F)  # the rest of the batch passes
 
 
 @st.composite
@@ -192,13 +202,21 @@ def test_comparison_bound_dominates_kappa_and_ztrcon(case):
         assert _ztrcon(pencil._negT, s) <= one
 
 
+@pytest.fixture
+def ztrcon_calls(monkeypatch):
+    """The matrices passed to lapack.ztrcon, copied."""
+    calls = []
+    ztrcon = lapack.ztrcon
+    monkeypatch.setattr(lapack, "ztrcon", lambda U, *a, **k: calls.append(U.copy())
+                        or ztrcon(U, *a, **k))
+    return calls
+
+
 @pytest.mark.filterwarnings("ignore:near-defective pencil")
-def test_irka_basis_solves_call_no_ztrcon(monkeypatch):
+def test_irka_basis_solves_call_no_ztrcon(monkeypatch, ztrcon_calls):
     # chain k=50, IRKA r=10: every basis shift is cleared by the bound, and
     # each solution is LAPACK's ztrtrs solution, bit for bit
-    calls, solved = [], []
-    ztrcon = lapack.ztrcon
-    monkeypatch.setattr(lapack, "ztrcon", lambda *a, **k: calls.append(1) or ztrcon(*a, **k))
+    solved = []
     solve_one = SchurPencil._solve_one
 
     def recording(self, s, G, cond_limit):
@@ -209,32 +227,58 @@ def test_irka_basis_solves_call_no_ztrcon(monkeypatch):
     monkeypatch.setattr(SchurPencil, "_solve_one", recording)
     result = irka_reduce(mass_spring_chain(MassSpringSpec(k=50)), IRKAConfig(r=10))
     assert result.converged and len(solved) > 50
-    assert calls == []
+    assert ztrcon_calls == []
     for negT, s, G, X in solved:
         U = negT.copy(order="F")
         U[np.diag_indices_from(U)] += s
         assert np.array_equal(X, lapack.ztrtrs(U, G)[0])
 
 
-def test_grid_estimates_only_uncleared_shifts(monkeypatch):
-    # the H-inf grid of chain k=6 is cleared by the bound; two shifts at an
-    # eigenvalue are not, and raise with the batched ztrcon estimate
+def test_grid_estimates_only_uncleared_shifts(ztrcon_calls):
+    # the 400-point H-inf grid of chain k=6 is cleared by the bound; a shift
+    # at an eigenvalue is not, and is the one shift ztrcon estimates
     part = mass_spring_chain(MassSpringSpec(k=6))
     ode = part.shifted_solver._ode
-    estimated = []
-    cond_estimates = SchurPencil._cond_estimates
-    monkeypatch.setattr(SchurPencil, "_cond_estimates",
-                        lambda self, d: estimated.append(d.shape[1]) or cond_estimates(self, d))
     frequency_response(part, FrequencyGrid.log_spaced())
-    assert estimated == []
+    assert ztrcon_calls == []
     eig = ode._diag[0]
     shifts = np.concatenate([1j * np.logspace(-2, 2, 40), [eig * (1 + 1e-15)]])
     F = np.ones((ode._right.shape[0], 1, 1))
-    with pytest.raises(SingularMatrixError) as exc:
-        ode.solve(shifts, F)
-    assert estimated == [1]
-    d = shifts[None, :] - ode._diag[:, None]
-    assert exc.value.cond_estimate == cond_estimates(ode, d)[-1]
+    error = _raised(ode.solve, shifts, F)
+    assert len(ztrcon_calls) == 1
+    U = ode._negT.copy(order="F")
+    U[np.diag_indices_from(U)] = shifts[-1] - ode._diag
+    assert np.array_equal(ztrcon_calls[0], U)
+    assert error.cond_estimate == _ztrcon(ode._negT, shifts[-1])
+
+
+def test_uncleared_shifts_are_decided_in_order(ztrcon_calls):
+    # two shifts the bound does not clear, one at an eigenvalue and one
+    # just off another: whichever comes first decides the error
+    ode = _model("chain").shifted_solver._ode
+    eig = -np.diag(ode._negT)
+    near = eig[1] * (1 + 1e-14)
+    estimate = _ztrcon(ode._negT, near)
+    ztrcon_calls.clear()
+    axis = 1j * np.logspace(-2, 2, 40)
+    F = np.ones((ode._right.shape[0], 1, 1))
+    error = _raised(ode.solve, np.concatenate([axis, [near, eig[0], 2j]]), F)
+    assert str(error).startswith("matrix is singular to working precision")
+    assert error.cond_estimate == estimate
+    assert len(ztrcon_calls) == 1
+    ztrcon_calls.clear()
+    error = _raised(ode.solve, np.concatenate([axis, [eig[0], near, 2j]]), F)
+    assert str(error) == "matrix is exactly singular"
+    assert ztrcon_calls == []
+    # a near-singular shift that ztrcon accepts (its limit is its estimate)
+    # does not hide the exact eigenvalue after it
+    shifts = np.concatenate([axis, [near, eig[0]]])
+    limits = np.full(shifts.size, COND_LIMIT)
+    limits[40] = estimate
+    assert ode._cond_bounds((near - ode._diag)[:, None])[0] > estimate
+    error = _raised(ode.solve, shifts, F, limits)
+    assert str(error) == "matrix is exactly singular"
+    assert len(ztrcon_calls) == 1
 
 
 def _pencils(model, points):
@@ -285,19 +329,6 @@ def test_reduced_pencil_estimates_equal_zgecon(name):
                                                   np.logspace(-3, 3, 20)]))
     _, cond = solve_stacked(pencils, B)
     np.testing.assert_array_equal(cond, [_zgecon(M) for M in pencils])
-
-
-def test_estimator_counts_iterations_like_zlacn2():
-    # diag(1, 2, ..., n): the first iteration already finds the largest
-    # column; with n = 1 no sign vector is formed
-    for n in (1, 4):
-        d = np.arange(1.0, n + 1.0)
-
-        def solve(X, idx):
-            return np.broadcast_to(X, (n, idx.size, X.shape[2])) / d[:, None, None]
-
-        est = inverse_norm_estimates(solve, solve, n, 3)
-        assert np.allclose(est, 1.0)
 
 
 def test_exact_ode_eigenvalue_raises_like_the_loop():

@@ -116,10 +116,52 @@ class TestReduce:
         model = tmp_path / "chain-b2"
         _run(["generate", "--benchmark", "chain-b2", "--k", 6, "--out", model])
         out = tmp_path / "red"
-        assert _run(["reduce", model, "--method", "index2-augmented", "--r", 2,
+        assert _run(["reduce", model, "--method", "index2", "--r", 2,
                      "--h2", "--out", out]) == 0
         row = (out / "errors.csv").read_text().strip().splitlines()[1].split(",")
         assert row[4] == "inf"
+
+    def test_reduce_index2_with_constraint_inputs_writes_the_augmented_row(self, tmp_path):
+        # --method index2 runs reduce_index2_augmented on chain-b2: the row
+        # and the saved model are those of that reducer, byte for byte
+        from phmor import cli
+        from phmor.reducers import reduce_index2_augmented
+
+        model = tmp_path / "chain-b2"
+        _run(["generate", "--benchmark", "chain-b2", "--k", 6, "--out", model])
+        out = tmp_path / "red"
+        assert _run(["reduce", model, "--method", "index2", "--r", 2, "--h2",
+                     "--out", out]) == 0
+        part, _ = cli._load_partition(model)
+        data = phmor.InterpolationData.log_spaced(2, part.parent.m)
+        reduced = reduce_index2_augmented(part, data)
+        row = cli._errors_row(part, reduced, data, cli._parse_freq_grid("1e-4:1e4:400"),
+                              cli._h2_denominator(part))
+        assert (out / "errors.csv").read_text() == cli.CSV_HEADER + row
+        loaded = load_reduced(out)
+        assert loaded.method == "index2-augmented" and loaded.augmented_input
+        assert np.array_equal(loaded.system.E, reduced.system.E)
+
+    def test_reduce_irka_start_of_wrong_size_exits_1(self, tmp_path, capsys):
+        model = tmp_path / "chain"
+        _run(["generate", "--benchmark", "chain", "--k", 6, "--out", model])
+        out = tmp_path / "red"
+        code, captured = _run(["reduce", model, "--method", "irka", "--r", 4,
+                               "--points", "1,2", "--out", out], capsys)
+        assert code == 1
+        assert captured.err == ("error [reduce]: 2 initial interpolation points for "
+                                "reduced order 4\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["mixed", "index2-galerkin", "index2-augmented",
+                                        "irka-mixed", "irka-index2-galerkin"])
+    def test_removed_method_names_exit_2(self, tmp_path, capsys, method):
+        model = tmp_path / "mixed"
+        _run(["generate", "--benchmark", "mixed", "--k", 4, "--out", model])
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", str(model), "--method", method, "--out", str(tmp_path / "red")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_reduce_sparse_shape_mismatch_exits_1(self, tmp_path, capsys):
         model = tmp_path / "chain"

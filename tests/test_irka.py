@@ -137,6 +137,15 @@ def test_config_validation():
         IRKAConfig(r=2, tol=0.0)
 
 
+def test_config_rejects_a_start_of_another_size():
+    # a start of 2 points for r = 4 would run the whole iteration at order 2
+    start = InterpolationData(points=[1.0, 2.0], directions=[[1.0], [1.0]])
+    with pytest.raises(LinAlgContractError,
+                       match="^2 initial interpolation points for reduced order 4$"):
+        IRKAConfig(r=4, initial=start)
+    assert IRKAConfig(r=2, initial=start).initial is start
+
+
 def test_irka_checks_polynomial_part_once_per_partition(monkeypatch):
     import phmor.transfer as transfer
     from phmor.benchmarks import mass_spring_chain_b2

@@ -363,7 +363,7 @@ class TestConstraintFactorsOnce:
         part = partition_index2(parent, parent.n - 1)
         assert solves == ["solve", "LUFactor"]  # E11^{-1} J12, then M: once each
         solves.clear()
-        result = irka_reduce(part, IRKAConfig(r=4), method="index2-augmented")
+        result = irka_reduce(part, IRKAConfig(r=4), method="index2")
         assert result.model.order == 4 and not part.b2_zero
         assert solves == []
 
@@ -459,13 +459,16 @@ def _chain_b2(k):
 _index1_models = st.builds(random_ph_index1, n1=st.integers(4, 14), n2=st.integers(1, 5),
                            m=st.integers(1, 3), seed=st.integers(0, 2**16))
 _chain_sizes = st.integers(3, 12)
-#: Reducer name -> the models it is drawn on.
+#: Model kind, the ``method`` its models record -> (the REDUCERS entry
+#: that returns it, the models it is drawn on).
 _MODELS = {
-    "index1-shifted": _index1_models,
-    "index1-blockdiag": _index1_models,
-    "index2-galerkin": _chain_sizes.map(_chain),
-    "index2-augmented": st.one_of(_chain_sizes.map(_chain), _chain_sizes.map(_chain_b2)),
-    "mixed-blockdiag": _chain_sizes.map(lambda k: mixed_chain(MassSpringSpec(k=k))),
+    "index1-shifted": ("index1-shifted", _index1_models),
+    "index1-blockdiag": ("index1-blockdiag", _index1_models),
+    "index2-galerkin": ("index2", _chain_sizes.map(_chain)),
+    "index2-augmented": ("index2", st.one_of(_chain_sizes.map(_chain),
+                                             _chain_sizes.map(_chain_b2))),
+    "mixed-blockdiag": ("mixed-blockdiag",
+                        _chain_sizes.map(lambda k: mixed_chain(MassSpringSpec(k=k)))),
 }
 
 
@@ -475,13 +478,14 @@ class TestExactStructure:
     exactly symmetric and skew parts."""
 
     def test_every_reducer_is_drawn(self):
-        assert set(_MODELS) == set(REDUCERS)
+        assert {name for name, _ in _MODELS.values()} == set(REDUCERS)
 
-    @pytest.mark.parametrize("method", sorted(REDUCERS))
+    @pytest.mark.parametrize("kind", sorted(_MODELS))
     @settings(max_examples=12, deadline=None)
     @given(data=st.data())
-    def test_reduced_matrices_exactly_structured(self, method, data):
-        part = data.draw(_MODELS[method])
+    def test_reduced_matrices_exactly_structured(self, kind, data):
+        method, models = _MODELS[kind]
+        part = data.draw(models)
         r = data.draw(st.integers(1, 4))
         interp = InterpolationData.log_spaced(r, part.parent.m, 1e-1, 1e2)
         with warnings.catch_warnings():

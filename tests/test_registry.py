@@ -23,12 +23,11 @@ from phmor.linalg import LinAlgContractError
 from phmor.reducers import REDUCERS, default_method
 
 # The --method choices of `reduce` and `sweep`, in the order the CLI lists
-# them: every REDUCERS name and short name, directly and inside IRKA.
+# them: every REDUCERS name, directly and inside IRKA.
 METHOD_CHOICES = [
-    "auto", "index1-blockdiag", "index1-shifted", "index2", "index2-augmented",
-    "index2-galerkin", "mixed", "mixed-blockdiag", "irka", "irka-index1-blockdiag",
-    "irka-index1-shifted", "irka-index2", "irka-index2-augmented", "irka-index2-galerkin",
-    "irka-mixed", "irka-mixed-blockdiag",
+    "auto", "index1-blockdiag", "index1-shifted", "index2", "mixed-blockdiag",
+    "irka", "irka-index1-blockdiag", "irka-index1-shifted", "irka-index2",
+    "irka-mixed-blockdiag",
 ]
 
 
@@ -45,8 +44,8 @@ def _index1_b2_zero():
 PARTITIONS = {
     "index1": (lambda: random_ph_index1(8, 3, 1, seed=2), "index1-shifted"),
     "index1-b2-zero": (_index1_b2_zero, "index1-shifted"),
-    "index2": (lambda: mass_spring_chain(MassSpringSpec(k=4)), "index2-galerkin"),
-    "index2-b2": (lambda: mass_spring_chain_b2(MassSpringSpec(k=4)), "index2-augmented"),
+    "index2": (lambda: mass_spring_chain(MassSpringSpec(k=4)), "index2"),
+    "index2-b2": (lambda: mass_spring_chain_b2(MassSpringSpec(k=4)), "index2"),
     "mixed": (lambda: mixed_chain(MassSpringSpec(k=4)), "mixed-blockdiag"),
 }
 
@@ -111,16 +110,15 @@ def _method_choices(verb):
 
 # The index kind (a partition's ``index_kind``) each reducer reduces.
 REDUCER_KINDS = {
-    "index1-shifted": "1", "index1-blockdiag": "1", "index2-galerkin": "2",
-    "index2-augmented": "2", "mixed-blockdiag": "mixed",
+    "index1-shifted": "1", "index1-blockdiag": "1", "index2": "2",
+    "mixed-blockdiag": "mixed",
 }
 
 
 def _named_reducer(method):
     """The REDUCERS entry a --method choice names; None for auto and irka."""
     name = method.removeprefix("irka").removeprefix("-")
-    return {"": None, "auto": None, "index2": "index2-galerkin",
-            "mixed": "mixed-blockdiag"}.get(name, name)
+    return {"": None, "auto": None}.get(name, name)
 
 
 @pytest.mark.parametrize("verb", ["reduce", "sweep"])
@@ -142,11 +140,11 @@ def test_method_choices_unchanged_and_registered(verb):
             assert irka == method.startswith("irka")
 
 
-def test_registry_name_writes_the_short_name_row(tmp_path):
-    # the method a saved mixed model records is accepted as --method
+def test_registry_name_writes_the_auto_row(tmp_path):
+    # the method a saved mixed model records is the --method that auto runs
     model_dir = _save(mixed_chain(MassSpringSpec(k=4)), tmp_path / "model")
     rows = []
-    for method in ("mixed", "mixed-blockdiag"):
+    for method in ("auto", "mixed-blockdiag"):
         out = tmp_path / method
         assert cli.main(["reduce", model_dir, "--method", method, "--r", "2",
                          "--freq-grid", "1e-4:1e4:20", "--out", str(out)]) == 0
