@@ -27,6 +27,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import pathlib
 import sys
@@ -363,7 +364,9 @@ def cmd_sweep(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The ``phmor`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="phmor",
         description="Structure-preserving model reduction of port-Hamiltonian DAEs",
@@ -419,8 +422,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

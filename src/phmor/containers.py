@@ -7,6 +7,15 @@ omitted; their shapes are reconstructed from the manifest.  Reduced
 models additionally record their metadata (method, passivity flag,
 polynomial part, augmentation) so that a round trip preserves the
 transfer function exactly.
+
+A matrix is written by its nonzeros.  A sparse matrix, and a dense one
+with 3 nnz < rows * cols, goes in Matrix Market coordinate form (three
+numbers per nonzero); any other dense matrix goes in array form (one
+number per entry).  A square matrix equal to its transpose, entry for
+entry, is stored as ``symmetric`` and one equal to its negated transpose
+as ``skew-symmetric``: only the lower triangle (the strictly lower one
+for skew) is written, and reading mirrors it.  Both forms hold every
+value exactly; a zero entry loads as +0.
 """
 
 from __future__ import annotations
@@ -61,12 +70,40 @@ def _shape_of(name, n, m):
     }[name]
 
 
+def _symmetry(M):
+    """The Matrix Market symmetry of a real matrix, dense or sparse:
+    ``symmetric`` when M == M^T exactly, ``skew-symmetric`` when
+    M == -M^T exactly (its diagonal is then zero), else ``general``.  For
+    a finite matrix this is what scipy's entry-by-entry
+    ``MMFile._get_symmetry`` returns, from two array comparisons."""
+    if M.shape[0] != M.shape[1]:
+        return "general"
+    if sp.issparse(M):
+        T = M.T
+        if (M != T).nnz == 0:
+            return "symmetric"
+        return "skew-symmetric" if (M != -T).nnz == 0 else "general"
+    if np.array_equal(M, M.T):
+        return "symmetric"
+    return "skew-symmetric" if np.array_equal(M, -M.T) else "general"
+
+
 def _write_matrix(directory, name, M):
-    """Write M unless it is all zero (an omitted matrix reads back as zeros)."""
-    if not sp.issparse(M):
+    """Write M unless it is all zero (an omitted matrix reads back as
+    zeros): in coordinate form when it is sparse or when its nonzeros are
+    fewer than a third of its entries, else in array form, with its
+    :func:`_symmetry`."""
+    if sp.issparse(M):
+        if not M.nnz:
+            return
+    else:
         M = np.atleast_2d(np.asarray(M))
-    if M.nnz if sp.issparse(M) else np.any(M):
-        scipy.io.mmwrite(str(directory / f"{name}.mtx"), M)
+        nnz = np.count_nonzero(M)
+        if not nnz:
+            return
+        if 3 * nnz < M.size:
+            M = sp.coo_matrix(M)
+    scipy.io.mmwrite(str(directory / f"{name}.mtx"), M, symmetry=_symmetry(M))
 
 
 def _read_matrix(directory, name, shape, sparse=False):

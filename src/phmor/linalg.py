@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg as spla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spsla
-from scipy.linalg import lapack
+from scipy.linalg import get_blas_funcs, lapack
 
 __all__ = [
     "LinAlgContractError",
@@ -41,9 +41,11 @@ __all__ = [
     "SparsePencil",
     "solve_stacked",
     "gen_eig",
+    "pencil_eig",
     "nullspace_basis",
     "rank_tolerance",
     "qr_rank",
+    "pivoted_rank",
     "orthonormalize",
 ]
 
@@ -559,11 +561,62 @@ def gen_eig(A, E):
 def _definite_gen_eig(A, E):
     """:func:`gen_eig` after its checks of E, for a caller that has made
     them: A must be a finite square matrix of E's shape."""
-    lam, VL, VR = spla.eig(A, E, left=True, right=True)
+    lam, VL, VR = pencil_eig(A, E)
     W = _scaled_left_vectors(VL, E, VR)
     if np.linalg.cond(VR) > DEFECTIVE_COND_LIMIT:
         warnings.warn("eigenvector basis badly conditioned; pencil may be defective", RuntimeWarning)
     return GenEig(eigenvalues=lam, right=VR, left=W)
+
+
+#: The imaginary unit as scipy's ``eig`` forms alpha = alphar + i alphai.
+_I = np.array(1j, dtype=np.complex64)
+
+
+def pencil_eig(A, E):
+    """Eigenvalues and left and right eigenvectors of a real pencil (A, E):
+    ``scipy.linalg.eig(A, E, left=True, right=True)``, bit for bit, from
+    one direct ``dggev`` call.
+
+    The ``dggev`` workspace is the size its query returns, as scipy takes
+    it, and the output is post-processed as scipy does: eigenvalues
+    alpha / beta (inf for beta = 0 with alpha != 0, nan for both zero),
+    complex eigenvector pairs assembled from the real and imaginary
+    columns when some eigenvalue is not real, and every column divided by
+    its BLAS ``nrm2``.  A non-finite A or E raises ``ValueError``."""
+    A, E = np.asarray_chkfinite(A), np.asarray_chkfinite(E)
+    if A.size == 0:
+        return spla.eig(A, E, left=True, right=True)
+    lwork = int(lapack.dggev(A, E, lwork=-1)[-2][0])
+    alphar, alphai, beta, VL, VR, _, info = lapack.dggev(A, E, lwork=lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) failed: info = {info}")
+    alpha = alphar + _I * alphai
+    lam = np.empty_like(alpha)
+    nonzero = beta != 0
+    lam[nonzero] = alpha[nonzero] / beta[nonzero]
+    lam[(alpha != 0) & ~nonzero] = np.inf
+    lam[(alpha == 0) & ~nonzero] = np.nan if np.all(alpha.imag == 0) else complex(np.nan, np.nan)
+    if not np.all(lam.imag == 0.0):
+        VL, VR = _complex_pairs(lam, VL), _complex_pairs(lam, VR)
+    nrm2 = get_blas_funcs("nrm2", dtype=VR.dtype, ilp64="preferred")
+    for i in range(VR.shape[1]):
+        VR[:, i] /= nrm2(VR[:, i])
+        VL[:, i] /= nrm2(VL[:, i])
+    return lam, VL, VR
+
+
+def _complex_pairs(lam, V):
+    """Complex eigenvectors from ``dggev``'s real columns: the pair at
+    columns (i, i + 1) is V[:, i] +- 1j V[:, i + 1] (scipy's assembly,
+    including its guard for a pair that starts at a negative imaginary
+    part)."""
+    W = np.array(V, dtype=complex)
+    first = lam.imag > 0
+    first[:-1] |= lam.imag[1:] < 0
+    for i in np.flatnonzero(first):
+        W.imag[:, i] = V[:, i + 1]
+        np.conj(W[:, i], W[:, i + 1])
+    return W
 
 
 def _scaled_left_vectors(VL, E, VR):
@@ -572,13 +625,18 @@ def _scaled_left_vectors(VL, E, VR):
     from scipy's ``VL`` (VL^H A = lam VL^H E) and right vectors ``VR``.
 
     Warns when some w_i^T E v_i is below 1e-14 max(1, ||E||_2) (a
-    near-defective pencil); a scale below 1e-300 is left at 1.
+    near-defective pencil); a scale below 1e-300 is left at 1.  ||E||_2
+    takes an SVD, so it is computed only when the bound ||E||_2 <= ||E||_F
+    (with a margin for the rounding of both) does not already clear every
+    scale.
     """
     W = VL.conj()
     scale = np.einsum("ij,jk,ki->i", W.T, E, VR)
-    if np.any(np.abs(scale) < 1e-14 * max(1.0, spla.norm(E, 2))):
+    size = np.abs(scale)
+    if (np.any(size < 1e-14 * max(1.0, (1.0 + 1e-8) * np.linalg.norm(E)))
+            and np.any(size < 1e-14 * max(1.0, spla.norm(E, 2)))):
         warnings.warn("near-defective pencil: w^T E v ~ 0 for some pair", RuntimeWarning)
-        scale = np.where(np.abs(scale) < 1e-300, 1.0, scale)
+        scale = np.where(size < 1e-300, 1.0, scale)
     return W / scale[None, :]
 
 
@@ -602,9 +660,24 @@ def qr_rank(V):
     |R_ii| above 1e-12 |R_00| (0 when R_00 = 0).  Returns (Q, rank, piv);
     Q[:, :rank] spans the kept columns V[:, piv[:rank]]."""
     Q, R, piv = spla.qr(V, mode="economic", pivoting=True)
-    d = np.abs(np.diag(R))
-    rank = int(np.sum(d > 1e-12 * d[0])) if d.size and d[0] > 0 else 0
-    return Q, rank, piv
+    return Q, _revealed_rank(np.diag(R)), piv
+
+
+def pivoted_rank(V):
+    """(rank, piv) of :func:`qr_rank` without forming Q: one ``dgeqp3``
+    of a real V with the workspace its query returns, the factorization
+    scipy's pivoted ``qr`` makes, so R's diagonal and the pivots are the
+    same bit for bit.  A non-finite V raises ``ValueError``."""
+    V = np.asarray_chkfinite(V)
+    lwork = int(lapack.dgeqp3(V, lwork=-1)[-2][0])
+    qr, jpvt, _, _, _ = lapack.dgeqp3(V, lwork=lwork)
+    return _revealed_rank(np.diag(qr)), jpvt - 1
+
+
+def _revealed_rank(diag):
+    """The rank rule of :func:`qr_rank` on the diagonal of a pivoted R."""
+    d = np.abs(diag)
+    return int(np.sum(d > 1e-12 * d[0])) if d.size and d[0] > 0 else 0
 
 
 def orthonormalize(V):

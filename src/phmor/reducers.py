@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as spla
 
-from .linalg import LinAlgContractError, orthonormalize, qr_rank, solve_stacked
+from .linalg import LinAlgContractError, orthonormalize, pivoted_rank, solve_stacked
 from .systems import (
     Index1Partition,
     Index2Partition,
@@ -200,7 +200,8 @@ def _realify(cols, dirs, kept):
 
 
 def _rank_filter(V, Bd):
-    """Drop near-dependent basis columns (:func:`~phmor.linalg.qr_rank`).
+    """Drop near-dependent basis columns (the rank rule of
+    :func:`~phmor.linalg.qr_rank`, by :func:`~phmor.linalg.pivoted_rank`).
 
     Columns are normalized for the rank decision only (their norms can
     span many orders of magnitude over wide point ranges); the returned
@@ -208,7 +209,7 @@ def _rank_filter(V, Bd):
     """
     norms = np.linalg.norm(V, axis=0)
     norms = np.where(norms > 0, norms, 1.0)
-    _, rank, piv = qr_rank(V / norms)
+    rank, piv = pivoted_rank(V / norms)
     if rank < V.shape[1]:
         warnings.warn(
             f"near-duplicate interpolation points: basis rank {rank} < "
@@ -254,19 +255,18 @@ def build_V_saddle(part, data):
 
     whose matrix is exactly -(sigma E - A) on a valid index-2 partition,
     so it is solved with the partition's full-model solver
-    (:meth:`~phmor.systems.Index2Partition.solve_shifted`) and
-    v = -x[:n1].  When the constraint equations carry inputs, v is then
-    projected back onto ker(J12^T) along the energy inner product by adding
-    G b, G the partition's input lift E11^{-1} J12 M^{-1} (B2 - P2), so
-    that J12^T V = 0 holds for the returned basis.  As in
+    (:meth:`~phmor.systems.Index2Partition.solve_shifted`, asked for x[:n1]
+    only) and v = -x[:n1].  When the constraint equations carry inputs, v
+    is then projected back onto ker(J12^T) along the energy inner product
+    by adding G b, G the partition's input lift E11^{-1} J12 M^{-1}
+    (B2 - P2), so that J12^T V = 0 holds for the returned basis.  As in
     :func:`build_V_generic`, the matrices are real and only one member of
     each conjugate pair is solved for.
     """
-    n1 = part.n1
     B = part.generic.B
 
     def column(s, b):
-        v = -part.solve_shifted(s, B @ b)[:n1]
+        v = -part.solve_shifted(s, B @ b, dynamic=True)
         if not part.b2_zero:
             v = v + part.input_lift @ b
         return v
@@ -436,29 +436,20 @@ def reduce_index2_augmented(part, data):
 
     The saddle basis V satisfies J12^T V = 0, so the constraints reduce to
     the x1 blocks (E11, J11, R11), projected by V, with the constraint
-    lifts folded into the port terms.  With the partition's lifts G and H,
-    A11 = J11 - R11 and D = S + N::
-
-        B1~ = B1 + (A11 G - A11^T H) / 2,   P1~ = P1 - (A11 G + A11^T H) / 2
-        S~ = S + sym(P0 - D),               N~ = N + skew(P0 - D)
-
-    The reduced transfer function C (sE - A)^{-1} B + P0 + s P1 matches
-    the full model tangentially and reproduces the polynomial part.  With
+    lifts folded into the port terms: the partition's
+    :attr:`~phmor.systems.Index2Partition.lifted_ports`, formed once per
+    partition.  The reduced transfer function C (sE - A)^{-1} B + P0 + s P1
+    matches the full model tangentially and reproduces the polynomial
+    part.  With
     B2 = P2 = 0 the lifts and P0 - D are zero, and the model is
     ``index2-galerkin``, a valid pHDAE; otherwise it is
     ``index2-augmented``, with an augmented (u, u') input, and its
     passivity is tested and reported via ``ph_valid``.
     """
     V = build_V_saddle(part, data).V
-    poly = part.polynomial_part
-    sys, A11 = part.parent, part.A11
-    AG, AtH = A11 @ part.input_lift, A11.T @ part.output_lift
-    sym_d, skew_d = symmetric_skew_split(poly.P0 - (sys.S + sys.N))
-    sys_r = congruence(V, part.E11, part.J11, part.R11,
-                       part.B1 + 0.5 * (AG - AtH), part.P1 - 0.5 * (AG + AtH),
-                       sys.S + sym_d, sys.N + skew_d)
+    sys_r = congruence(V, part.E11, part.J11, part.R11, *part.lifted_ports)
     method = "index2-galerkin" if part.b2_zero else "index2-augmented"
-    return _finish(sys_r, method, poly, augmented_input=not part.b2_zero)
+    return _finish(sys_r, method, part.polynomial_part, augmented_input=not part.b2_zero)
 
 
 def reduce_mixed(part, data):

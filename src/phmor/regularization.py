@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg as spla
 import scipy.sparse as sp
 
-from .linalg import LinAlgContractError, nullspace_basis, rank_tolerance
+from .linalg import LinAlgContractError, nullspace_basis, pencil_eig, rank_tolerance
 from .systems import PHDAESystem, _dense, congruence
 
 __all__ = [
@@ -107,7 +107,7 @@ def _spectrum(A, E):
     """The finite eigenvalues (|lambda| < 1e10) of the pencil (A, E) with
     their left vectors (columns of VL, w^H A = lambda w^H E) and right
     vectors (columns of VR), from one QZ: ``(lam, VL, VR)``."""
-    lam, VL, VR = spla.eig(A, E, left=True, right=True)
+    lam, VL, VR = pencil_eig(A, E)
     finite = np.isfinite(lam) & (np.abs(lam) < 1e10)
     return lam[finite], VL[:, finite], VR[:, finite]
 

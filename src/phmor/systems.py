@@ -121,7 +121,7 @@ class _ShiftedSolves:
             return SparsePencil(gen.E, gen.A)
         return self._elimination()
 
-    def solve_shifted(self, s, rhs, cond_limit=COND_LIMIT):
+    def solve_shifted(self, s, rhs, cond_limit=COND_LIMIT, dynamic=False):
         """Solve (s E - A) X = rhs, with the contract of
         :func:`phmor.linalg.solve_complex`: ``SingularMatrixError`` when
         the pencil is singular to working precision, ``LinAlgContractError``
@@ -130,7 +130,10 @@ class _ShiftedSolves:
         A partition of a dense parent is solved by its elimination solver,
         whose singular decision is the ``ztrcon`` estimate of the remaining
         ODE's shifted Schur factor (:class:`phmor.linalg.SchurPencil`); the
-        blocks a valid partition requires to vanish are taken as zero."""
+        blocks a valid partition requires to vanish are taken as zero.
+        With ``dynamic`` a semi-explicit view returns only the dynamic block
+        X[:n1], the same bits; a dense index-2 view then does not form its
+        multiplier."""
         gen = self.generic
         rhs = np.asarray(rhs, dtype=complex)
         F = rhs[:, None] if rhs.ndim == 1 else rhs
@@ -139,7 +142,8 @@ class _ShiftedSolves:
                 f"right-hand side of shape {rhs.shape} does not fit n={gen.n}")
         if not (np.isfinite(s) and np.all(np.isfinite(F))):
             raise LinAlgContractError("shift or right-hand side contains non-finite entries")
-        X = self.shifted_solver.solve(np.array([s], dtype=complex), F[:, None], cond_limit)
+        solve = self._solve_dynamic if dynamic else self.shifted_solver.solve
+        X = solve(np.array([s], dtype=complex), F[:, None], cond_limit)
         return X[:, 0, 0] if rhs.ndim == 1 else X[:, 0]
 
     def transfer_evals(self, points):
@@ -500,18 +504,21 @@ class _Index2Elimination:
         self._E11, self._A11 = E11.astype(complex), A11.astype(complex)
         self._ode = SchurPencil(Phi.T @ E11 @ Phi, Phi.T @ A11 @ Phi, basis=Phi)
 
-    def solve(self, s, F, cond_limit):
+    def _residual(self, s, x, F1):
+        """(s E11 - A11) x - F1."""
+        return s[:, None] * _stack_mul(self._E11, x) - _stack_mul(self._A11, x) - F1
+
+    def solve_dynamic(self, s, F, cond_limit):
+        """x1 of :meth:`solve`, without the multiplier."""
         F1, F2 = F[:self._n1], F[self._n1:]
+        if not np.any(F2):  # no particular solution without constraint inputs
+            return self._ode.solve(s, F1, cond_limit)
+        x1 = _stack_mul(self._Q1, _triangular_solve(self._R1, F2, trans=1))
+        return x1 - self._ode.solve(s, self._residual(s, x1, F1), cond_limit)
 
-        def residual(x):  # (s E11 - A11) x - F1
-            return s[:, None] * _stack_mul(self._E11, x) - _stack_mul(self._A11, x) - F1
-
-        if np.any(F2):  # the particular solution; zero without constraint inputs
-            x1 = _stack_mul(self._Q1, _triangular_solve(self._R1, F2, trans=1))
-            x1 = x1 - self._ode.solve(s, residual(x1), cond_limit)
-        else:
-            x1 = self._ode.solve(s, F1, cond_limit)
-        x2 = _triangular_solve(self._R1, _stack_mul(self._Q1t, residual(x1)))
+    def solve(self, s, F, cond_limit):
+        x1 = self.solve_dynamic(s, F, cond_limit)
+        x2 = _triangular_solve(self._R1, _stack_mul(self._Q1t, self._residual(s, x1, F[:self._n1])))
         return np.concatenate([x1, x2])
 
 
@@ -577,6 +584,14 @@ class _SemiExplicit(_View):
     def b2_zero(self):
         """Whether the algebraic equations carry no input (B2 = P2 = 0)."""
         return not (np.any(self.B2) or np.any(self.P2))
+
+    def _solve_dynamic(self, s, F, cond_limit):
+        """The x1 rows of ``shifted_solver.solve``; a dense index-2 view
+        does not form its multiplier."""
+        solver = self.shifted_solver
+        if isinstance(solver, _Index2Elimination):
+            return solver.solve_dynamic(s, F, cond_limit)
+        return solver.solve(s, F, cond_limit)[: self.n1]
 
 
 @dataclass(frozen=True)
@@ -674,6 +689,22 @@ class Index2Partition(_SemiExplicit):
         """The polynomial part, :func:`phmor.transfer.polynomial_part_index2`
         with its large-frequency check, computed once per partition."""
         return polynomial_part_index2(self)
+
+    @functools.cached_property
+    def lifted_ports(self):
+        """The port blocks (B1~, P1~, S~, N~) of the x1 equations with the
+        constraint lifts G, H folded in, A11 = J11 - R11 and D = S + N::
+
+            B1~ = B1 + (A11 G - A11^T H) / 2,   P1~ = P1 - (A11 G + A11^T H) / 2
+            S~ = S + sym(P0 - D),               N~ = N + skew(P0 - D)
+
+        (:func:`phmor.reducers.reduce_index2_augmented`), computed once per
+        partition."""
+        sys, A11 = self.parent, self.A11
+        AG, AtH = A11 @ self.input_lift, A11.T @ self.output_lift
+        sym_d, skew_d = symmetric_skew_split(self.polynomial_part.P0 - (sys.S + sys.N))
+        return (self.B1 + 0.5 * (AG - AtH), self.P1 - 0.5 * (AG + AtH),
+                sys.S + sym_d, sys.N + skew_d)
 
 
 @dataclass(frozen=True)

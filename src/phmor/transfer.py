@@ -27,6 +27,7 @@ from .linalg import (
     _as_matrix,
     _definite_gen_eig,
     _scaled_left_vectors,
+    pencil_eig,
     solve_complex,
 )
 
@@ -312,7 +313,7 @@ def pole_residue(model):
         eig = _definite_gen_eig(_as_matrix(A, "A"), E)
         lam, VR, W = eig.eigenvalues, eig.right, eig.left
     else:
-        lam, VL, VR = spla.eig(A, E, left=True, right=True)
+        lam, VL, VR = pencil_eig(A, E)
         finite = np.isfinite(lam) & (np.abs(lam) < 1e12)
         lam, VL, VR = lam[finite], VL[:, finite], VR[:, finite]
         W = _scaled_left_vectors(VL, E, VR)

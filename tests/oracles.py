@@ -11,7 +11,10 @@ time with ``scipy.integrate.quad``.  The sparse condition reference is
 The diagnosis reference ranks C1 and O1 by SVD at every finite
 eigenvalue, and the IRKA bookkeeping references (conjugate pairing,
 mirroring, the convergence metric) are the loops the package ran before
-it worked on whole arrays."""
+it worked on whole arrays.  The pencil eigensolver reference is
+``scipy.linalg.eig``, the near-defective test's reference takes ||E||_2
+by SVD every time, and the index-2 port reference forms the lifted port
+blocks at every call."""
 
 import warnings
 
@@ -25,6 +28,7 @@ from phmor import GenericLTISystem, PHDAESystem, build_V_generic, build_V_saddle
 from phmor.irka import AXIS_TOL
 from phmor.linalg import LinAlgContractError
 from phmor.reducers import _CONJ_TOL, InterpolationData, _finish
+from phmor.systems import symmetric_skew_split
 from phmor.regularization import _PROBES, RankTest, _rank, _spectrum
 from phmor.transfer import evaluate
 
@@ -260,3 +264,30 @@ def normalize_phases(lefts, rights):
             rights[i] = b / phase
             lefts[i] = lefts[i] * phase
     return lefts, rights
+
+
+def reference_pencil_eig(A, E):
+    """Eigenvalues, left and right eigenvectors of (A, E) by scipy."""
+    return spla.eig(A, E, left=True, right=True)
+
+
+def reference_scaled_left_vectors(VL, E, VR):
+    """(W, warned): the left-vector scaling of
+    :func:`phmor.linalg._scaled_left_vectors`, with ||E||_2 taken by SVD
+    at every call."""
+    W = VL.conj()
+    scale = np.einsum("ij,jk,ki->i", W.T, E, VR)
+    warned = bool(np.any(np.abs(scale) < 1e-14 * max(1.0, spla.norm(E, 2))))
+    if warned:
+        scale = np.where(np.abs(scale) < 1e-300, 1.0, scale)
+    return W / scale[None, :], warned
+
+
+def reference_index2_ports(part):
+    """The lifted port blocks (B1~, P1~, S~, N~) of an index-2 view,
+    formed from its lifts at each call."""
+    sys, A11 = part.parent, part.J11 - part.R11
+    AG, AtH = A11 @ part.input_lift, A11.T @ part.output_lift
+    sym_d, skew_d = symmetric_skew_split(part.polynomial_part.P0 - (sys.S + sys.N))
+    return (part.B1 + 0.5 * (AG - AtH), part.P1 - 0.5 * (AG + AtH),
+            sys.S + sym_d, sys.N + skew_d)

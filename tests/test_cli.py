@@ -421,3 +421,23 @@ def test_sparse_index1_and_mixed_containers_match_dense(tmp_path, kind):
         rows.append(_rows(tmp_path / f"out_{name}" / "errors.csv")[0])
     assert rows[0]["r"] == rows[1]["r"]
     assert abs(float(rows[0]["rel_hinf"]) - float(rows[1]["rel_hinf"])) <= 1e-9
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    from phmor.cli import build_parser
+
+    parser = build_parser()
+    model = tmp_path / "chain"
+    assert _run(["generate", "--benchmark", "chain", "--k", 4, "--out", model]) == 0
+    code, captured = _run(["validate", model], capsys)
+    assert code == 0 and "E_symmetric" in captured.out
+    assert _run(["reduce", model, "--r", 2, "--freq-grid", "1e-1:1e1:4",
+                 "--out", tmp_path / "red"]) == 0
+    assert build_parser() is parser
+    # an argument error after successful calls still exits 2, and the next call runs
+    with pytest.raises(SystemExit) as exc:
+        _run(["reduce", model, "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    code, captured = _run(["validate", model], capsys)
+    assert code == 0 and captured.err == ""

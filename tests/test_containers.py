@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.io._mmio import MMFile
 
 from phmor import (Index2Partition, InterpolationData, PHDAESystem, cli, evaluate,
                    partition_index2, reduce_index2)
 from phmor.benchmarks import (MassSpringSpec, mass_spring_chain, mass_spring_chain_sparse,
                               random_ph_index1)
 from phmor.containers import (
+    _read_matrix,
+    _symmetry,
+    _write_matrix,
     load_phdae,
     load_phdae_sparse,
     load_reduced,
@@ -119,3 +126,144 @@ def test_sparse_shape_mismatch_detected(tmp_path):
     write_manifest(out / "manifest.txt", manifest)
     with pytest.raises(LinAlgContractError, match="E.mtx has shape"):
         load_phdae_sparse(out)
+
+
+# --- matrices written by their nonzeros -------------------------------------
+
+_KINDS = ("general", "symmetric", "skew", "skew-diagonal", "symmetric-ulp", "block")
+
+
+@st.composite
+def _matrices(draw):
+    """(kind, dense matrix, input as given to the writer): n from 1 to 120,
+    zero, sparse or full density, dense or CSR input.  Values span many
+    orders of magnitude; zeros are +0 (a load never gives -0)."""
+    kind = draw(st.sampled_from(_KINDS))
+    n = draw(st.integers(1, 120))
+    m = draw(st.integers(1, 120)) if kind == "block" else n
+    density = draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-30, 30, (n, m))
+    X = np.where(rng.random((n, m)) < density, X, 0.0)
+    if kind in ("symmetric", "symmetric-ulp"):
+        X = np.triu(X) + np.triu(X, 1).T
+        if kind == "symmetric-ulp" and n > 1:
+            i, j = rng.choice(n, 2, replace=False)
+            X[i, j] = np.nextafter(X[i, j], np.inf)
+    elif kind in ("skew", "skew-diagonal"):
+        X = np.tril(X, -1) - np.tril(X, -1).T
+        if kind == "skew-diagonal":
+            i = rng.integers(n)
+            X[i, i] = 1.0 + rng.random()
+    X = X + 0.0
+    return kind, X, sp.csr_matrix(X) if draw(st.booleans()) else X
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_matrices())
+def test_matrix_round_trip_is_exact(tmp_path_factory, case):
+    kind, X, given_ = case
+    directory = tmp_path_factory.mktemp("mtx")
+    _write_matrix(directory, "M", given_)
+    f = directory / "M.mtx"
+    nnz = np.count_nonzero(X)
+    assert f.exists() == (nnz > 0)
+    if nnz:
+        rows, cols, _, form, field, symmetry = scipy.io.mminfo(str(f))
+        assert (rows, cols, field) == (*X.shape, "real")
+        coordinate = sp.issparse(given_) or 3 * nnz < X.size
+        assert form == ("coordinate" if coordinate else "array")
+        assert symmetry == _symmetry(given_) == MMFile._get_symmetry(X)
+        if kind == "symmetric":
+            assert symmetry == "symmetric"
+        elif kind == "skew" and X.shape[0] > 1:
+            assert symmetry == "skew-symmetric"
+        elif kind == "symmetric-ulp" and X.shape[0] > 1:
+            assert symmetry == "general"
+    dense = _read_matrix(directory, "M", X.shape)
+    assert dense.dtype == X.dtype and dense.tobytes() == X.tobytes()
+    csr, ref = _read_matrix(directory, "M", X.shape, sparse=True), sp.csr_matrix(X)
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(csr, attr).tobytes() == getattr(ref, attr).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 50, 101])
+@pytest.mark.parametrize("kind, symmetry", [
+    ("symmetric", "symmetric"), ("skew", "skew-symmetric"),
+    ("skew-diagonal", "general"), ("symmetric-ulp", "general")])
+def test_symmetry_of_each_kind_at_every_size(n, kind, symmetry):
+    # scipy's writer decided symmetry only below 100 rows; the rule does at any size
+    rng = np.random.default_rng(n)
+    L = np.tril(rng.standard_normal((n, n)), -1)
+    X = {"symmetric": L + L.T + np.eye(n), "skew": L - L.T,
+         "skew-diagonal": L - L.T + np.eye(n) * (np.arange(n) == 1),
+         "symmetric-ulp": L + L.T}[kind]
+    if kind == "symmetric-ulp":
+        X[0, 2] = np.nextafter(X[0, 2], np.inf)
+    assert _symmetry(X) == _symmetry(sp.csr_matrix(X)) == symmetry
+    assert MMFile._get_symmetry(X) == symmetry
+    assert _symmetry(X[:, :-1]) == "general"
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), sparse=st.booleans(),
+       shape=st.sampled_from(["general", "symmetric", "skew"]))
+def test_symmetry_rule_is_scipys_on_random_inputs(seed, n, sparse, shape):
+    # small integers make exact (skew-)symmetry and near misses likely
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-2, 3, (n, n)).astype(float)
+    if shape == "symmetric":
+        X = X + X.T
+    elif shape == "skew":
+        X = X - X.T
+    if rng.random() < 0.3:
+        X[rng.integers(n), rng.integers(n)] += rng.choice([0.5, 1e-300])
+    M = sp.csr_matrix(X) if sparse else X
+    assert _symmetry(M) == MMFile._get_symmetry(M)
+
+
+def test_no_entrywise_symmetry_loop_on_any_write(tmp_path, monkeypatch):
+    # generate, regularize, reduce and sweep write every kind of container;
+    # scipy's Python loop over the entries is never reached
+    def forbidden(*args):
+        raise AssertionError("MMFile._get_symmetry was called")
+
+    monkeypatch.setattr(MMFile, "_get_symmetry", staticmethod(forbidden))
+    with pytest.raises(AssertionError, match="was called"):  # scipy's own choice reaches it
+        scipy.io.mmwrite(str(tmp_path / "probe.mtx"), np.eye(3))
+    models = {"chain": ["--benchmark", "chain", "--k", 6],
+              "b2": ["--benchmark", "chain-b2", "--k", 6],
+              "oseen": ["--benchmark", "oseen", "--n-grid", 3],
+              "sparse": ["--benchmark", "chain", "--k", 60, "--sparse"],
+              "ri1": ["--benchmark", "random-index1", "--n1", 6, "--n2", 2],
+              "mixed": ["--benchmark", "mixed", "--k", 4]}
+    grid = ["--freq-grid", "1e-2:1e2:8"]
+    for name, args in models.items():
+        assert cli.main(["generate", *map(str, args), "--out", str(tmp_path / name)]) == 0
+    assert cli.main(["regularize", str(tmp_path / "chain"), "--condense",
+                     "--out", str(tmp_path / "reg")]) == 0
+    for name, method in (("b2", "irka"), ("oseen", "index2"), ("sparse", "index2"),
+                         ("ri1", "index1-shifted"), ("mixed", "auto")):
+        assert cli.main(["reduce", str(tmp_path / name), "--method", method, "--r", "2",
+                         *grid, "--out", str(tmp_path / f"red-{name}")]) == 0
+    assert cli.main(["sweep", str(tmp_path / "chain"), "--r-sweep", "2:4:2", *grid,
+                     "--out", str(tmp_path / "sweep")]) == 0
+    red = load_reduced(tmp_path / "sweep" / "r004")
+    save_reduced(tmp_path / "again", red)
+    assert sorted(p.name for p in (tmp_path / "again").glob("*.mtx"))
+
+
+def test_generated_containers_store_nonzeros(tmp_path):
+    # chain k=50: 101 x 101 blocks with a few hundred nonzeros go in
+    # coordinate form, with J stored as its strictly lower triangle
+    spec = MassSpringSpec(k=50)
+    part = mass_spring_chain(spec)
+    out = save_phdae(tmp_path / "chain", part.parent)
+    rows, cols, entries, form, _, symmetry = scipy.io.mminfo(str(out / "J.mtx"))
+    assert (rows, cols, form, symmetry) == (part.parent.n, part.parent.n, "coordinate",
+                                            "skew-symmetric")
+    assert 2 * entries == np.count_nonzero(part.parent.J)
+    assert scipy.io.mminfo(str(out / "E.mtx"))[3:] == ("coordinate", "real", "symmetric")
+    loaded, _ = load_phdae(out)
+    for name in "EJRBPSN":
+        assert getattr(loaded, name).tobytes() == getattr(part.parent, name).tobytes()

@@ -1,16 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spsla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import onenormest_inverse
+from oracles import onenormest_inverse, reference_pencil_eig, reference_scaled_left_vectors
 from phmor.linalg import (
     LinAlgContractError,
     SingularMatrixError,
     _inverse_norm_estimate,
+    _scaled_left_vectors,
     gen_eig,
     nullspace_basis,
     orthonormalize,
+    pencil_eig,
+    pivoted_rank,
     qr_rank,
     rank_tolerance,
     solve_complex,
@@ -277,3 +284,104 @@ def test_reduced_transfer_eval_rejects_nan_pencil_without_lstsq(monkeypatch):
     with pytest.raises(LinAlgContractError) as info:
         model.transfer_eval(1j)
     assert not isinstance(info.value, SingularMatrixError)
+
+
+@st.composite
+def _pencils(draw):
+    """Real pencils (A, E), n from 1 to 24: a third with a real spectrum
+    (A symmetric, E positive definite), a third general, and a third with
+    a singular (possibly zero) E, which gives infinite and nan eigenvalues."""
+    n = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["real", "general", "singular"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A, E = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    if kind == "real":
+        A, E = A + A.T, E @ E.T + n * np.eye(n)
+    elif kind == "singular":
+        E[:, : draw(st.integers(0, n))] = 0.0
+        A[:, : draw(st.integers(0, n))] *= draw(st.sampled_from([0.0, 1.0]))
+    return A, E
+
+
+@settings(max_examples=150, deadline=None)
+@given(pencil=_pencils())
+def test_pencil_eig_is_scipys_eig_bit_for_bit(pencil):
+    A, E = pencil
+    with np.errstate(invalid="ignore", divide="ignore"):
+        got, ref = pencil_eig(A, E), reference_pencil_eig(A, E)
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype and g.shape == r.shape and g.tobytes() == r.tobytes()
+
+
+def test_pencil_eig_rejects_non_finite_input():
+    with pytest.raises(ValueError):
+        pencil_eig(np.array([[np.nan]]), np.eye(1))
+
+
+def _warned(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, any("near-defective" in str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("smallest, warns", [(5e-12, True), (2e-11, False), (1.0, False)])
+def test_near_defective_decision_is_the_two_norm_rule(smallest, warns):
+    # ||E||_2 = 1e3 and ||E||_F ~ 9.95e3: a scale of 2e-11 is not cleared by
+    # the Frobenius bound (9.95e-11) but is by the two-norm (1e-11)
+    d = np.full(100, 1e3)
+    d[-1] = smallest
+    E, I = np.diag(d), np.eye(100)
+    (W, warned) = _warned(_scaled_left_vectors, I, E, I)
+    W_ref, warned_ref = reference_scaled_left_vectors(I, E, I)
+    assert warned == warned_ref == warns
+    assert W.tobytes() == W_ref.tobytes()
+
+
+def test_near_defective_warning_fires_on_a_jordan_pencil():
+    A, E = np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)
+    lam, VL, VR = pencil_eig(A, E)
+    (W, warned) = _warned(_scaled_left_vectors, VL, E, VR)
+    W_ref, warned_ref = reference_scaled_left_vectors(VL, E, VR)
+    assert warned and warned_ref
+    assert W.tobytes() == W_ref.tobytes()
+    with pytest.warns(RuntimeWarning) as caught:
+        gen_eig(A, E)
+    assert {str(w.message).split(":")[0] for w in caught} == {
+        "near-defective pencil", "eigenvector basis badly conditioned; pencil may be defective"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(pencil=_pencils())
+def test_near_defective_decision_matches_reference(pencil):
+    A, E = pencil
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lam, VL, VR = pencil_eig(A, E)
+    finite = np.isfinite(lam)
+    VL, VR = VL[:, finite], VR[:, finite]
+    (W, warned) = _warned(_scaled_left_vectors, VL, E, VR)
+    W_ref, warned_ref = reference_scaled_left_vectors(VL, E, VR)
+    assert warned == warned_ref
+    assert W.tobytes() == W_ref.tobytes()
+
+
+@st.composite
+def _bases(draw):
+    """Tall real matrices with column scales up to 1e14 and, in half of
+    them, a column that nearly repeats another."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(1, 80)), draw(st.integers(1, 20))
+    V = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-14, 14, k)
+    if k > 1 and draw(st.booleans()):
+        j = rng.integers(1, k)
+        V[:, j] = 3.0 * V[:, 0] + 1e-13 * np.abs(V[:, 0]).max() * rng.standard_normal(n)
+    return V
+
+
+@settings(max_examples=150, deadline=None)
+@given(V=_bases())
+def test_pivoted_rank_is_qr_rank_without_q(V):
+    _, rank, piv = qr_rank(V)
+    got_rank, got_piv = pivoted_rank(V)
+    assert got_rank == rank
+    assert got_piv.dtype == piv.dtype and np.array_equal(got_piv, piv)

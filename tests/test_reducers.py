@@ -24,19 +24,24 @@ from phmor import (
 )
 from phmor.benchmarks import (
     MassSpringSpec,
+    OseenSpec,
     mass_spring_chain,
     mass_spring_chain_b2,
+    mass_spring_chain_sparse,
     mixed_chain,
+    oseen_grid,
     random_ph_index1,
 )
 from phmor.linalg import LinAlgContractError
 from phmor.reducers import REDUCERS
+from phmor.systems import congruence
 
 from oracles import (
     constraint_projectors,
     generic_index1_shifted,
     generic_index2,
     projector_oracle_index2,
+    reference_index2_ports,
 )
 
 
@@ -545,3 +550,72 @@ class TestGenericFormReferences:
         reference = generic_index1_shifted(part, data)
         _assert_same_transfer(model, reference, data)
         assert model.w_min_eig == pytest.approx(reference.w_min_eig, rel=1e-10, abs=1e-12)
+
+
+_SADDLE_VIEWS = {
+    "chain": lambda: mass_spring_chain(MassSpringSpec(k=9)),
+    "oseen": lambda: oseen_grid(OseenSpec(n_grid=3)),
+    "chain-b2": lambda: mass_spring_chain_b2(MassSpringSpec(k=9), amplitude=0.7),
+    "sparse-chain": lambda: partition_index2(mass_spring_chain_sparse(MassSpringSpec(k=9)),
+                                             MassSpringSpec(k=9).n1),
+}
+
+
+class TestSaddleColumnsWithoutMultiplier:
+    """The saddle basis takes only x1 of each solve; a dense index-2 view
+    then skips the multiplier, with the same bits."""
+
+    @pytest.mark.parametrize("name", sorted(_SADDLE_VIEWS))
+    def test_dynamic_block_is_the_full_solve_sliced(self, name):
+        part = _SADDLE_VIEWS[name]()
+        assert part.b2_zero == (name != "chain-b2")
+        B = part.generic.B
+        for s in (0.3, 2.0 + 5.0j, 1e3 - 1e-2j):
+            for b in (np.ones(B.shape[1]), np.array([1.0 - 2.0j])):
+                rhs = B @ b
+                x1 = part.solve_shifted(s, rhs, dynamic=True)
+                full = part.solve_shifted(s, rhs)
+                assert x1.shape == (part.n1,)
+                assert x1.tobytes() == full[:part.n1].tobytes()
+        F = np.column_stack([B[:, 0], 2.0 * B[:, 0]])
+        assert (part.solve_shifted(1.5j, F, dynamic=True).tobytes()
+                == part.solve_shifted(1.5j, F)[:part.n1].tobytes())
+
+    def test_index1_dynamic_block_is_the_full_solve_sliced(self):
+        part = random_ph_index1(8, 3, 2, seed=0)
+        rhs = part.generic.B @ np.array([1.0, 2.0j])
+        assert (part.solve_shifted(0.5 + 1j, rhs, dynamic=True).tobytes()
+                == part.solve_shifted(0.5 + 1j, rhs)[:part.n1].tobytes())
+
+    @pytest.mark.parametrize("name", sorted(_SADDLE_VIEWS))
+    def test_saddle_basis_is_the_sliced_solves(self, name):
+        from phmor import reducers
+
+        part = _SADDLE_VIEWS[name]()
+        data = _data([0.1, 1 + 2j, 1 - 2j, 30.0], np.ones((4, 1)))
+        B = part.generic.B
+
+        def column(s, b):
+            v = -part.solve_shifted(s, B @ b)[:part.n1]
+            return v if part.b2_zero else v + part.input_lift @ b
+
+        ref = reducers._basis(data, column)
+        basis = build_V_saddle(part, data)
+        assert basis.V.tobytes() == ref.V.tobytes()
+        assert basis.directions.tobytes() == ref.directions.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_SADDLE_VIEWS))
+def test_index2_ports_are_formed_once_with_the_same_bits(name):
+    part = _SADDLE_VIEWS[name]()
+    ports = part.lifted_ports
+    assert part.lifted_ports is ports
+    for got, ref in zip(ports, reference_index2_ports(part)):
+        assert got.tobytes() == ref.tobytes()
+    data = _data([0.5, 4.0], np.ones((2, 1)))
+    model = reduce_index2_augmented(part, data)
+    assert part.lifted_ports is ports
+    ref = congruence(build_V_saddle(part, data).V, part.E11, part.J11, part.R11,
+                     *reference_index2_ports(part))
+    for M in "EJRBPSN":
+        assert getattr(model.system, M).tobytes() == getattr(ref, M).tobytes()
