@@ -94,12 +94,13 @@ def _parse_points(text):
 
 #: Manifest ``index`` (a partition class's ``index_kind``) -> (partition
 #: function, the block sizes it takes from the manifest and ``generate``
-#: records).  The lambdas look the functions up when called, so a wrapper
-#: that rebinds them also wraps these calls.
+#: records).  A mixed model is checked as a mixed view and then reduced as
+#: that view's index-2 ``split``.  The lambdas look the functions up when
+#: called, so a wrapper that rebinds them also wraps these calls.
 _PARTITIONS = {
     Index1Partition.index_kind: (lambda *a: partition_index1(*a), ("n1",)),
     Index2Partition.index_kind: (lambda *a: partition_index2(*a), ("n1",)),
-    MixedPartition.index_kind: (lambda *a: partition_mixed(*a), ("n1", "n2")),
+    MixedPartition.index_kind: (lambda *a: partition_mixed(*a).split, ("n1", "n2")),
 }
 
 
@@ -225,7 +226,7 @@ def _parse_method(method, part):
     """(reducer name, run inside IRKA) of a ``--method`` choice on ``part``.
 
     A reducer's name starts with the index kind it reduces (``index1``,
-    ``index2``, ``mixed``); one that does not fit ``part.index_kind`` raises
+    ``index2``); one that does not fit ``part.index_kind`` raises
     ``LinAlgContractError``."""
     irka = method.startswith("irka")
     name = method.removeprefix("irka").removeprefix("-") or "auto"
@@ -259,6 +260,9 @@ def cmd_reduce(args):
         pts = _parse_points(args.points)
         data = InterpolationData(points=pts,
                                  directions=np.ones((pts.size, part.parent.m)))
+        if data.r != args.r:
+            raise LinAlgContractError(
+                f"{data.r} initial interpolation points for reduced order {args.r}")
     else:
         data = InterpolationData.log_spaced(args.r, part.parent.m)
     model, data, conv, iters, _ = _reduce(part, name, irka, args.r, data)

@@ -21,17 +21,17 @@ sym(T^T R T), T^T B, T^T P), which keeps the pH structure:
   reproduced exactly through an augmented (u, u') feedthrough
   (``index2-augmented``); without them the lifts vanish and the model is
   a valid pH ODE of order r (``index2-galerkin``).  ``reduce_index2`` is
-  the same reducer restricted to the latter case.
-* ``reduce_mixed`` — combined index-1/index-2 structure, block-diagonal
-  congruence reducing only the unconstrained dynamic block.
+  the same reducer restricted to the latter case, and ``reduce_mixed``
+  the same reducer on a mixed view's index-2 split.
 
 :data:`REDUCERS` maps each reducer's name to its function, and
 :func:`default_method` names the one that runs when none is asked for.
 
-The shifted and saddle reducers project with the raw (non-orthonormalized)
-basis so that the reduced matrices coincide with the closed-form projected
-quantities; near-dependent basis columns are detected by a rank-revealing
-QR and dropped with a warning.
+The generic basis projects with its raw (non-orthonormalized) columns, so
+that the index-1 shift formula can pair each column with its tangent
+direction; the saddle basis is an orthonormal basis of the same kept
+columns.  Near-dependent columns are detected by one rank-revealing QR of
+the normalized columns and dropped with a warning.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .linalg import LinAlgContractError, orthonormalize, pivoted_rank, solve_sta
 from .systems import (
     Index1Partition,
     Index2Partition,
-    MixedPartition,
     PHDAESystem,
     congruence,
     symmetric_skew_split,
@@ -125,16 +124,18 @@ class InterpolationData:
 
 @dataclass(frozen=True)
 class ProjectionBasis:
-    """Real projection basis with consistently transformed directions.
+    """Real projection basis, with its directions when it has any.
 
-    ``V`` is n x r' real; ``directions`` is m x r', column k being the
-    tangent direction expressed in the same (realified) coordinates as
-    column k of V, so that shift formulas B^T (...) B remain valid after
-    realification.
+    ``V`` is n x r' real.  For the raw basis of :func:`build_V_generic`,
+    ``directions`` is m x r', column k being the tangent direction expressed
+    in the same (realified) coordinates as column k of V, so that shift
+    formulas B^T (...) B remain valid after realification.  The orthonormal
+    basis of :func:`build_V_saddle` pairs no column with one direction, and
+    its ``directions`` is None.
     """
 
     V: np.ndarray
-    directions: np.ndarray
+    directions: np.ndarray | None = None
 
     @property
     def r(self):
@@ -180,53 +181,43 @@ def _conjugate_pairs(points, directions):
     return kept
 
 
-def _realify(cols, dirs, kept):
-    """Turn complex solution columns into a real basis.
-
-    ``cols[:, k]`` is the solution at point ``kept[k]`` of
-    :func:`_conjugate_pairs`.  A real point contributes Re(v); a conjugate
-    pair contributes (Re v, Im v), with the direction columns transformed
-    identically so direction-dependent shift formulas stay exact.
-    """
-    Vcols, Bcols = [], []
-    for v, (i, is_real) in zip(cols.T, kept):
-        if is_real:
-            Vcols.append(v.real)
-            Bcols.append(dirs[i].real)
-        else:
-            Vcols.extend([v.real, v.imag])
-            Bcols.extend([dirs[i].real, dirs[i].imag])
-    return np.column_stack(Vcols), np.column_stack(Bcols)
+def _realify(cols, kept):
+    """Real columns of the complex ``cols``, whose column k belongs to the
+    point ``kept[k]`` of :func:`_conjugate_pairs`: a real point contributes
+    Re(v), a conjugate pair (Re v, Im v)."""
+    real = []
+    for v, (_, is_real) in zip(cols.T, kept):
+        real.extend((v.real,) if is_real else (v.real, v.imag))
+    return np.column_stack(real)
 
 
-def _rank_filter(V, Bd):
-    """Drop near-dependent basis columns (the rank rule of
-    :func:`~phmor.linalg.qr_rank`, by :func:`~phmor.linalg.pivoted_rank`).
+def _solves(data, column):
+    """The realified columns ``column(sigma, b)`` at each point kept by
+    :func:`_conjugate_pairs` (``data.pairs``)."""
+    return _realify(np.column_stack([column(data.points[i], data.directions[i])
+                                     for i, _ in data.pairs]), data.pairs)
 
-    Columns are normalized for the rank decision only (their norms can
-    span many orders of magnitude over wide point ranges); the returned
-    basis keeps the original, unscaled columns.
-    """
+
+def _normalized(V):
+    """V with unit columns (a zero column stays zero): the input of the rank
+    decision, since the columns' norms can span many orders of magnitude
+    over wide point ranges."""
     norms = np.linalg.norm(V, axis=0)
-    norms = np.where(norms > 0, norms, 1.0)
-    rank, piv = pivoted_rank(V / norms)
-    if rank < V.shape[1]:
+    return V / np.where(norms > 0, norms, 1.0)
+
+
+def _kept(W):
+    """Indices, in order, of the columns of the normalized basis W that the
+    rank rule of :func:`~phmor.linalg.qr_rank` keeps (by
+    :func:`~phmor.linalg.pivoted_rank`, no Q); a drop is warned about."""
+    rank, piv = pivoted_rank(W)
+    if rank < W.shape[1]:
         warnings.warn(
             f"near-duplicate interpolation points: basis rank {rank} < "
-            f"{V.shape[1]} columns; dependent columns dropped",
+            f"{W.shape[1]} columns; dependent columns dropped",
             RuntimeWarning,
         )
-        keep = np.sort(piv[:rank])
-        V, Bd = V[:, keep], Bd[:, keep]
-    return V, Bd
-
-
-def _basis(data, column):
-    """Realified, rank-filtered basis whose column at each point kept by
-    :func:`_conjugate_pairs` (``data.pairs``) is ``column(sigma, b)``."""
-    cols = np.column_stack([column(data.points[i], data.directions[i]) for i, _ in data.pairs])
-    V, Bd = _rank_filter(*_realify(cols, data.directions, data.pairs))
-    return ProjectionBasis(V=V, directions=Bd)
+    return np.sort(piv[:rank])
 
 
 def build_V_generic(model, data):
@@ -236,17 +227,24 @@ def build_V_generic(model, data):
     view (the reducers pass one, so that its factored elimination solver
     serves every point), a PHDAESystem or a GenericLTISystem.  The returned
     basis is realified (conjugate pairs merged into real/imaginary columns)
-    and rank-filtered, with no further orthonormalization so that projected
-    matrices match the closed-form expressions.  The model's matrices are
-    real, so the solution at conj(sigma) is the conjugate of the one at
-    sigma: one solve is made per conjugate pair.
+    and rank-filtered, with no further orthonormalization, so that each
+    column keeps its paired direction for the shift formula of
+    :func:`reduce_index1_shifted`.  The model's matrices are real, so the
+    solution at conj(sigma) is the conjugate of the one at sigma: one solve
+    is made per conjugate pair.
     """
     B = model.generic.B
-    return _basis(data, lambda s, b: model.solve_shifted(s, B @ b))
+    V = _solves(data, lambda s, b: model.solve_shifted(s, B @ b))
+    Bd = _realify(data.directions[[i for i, _ in data.pairs]].T, data.pairs)
+    keep = _kept(_normalized(V))
+    if keep.size < V.shape[1]:
+        V, Bd = V[:, keep], Bd[:, keep]
+    return ProjectionBasis(V=V, directions=Bd)
 
 
 def build_V_saddle(part, data):
-    """Constraint-compatible basis for index-2 systems via saddle solves.
+    """Orthonormal constraint-compatible basis for index-2 systems via
+    saddle solves.
 
     Solves, for each interpolation point, the saddle-point system
 
@@ -261,7 +259,11 @@ def build_V_saddle(part, data):
     by adding G b, G the partition's input lift E11^{-1} J12 M^{-1}
     (B2 - P2), so that J12^T V = 0 holds for the returned basis.  As in
     :func:`build_V_generic`, the matrices are real and only one member of
-    each conjugate pair is solved for.
+    each conjugate pair is solved for, and the same rule keeps the same
+    columns.  The basis returned is the Householder Q of the kept columns,
+    normalized, in their order: an orthonormal basis of their span, so that
+    the reduced E is no worse conditioned than E11.  Its ``directions`` is
+    None.
     """
     B = part.generic.B
 
@@ -271,7 +273,8 @@ def build_V_saddle(part, data):
             v = v + part.input_lift @ b
         return v
 
-    return _basis(data, column)
+    W = _normalized(_solves(data, column))
+    return ProjectionBasis(V=spla.qr(W[:, _kept(W)], mode="economic")[0])
 
 
 @dataclass(frozen=True)
@@ -319,12 +322,13 @@ class ReducedModel:
         stacked solve of the pencils s_k E - A
         (:func:`~phmor.linalg.solve_stacked`).
 
-        Reduced pencils from raw (unorthonormalized) bases can be very
-        ill-conditioned while the transfer values stay accurate: the
-        near-singular directions typically do not couple to the input and
-        output maps.  A pencil whose ``zgecon`` estimate exceeds
-        1e14 (1 + |s|), or that has an exactly zero pivot, is solved in the
-        minimum-norm least-squares sense instead."""
+        A reduced pencil can be very ill-conditioned while the transfer
+        values stay accurate (a raw basis of near-dependent columns, or a
+        block-diagonal model whose reduced E is singular): the near-singular
+        directions typically do not couple to the input and output maps.  A
+        pencil whose ``zgecon`` estimate exceeds 1e14 (1 + |s|), or that has
+        an exactly zero pivot, is solved in the minimum-norm least-squares
+        sense instead."""
         gen = self.generic
         E, A, B, C = self._balanced
         s = np.asarray(points, dtype=complex).reshape(-1)
@@ -353,26 +357,6 @@ def _finish(sys_r, method, poly, augmented_input=False):
         polynomial=poly,
         augmented_input=augmented_input,
     )
-
-
-def _block_congruence(sys, basis, lo, hi):
-    """:func:`~phmor.systems.congruence` with diag(I, V, I), which reduces
-    only the states lo:hi.  V is an orthonormal basis of those rows of the
-    interpolation basis; columns lost to rank deficiency are dropped with a
-    warning."""
-    V = orthonormalize(basis.V[lo:hi])
-    if V.shape[1] < basis.r:
-        warnings.warn(
-            f"dynamic-block basis rank-deficient: dropped "
-            f"{basis.r - V.shape[1]} columns",
-            RuntimeWarning,
-        )
-    r = V.shape[1]
-    T = np.zeros((sys.n, sys.n - (hi - lo) + r))
-    T[:lo, :lo] = np.eye(lo)
-    T[lo:hi, lo:lo + r] = V
-    T[hi:, lo + r:] = np.eye(sys.n - hi)
-    return congruence(T, sys.E, sys.J, sys.R, sys.B, sys.P, sys.S, sys.N)
 
 
 def reduce_index1_shifted(part, data):
@@ -412,9 +396,19 @@ def reduce_index1_blockdiag(part, data):
     Projects only the dynamic block with the (orthonormalized) top rows
     of the interpolation basis and carries the algebraic equations over
     unchanged: a congruence with diag(V1, I), so the result is always a
-    valid pHDAE of order r + n2.
+    valid pHDAE of order r + n2.  Columns lost to rank deficiency of the
+    top rows are dropped with a warning.
     """
-    sys_r = _block_congruence(part.parent, build_V_generic(part, data), 0, part.n1)
+    sys, basis = part.parent, build_V_generic(part, data)
+    V1 = orthonormalize(basis.V[:part.n1])
+    if V1.shape[1] < basis.r:
+        warnings.warn(
+            f"dynamic-block basis rank-deficient: dropped "
+            f"{basis.r - V1.shape[1]} columns",
+            RuntimeWarning,
+        )
+    T = spla.block_diag(V1, np.eye(part.n2))
+    sys_r = congruence(T, sys.E, sys.J, sys.R, sys.B, sys.P, sys.S, sys.N)
     return _finish(sys_r, "index1-blockdiag", part.polynomial_part)
 
 
@@ -453,17 +447,12 @@ def reduce_index2_augmented(part, data):
 
 
 def reduce_mixed(part, data):
-    """Reduction of a combined index-1/index-2 system.
-
-    The constrained states x1 (pinned to zero by the nonsingular
-    constraint matrix) and the multipliers x3 are kept; only the
-    unconstrained dynamic block x2 is reduced with the middle rows of
-    the interpolation basis: a congruence with diag(I, V2, I), which
-    always preserves the pH structure and the polynomial part.
-    """
-    sys_r = _block_congruence(part.parent, build_V_generic(part, data),
-                              part.n1, part.n1 + part.n2)
-    return _finish(sys_r, "mixed-blockdiag", part.polynomial_part)
+    """:func:`reduce_index2_augmented` of the mixed view's index-2 split
+    (blocks (n1 + n2, n3)).  Once the multipliers x3 are eliminated the
+    constrained states x1 are pinned to zero, so the saddle basis lies in
+    the x2 block and the model is a pH ODE of order r; with B3 = P3 = 0 it
+    is ``index2-galerkin``, with the same constant polynomial part D."""
+    return reduce_index2_augmented(part.split, data)
 
 
 #: Reducer name -> reducer.  A model's ``method`` is the registry name,
@@ -475,20 +464,17 @@ REDUCERS = {
     "index1-shifted": reduce_index1_shifted,
     "index1-blockdiag": reduce_index1_blockdiag,
     "index2": reduce_index2_augmented,
-    "mixed-blockdiag": reduce_mixed,
 }
 
 
 def default_method(part):
     """Name of the :data:`REDUCERS` entry that runs on ``part`` when no
     reducer is named: ``index1-shifted`` for index 1, which matches the
-    polynomial part at order r, ``index2`` for index 2 and
-    ``mixed-blockdiag`` for a mixed view.  Any other object raises
+    polynomial part at order r, and ``index2`` for index 2, which a mixed
+    model is reduced as (its ``split``).  Any other object raises
     ``LinAlgContractError``."""
     if isinstance(part, Index1Partition):
         return "index1-shifted"
     if isinstance(part, Index2Partition):
         return "index2"
-    if isinstance(part, MixedPartition):
-        return "mixed-blockdiag"
     raise LinAlgContractError(f"unsupported partition type {type(part)!r}")

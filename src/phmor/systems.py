@@ -42,7 +42,6 @@ from scipy.linalg import lapack
 from .linalg import (COND_LIMIT, LinAlgContractError, LUFactor, SchurPencil, SparsePencil,
                      _stack_mul, solve_complex)
 from .transfer import (
-    PolynomialPart,
     polynomial_part_index1,
     polynomial_part_index2,
     transfer_cond_limit,
@@ -718,8 +717,10 @@ class MixedPartition(_View):
 
     ``split`` is its index-2 view with blocks (n1 + n2, n3), whose
     constraint block [J13; 0] has full column rank and whose null space is
-    the x2 block.  The split makes the checks of E, R and J33 and solves;
-    the mixed view adds n3 = n1, J23 = J32 = 0, B3 = P3 = 0 and J31."""
+    the x2 block.  The split makes the checks of E, R and J33, solves, and
+    is what a mixed model is reduced as (its polynomial part is the
+    constant D = S + N, since B3 = P3 = 0); the mixed view adds n3 = n1,
+    J23 = J32 = 0, B3 = P3 = 0 and J31."""
 
     index_kind = "mixed"  # the container manifest's ``index`` entry
 
@@ -756,12 +757,6 @@ class MixedPartition(_View):
     def shifted_solver(self):
         """The split's solver of s E - A."""
         return self.split.shifted_solver
-
-    @functools.cached_property
-    def polynomial_part(self):
-        """The constant polynomial part D = S + N: with B3 = P3 = 0 the
-        constraint equations carry no input."""
-        return PolynomialPart.constant(self.parent.S + self.parent.N)
 
 
 def partition_index1(sys, n1):

@@ -256,9 +256,11 @@ def _check_poly_against_limit(part, poly):
 def balance_realization(E, A, B, C):
     """Symmetric diagonal scaling improving the pencil's conditioning.
 
-    Reduced bases are deliberately not normalized (their projected
-    matrices are the quantities of interest), so column norms — and with
-    them the diagonal of E — can span many orders of magnitude.  Scaling
+    The raw index-1 bases are not normalized (their columns pair with the
+    shift formula's directions), so column norms — and with them the
+    diagonal of E — can span many orders of magnitude; an orthonormal
+    (index-2) basis gives a reduced E whose diagonal is already on E11's
+    scale, and the scaling then changes little.  Scaling
     state i by 1/sqrt(E_ii) (skipped for E_ii ~ 0) leaves the transfer
     function, poles, and residues unchanged while making the pencil
     numerically tractable.

@@ -14,7 +14,10 @@ mirroring, the convergence metric) are the loops the package ran before
 it worked on whole arrays.  The pencil eigensolver reference is
 ``scipy.linalg.eig``, the near-defective test's reference takes ||E||_2
 by SVD every time, and the index-2 port reference forms the lifted port
-blocks at every call."""
+blocks at every call.  The raw saddle basis is the index-2 basis before it
+was orthonormalized (the rank-filtered solves themselves), and the mixed
+block-diagonal reference is the deleted ``mixed-blockdiag`` reducer, which
+kept the constrained states and the multipliers and reduced only x2."""
 
 import warnings
 
@@ -26,11 +29,11 @@ import scipy.sparse.linalg as spsla
 
 from phmor import GenericLTISystem, PHDAESystem, build_V_generic, build_V_saddle
 from phmor.irka import AXIS_TOL
-from phmor.linalg import LinAlgContractError
-from phmor.reducers import _CONJ_TOL, InterpolationData, _finish
-from phmor.systems import symmetric_skew_split
+from phmor.linalg import LinAlgContractError, orthonormalize, pivoted_rank
+from phmor.reducers import _CONJ_TOL, InterpolationData, _finish, _solves
+from phmor.systems import congruence, symmetric_skew_split
 from phmor.regularization import _PROBES, RankTest, _rank, _spectrum
-from phmor.transfer import evaluate
+from phmor.transfer import PolynomialPart, evaluate
 
 
 def _dense(M):
@@ -114,6 +117,45 @@ def generic_index2(part, data):
     Ceff = (part.B1 + part.P1).T - part.output_lift.T @ A11
     sys_r = ph_form(V.T @ part.E11 @ V, V.T @ A11 @ V, V.T @ Beff, Ceff @ V, poly.P0)
     return _finish(sys_r, "index2-augmented", poly, augmented_input=not part.b2_zero)
+
+
+def raw_saddle_basis(part, data):
+    """The raw saddle basis: the realified solves of :func:`build_V_saddle`
+    at the points ``data.pairs`` keeps, rank-filtered by the same rule but
+    not orthonormalized.  Its columns span the orthonormal basis's."""
+    B = part.generic.B
+
+    def column(s, b):
+        v = -part.solve_shifted(s, B @ b, dynamic=True)
+        return v if part.b2_zero else v + part.input_lift @ b
+
+    V = _solves(data, column)
+    norms = np.linalg.norm(V, axis=0)
+    rank, piv = pivoted_rank(V / np.where(norms > 0, norms, 1.0))
+    return V[:, np.sort(piv[:rank])]
+
+
+def reference_raw_index2(part, data):
+    """:func:`~phmor.reducers.reduce_index2_augmented` projecting with
+    :func:`raw_saddle_basis`, the index-2 route before the basis was
+    orthonormalized: the same transfer function in exact arithmetic, but
+    a reduced E that can be numerically singular."""
+    sys_r = congruence(raw_saddle_basis(part, data), part.E11, part.J11, part.R11,
+                       *part.lifted_ports)
+    method = "index2-galerkin" if part.b2_zero else "index2-augmented"
+    return _finish(sys_r, method, part.polynomial_part, augmented_input=not part.b2_zero)
+
+
+def reference_mixed_blockdiag(part, data):
+    """The deleted ``mixed-blockdiag`` reducer of a mixed view: the
+    congruence with diag(I, V2, I), V2 an orthonormal basis of the x2 rows
+    of the generic basis, which keeps x1 and the multipliers x3.  Its
+    order is n1 + r' + n3, r' (the dynamic order) the columns V2 keeps."""
+    sys, basis = part.parent, build_V_generic(part, data)
+    V2 = orthonormalize(basis.V[part.n1:part.n1 + part.n2])
+    T = spla.block_diag(np.eye(part.n1), V2, np.eye(part.n3))
+    sys_r = congruence(T, sys.E, sys.J, sys.R, sys.B, sys.P, sys.S, sys.N)
+    return _finish(sys_r, "mixed-blockdiag", PolynomialPart.constant(sys.S + sys.N))
 
 
 def quad_h2_error(full, reduced):

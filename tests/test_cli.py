@@ -142,11 +142,14 @@ class TestReduce:
         assert loaded.method == "index2-augmented" and loaded.augmented_input
         assert np.array_equal(loaded.system.E, reduced.system.E)
 
-    def test_reduce_irka_start_of_wrong_size_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["irka", "index2", "auto"])
+    def test_reduce_points_of_wrong_size_exits_1(self, tmp_path, capsys, method):
+        # a direct reduction rejects --points that do not hold --r points, as
+        # IRKA does, instead of writing a row of another order
         model = tmp_path / "chain"
         _run(["generate", "--benchmark", "chain", "--k", 6, "--out", model])
         out = tmp_path / "red"
-        code, captured = _run(["reduce", model, "--method", "irka", "--r", 4,
+        code, captured = _run(["reduce", model, "--method", method, "--r", 4,
                                "--points", "1,2", "--out", out], capsys)
         assert code == 1
         assert captured.err == ("error [reduce]: 2 initial interpolation points for "
@@ -154,7 +157,8 @@ class TestReduce:
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["mixed", "index2-galerkin", "index2-augmented",
-                                        "irka-mixed", "irka-index2-galerkin"])
+                                        "irka-mixed", "irka-index2-galerkin",
+                                        "mixed-blockdiag", "irka-mixed-blockdiag"])
     def test_removed_method_names_exit_2(self, tmp_path, capsys, method):
         model = tmp_path / "mixed"
         _run(["generate", "--benchmark", "mixed", "--k", 4, "--out", model])

@@ -32,7 +32,7 @@ from phmor.benchmarks import (
     oseen_grid,
     random_ph_index1,
 )
-from phmor.linalg import LinAlgContractError
+from phmor.linalg import LinAlgContractError, pivoted_rank
 from phmor.reducers import REDUCERS
 from phmor.systems import congruence
 
@@ -41,7 +41,9 @@ from oracles import (
     generic_index1_shifted,
     generic_index2,
     projector_oracle_index2,
+    raw_saddle_basis,
     reference_index2_ports,
+    reference_mixed_blockdiag,
 )
 
 
@@ -143,11 +145,17 @@ class TestBases:
         assert np.allclose(cols[:, 4], cols[:, 3].conj(), rtol=1e-12, atol=0)
         kept = [(0, True), (1, False), (3, False)]
         assert reducers._conjugate_pairs(data.points, data.directions) == kept
-        V, Bd = reducers._rank_filter(
-            *reducers._realify(cols[:, [0, 1, 3]], data.directions, kept))
+        V = reducers._realify(cols[:, [0, 1, 3]], kept)
+        W = reducers._normalized(V)
+        keep = reducers._kept(W)
         assert basis.V.shape == (cols.shape[0], 5)
-        assert np.array_equal(basis.V, V)
-        assert np.array_equal(basis.directions, Bd)
+        if saddle:
+            assert np.array_equal(basis.V, spla.qr(W[:, keep], mode="economic")[0])
+            assert basis.directions is None
+        else:
+            Bd = reducers._realify(data.directions[[0, 1, 3]].T, kept)
+            assert np.array_equal(basis.V, V[:, keep])
+            assert np.array_equal(basis.directions, Bd[:, keep])
 
     def test_mimo_pairs_match_point_and_direction(self, monkeypatch):
         # [s, s, conj s, conj s] with directions [b1, b2, conj b2, conj b1]:
@@ -206,11 +214,15 @@ class TestHandVerifiedValues:
 
     def test_index2_galerkin_fixture(self, index2_fixture):
         part = partition_index2(index2_fixture, 2)
-        model = reduce_index2(part, _data([1.0], [[1.0]]))
-        assert model.system.E == pytest.approx(np.array([[0.25]]))
-        assert model.generic.A == pytest.approx(np.array([[-0.25]]))
-        assert model.system.B == pytest.approx(np.array([[-0.5]]))
-        assert model.generic.C == pytest.approx(np.array([[-0.5]]))
+        data = _data([1.0], [[1.0]])
+        model = reduce_index2(part, data)
+        # the hand values are those of the raw saddle column V_raw = V T, V
+        # the orthonormal basis the reducer projects with
+        T = build_V_saddle(part, data).V.T @ raw_saddle_basis(part, data)
+        assert T.T @ model.system.E @ T == pytest.approx(np.array([[0.25]]))
+        assert T.T @ model.generic.A @ T == pytest.approx(np.array([[-0.25]]))
+        assert T.T @ model.system.B == pytest.approx(np.array([[-0.5]]))
+        assert model.generic.C @ T == pytest.approx(np.array([[-0.5]]))
         assert model.ph_valid
         # Hr(s) = 1/(s+1) exactly
         for s in (1j, 0.3, 2.0 + 1j):
@@ -281,12 +293,39 @@ class TestInterpolationProperty:
         data = _data([0.5, 3.0 + 2j, 3.0 - 2j], [[1.0], [1.0], [1.0]])
         model = reduce_mixed(part, data)
         assert tangential_residuals(part.parent, model, data).max() < 1e-8
-        assert model.order == part.n1 + 3 + part.n3
+        assert model.order == 3 and model.method == "index2-galerkin"
 
     def test_index2_requires_zero_b2(self):
         part = mass_spring_chain_b2(MassSpringSpec(k=5), amplitude=1.0)
         with pytest.raises(LinAlgContractError):
             reduce_index2(part, _data([1.0], [[1.0]]))
+
+
+_MIXED_GRID = 1j * np.logspace(-3, 3, 20)
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(2, 40), r=st.integers(1, 8))
+def test_mixed_model_reduces_as_its_split(k, r):
+    # the split route against the deleted block route (x1 and x3 kept, x2
+    # reduced), from the default start
+    part = mixed_chain(MassSpringSpec(k=k))
+    data = InterpolationData.log_spaced(r, part.parent.m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # rank drops
+        model = reduce_mixed(part, data)
+        ref = reference_mixed_blockdiag(part, data)
+    assert model.method == "index2-galerkin" and model.ph_valid
+    assert np.array_equal(model.generic.D, part.parent.S + part.parent.N)
+    assert tangential_residuals(part, model, data).max() <= 1e-12
+    # order r, or all of x2 when r > n2; the block route's rank test on the
+    # unnormalized x2 rows can drop one more column
+    dynamic = ref.order - part.n1 - part.n3
+    assert model.order == min(r, part.n2) >= dynamic
+    if dynamic == r:
+        H, Hr = ref.transfer_evals(_MIXED_GRID), model.transfer_evals(_MIXED_GRID)
+        gap = np.max(np.linalg.norm(H - Hr, 2, axis=(1, 2)))
+        assert gap <= 1e-8 * np.max(np.linalg.norm(H, 2, axis=(1, 2)))
 
 
 def _random_index2_with_constraint_inputs(seed, n1=10, n2=3, m=2):
@@ -469,11 +508,11 @@ _chain_sizes = st.integers(3, 12)
 _MODELS = {
     "index1-shifted": ("index1-shifted", _index1_models),
     "index1-blockdiag": ("index1-blockdiag", _index1_models),
-    "index2-galerkin": ("index2", _chain_sizes.map(_chain)),
+    "index2-galerkin": ("index2", st.one_of(
+        _chain_sizes.map(_chain),
+        _chain_sizes.map(lambda k: mixed_chain(MassSpringSpec(k=k)).split))),
     "index2-augmented": ("index2", st.one_of(_chain_sizes.map(_chain),
                                              _chain_sizes.map(_chain_b2))),
-    "mixed-blockdiag": ("mixed-blockdiag",
-                        _chain_sizes.map(lambda k: mixed_chain(MassSpringSpec(k=k)))),
 }
 
 
@@ -599,10 +638,13 @@ class TestSaddleColumnsWithoutMultiplier:
             v = -part.solve_shifted(s, B @ b)[:part.n1]
             return v if part.b2_zero else v + part.input_lift @ b
 
-        ref = reducers._basis(data, column)
+        # the Householder Q of the kept normalized columns, in their order
+        raw = reducers._solves(data, column)
+        W = raw / np.linalg.norm(raw, axis=0)
+        rank, piv = pivoted_rank(W)
+        Q = spla.qr(W[:, np.sort(piv[:rank])], mode="economic")[0]
         basis = build_V_saddle(part, data)
-        assert basis.V.tobytes() == ref.V.tobytes()
-        assert basis.directions.tobytes() == ref.directions.tobytes()
+        assert basis.V.tobytes() == Q.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(_SADDLE_VIEWS))

@@ -1,7 +1,8 @@
 """One rule picks the reducer: ``reduce --method auto``, ``--method irka``
 and ``irka_reduce(method=None)`` all run ``reducers.default_method``,
 every ``--method`` choice names a ``reducers.REDUCERS`` entry, and a
-reducer named for another index kind than the model's is an error line."""
+reducer named for another index kind than the model's is an error line.
+A mixed container is reduced as its mixed view's index-2 ``split``."""
 
 import importlib
 import pkgutil
@@ -25,9 +26,8 @@ from phmor.reducers import REDUCERS, default_method
 # The --method choices of `reduce` and `sweep`, in the order the CLI lists
 # them: every REDUCERS name, directly and inside IRKA.
 METHOD_CHOICES = [
-    "auto", "index1-blockdiag", "index1-shifted", "index2", "mixed-blockdiag",
+    "auto", "index1-blockdiag", "index1-shifted", "index2",
     "irka", "irka-index1-blockdiag", "irka-index1-shifted", "irka-index2",
-    "irka-mixed-blockdiag",
 ]
 
 
@@ -46,8 +46,14 @@ PARTITIONS = {
     "index1-b2-zero": (_index1_b2_zero, "index1-shifted"),
     "index2": (lambda: mass_spring_chain(MassSpringSpec(k=4)), "index2"),
     "index2-b2": (lambda: mass_spring_chain_b2(MassSpringSpec(k=4)), "index2"),
-    "mixed": (lambda: mixed_chain(MassSpringSpec(k=4)), "mixed-blockdiag"),
+    "mixed": (lambda: mixed_chain(MassSpringSpec(k=4)), "index2"),
 }
+
+
+def _loaded(part):
+    """The view ``reduce`` and ``sweep`` reduce for ``part``'s container:
+    a mixed view's split, else the view itself."""
+    return part.split if part.index_kind == "mixed" else part
 
 
 def _save(part, path):
@@ -76,14 +82,14 @@ def picked(monkeypatch):
 def test_auto_irka_and_irka_reduce_pick_the_default(kind, picked, tmp_path):
     build, expected = PARTITIONS[kind]
     part = build()
-    assert default_method(part) == expected
+    assert default_method(_loaded(part)) == expected
     model_dir = _save(part, tmp_path / "model")
     for method in ("auto", "irka"):
         with pytest.raises(_Picked):
             cli.main(["reduce", model_dir, "--method", method, "--r", "2",
                       "--out", str(tmp_path / method)])
     with pytest.raises(_Picked):
-        irka_reduce(part, IRKAConfig(r=2))
+        irka_reduce(_loaded(part), IRKAConfig(r=2))
     assert picked == [expected] * 3
 
 
@@ -103,16 +109,19 @@ def test_default_method_rejects_a_bare_system():
         default_method(mass_spring_chain(MassSpringSpec(k=3)).parent)
 
 
+def test_default_method_rejects_a_mixed_view():
+    # a mixed model is reduced as its split, so the view itself has no reducer
+    with pytest.raises(LinAlgContractError):
+        default_method(mixed_chain(MassSpringSpec(k=3)))
+
+
 def _method_choices(verb):
     sub = cli.build_parser()._subparsers._group_actions[0].choices[verb]
     return next(a for a in sub._actions if a.dest == "method").choices
 
 
 # The index kind (a partition's ``index_kind``) each reducer reduces.
-REDUCER_KINDS = {
-    "index1-shifted": "1", "index1-blockdiag": "1", "index2": "2",
-    "mixed-blockdiag": "mixed",
-}
+REDUCER_KINDS = {"index1-shifted": "1", "index1-blockdiag": "1", "index2": "2"}
 
 
 def _named_reducer(method):
@@ -127,7 +136,7 @@ def test_method_choices_unchanged_and_registered(verb):
     assert list(choices) == METHOD_CHOICES
     assert sorted(REDUCER_KINDS) == sorted(REDUCERS)
     for kind, (build, _) in PARTITIONS.items():
-        part = build()
+        part = _loaded(build())
         for method in choices:
             named = _named_reducer(method)
             if named is not None and REDUCER_KINDS[named] != part.index_kind:
@@ -141,14 +150,15 @@ def test_method_choices_unchanged_and_registered(verb):
 
 
 def test_registry_name_writes_the_auto_row(tmp_path):
-    # the method a saved mixed model records is the --method that auto runs
+    # a mixed container is reduced by the entry auto runs on its split, and
+    # the saved model records that entry's model name
     model_dir = _save(mixed_chain(MassSpringSpec(k=4)), tmp_path / "model")
     rows = []
-    for method in ("auto", "mixed-blockdiag"):
+    for method in ("auto", "index2"):
         out = tmp_path / method
         assert cli.main(["reduce", model_dir, "--method", method, "--r", "2",
                          "--freq-grid", "1e-4:1e4:20", "--out", str(out)]) == 0
-        assert containers.load_reduced(out).method == "mixed-blockdiag"
+        assert containers.load_reduced(out).method == "index2-galerkin"
         rows.append((out / "errors.csv").read_text())
     assert rows[0] == rows[1]
 
@@ -160,8 +170,8 @@ def test_mismatched_reducer_is_an_error_line(verb, kind, tmp_path, capsys):
     part = PARTITIONS[kind][0]()
     model_dir = _save(part, tmp_path / "model")
     mismatched = [m for m in METHOD_CHOICES if _named_reducer(m) is not None
-                  and REDUCER_KINDS[_named_reducer(m)] != part.index_kind]
-    assert len(mismatched) >= 4
+                  and REDUCER_KINDS[_named_reducer(m)] != _loaded(part).index_kind]
+    assert len(mismatched) >= 2
     order = ["--r", "2"] if verb == "reduce" else ["--r-sweep", "2"]
     for method in mismatched:
         out = tmp_path / method

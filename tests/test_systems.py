@@ -246,15 +246,16 @@ def test_sparse_definiteness_needs_symmetric_pivots():
 @pytest.mark.parametrize("k", [3, 6, 20])
 def test_mixed_view_is_its_index2_split(k):
     from phmor.benchmarks import MassSpringSpec, mixed_chain
-    from phmor.transfer import FrequencyGrid, frequency_response
+    from phmor.transfer import FrequencyGrid, PolynomialPart, frequency_response
 
     part = mixed_chain(MassSpringSpec(k=k))
     split = partition_index2(part.parent, part.n1 + part.n2)
     grid = FrequencyGrid.log_spaced()
     assert np.array_equal(frequency_response(part, grid), frequency_response(split, grid))
+    # B3 = P3 = 0: the split's polynomial part is the constant D = S + N
+    poly = PolynomialPart.constant(part.parent.S + part.parent.N)
     for name in ("P0", "P1"):
-        assert np.array_equal(getattr(part.polynomial_part, name),
-                              getattr(split.polynomial_part, name))
+        assert np.array_equal(getattr(poly, name), getattr(split.polynomial_part, name))
 
 
 def test_partition_mixed_requires_square_constraint():
