@@ -6,7 +6,6 @@ from .linalg import (
     SingularMatrixError,
     gen_eig,
     nullspace_basis,
-    orthonormalize,
     solve_complex,
 )
 from .systems import (

@@ -44,9 +44,7 @@ __all__ = [
     "pencil_eig",
     "nullspace_basis",
     "rank_tolerance",
-    "qr_rank",
     "pivoted_rank",
-    "orthonormalize",
 ]
 
 #: Condition-number threshold beyond which a matrix is treated as singular
@@ -655,38 +653,16 @@ def nullspace_basis(M):
     return Vt[rank:].T.copy()
 
 
-def qr_rank(V):
-    """Pivoted QR V[:, piv] = Q R and the rank it reveals: the number of
-    |R_ii| above 1e-12 |R_00| (0 when R_00 = 0).  Returns (Q, rank, piv);
-    Q[:, :rank] spans the kept columns V[:, piv[:rank]]."""
-    Q, R, piv = spla.qr(V, mode="economic", pivoting=True)
-    return Q, _revealed_rank(np.diag(R)), piv
-
-
 def pivoted_rank(V):
-    """(rank, piv) of :func:`qr_rank` without forming Q: one ``dgeqp3``
-    of a real V with the workspace its query returns, the factorization
-    scipy's pivoted ``qr`` makes, so R's diagonal and the pivots are the
-    same bit for bit.  A non-finite V raises ``ValueError``."""
+    """(rank, piv) of the pivoted QR V[:, piv] = Q R, without forming Q:
+    the rank is the number of |R_ii| above 1e-12 |R_00| (0 when R_00 = 0),
+    and V[:, piv[:rank]] are the columns it keeps.  One ``dgeqp3`` of a
+    real V with the workspace its query returns, the factorization scipy's
+    pivoted ``qr`` makes, so R's diagonal and the pivots are the same bit
+    for bit.  A non-finite V raises ``ValueError``."""
     V = np.asarray_chkfinite(V)
     lwork = int(lapack.dgeqp3(V, lwork=-1)[-2][0])
     qr, jpvt, _, _, _ = lapack.dgeqp3(V, lwork=lwork)
-    return _revealed_rank(np.diag(qr)), jpvt - 1
-
-
-def _revealed_rank(diag):
-    """The rank rule of :func:`qr_rank` on the diagonal of a pivoted R."""
-    d = np.abs(diag)
-    return int(np.sum(d > 1e-12 * d[0])) if d.size and d[0] > 0 else 0
-
-
-def orthonormalize(V):
-    """Orthonormal basis of span(V): the first :func:`qr_rank` columns of
-    its pivoted QR.  The caller is told how many columns survived via the
-    returned shape.
-    """
-    V = _as_matrix(V, "V")
-    if V.shape[1] == 0:
-        return V.copy()
-    Q, rank, _ = qr_rank(V)
-    return Q[:, :rank]
+    d = np.abs(np.diag(qr))
+    rank = int(np.sum(d > 1e-12 * d[0])) if d.size and d[0] > 0 else 0
+    return rank, jpvt - 1

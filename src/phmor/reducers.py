@@ -11,25 +11,24 @@ sym(T^T R T), T^T B, T^T P), which keeps the pH structure:
   interpolation basis plus a feedthrough shift that matches the full
   model's constant polynomial part.  The shift can break the passivity
   structure; the result carries an explicit ``ph_valid`` flag.
-* ``reduce_index1_blockdiag`` — index-1, block-diagonal congruence that
-  keeps the algebraic equations; always structure-preserving, reduced
-  order r + n2.
-* ``reduce_index2_augmented`` — index-2, the congruence of the x1 blocks
-  with a constraint-satisfying basis from saddle-point solves, the
-  constraint lifts folded into the port terms.  With inputs entering the
-  constraints the transfer function has a linear-in-s polynomial part,
-  reproduced exactly through an augmented (u, u') feedthrough
-  (``index2-augmented``); without them the lifts vanish and the model is
-  a valid pH ODE of order r (``index2-galerkin``).  ``reduce_index2`` is
-  the same reducer restricted to the latter case, and ``reduce_mixed``
-  the same reducer on a mixed view's index-2 split.
+* ``reduce_index1_blockdiag`` and ``reduce_index2_augmented`` — one
+  Galerkin formula: the congruence of the partition's pH ODE ``ode`` (its
+  algebraic part eliminated) with an orthonormal basis of the x1 rows of
+  the full model's solves.  An index-1 model is a valid pH ODE of order r
+  with feedthrough P0 (``index1-galerkin``).  With inputs entering the
+  index-2 constraints the transfer function has a linear-in-s polynomial
+  part, reproduced exactly through an augmented (u, u') feedthrough
+  (``index2-augmented``); without them the model is a valid pH ODE of
+  order r (``index2-galerkin``).  ``reduce_index2`` is the same reducer
+  restricted to the latter case, and ``reduce_mixed`` the same reducer
+  on a mixed view's index-2 split.
 
 :data:`REDUCERS` maps each reducer's name to its function, and
 :func:`default_method` names the one that runs when none is asked for.
 
 The generic basis projects with its raw (non-orthonormalized) columns, so
 that the index-1 shift formula can pair each column with its tangent
-direction; the saddle basis is an orthonormal basis of the same kept
+direction; the saddle basis is an orthonormal basis of its kept
 columns.  Near-dependent columns are detected by one rank-revealing QR of
 the normalized columns and dropped with a warning.
 """
@@ -43,7 +42,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as spla
 
-from .linalg import LinAlgContractError, orthonormalize, pivoted_rank, solve_stacked
+from .linalg import LinAlgContractError, pivoted_rank, solve_stacked
 from .systems import (
     Index1Partition,
     Index2Partition,
@@ -208,8 +207,8 @@ def _normalized(V):
 
 def _kept(W):
     """Indices, in order, of the columns of the normalized basis W that the
-    rank rule of :func:`~phmor.linalg.qr_rank` keeps (by
-    :func:`~phmor.linalg.pivoted_rank`, no Q); a drop is warned about."""
+    rank rule of :func:`~phmor.linalg.pivoted_rank` keeps; a drop is warned
+    about."""
     rank, piv = pivoted_rank(W)
     if rank < W.shape[1]:
         warnings.warn(
@@ -242,22 +241,25 @@ def build_V_generic(model, data):
     return ProjectionBasis(V=V, directions=Bd)
 
 
-def build_V_saddle(part, data):
-    """Orthonormal constraint-compatible basis for index-2 systems via
-    saddle solves.
+def _lifted(part):
+    """Whether ``part`` is an index-2 view whose constraints carry inputs."""
+    return isinstance(part, Index2Partition) and not part.b2_zero
 
-    Solves, for each interpolation point, the saddle-point system
+
+def build_V_saddle(part, data):
+    """Orthonormal basis of the x1 rows of an index-1 or index-2
+    partition's solves (sigma E - A) x = (B - P) b, v = -x[:n1], asked of
+    ``solve_shifted`` for x[:n1] only.  On an index-1 view x1 solves the
+    x2-eliminated ODE itself.  On an index-2 view the matrix is minus the
+    saddle-point matrix
 
         [ A11 - sigma E11   J12 ] [v]   [ (B1 - P1) b ]
         [      -J12^T        0  ] [z] = [ (B2 - P2) b ]
 
-    whose matrix is exactly -(sigma E - A) on a valid index-2 partition,
-    so it is solved with the partition's full-model solver
-    (:meth:`~phmor.systems.Index2Partition.solve_shifted`, asked for x[:n1]
-    only) and v = -x[:n1].  When the constraint equations carry inputs, v
-    is then projected back onto ker(J12^T) along the energy inner product
-    by adding G b, G the partition's input lift E11^{-1} J12 M^{-1}
-    (B2 - P2), so that J12^T V = 0 holds for the returned basis.  As in
+    and when the constraint equations carry inputs, v is projected back
+    onto ker(J12^T) along the energy inner product by adding G b, G the
+    partition's input lift E11^{-1} J12 M^{-1} (B2 - P2), so that
+    J12^T V = 0 holds for the returned basis.  As in
     :func:`build_V_generic`, the matrices are real and only one member of
     each conjugate pair is solved for, and the same rule keeps the same
     columns.  The basis returned is the Householder Q of the kept columns,
@@ -266,10 +268,11 @@ def build_V_saddle(part, data):
     None.
     """
     B = part.generic.B
+    lifted = _lifted(part)
 
     def column(s, b):
         v = -part.solve_shifted(s, B @ b, dynamic=True)
-        if not part.b2_zero:
+        if lifted:
             v = v + part.input_lift @ b
         return v
 
@@ -323,11 +326,11 @@ class ReducedModel:
         (:func:`~phmor.linalg.solve_stacked`).
 
         A reduced pencil can be very ill-conditioned while the transfer
-        values stay accurate (a raw basis of near-dependent columns, or a
-        block-diagonal model whose reduced E is singular): the near-singular
-        directions typically do not couple to the input and output maps.  A
-        pencil whose ``zgecon`` estimate exceeds 1e14 (1 + |s|), or that has
-        an exactly zero pivot, is solved in the minimum-norm least-squares
+        values stay accurate (the raw ``index1-shifted`` basis, or a loaded
+        model whose reduced E is singular): the near-singular directions
+        typically do not couple to the input and output maps.  A pencil
+        whose ``zgecon`` estimate exceeds 1e14 (1 + |s|), or that has an
+        exactly zero pivot, is solved in the minimum-norm least-squares
         sense instead."""
         gen = self.generic
         E, A, B, C = self._balanced
@@ -390,26 +393,21 @@ def reduce_index1_shifted(part, data):
     return _finish(sys_r, "index1-shifted", poly)
 
 
-def reduce_index1_blockdiag(part, data):
-    """Structure-preserving index-1 reduction keeping the algebraic block.
+def _galerkin(part, data):
+    """The congruence of ``part.ode`` with :func:`build_V_saddle`."""
+    augmented = _lifted(part)
+    sys_r = congruence(build_V_saddle(part, data).V, *part.ode)
+    method = f"index{part.index_kind}-{'augmented' if augmented else 'galerkin'}"
+    return _finish(sys_r, method, part.polynomial_part, augmented_input=augmented)
 
-    Projects only the dynamic block with the (orthonormalized) top rows
-    of the interpolation basis and carries the algebraic equations over
-    unchanged: a congruence with diag(V1, I), so the result is always a
-    valid pHDAE of order r + n2.  Columns lost to rank deficiency of the
-    top rows are dropped with a warning.
-    """
-    sys, basis = part.parent, build_V_generic(part, data)
-    V1 = orthonormalize(basis.V[:part.n1])
-    if V1.shape[1] < basis.r:
-        warnings.warn(
-            f"dynamic-block basis rank-deficient: dropped "
-            f"{basis.r - V1.shape[1]} columns",
-            RuntimeWarning,
-        )
-    T = spla.block_diag(V1, np.eye(part.n2))
-    sys_r = congruence(T, sys.E, sys.J, sys.R, sys.B, sys.P, sys.S, sys.N)
-    return _finish(sys_r, "index1-blockdiag", part.polynomial_part)
+
+def reduce_index1_blockdiag(part, data):
+    """Galerkin reduction of an index-1 system: the formula of
+    :func:`reduce_index2_augmented` on the x2-eliminated pH ODE
+    (:attr:`~phmor.systems.Index1Partition.ode`).  The model,
+    ``index1-galerkin``, is a valid pH ODE of order r (the columns the rank
+    rule keeps) that interpolates, with feedthrough P0."""
+    return _galerkin(part, data)
 
 
 def reduce_index2(part, data):
@@ -429,21 +427,15 @@ def reduce_index2_augmented(part, data):
     the constraint equations.
 
     The saddle basis V satisfies J12^T V = 0, so the constraints reduce to
-    the x1 blocks (E11, J11, R11), projected by V, with the constraint
-    lifts folded into the port terms: the partition's
-    :attr:`~phmor.systems.Index2Partition.lifted_ports`, formed once per
-    partition.  The reduced transfer function C (sE - A)^{-1} B + P0 + s P1
-    matches the full model tangentially and reproduces the polynomial
-    part.  With
-    B2 = P2 = 0 the lifts and P0 - D are zero, and the model is
-    ``index2-galerkin``, a valid pHDAE; otherwise it is
-    ``index2-augmented``, with an augmented (u, u') input, and its
-    passivity is tested and reported via ``ph_valid``.
+    the x1 blocks (E11, J11, R11) with the constraint lifts folded into the
+    port terms, :attr:`~phmor.systems.Index2Partition.ode`, projected by V.
+    The reduced transfer function C (sE - A)^{-1} B + P0 + s P1 matches the
+    full model tangentially and reproduces the polynomial part.  With
+    B2 = P2 = 0 the model is ``index2-galerkin``, a valid pH ODE; otherwise
+    it is ``index2-augmented``, with an augmented (u, u') input, and its
+    passivity is reported via ``ph_valid``.
     """
-    V = build_V_saddle(part, data).V
-    sys_r = congruence(V, part.E11, part.J11, part.R11, *part.lifted_ports)
-    method = "index2-galerkin" if part.b2_zero else "index2-augmented"
-    return _finish(sys_r, method, part.polynomial_part, augmented_input=not part.b2_zero)
+    return _galerkin(part, data)
 
 
 def reduce_mixed(part, data):

@@ -467,17 +467,16 @@ def _triangular_solve(R, F, trans=0):
 
 
 class _Index1Elimination:
-    """(s E - A)^{-1} of a dense index-1 model with E = diag(E11, 0).  The
-    partition's LU factor of A22 solves the algebraic rows:
-    x2 = -A22^{-1} (F2 + A21 x1), and x1 solves the ODE
-    (s E11 - A11 + A12 A22^{-1} A21) x1 = F1 - A12 A22^{-1} F2."""
+    """(s E - A)^{-1} of a dense index-1 model with E = diag(E11, 0), from
+    the partition's :attr:`~Index1Partition.schur`: x2 = -A22^{-1} (F2 +
+    A21 x1), and x1 solves the ODE (s E11 - A^) x1 = F1 - A12 A22^{-1} F2."""
 
-    def __init__(self, E11, A, A22_lu):
-        n1 = self._n1 = E11.shape[0]
-        self._A22_lu = A22_lu
-        G = A22_lu.solve(A[n1:, :n1])  # A22^{-1} A21
-        self._A12, self._G = A[:n1, n1:].astype(complex), G.astype(complex)
-        self._ode = SchurPencil(E11, A[:n1, :n1] - A[:n1, n1:] @ G)
+    def __init__(self, part):
+        n1 = self._n1 = part.n1
+        self._A22_lu = part.A22_lu
+        G, _, A_hat = part.schur
+        self._A12, self._G = part.generic.A[:n1, n1:].astype(complex), G.astype(complex)
+        self._ode = SchurPencil(part.E11, A_hat)
 
     def solve(self, s, F, cond_limit):
         n1 = self._n1
@@ -608,7 +607,7 @@ class Index1Partition(_SemiExplicit):
         _check_nonsingular(self.A22_lu, "J22 - R22")
 
     def _elimination(self):
-        return _Index1Elimination(self.E11, self.generic.A, self.A22_lu)
+        return _Index1Elimination(self)
 
     @property
     def A22(self):
@@ -620,11 +619,36 @@ class Index1Partition(_SemiExplicit):
         return LUFactor(_dense(self.A22))
 
     @functools.cached_property
+    def schur(self):
+        """(G, K, A^): G = A22^{-1} A21 and K = A22^{-1} (B2 - P2) from one
+        solve with :attr:`A22_lu`, and A^ = A11 - A12 G.  The solver, the
+        polynomial part and :attr:`ode` read it."""
+        n1, A = self.n1, _dense(self.generic.A)
+        GK = self.A22_lu.solve(np.hstack([A[n1:, :n1], self.B2 - self.P2]))
+        G = GK[:, :n1]
+        return G, GK[:, n1:], A[:n1, :n1] - A[:n1, n1:] @ G
+
+    @functools.cached_property
     def polynomial_part(self):
         """The constant polynomial part
         (:func:`phmor.transfer.polynomial_part_index1`), computed once per
         partition."""
         return polynomial_part_index1(self)
+
+    @functools.cached_property
+    def ode(self):
+        """The pH ODE (E11, J, R, B, P, S, N) left when x2 is eliminated: the
+        Schur complement of the pH system matrix with respect to A22, so
+        passive.  With B^ = (B1 - P1) - A12 K, C^ = (B1 + P1)^T - (B2 + P2)^T G
+        (:attr:`schur`) and D^ = P0 it is (E11, skew A^, -sym A^,
+        (B^ + C^^T)/2, (C^^T - B^)/2, sym D^, skew D^)."""
+        n1 = self.n1
+        G, K, A_hat = self.schur
+        B_hat = (self.B1 - self.P1) - _dense(self.generic.A[:n1, n1:]) @ K
+        C_hat = (self.B1 + self.P1).T - (self.B2 + self.P2).T @ G
+        sym_a, skew_a = symmetric_skew_split(A_hat)
+        return (self.E11, skew_a, -sym_a, 0.5 * (B_hat + C_hat.T), 0.5 * (C_hat.T - B_hat),
+                *symmetric_skew_split(self.polynomial_part.P0))
 
 
 @dataclass(frozen=True)
@@ -688,6 +712,12 @@ class Index2Partition(_SemiExplicit):
         """The polynomial part, :func:`phmor.transfer.polynomial_part_index2`
         with its large-frequency check, computed once per partition."""
         return polynomial_part_index2(self)
+
+    @property
+    def ode(self):
+        """The pH ODE (E11, J11, R11, *lifted_ports) of the x1 equations,
+        the constraints eliminated on a basis with J12^T V = 0."""
+        return (self.E11, self.J11, self.R11, *self.lifted_ports)
 
     @functools.cached_property
     def lifted_ports(self):

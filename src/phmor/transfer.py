@@ -200,13 +200,14 @@ def polynomial_part_index1(part):
     """Constant polynomial part of a semi-explicit index-1 system.
 
     P0 = D - (B2+P2)^T (J22-R22)^{-1} (B2-P2), the limit of H(s) as
-    |s| -> infinity, solved with the partition's LU factor of A22; the
-    linear term vanishes for index-1 systems.
+    |s| -> infinity, read from the partition's one solve with A22
+    (:attr:`~phmor.systems.Index1Partition.schur`); the linear term
+    vanishes for index-1 systems.
     """
     D = part.parent.S + part.parent.N
     if part.n2 == 0 or part.b2_zero:
         return PolynomialPart.constant(D)
-    P0 = D - (part.B2 + part.P2).T @ part.A22_lu.solve(part.B2 - part.P2)
+    P0 = D - (part.B2 + part.P2).T @ part.schur[1]
     return PolynomialPart.constant(P0)
 
 
@@ -256,11 +257,11 @@ def _check_poly_against_limit(part, poly):
 def balance_realization(E, A, B, C):
     """Symmetric diagonal scaling improving the pencil's conditioning.
 
-    The raw index-1 bases are not normalized (their columns pair with the
-    shift formula's directions), so column norms — and with them the
-    diagonal of E — can span many orders of magnitude; an orthonormal
-    (index-2) basis gives a reduced E whose diagonal is already on E11's
-    scale, and the scaling then changes little.  Scaling
+    The raw ``index1-shifted`` basis is not normalized (its columns pair
+    with the shift formula's directions), so column norms — and with them
+    the diagonal of E — can span many orders of magnitude; the orthonormal
+    basis of the Galerkin reducers gives a reduced E whose diagonal is
+    already on E11's scale, and the scaling then changes little.  Scaling
     state i by 1/sqrt(E_ii) (skipped for E_ii ~ 0) leaves the transfer
     function, poles, and residues unchanged while making the pencil
     numerically tractable.

@@ -15,9 +15,12 @@ it worked on whole arrays.  The pencil eigensolver reference is
 ``scipy.linalg.eig``, the near-defective test's reference takes ||E||_2
 by SVD every time, and the index-2 port reference forms the lifted port
 blocks at every call.  The raw saddle basis is the index-2 basis before it
-was orthonormalized (the rank-filtered solves themselves), and the mixed
-block-diagonal reference is the deleted ``mixed-blockdiag`` reducer, which
-kept the constrained states and the multipliers and reduced only x2."""
+was orthonormalized (the rank-filtered solves themselves).  The
+block-diagonal references are the deleted ``mixed-blockdiag`` reducer,
+which kept the constrained states and the multipliers and reduced only x2,
+and the deleted block-diagonal ``index1-blockdiag`` route, which kept the
+algebraic states; both rank with :func:`orthonormalize`, the rule of
+phmor's deleted ``linalg.orthonormalize``."""
 
 import warnings
 
@@ -29,7 +32,7 @@ import scipy.sparse.linalg as spsla
 
 from phmor import GenericLTISystem, PHDAESystem, build_V_generic, build_V_saddle
 from phmor.irka import AXIS_TOL
-from phmor.linalg import LinAlgContractError, orthonormalize, pivoted_rank
+from phmor.linalg import LinAlgContractError, pivoted_rank
 from phmor.reducers import _CONJ_TOL, InterpolationData, _finish, _solves
 from phmor.systems import congruence, symmetric_skew_split
 from phmor.regularization import _PROBES, RankTest, _rank, _spectrum
@@ -144,6 +147,34 @@ def reference_raw_index2(part, data):
                        *part.lifted_ports)
     method = "index2-galerkin" if part.b2_zero else "index2-augmented"
     return _finish(sys_r, method, part.polynomial_part, augmented_input=not part.b2_zero)
+
+
+def orthonormalize(V):
+    """Orthonormal basis of span(V): the first columns of its pivoted QR
+    whose |R_ii| exceed 1e-12 |R_00| (none when R_00 = 0).  Unlike the
+    reducers' rule, it ranks the columns as they are, not normalized."""
+    if V.shape[1] == 0:
+        return V.copy()
+    Q, R, _ = spla.qr(V, mode="economic", pivoting=True)
+    d = np.abs(np.diag(R))
+    return Q[:, :int(np.sum(d > 1e-12 * d[0])) if d[0] > 0 else 0]
+
+
+def reference_index1_blockdiag(part, data):
+    """The deleted block-diagonal ``index1-blockdiag`` reducer: the
+    congruence with diag(V1, I), V1 an orthonormal basis of the x1 rows of
+    the generic basis, which keeps the algebraic equations.  A pH DAE of
+    order r' + n2 (r' the columns V1 keeps) with a singular reduced E, and
+    the transfer function of the Galerkin reducer of the x2-eliminated
+    ODE wherever both keep every column."""
+    sys, basis = part.parent, build_V_generic(part, data)
+    V1 = orthonormalize(basis.V[:part.n1])
+    if V1.shape[1] < basis.r:
+        warnings.warn(f"dynamic-block basis rank-deficient: dropped "
+                      f"{basis.r - V1.shape[1]} columns", RuntimeWarning)
+    T = spla.block_diag(V1, np.eye(part.n2))
+    sys_r = congruence(T, sys.E, sys.J, sys.R, sys.B, sys.P, sys.S, sys.N)
+    return _finish(sys_r, "index1-blockdiag", part.polynomial_part)
 
 
 def reference_mixed_blockdiag(part, data):

@@ -43,7 +43,7 @@ from phmor.linalg import (
 )
 from phmor.transfer import FrequencyGrid, evaluate, frequency_response
 
-from oracles import reference_raw_index2
+from oracles import reference_index1_blockdiag, reference_raw_index2
 
 PARTITIONS = {
     "chain": lambda: mass_spring_chain(MassSpringSpec(k=6)),
@@ -68,8 +68,11 @@ LU_MODELS = {
 REDUCED = {
     "index1-shifted": lambda: reduce_index1_shifted(
         random_ph_index1(12, 4, 2, seed=1), InterpolationData.log_spaced(6, 2)),
-    # keeps the algebraic block, so its reduced E is singular
-    "index1-blockdiag": lambda: reduce_index1_blockdiag(
+    # the deleted block-diagonal route keeps the algebraic block, so its
+    # reduced E is singular
+    "index1-blockdiag": lambda: reference_index1_blockdiag(
+        random_ph_index1(12, 4, 2, seed=2), InterpolationData.log_spaced(4, 2)),
+    "index1-galerkin": lambda: reduce_index1_blockdiag(
         random_ph_index1(12, 4, 2, seed=2), InterpolationData.log_spaced(4, 2)),
     "index2": lambda: reduce_index2(_model("chain"), InterpolationData.log_spaced(4, 1)),
     # carries the s P1 term of the polynomial part

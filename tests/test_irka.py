@@ -18,7 +18,7 @@ from phmor import (
     partition_index2,
     pole_residue,
 )
-from phmor.benchmarks import MassSpringSpec, mass_spring_chain
+from phmor.benchmarks import MassSpringSpec, mass_spring_chain, random_ph_index1
 from phmor.linalg import LinAlgContractError, gen_eig
 from phmor.reducers import _conjugate_pairs
 from phmor.transfer import balance_realization
@@ -128,6 +128,19 @@ def test_full_pole_set_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert irka_reduce(part, IRKAConfig(r=4)).converged
+
+
+@settings(max_examples=15, deadline=None)
+@given(part=st.builds(random_ph_index1, n1=st.integers(4, 14), n2=st.integers(1, 5),
+                      m=st.integers(1, 3), seed=st.integers(0, 2**16)),
+       r=st.integers(1, 6))
+def test_index1_galerkin_irka_delivers_order_r(part, r):
+    # the Galerkin index-1 reducer returns a pH ODE, whose poles IRKA mirrors
+    r = min(r, part.n1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # non-convergence
+        result = irka_reduce(part, IRKAConfig(r=r), method="index1-blockdiag")
+    assert result.model.order == r and result.model.ph_valid
 
 
 def test_config_validation():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from phmor import (
     InterpolationData,
+    PHDAESystem,
     build_V_generic,
     build_V_saddle,
     evaluate,
@@ -42,6 +43,7 @@ from oracles import (
     generic_index2,
     projector_oracle_index2,
     raw_saddle_basis,
+    reference_index1_blockdiag,
     reference_index2_ports,
     reference_mixed_blockdiag,
 )
@@ -420,6 +422,21 @@ class TestConstraintFactorsOnce:
         reducer(part, data)
         assert solves == []
 
+    def test_index1_partition_solves_with_A22_once(self, monkeypatch):
+        from phmor import linalg
+
+        calls = []
+        solve = linalg.LUFactor.solve
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(linalg.LUFactor, "solve", counted)
+        part = random_ph_index1(12, 4, 2, seed=3)
+        part.polynomial_part, part.ode, part.shifted_solver
+        assert len(calls) == 1  # the solver, the polynomial part and the ODE share it
+
 
 class TestStructurePreservation:
     @pytest.mark.parametrize("seed", range(3))
@@ -428,7 +445,7 @@ class TestStructurePreservation:
         data = InterpolationData.log_spaced(4, 2, 1e-1, 1e2)
         model = reduce_index1_blockdiag(part, data)
         assert model.ph_valid
-        assert model.order == 4 + part.n2
+        assert model.order == 4
         report = validate_structure(model.system)
         assert report.passed
 
@@ -440,6 +457,89 @@ class TestStructurePreservation:
         assert validate_structure(model.system).passed
         J = model.system.J
         assert np.linalg.norm(J + J.T) <= 1e-12 * max(np.linalg.norm(J), 1e-300)
+
+
+def _kept_x1_columns(part, data):
+    """W: the normalized x1 rows of the full model's solves at ``data``
+    that the rank rule keeps, in order, computed apart from the reducer."""
+    from phmor import reducers
+
+    B = part.generic.B
+    raw = reducers._solves(data, lambda s, b: part.solve_shifted(s, B @ b)[:part.n1])
+    W = raw / np.linalg.norm(raw, axis=0)
+    rank, piv = pivoted_rank(W)
+    return W[:, np.sort(piv[:rank])]
+
+
+def _transfer_gap(model, reference, data):
+    """max ||H - Href||_2 over the interpolation points and _GRID, relative
+    to the largest ||Href||_2 there."""
+    points = np.concatenate([data.points, _GRID])
+    got, want = model.transfer_evals(points), reference.transfer_evals(points)
+    return (np.max(np.linalg.norm(got - want, 2, axis=(1, 2)))
+            / np.max(np.linalg.norm(want, 2, axis=(1, 2))))
+
+
+class TestIndex1Galerkin:
+    """``index1-blockdiag`` is the Galerkin formula of the index-2 reducer on
+    the x2-eliminated pH ODE: order r where the normalized rank rule keeps
+    every column, Dr = P0, and the transfer function of the deleted
+    block-diagonal route (``reference_index1_blockdiag``) of order r + n2."""
+
+    @pytest.mark.parametrize("seed, r", [(seed, r) for seed in range(4) for r in (9, 10)
+                                         if (seed, r) != (2, 10)])
+    def test_order_r_where_the_block_route_dropped_a_column(self, seed, r):
+        # the block route ranked the unnormalized x1 rows and returned
+        # order r + n2 - 1 here; the normalized rule keeps every column
+        part = random_ph_index1(12, 4, 2, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = reduce_index1_blockdiag(part, InterpolationData.log_spaced(r, 2))
+        assert model.order == r and model.method == "index1-galerkin"
+
+    def test_a_column_the_normalized_rule_drops_is_warned_about(self):
+        part = random_ph_index1(12, 4, 2, seed=2)
+        with pytest.warns(RuntimeWarning, match="near-duplicate"):
+            model = reduce_index1_blockdiag(part, InterpolationData.log_spaced(10, 2))
+        assert model.order == 9
+
+    @settings(max_examples=40, deadline=None)
+    @given(part=st.builds(random_ph_index1, n1=st.integers(2, 16), n2=st.integers(1, 5),
+                          m=st.integers(1, 3), seed=st.integers(0, 2**16)),
+           r=st.integers(1, 10), order=st.randoms(use_true_random=False))
+    def test_galerkin_properties(self, part, r, order):
+        data = InterpolationData.log_spaced(r, part.parent.m)
+        perm = order.sample(range(r), r)
+        shuffled = InterpolationData(points=data.points[perm], directions=data.directions[perm])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # rank drops
+            model = reduce_index1_blockdiag(part, data)
+            moved = reduce_index1_blockdiag(part, shuffled)
+            reference = reference_index1_blockdiag(part, data)
+        W = _kept_x1_columns(part, data)
+        bound = 1e-13 + 10 * np.finfo(float).eps * np.linalg.cond(W)
+        P0 = part.polynomial_part.P0
+        assert model.method == "index1-galerkin" and model.ph_valid
+        assert model.order == W.shape[1]
+        assert np.linalg.norm(model.generic.D - P0) <= 1e-14 * np.linalg.norm(P0)
+        assert tangential_residuals(part, model, data).max() <= 1e-12
+        if model.order == r and reference.order == r + part.n2:
+            assert _transfer_gap(model, reference, data) <= bound
+        if model.order == moved.order == r:
+            assert _transfer_gap(moved, model, data) <= bound
+
+    def test_ode_is_the_schur_complement_in_ph_form(self):
+        part = random_ph_index1(9, 3, 2, seed=4)
+        E, J, R, B, P, S, N = part.ode
+        A = part.generic.A
+        A22inv = np.linalg.inv(A[9:, 9:])
+        Bf, Cf = part.generic.B, part.generic.C
+        assert np.allclose(J - R, A[:9, :9] - A[:9, 9:] @ A22inv @ A[9:, :9], atol=1e-12)
+        assert np.allclose(B - P, Bf[:9] - A[:9, 9:] @ A22inv @ Bf[9:], atol=1e-12)
+        assert np.allclose((B + P).T, Cf[:, :9] - Cf[:, 9:] @ A22inv @ A[9:, :9], atol=1e-12)
+        assert np.allclose(S + N, part.polynomial_part.P0, rtol=0, atol=1e-14)
+        assert np.array_equal(E, part.E11)
+        assert validate_structure(PHDAESystem(*part.ode)).passed
 
 
 class TestProjectors:
@@ -507,7 +607,7 @@ _chain_sizes = st.integers(3, 12)
 #: that returns it, the models it is drawn on).
 _MODELS = {
     "index1-shifted": ("index1-shifted", _index1_models),
-    "index1-blockdiag": ("index1-blockdiag", _index1_models),
+    "index1-galerkin": ("index1-blockdiag", _index1_models),
     "index2-galerkin": ("index2", st.one_of(
         _chain_sizes.map(_chain),
         _chain_sizes.map(lambda k: mixed_chain(MassSpringSpec(k=k)).split))),
