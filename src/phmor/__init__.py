@@ -12,7 +12,6 @@ from .systems import (
     GenericLTISystem,
     Index1Partition,
     Index2Partition,
-    MixedPartition,
     PartitionError,
     PHDAESystem,
     ValidationReport,

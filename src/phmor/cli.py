@@ -41,7 +41,6 @@ from .reducers import REDUCERS, InterpolationData, default_method
 from .systems import (
     Index1Partition,
     Index2Partition,
-    MixedPartition,
     PartitionError,
     partition_index1,
     partition_index2,
@@ -94,13 +93,15 @@ def _parse_points(text):
 
 #: Manifest ``index`` (a partition class's ``index_kind``) -> (partition
 #: function, the block sizes it takes from the manifest and ``generate``
-#: records).  A mixed model is checked as a mixed view and then reduced as
-#: that view's index-2 ``split``.  The lambdas look the functions up when
-#: called, so a wrapper that rebinds them also wraps these calls.
+#: records).  A mixed model is an index-2 view, so ``generate`` writes it
+#: as ``index = 2``; the ``mixed`` entry loads the containers that recorded
+#: the mixed block sizes n1, n2, through the mixed checks, as the same
+#: view.  The lambdas look the functions up when called, so a wrapper that
+#: rebinds them also wraps these calls.
 _PARTITIONS = {
     Index1Partition.index_kind: (lambda *a: partition_index1(*a), ("n1",)),
     Index2Partition.index_kind: (lambda *a: partition_index2(*a), ("n1",)),
-    MixedPartition.index_kind: (lambda *a: partition_mixed(*a).split, ("n1", "n2")),
+    "mixed": (lambda *a: partition_mixed(*a), ("n1", "n2")),
 }
 
 

@@ -553,12 +553,6 @@ def gen_eig(A, E):
     lam_min = spla.eigh(0.5 * (E + E.T), eigvals_only=True, subset_by_index=[0, 0])[0]
     if lam_min <= 0:
         raise LinAlgContractError(f"E must be positive definite (min eig {lam_min:.3e})")
-    return _definite_gen_eig(A, E)
-
-
-def _definite_gen_eig(A, E):
-    """:func:`gen_eig` after its checks of E, for a caller that has made
-    them: A must be a finite square matrix of E's shape."""
     lam, VL, VR = pencil_eig(A, E)
     W = _scaled_left_vectors(VL, E, VR)
     if np.linalg.cond(VR) > DEFECTIVE_COND_LIMIT:

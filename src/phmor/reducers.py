@@ -20,8 +20,9 @@ sym(T^T R T), T^T B, T^T P), which keeps the pH structure:
   part, reproduced exactly through an augmented (u, u') feedthrough
   (``index2-augmented``); without them the model is a valid pH ODE of
   order r (``index2-galerkin``).  ``reduce_index2`` is the same reducer
-  restricted to the latter case, and ``reduce_mixed`` the same reducer
-  on a mixed view's index-2 split.
+  restricted to the latter case, and ``reduce_mixed`` another name for
+  it: a mixed model is its index-2 view
+  (:func:`~phmor.systems.partition_mixed`).
 
 :data:`REDUCERS` maps each reducer's name to its function, and
 :func:`default_method` names the one that runs when none is asked for.
@@ -438,13 +439,10 @@ def reduce_index2_augmented(part, data):
     return _galerkin(part, data)
 
 
-def reduce_mixed(part, data):
-    """:func:`reduce_index2_augmented` of the mixed view's index-2 split
-    (blocks (n1 + n2, n3)).  Once the multipliers x3 are eliminated the
-    constrained states x1 are pinned to zero, so the saddle basis lies in
-    the x2 block and the model is a pH ODE of order r; with B3 = P3 = 0 it
-    is ``index2-galerkin``, with the same constant polynomial part D."""
-    return reduce_index2_augmented(part.split, data)
+#: A mixed model's view is an index-2 view, reduced by the index-2 reducer;
+#: once the multipliers x3 are eliminated its constrained states x1 are
+#: pinned to zero, so the model is an ``index2-galerkin`` pH ODE of order r.
+reduce_mixed = reduce_index2_augmented
 
 
 #: Reducer name -> reducer.  A model's ``method`` is the registry name,
@@ -462,9 +460,8 @@ REDUCERS = {
 def default_method(part):
     """Name of the :data:`REDUCERS` entry that runs on ``part`` when no
     reducer is named: ``index1-shifted`` for index 1, which matches the
-    polynomial part at order r, and ``index2`` for index 2, which a mixed
-    model is reduced as (its ``split``).  Any other object raises
-    ``LinAlgContractError``."""
+    polynomial part at order r, and ``index2`` for index 2 (a mixed model
+    included).  Any other object raises ``LinAlgContractError``."""
     if isinstance(part, Index1Partition):
         return "index1-shifted"
     if isinstance(part, Index2Partition):

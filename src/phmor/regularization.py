@@ -180,14 +180,12 @@ def diagnose(model):
 
     Reads ``model.generic`` (a :class:`GenericLTISystem` returns itself),
     densified once if its matrices are sparse.  The finite-spectrum
-    conditions (C1/O1) are checked at the finite pencil eigenvalues with
-    Im >= 0 (none above order ``DIAGNOSE_MAX_N``) plus ``_PROBES`` random
-    complex points drawn with a fixed seed; the conditions at infinity
-    (C2/O2) use nullspace bases of E.  The matrices are real, so the rank
-    at conj(lambda) equals the rank at lambda and the Im < 0 member of each
-    eigenvalue pair is skipped; LAPACK lists the Im > 0 member first, so it
-    is the reported witness either way.  ``index_leq1`` certifies that the
-    pencil has differentiation index at most one.
+    conditions (C1/O1) are checked at every finite pencil eigenvalue, both
+    members of each conjugate pair (none above order ``DIAGNOSE_MAX_N``),
+    plus ``_PROBES`` random complex points drawn with a fixed seed; the
+    conditions at infinity (C2/O2) use nullspace bases of E.
+    ``index_leq1`` certifies that the pencil has differentiation index at
+    most one.
 
     The rank at a point is that of an SVD (:func:`_rank`); a test's
     measured rank is the smallest over its points, its witness the first
@@ -215,9 +213,8 @@ def diagnose(model):
         VL = VR = np.zeros((n, 0), dtype=complex)
     else:
         lam, VL, VR = _spectrum(A, E)
-    upper = lam.imag >= 0
     lam_rand = scale * (rng.standard_normal(_PROBES) + 1j * rng.standard_normal(_PROBES))
-    points = np.concatenate([lam[upper], lam_rand])
+    points = np.concatenate([lam, lam_rand])
 
     # pencil regularity: det(lambda E - A) != 0 somewhere; the probe found
     # keeps the smallest singular value there
@@ -253,7 +250,7 @@ def diagnose(model):
 
     if regular:
         probes = np.full(_PROBES, n)
-        f_c1, f_o1 = (np.concatenate([f[upper], probes])
+        f_c1, f_o1 = (np.concatenate([f, probes])
                       for f in _rank_floors(lam, VL, VR, A, E, B, C, norms, probe))
     else:  # a singular pencil: rank at every point
         f_c1 = f_o1 = np.zeros(points.size, dtype=int)

@@ -25,13 +25,15 @@ LU per shift.
 
 A partition factors its constraint block once, A22 = J22 - R22 (index 1)
 or M = J12^T E11^{-1} J12 (index 2), for its check, polynomial part,
-reducers and solver; a mixed view is the index-2 view of its split.
+reducers and solver.  There is one partition class per index: a mixed
+index-1/index-2 model is checked by :func:`partition_mixed` and returned as
+its :class:`Index2Partition`.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as spla
@@ -54,7 +56,6 @@ __all__ = [
     "ConditionCheck",
     "Index1Partition",
     "Index2Partition",
-    "MixedPartition",
     "PartitionError",
     "validate_structure",
     "hamiltonian",
@@ -520,18 +521,10 @@ class _Index2Elimination:
         return np.concatenate([x1, x2])
 
 
-class _View(_ShiftedSolves):
-    """A partition view of the model ``parent``, which it stands for: it
-    solves and evaluates the parent's realization."""
-
-    @property
-    def generic(self):
-        return self.parent.generic
-
-
-class _SemiExplicit(_View):
+class _SemiExplicit(_ShiftedSolves):
     """Blocks of a semi-explicit view, its states split after the first n1
-    (the dynamic block) and its parent model in ``parent``, and the checks
+    (the dynamic block) and its parent model in ``parent``, which it stands
+    for (it solves and evaluates the parent's realization), and the checks
     both kinds make: block sizes that sum to n, E = diag(E11, 0) and
     E11 > 0.  A view checks its own blocks in ``_check_blocks``."""
 
@@ -545,6 +538,10 @@ class _SemiExplicit(_View):
         _check_zero(sys.E[n1:, n1:], "E22", scale)
         _check_spd(self.E11, "E11")
         self._check_blocks()
+
+    @property
+    def generic(self):
+        return self.parent.generic
 
     @property
     def E11(self):
@@ -736,59 +733,6 @@ class Index2Partition(_SemiExplicit):
                 sys.S + sym_d, sys.N + skew_d)
 
 
-@dataclass(frozen=True)
-class MixedPartition(_View):
-    """Combined index-1/index-2 view: states (x1, x2, x3) where x1 carries
-    the index-2 constraint (J31 x1 = 0 with J31 square nonsingular), x2 is
-    the dynamic part left once x1 is pinned (E22 lies in the positive
-    definite leading 2x2 block of E, and x2 solves the ODE with E22 and
-    A22 = J22 - R22, which may be singular), and x3 holds the
-    multipliers.  B3 = P3 = 0 is required.
-
-    ``split`` is its index-2 view with blocks (n1 + n2, n3), whose
-    constraint block [J13; 0] has full column rank and whose null space is
-    the x2 block.  The split makes the checks of E, R and J33, solves, and
-    is what a mixed model is reduced as (its polynomial part is the
-    constant D = S + N, since B3 = P3 = 0); the mixed view adds n3 = n1,
-    J23 = J32 = 0, B3 = P3 = 0 and J31."""
-
-    index_kind = "mixed"  # the container manifest's ``index`` entry
-
-    parent: PHDAESystem
-    n1: int
-    n2: int
-    n3: int
-    split: Index2Partition = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n1, n2, n3 = self.n1, self.n2, self.n3
-        sys = self.parent
-        if min(n1, n2, n3) < 0 or n1 + n2 + n3 != sys.n:
-            raise PartitionError(f"block sizes ({n1}, {n2}, {n3}) do not sum to n={sys.n}")
-        if n3 != n1:
-            raise PartitionError(
-                f"index-2 constraint block must be square: n3={n3} != n1={n1}"
-            )
-        nd = n1 + n2
-        object.__setattr__(self, "split", Index2Partition(parent=sys, n1=nd, n2=n3))
-        scaleJ = _norm2_lower(sys.J)
-        _check_zero(sys.J[n1:nd, nd:], "J23", scaleJ)
-        _check_zero(sys.J[nd:, n1:nd], "J32", scaleJ)
-        _check_zero(sys.B[nd:], "B3", _norm2_lower(sys.B))
-        _check_zero(sys.P[nd:], "P3", _norm2_lower(sys.P))
-        _check_nonsingular(LUFactor(_dense(self.J31)), "J31")
-
-    @property
-    def J31(self):
-        nd = self.n1 + self.n2
-        return self.parent.J[nd:, : self.n1]
-
-    @property
-    def shifted_solver(self):
-        """The split's solver of s E - A."""
-        return self.split.shifted_solver
-
-
 def partition_index1(sys, n1):
     """Semi-explicit index-1 view with dynamic block size `n1`."""
     return Index1Partition(parent=sys, n1=n1, n2=sys.n - n1)
@@ -800,6 +744,28 @@ def partition_index2(sys, n1):
 
 
 def partition_mixed(sys, n1, n2):
-    """Mixed index-1/index-2 view with constrained block `n1` and dynamic
-    block `n2`; the multiplier block size follows."""
-    return MixedPartition(parent=sys, n1=n1, n2=n2, n3=sys.n - n1 - n2)
+    """A mixed index-1/index-2 model as its index-2 view, with dynamic block
+    n1 + n2 and multiplier block n3 = n - n1 - n2.
+
+    The states are (x1, x2, x3): x3 holds the multipliers of the constraint
+    J31 x1 = 0, J31 square and nonsingular, so x1 is pinned to zero and x2
+    solves the ODE with E22 and A22 = J22 - R22, which may be singular.
+    The view's constraint block [J13; 0] has full column rank and its null
+    space is the x2 block.  Besides the index-2 checks of the view (E, R,
+    J33 and the coupling), it requires n3 = n1, J23 = J32 = 0, B3 = P3 = 0
+    and a nonsingular J31; with B3 = P3 = 0 its polynomial part is the
+    constant D = S + N."""
+    n3 = sys.n - n1 - n2
+    if min(n1, n2, n3) < 0:
+        raise PartitionError(f"block sizes ({n1}, {n2}, {n3}) do not sum to n={sys.n}")
+    if n3 != n1:
+        raise PartitionError(f"index-2 constraint block must be square: n3={n3} != n1={n1}")
+    nd = n1 + n2
+    part = Index2Partition(parent=sys, n1=nd, n2=n3)
+    scaleJ = _norm2_lower(sys.J)
+    _check_zero(sys.J[n1:nd, nd:], "J23", scaleJ)
+    _check_zero(sys.J[nd:, n1:nd], "J32", scaleJ)
+    _check_zero(sys.B[nd:], "B3", _norm2_lower(sys.B))
+    _check_zero(sys.P[nd:], "P3", _norm2_lower(sys.P))
+    _check_nonsingular(LUFactor(_dense(sys.J[nd:, :n1])), "J31")
+    return part

@@ -19,13 +19,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as spla
 
 from .linalg import (
     LinAlgContractError,
     SingularMatrixError,
     _as_matrix,
-    _definite_gen_eig,
     _scaled_left_vectors,
     pencil_eig,
     solve_complex,
@@ -151,18 +149,6 @@ class PolynomialPart:
         polynomial part acts as an (improper) model in its own right, e.g.
         as the subtrahend when computing strictly proper norms."""
         return self(np.asarray(points, dtype=complex).reshape(-1, 1, 1))
-
-    @property
-    def generic(self):
-        """A realization with 2m states: E = [[0, I], [0, 0]], A = I,
-        B = [0; I] and C = [-P1, 0] give C (sE - A)^{-1} B = s P1."""
-        from .systems import GenericLTISystem
-
-        m = self.P0.shape[1]
-        E = np.zeros((2 * m, 2 * m))
-        E[:m, m:] = np.eye(m)
-        C = np.hstack([-self.P1, np.zeros_like(self.P1)])
-        return GenericLTISystem(E=E, A=np.eye(2 * m), B=np.eye(2 * m, m, -m), C=C, D=self.P0)
 
     @classmethod
     def constant(cls, P0):
@@ -301,25 +287,21 @@ class PoleResidueForm:
 def pole_residue(model):
     """Pole-residue decomposition of a reduced model.
 
-    The fast path assumes the reduced energy matrix is positive definite
-    (reduced models from the ODE-producing reducers satisfy this); DAE
-    reduced models fall back to a generalized eigendecomposition keeping
-    only the finite eigenvalues.  Residue vectors are normalized so the
-    largest-magnitude entry of each right residue is real and positive.
+    One path for every model: the realization is balanced
+    (:func:`balance_realization`), the eigenpairs of the pencil (A, E) come
+    from one :func:`~phmor.linalg.pencil_eig`, and the finite eigenvalues
+    are kept, so the infinite ones of a singular E drop out.  The left
+    vectors are scaled so that w_i^T E v_i = 1.  Residue vectors are
+    normalized so the largest-magnitude entry of each right residue is real
+    and positive.
     """
     gen = model.generic
     E, A, B, C = balance_realization(gen.E, gen.A, gen.B, gen.C)
     D = gen.D
-    lam_min = spla.eigh(0.5 * (E + E.T), eigvals_only=True, subset_by_index=[0, 0])[0]
-    if lam_min > 0 and spla.norm(E - E.T, "fro") <= 1e-10 * spla.norm(E, "fro"):
-        # E passed gen_eig's own symmetry and definiteness tests just now
-        eig = _definite_gen_eig(_as_matrix(A, "A"), E)
-        lam, VR, W = eig.eigenvalues, eig.right, eig.left
-    else:
-        lam, VL, VR = pencil_eig(A, E)
-        finite = np.isfinite(lam) & (np.abs(lam) < 1e12)
-        lam, VL, VR = lam[finite], VL[:, finite], VR[:, finite]
-        W = _scaled_left_vectors(VL, E, VR)
+    lam, VL, VR = pencil_eig(_as_matrix(A, "A"), E)
+    finite = np.isfinite(lam)
+    lam, VL, VR = lam[finite], VL[:, finite], VR[:, finite]
+    W = _scaled_left_vectors(VL, E, VR)
     lefts = (C @ VR).T            # c_i rows
     rights = (B.T @ W).T          # b_i rows
     # Phase normalization: largest entry of b_i real positive.

@@ -178,13 +178,17 @@ def reference_index1_blockdiag(part, data):
 
 
 def reference_mixed_blockdiag(part, data):
-    """The deleted ``mixed-blockdiag`` reducer of a mixed view: the
-    congruence with diag(I, V2, I), V2 an orthonormal basis of the x2 rows
-    of the generic basis, which keeps x1 and the multipliers x3.  Its
+    """The deleted ``mixed-blockdiag`` reducer of a mixed model, given as
+    its index-2 view, whose blocks fix the mixed ones: n3 = n2 multipliers,
+    n1 = n3 constrained states and n2 = n1 - n3 dynamic states x2 of the
+    view's n1.  It is the congruence with diag(I, V2, I), V2 an orthonormal
+    basis of the x2 rows of the generic basis, which keeps x1 and x3.  Its
     order is n1 + r' + n3, r' (the dynamic order) the columns V2 keeps."""
+    n3 = n1 = part.n2
+    n2 = part.n1 - n3
     sys, basis = part.parent, build_V_generic(part, data)
-    V2 = orthonormalize(basis.V[part.n1:part.n1 + part.n2])
-    T = spla.block_diag(np.eye(part.n1), V2, np.eye(part.n3))
+    V2 = orthonormalize(basis.V[n1:n1 + n2])
+    T = spla.block_diag(np.eye(n1), V2, np.eye(n3))
     sys_r = congruence(T, sys.E, sys.J, sys.R, sys.B, sys.P, sys.S, sys.N)
     return _finish(sys_r, "mixed-blockdiag", PolynomialPart.constant(sys.S + sys.N))
 

@@ -102,13 +102,15 @@ class TestRandomIndex1:
 
 class TestMixedChain:
     def test_partition_and_structure(self):
+        # the index-2 view of the mixed blocks (1, 10, 1)
         part = mixed_chain(MassSpringSpec(k=5))
-        assert (part.n1, part.n2, part.n3) == (1, 10, 1)
+        assert (part.index_kind, part.n1, part.n2) == ("2", 11, 1)
         assert validate_structure(part.parent).passed
 
     def test_constraint_pins_adjoined_state(self):
+        # the constraint block [J13; 0]: the multiplier acts on the first state only
         part = mixed_chain(MassSpringSpec(k=4))
-        assert part.J31 == pytest.approx(np.array([[-1.0]]))
+        assert part.J12 == pytest.approx(np.eye(part.n1, 1))
 
 
 def _sparse_sym_violation(M):

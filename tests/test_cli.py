@@ -411,10 +411,9 @@ def test_sparse_index1_and_mixed_containers_match_dense(tmp_path, kind):
 
     if kind == "index1":
         part = random_ph_index1(8, 3, 2, 0)
-        extra = {"index": "1", "n1": part.n1}
     else:
         part = mixed_chain(MassSpringSpec(k=6))
-        extra = {"index": "mixed", "n1": part.n1, "n2": part.n2}
+    extra = {"index": part.index_kind, "n1": part.n1}
     sparse = PHDAESystem(**{name: sp.csr_array(getattr(part.parent, name))
                             for name in "EJRBPSN"})
     rows = []

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 import scipy.io
@@ -267,3 +269,20 @@ def test_generated_containers_store_nonzeros(tmp_path):
     loaded, _ = load_phdae(out)
     for name in "EJRBPSN":
         assert getattr(loaded, name).tobytes() == getattr(part.parent, name).tobytes()
+
+
+def test_mixed_manifest_of_earlier_versions_loads_as_the_index2_view(tmp_path):
+    # `generate --benchmark mixed` writes the index-2 view (index = 2,
+    # n1 = n1 + n2); a container that recorded the mixed blocks
+    # (index = mixed, n1, n2) loads, through the mixed checks, to the same view
+    new, old = tmp_path / "new", tmp_path / "old"
+    assert cli.main(["generate", "--benchmark", "mixed", "--k", "4", "--out", str(new)]) == 0
+    manifest = read_manifest(new / "manifest.txt")
+    assert (manifest["index"], manifest["n1"], "n2" in manifest) == ("2", "9", False)
+    shutil.copytree(new, old)
+    write_manifest(old / "manifest.txt", {**manifest, "index": "mixed", "n1": 1, "n2": 8})
+    views = [cli._load_partition(path)[0] for path in (new, old)]
+    assert all(type(view) is Index2Partition for view in views)
+    assert [(view.n1, view.n2) for view in views] == [(9, 1), (9, 1)]
+    points = 1j * np.logspace(-3, 3, 25)
+    assert np.array_equal(views[0].transfer_evals(points), views[1].transfer_evals(points))

@@ -267,7 +267,7 @@ def test_pole_residue_phases_match_the_loop():
 
 def test_pole_residue_keeps_the_gen_eig_message():
     # balancing E = diag(1e-200, 1) scales A's first entry by 1e200 to -inf;
-    # E passes the definiteness test, so gen_eig's own check of A reports it
+    # pole_residue checks A as gen_eig does, with gen_eig's message
     sys = PHDAESystem(E=np.diag([1e-200, 1.0]), J=np.zeros((2, 2)), R=np.diag([1e200, 1.0]),
                       B=np.ones((2, 1)), P=np.zeros((2, 1)), S=np.zeros((1, 1)),
                       N=np.zeros((1, 1)))

@@ -309,7 +309,7 @@ _MIXED_GRID = 1j * np.logspace(-3, 3, 20)
 @settings(max_examples=80, deadline=None)
 @given(k=st.integers(2, 40), r=st.integers(1, 8))
 def test_mixed_model_reduces_as_its_split(k, r):
-    # the split route against the deleted block route (x1 and x3 kept, x2
+    # the index-2 route against the deleted block route (x1 and x3 kept, x2
     # reduced), from the default start
     part = mixed_chain(MassSpringSpec(k=k))
     data = InterpolationData.log_spaced(r, part.parent.m)
@@ -320,10 +320,11 @@ def test_mixed_model_reduces_as_its_split(k, r):
     assert model.method == "index2-galerkin" and model.ph_valid
     assert np.array_equal(model.generic.D, part.parent.S + part.parent.N)
     assert tangential_residuals(part, model, data).max() <= 1e-12
-    # order r, or all of x2 when r > n2; the block route's rank test on the
-    # unnormalized x2 rows can drop one more column
-    dynamic = ref.order - part.n1 - part.n3
-    assert model.order == min(r, part.n2) >= dynamic
+    # order r, or all of x2 when r exceeds its size 2k; the block route's
+    # rank test on the unnormalized x2 rows can drop one more column.  The
+    # view's n2 is the size of x1 and of x3
+    dynamic = ref.order - 2 * part.n2
+    assert model.order == min(r, 2 * k) >= dynamic
     if dynamic == r:
         H, Hr = ref.transfer_evals(_MIXED_GRID), model.transfer_evals(_MIXED_GRID)
         gap = np.max(np.linalg.norm(H - Hr, 2, axis=(1, 2)))
@@ -610,7 +611,7 @@ _MODELS = {
     "index1-galerkin": ("index1-blockdiag", _index1_models),
     "index2-galerkin": ("index2", st.one_of(
         _chain_sizes.map(_chain),
-        _chain_sizes.map(lambda k: mixed_chain(MassSpringSpec(k=k)).split))),
+        _chain_sizes.map(lambda k: mixed_chain(MassSpringSpec(k=k))))),
     "index2-augmented": ("index2", st.one_of(_chain_sizes.map(_chain),
                                              _chain_sizes.map(_chain_b2))),
 }

@@ -2,7 +2,7 @@
 and ``irka_reduce(method=None)`` all run ``reducers.default_method``,
 every ``--method`` choice names a ``reducers.REDUCERS`` entry, and a
 reducer named for another index kind than the model's is an error line.
-A mixed container is reduced as its mixed view's index-2 ``split``."""
+A mixed container is reduced as the index-2 view its checks return."""
 
 import importlib
 import pkgutil
@@ -50,15 +50,8 @@ PARTITIONS = {
 }
 
 
-def _loaded(part):
-    """The view ``reduce`` and ``sweep`` reduce for ``part``'s container:
-    a mixed view's split, else the view itself."""
-    return part.split if part.index_kind == "mixed" else part
-
-
 def _save(part, path):
-    sizes = {"n1": part.n1, "n2": part.n2} if part.index_kind == "mixed" else {"n1": part.n1}
-    containers.save_phdae(path, part.parent, extra={"index": part.index_kind, **sizes})
+    containers.save_phdae(path, part.parent, extra={"index": part.index_kind, "n1": part.n1})
     return str(path)
 
 
@@ -82,14 +75,14 @@ def picked(monkeypatch):
 def test_auto_irka_and_irka_reduce_pick_the_default(kind, picked, tmp_path):
     build, expected = PARTITIONS[kind]
     part = build()
-    assert default_method(_loaded(part)) == expected
+    assert default_method(part) == expected
     model_dir = _save(part, tmp_path / "model")
     for method in ("auto", "irka"):
         with pytest.raises(_Picked):
             cli.main(["reduce", model_dir, "--method", method, "--r", "2",
                       "--out", str(tmp_path / method)])
     with pytest.raises(_Picked):
-        irka_reduce(_loaded(part), IRKAConfig(r=2))
+        irka_reduce(part, IRKAConfig(r=2))
     assert picked == [expected] * 3
 
 
@@ -107,12 +100,6 @@ def test_shifted_default_on_b2_zero_is_a_valid_order_r_congruence():
 def test_default_method_rejects_a_bare_system():
     with pytest.raises(LinAlgContractError):
         default_method(mass_spring_chain(MassSpringSpec(k=3)).parent)
-
-
-def test_default_method_rejects_a_mixed_view():
-    # a mixed model is reduced as its split, so the view itself has no reducer
-    with pytest.raises(LinAlgContractError):
-        default_method(mixed_chain(MassSpringSpec(k=3)))
 
 
 def _method_choices(verb):
@@ -136,7 +123,7 @@ def test_method_choices_unchanged_and_registered(verb):
     assert list(choices) == METHOD_CHOICES
     assert sorted(REDUCER_KINDS) == sorted(REDUCERS)
     for kind, (build, _) in PARTITIONS.items():
-        part = _loaded(build())
+        part = build()
         for method in choices:
             named = _named_reducer(method)
             if named is not None and REDUCER_KINDS[named] != part.index_kind:
@@ -150,8 +137,8 @@ def test_method_choices_unchanged_and_registered(verb):
 
 
 def test_registry_name_writes_the_auto_row(tmp_path):
-    # a mixed container is reduced by the entry auto runs on its split, and
-    # the saved model records that entry's model name
+    # a mixed container is reduced by the entry auto runs on its index-2
+    # view, and the saved model records that entry's model name
     model_dir = _save(mixed_chain(MassSpringSpec(k=4)), tmp_path / "model")
     rows = []
     for method in ("auto", "index2"):
@@ -170,7 +157,7 @@ def test_mismatched_reducer_is_an_error_line(verb, kind, tmp_path, capsys):
     part = PARTITIONS[kind][0]()
     model_dir = _save(part, tmp_path / "model")
     mismatched = [m for m in METHOD_CHOICES if _named_reducer(m) is not None
-                  and REDUCER_KINDS[_named_reducer(m)] != _loaded(part).index_kind]
+                  and REDUCER_KINDS[_named_reducer(m)] != part.index_kind]
     assert len(mismatched) >= 2
     order = ["--r", "2"] if verb == "reduce" else ["--r-sweep", "2"]
     for method in mismatched:

@@ -26,6 +26,7 @@ from phmor.benchmarks import (
     random_ph_index1,
 )
 from phmor.regularization import (
+    _rank,
     _rank_floors,
     _spectrum,
     condensed_form,
@@ -243,7 +244,7 @@ class TestDiagnoseConjugatePairs:
     @pytest.mark.parametrize("make", [mass_spring_chain, mixed_chain], ids=["chain", "mixed"])
     def test_report_equals_ranking_every_eigenvalue(self, make):
         gen = make(MassSpringSpec(k=20)).parent.generic
-        assert np.any(_spectrum(gen.A, gen.E)[0].imag < 0)  # pairs to skip
+        assert np.any(_spectrum(gen.A, gen.E)[0].imag < 0)  # both members ranked
         _assert_reference(gen)
 
     def test_uncontrollable_complex_mode_witness(self):
@@ -339,20 +340,48 @@ class TestDiagnoseEqualsSVDRanking:
         m = data.draw(st.integers(1, 2))
         p = data.draw(st.integers(1, 2))
         seed = data.draw(st.integers(0, 2**32 - 1))
-        rng = np.random.default_rng(seed)
-        Es, As, Bs, Cs = [], [], [], []
-        for name, a, b, blind, deaf in blocks:
-            size = 2 if name in ("pair", "jordan") else 1
-            As.append({"real": [[a]], "algebraic": [[-b]], "pair": [[a, b], [-b, a]],
-                       "jordan": [[a, b], [0.0, a]]}[name])
-            Es.append(np.zeros((1, 1)) if name == "algebraic" else np.eye(size))
-            Bs.append(np.zeros((size, m)) if blind else rng.standard_normal((size, m)))
-            Cs.append(np.zeros((p, size)) if deaf else rng.standard_normal((p, size)))
-        gen = _rotated(spla.block_diag(*Es), spla.block_diag(*As), np.vstack(Bs),
-                       np.hstack(Cs), seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # a singular pencil warns
-            _assert_reference(gen)
+            _assert_reference(_planted(blocks, m, p, seed))
+
+    @pytest.mark.parametrize("blocks, m, p, seed", [
+        ([("pair", -2.0, 0.5, True, True), ("algebraic", 0.0, 1.0, True, True)],
+         1, 2, 4060661573),
+        ([("pair", -2.0, 1.0, True, True), ("real", -2.0, 0.5, True, False),
+          ("real", -0.5, 3.0, False, True)], 2, 2, 2955271019),
+    ], ids=["O1-decision", "C1-witness"])
+    def test_conjugate_members_ranked_apart(self, blocks, m, p, seed):
+        # a pair no port sees, whose two members get different ranks at the
+        # tolerance: ranking only the Im >= 0 member passed O1 in the first
+        # model and named the real -2 as the C1 witness in the second
+        gen = _planted(blocks, m, p, seed)
+        lam = _spectrum(gen.A, gen.E)[0]
+        pair = lam[np.abs(lam.imag) > 0.1]
+        ranks = {name: [_rank(stack(z)) for z in pair] for name, stack in (
+            ("C1", lambda z: np.hstack([z * gen.E - gen.A, gen.B])),
+            ("O1", lambda z: np.vstack([z * gen.E - gen.A, gen.C])))}
+        assert any(len(set(r)) == 2 for r in ranks.values())
+        rep = _assert_reference(gen)
+        assert not rep["C1"].passed or not rep["O1"].passed
+        witnesses = [t.witness for t in (rep["C1"], rep["O1"]) if t.witness is not None]
+        assert any(w.imag < 0 for w in witnesses)
+
+
+def _planted(blocks, m, p, seed):
+    """The rotated block-diagonal model of (kind, a, b, blind, deaf) blocks:
+    a real mode a, an algebraic state -b, a pair a +- ib or a Jordan pair
+    at a; a blind block has no input and a deaf one no output."""
+    rng = np.random.default_rng(seed)
+    Es, As, Bs, Cs = [], [], [], []
+    for name, a, b, blind, deaf in blocks:
+        size = 2 if name in ("pair", "jordan") else 1
+        As.append({"real": [[a]], "algebraic": [[-b]], "pair": [[a, b], [-b, a]],
+                   "jordan": [[a, b], [0.0, a]]}[name])
+        Es.append(np.zeros((1, 1)) if name == "algebraic" else np.eye(size))
+        Bs.append(np.zeros((size, m)) if blind else rng.standard_normal((size, m)))
+        Cs.append(np.zeros((p, size)) if deaf else rng.standard_normal((p, size)))
+    return _rotated(spla.block_diag(*Es), spla.block_diag(*As), np.vstack(Bs),
+                    np.hstack(Cs), seed)
 
 
 class TestSparseModels:

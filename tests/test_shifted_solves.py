@@ -118,8 +118,9 @@ def test_oseen_high_frequency_matches_lu(omega):
 def test_mixed_view_solves_as_an_index2_view():
     part = _part("mixed")
     assert type(part.shifted_solver) is systems._Index2Elimination
-    # the constraint's null space is the x2 block: the ODE maps to no x1 row
-    assert not np.any(part.shifted_solver._ode._right[:part.n1])
+    # the constraint's null space is the x2 block: the ODE maps to no row of
+    # the constrained states x1, as many as the multipliers (the view's n2)
+    assert not np.any(part.shifted_solver._ode._right[:part.n2])
 
 
 def test_exact_eigenvalue_raises(index1_fixture, index2_fixture):

@@ -245,26 +245,61 @@ def test_sparse_definiteness_needs_symmetric_pivots():
 
 @pytest.mark.parametrize("k", [3, 6, 20])
 def test_mixed_view_is_its_index2_split(k):
+    from phmor import Index2Partition
     from phmor.benchmarks import MassSpringSpec, mixed_chain
-    from phmor.transfer import FrequencyGrid, PolynomialPart, frequency_response
+    from phmor.transfer import PolynomialPart
 
+    # mixed blocks (1, 2k, 1): the index-2 view with blocks (1 + 2k, 1)
     part = mixed_chain(MassSpringSpec(k=k))
-    split = partition_index2(part.parent, part.n1 + part.n2)
-    grid = FrequencyGrid.log_spaced()
-    assert np.array_equal(frequency_response(part, grid), frequency_response(split, grid))
-    # B3 = P3 = 0: the split's polynomial part is the constant D = S + N
+    assert type(part) is Index2Partition and (part.n1, part.n2) == (1 + 2 * k, 1)
+    # B3 = P3 = 0: the view's polynomial part is the constant D = S + N
     poly = PolynomialPart.constant(part.parent.S + part.parent.N)
     for name in ("P0", "P1"):
-        assert np.array_equal(getattr(poly, name), getattr(split.polynomial_part, name))
+        assert np.array_equal(getattr(poly, name), getattr(part.polynomial_part, name))
 
 
 def test_partition_mixed_requires_square_constraint():
     from phmor.benchmarks import MassSpringSpec, mixed_chain
 
     part = mixed_chain(MassSpringSpec(k=4))
-    assert part.n1 == part.n3 == 1
+    assert part.n2 == 1  # as many multipliers as constrained states
     with pytest.raises(PartitionError):
-        partition_mixed(part.parent, 2, part.n2 - 1)
+        partition_mixed(part.parent, 2, part.n1 - 2)
+
+
+def _mixed_matrices():
+    from phmor.benchmarks import MassSpringSpec, mixed_chain
+
+    sys = mixed_chain(MassSpringSpec(k=3)).parent
+    return {name: np.array(getattr(sys, name)) for name in "EJRBPSN"}
+
+
+# (entries set, mixed block sizes (n1, n2), message) on the mixed chain k=3,
+# blocks (1, 6, 1) and n = 8: the checks run in this order, so a model
+# failing several raises the first
+_MIXED_FAILURES = {
+    "sizes": ({}, (1, 8), r"block sizes \(1, 8, -1\) do not sum to n=8"),
+    "square": ({}, (2, 5), r"index-2 constraint block must be square: n3=1 != n1=2"),
+    "split-E": ({("E", 7, 7): 1.0, ("J", 1, 7): 1.0}, (1, 6),
+                r"E22 must be zero in this semi-explicit form"),
+    "J23": ({("J", 1, 7): 1.0, ("B", 7, 0): 1.0}, (1, 6),
+            r"J23 must be zero in this semi-explicit form"),
+    "J32": ({("J", 7, 1): 1.0}, (1, 6), r"J32 must be zero in this semi-explicit form"),
+    "B3": ({("B", 7, 0): 1.0, ("J", 7, 0): 0.0}, (1, 6),
+           r"B3 must be zero in this semi-explicit form"),
+    "P3": ({("P", 7, 0): 1.0}, (1, 6), r"P3 must be zero in this semi-explicit form"),
+    "J31": ({("J", 7, 0): 0.0}, (1, 6), r"J31 is singular to working precision"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MIXED_FAILURES))
+def test_partition_mixed_failure_messages(case):
+    entries, sizes, message = _MIXED_FAILURES[case]
+    mats = _mixed_matrices()
+    for (name, i, j), value in entries.items():
+        mats[name][i, j] = value
+    with pytest.raises(PartitionError, match=f"^{message}"):
+        partition_mixed(PHDAESystem(**mats), *sizes)
 
 
 def test_partition_mixed_accepts_singular_A22():
@@ -277,12 +312,12 @@ def test_partition_mixed_accepts_singular_A22():
     from phmor.transfer import FrequencyGrid, frequency_response
 
     chain = mixed_chain(MassSpringSpec(k=3))
-    n1, nd = chain.n1, chain.n1 + chain.n2
+    n1, nd = chain.n2, chain.n1  # the constrained states, as many as the multipliers
     mats = {name: getattr(chain.parent, name).copy() for name in "EJRBPSN"}
     for name in "JR":
         mats[name][n1:nd, n1:nd] = 0.0
     sys = PHDAESystem(**mats)
-    part = partition_mixed(sys, chain.n1, chain.n2)
+    part = partition_mixed(sys, n1, nd - n1)
 
     grid = FrequencyGrid.log_spaced(1e-3, 1e3, 40)
     gen = sys.generic

@@ -24,10 +24,10 @@ from phmor import (
 from phmor.benchmarks import (CHAIN_MASS, MassSpringSpec, mass_spring_chain,
                               mass_spring_chain_b2, random_ph_index1)
 from phmor.reducers import reduce_index2
-from phmor.transfer import frequency_response
+from phmor.transfer import balance_realization, frequency_response
 from phmor.linalg import LinAlgContractError
 
-from oracles import quad_h2_error
+from oracles import quad_h2_error, reference_index1_blockdiag, reference_pencil_eig
 
 #: Absolute and relative tolerance of h2_error's quadrature, on the integral
 #: pi * h2_error**2.
@@ -85,12 +85,12 @@ def test_polynomial_part_index2_linear_term():
         assert abs(H[0, 0] - poly(1j * w)[0, 0]) < 1e-6 * (1 + w * abs(poly.P1[0, 0]))
 
 
-def test_polynomial_part_realization_evaluates_to_the_part():
-    # every model exposes a realization; a polynomial part's is improper
+def test_polynomial_part_evaluates_to_the_part():
+    # a polynomial part is evaluated as a model through its transfer_evals
     poly = PolynomialPart(P0=[[1.0, 2.0], [0.5, -1.0]], P1=[[0.3, 0.0], [0.0, 2.0]])
     points = np.array([0.5j, 3.0 + 1j, 1e4j])
-    H = frequency_response(poly.generic, points)
-    np.testing.assert_allclose(H, poly.transfer_evals(points), rtol=1e-12, atol=0)
+    H = frequency_response(poly, points)
+    assert np.array_equal(H, np.array([poly.P0 + s * poly.P1 for s in points]))
     gen = _scalar_lag()
     assert gen.generic is gen
 
@@ -117,6 +117,26 @@ def test_pole_residue_reconstructs_transfer():
     assert pr.poles.size == n
     for s in (1j, 2.0 + 0.5j, 10.0):
         assert np.allclose(pr(s), eval_transfer(gen, s), atol=1e-8)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pole_residue_of_a_singular_E_keeps_the_finite_poles(seed):
+    # the block-diagonal index-1 route keeps the n2 algebraic equations: a
+    # model of order r + n2 whose reduced E has rank r
+    part = random_ph_index1(8, 3, 2, seed=seed)
+    model = reference_index1_blockdiag(part, InterpolationData.log_spaced(4, part.parent.m))
+    gen = model.generic
+    assert model.order == 4 + part.n2 and np.linalg.matrix_rank(gen.E) == 4
+    E, A, _, _ = balance_realization(gen.E, gen.A, gen.B, gen.C)
+    lam = reference_pencil_eig(A, E)[0]
+    assert np.count_nonzero(np.isinf(lam)) == part.n2
+    pr = pole_residue(model)
+    assert np.array_equal(pr.poles, lam[np.isfinite(lam)])
+    # the residues give the strictly proper part: differences of H cancel
+    # the constant the infinite eigenvalues add
+    s1, s2 = 0.7j, 2.0 + 1.0j
+    assert np.allclose(pr(s1) - pr(s2), model.transfer_eval(s1) - model.transfer_eval(s2),
+                       rtol=1e-10, atol=1e-12)
 
 
 def test_pole_residue_normalization_phase():
