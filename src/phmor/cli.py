@@ -17,7 +17,8 @@ directory with the fixed schema
 (rel_h2 is left empty unless --h2 is given).  ``--method`` names a
 :data:`phmor.reducers.REDUCERS` entry, run once or, with the ``irka-``
 prefix, inside IRKA; ``auto`` and ``irka`` take
-:func:`phmor.reducers.default_method`.  Every command is deterministic:
+:func:`phmor.reducers.default_method`.  An IRKA run prints how it stopped
+(:attr:`phmor.irka.IRKAResult.stop_reason`).  Every command is deterministic:
 ``reduce`` and ``sweep`` draw no random numbers, and ``generate --seed``
 fixes the random index-1 model.  The default output directory is taken
 from the ``PHMOR_OUT`` environment variable, falling back to the current
@@ -241,15 +242,15 @@ def _parse_method(method, part):
 
 
 def _reduce(part, name, irka, r, data):
-    """(model, interpolation data, converged, iterations, IRKA trace) of one
+    """(model, interpolation data, converged, iterations, IRKA result) of one
     reduction to order r by the reducer ``name`` from the points ``data``,
     inside IRKA when ``irka``; converged and iterations are empty strings,
-    and the trace None, for a direct reduction."""
+    and the result None, for a direct reduction."""
     if not irka:
         return REDUCERS[name](part, data), data, "", "", None
     result = irka_reduce(part, IRKAConfig(r=r, initial=data), method=name)
     return (result.model, result.data, int(result.converged), result.iterations,
-            result.trace)
+            result)
 
 
 def cmd_reduce(args):
@@ -266,7 +267,7 @@ def cmd_reduce(args):
                 f"{data.r} initial interpolation points for reduced order {args.r}")
     else:
         data = InterpolationData.log_spaced(args.r, part.parent.m)
-    model, data, conv, iters, _ = _reduce(part, name, irka, args.r, data)
+    model, data, conv, iters, result = _reduce(part, name, irka, args.r, data)
     containers.save_reduced(out, model)
     out.mkdir(parents=True, exist_ok=True)
     h2_denom = _h2_denominator(part) if args.h2 else None
@@ -279,6 +280,8 @@ def cmd_reduce(args):
         fh.write(row)
     print(f"reduced to order {model.order} with {model.method}; "
           f"ph_valid={model.ph_valid} (min eig W = {model.w_min_eig:.3e})")
+    if result is not None:
+        print(f"IRKA stopped after {iters} sweeps: {result.stop_reason}")
     print(f"wrote reduced model and errors.csv to {out}")
     return 0
 
@@ -355,13 +358,15 @@ def cmd_sweep(args):
     rows = []
     for r in rs:
         start = InterpolationData.log_spaced(r, part.parent.m)
-        model, data, conv, iters, trace = _reduce(part, name, irka, r, start)
-        if trace is not None:
-            trace.export_csv(out / f"trace_r{r:03d}.csv")
+        model, data, conv, iters, result = _reduce(part, name, irka, r, start)
+        stop = ""
+        if result is not None:
+            result.trace.export_csv(out / f"trace_r{r:03d}.csv")
+            stop = f", IRKA stopped after {iters} sweeps: {result.stop_reason}"
         containers.save_reduced(out / f"r{r:03d}", model)
         rows.append(_errors_row(part, model, data, grid, h2_denom, conv, iters,
                                 full_response))
-        print(f"r={r}: done (order {model.order}, ph_valid={model.ph_valid})")
+        print(f"r={r}: done (order {model.order}, ph_valid={model.ph_valid}{stop})")
     with open(out / "errors.csv", "w") as fh:
         fh.write(CSV_HEADER)
         fh.writelines(rows)

@@ -8,9 +8,19 @@ interpolation set.  At a fixed point the reduced model satisfies
 first-order tangential optimality conditions for the H2 error among
 structure-preserving models of that order.
 
-Non-convergence within the iteration budget is not an error: the best
-iterate seen (smallest point movement) is returned with
-``converged=False`` so callers can inspect the trace.
+A run ends in one of three ways, named by ``IRKAResult.stop_reason``:
+
+* ``"converged"`` — the point movement fell to ``tol``;
+* ``"rounding floor"`` — the movement stayed at or below the sweep's
+  rounding floor, u times the basis condition estimate
+  (:attr:`~phmor.reducers.ReducedModel.basis_cond`), for
+  ``FLOOR_SWEEPS`` sweeps in a row while that floor lies above ``tol``:
+  the map cannot resolve a smaller movement, so more sweeps only wander;
+* ``"max iterations"`` — the iteration budget ran out.
+
+Neither of the last two is an error: the best iterate seen (smallest
+point movement) is returned with ``converged=False``, with a warning, so
+callers can inspect the trace.
 """
 
 from __future__ import annotations
@@ -34,6 +44,8 @@ __all__ = [
 ]
 
 AXIS_TOL = 1e-8
+#: sweeps in a row at the rounding floor that end the iteration
+FLOOR_SWEEPS = 3
 
 
 @dataclass(frozen=True)
@@ -66,13 +78,14 @@ class IRKATrace:
 
     iterations: list = field(default_factory=list)
 
-    def append(self, iteration, metric, points, ph_valid, w_min_eig):
+    def append(self, iteration, metric, points, ph_valid, w_min_eig, floor):
         self.iterations.append({
             "iteration": iteration,
             "metric": metric,
             "points": np.array(points, dtype=complex),
             "ph_valid": ph_valid,
             "w_min_eig": w_min_eig,
+            "floor": floor,
         })
 
     def __len__(self):
@@ -80,12 +93,13 @@ class IRKATrace:
 
     def export_csv(self, path):
         with open(path, "w") as fh:
-            fh.write("iteration,metric,ph_valid,w_min_eig,points\n")
+            fh.write("iteration,metric,ph_valid,w_min_eig,floor,points\n")
             for rec in self.iterations:
                 pts = ";".join(f"{p.real:.16e}{p.imag:+.16e}j" for p in rec["points"])
                 fh.write(
                     f"{rec['iteration']},{rec['metric']:.16e},"
-                    f"{int(rec['ph_valid'])},{rec['w_min_eig']:.16e},{pts}\n"
+                    f"{int(rec['ph_valid'])},{rec['w_min_eig']:.16e},"
+                    f"{rec['floor']:.16e},{pts}\n"
                 )
 
 
@@ -97,6 +111,7 @@ class IRKAResult:
     final_metric: float
     data: InterpolationData
     trace: IRKATrace
+    stop_reason: str  # "converged", "rounding floor" or "max iterations"
 
 
 def mirror_and_sanitize(poles, residues=None):
@@ -190,10 +205,15 @@ def irka_reduce(part, config, method=None):
 
     ``method`` names the reducer (a :data:`~phmor.reducers.REDUCERS` key);
     by default :func:`~phmor.reducers.default_method` picks it.  Returns an
-    :class:`IRKAResult`; ``converged=False`` means the point movement
-    never fell below ``config.tol`` and the best iterate is returned.  The
-    first sweep whose mirrored pole set holds fewer than ``config.r`` points
-    warns (``RuntimeWarning``); the iteration goes on with that set.
+    :class:`IRKAResult` whose ``stop_reason`` says how the run ended (see
+    the module docstring).  A sweep's rounding floor is u kappa, u the unit
+    roundoff and kappa the condition estimate of the basis that sweep
+    projected with; the trace records it.  ``converged=False`` means the
+    point movement never fell below ``config.tol``, because it stayed at
+    the rounding floor for ``FLOOR_SWEEPS`` sweeps or the budget ran out,
+    and the best iterate is returned with a warning.  The first sweep whose
+    mirrored pole set holds fewer than ``config.r`` points warns
+    (``RuntimeWarning``); the iteration goes on with that set.
     """
     reducer = REDUCERS[method or default_method(part)]
     m = part.parent.m
@@ -202,11 +222,10 @@ def irka_reduce(part, config, method=None):
         data = InterpolationData.log_spaced(config.r, m)
 
     trace = IRKATrace()
-    best = None  # (metric, model, data, iteration)
-    converged = False
+    best = None  # (metric, model, data)
+    stop_reason = "max iterations"
     short = False  # whether a sweep has already warned of a short pole set
-    model = None
-    it = 0
+    at_floor = 0  # sweeps in a row whose movement is at most their floor
     for it in range(1, config.max_iterations + 1):
         model = reducer(part, data)
         pr = pole_residue(model)
@@ -219,23 +238,29 @@ def irka_reduce(part, config, method=None):
                 RuntimeWarning,
             )
         metric = convergence_metric(data.points, nxt.points)
-        trace.append(it, metric, data.points, model.ph_valid, model.w_min_eig)
+        floor = np.finfo(float).eps * model.basis_cond
+        trace.append(it, metric, data.points, model.ph_valid, model.w_min_eig, floor)
         if best is None or metric < best[0]:
-            best = (metric, model, data, it)
+            best = (metric, model, data)
         if metric <= config.tol:
-            converged = True
+            return IRKAResult(model=model, converged=True, iterations=it,
+                              final_metric=metric, data=data, trace=trace,
+                              stop_reason="converged")
+        # a movement above tol that is at most the floor puts the floor above tol
+        at_floor = at_floor + 1 if metric <= floor else 0
+        if at_floor == FLOOR_SWEEPS:
+            stop_reason = "rounding floor"
             break
         data = nxt
 
-    if not converged:
-        warnings.warn(
-            f"fixed-point iteration did not converge in {config.max_iterations} "
-            f"sweeps (best point movement {best[0]:.3e}); returning best iterate",
-            RuntimeWarning,
-        )
-        metric, model, data, it = best
-        return IRKAResult(model=model, converged=False, iterations=len(trace),
-                          final_metric=metric, data=data, trace=trace)
-    return IRKAResult(model=model, converged=True, iterations=it,
-                      final_metric=trace.iterations[-1]["metric"], data=data,
-                      trace=trace)
+    if stop_reason == "rounding floor":
+        why = (f"stopped at its rounding floor in sweep {it}: point movement "
+               f"{metric:.3e} <= floor {floor:.3e} for {FLOOR_SWEEPS} sweeps")
+    else:
+        why = f"did not converge in {config.max_iterations} sweeps"
+    warnings.warn(f"fixed-point iteration {why} (best point movement {best[0]:.3e}); "
+                  "returning best iterate", RuntimeWarning)
+    metric, model, data = best
+    return IRKAResult(model=model, converged=False, iterations=len(trace),
+                      final_metric=metric, data=data, trace=trace,
+                      stop_reason=stop_reason)

@@ -648,15 +648,18 @@ def nullspace_basis(M):
 
 
 def pivoted_rank(V):
-    """(rank, piv) of the pivoted QR V[:, piv] = Q R, without forming Q:
-    the rank is the number of |R_ii| above 1e-12 |R_00| (0 when R_00 = 0),
-    and V[:, piv[:rank]] are the columns it keeps.  One ``dgeqp3`` of a
-    real V with the workspace its query returns, the factorization scipy's
-    pivoted ``qr`` makes, so R's diagonal and the pivots are the same bit
-    for bit.  A non-finite V raises ``ValueError``."""
+    """(rank, piv, cond) of the pivoted QR V[:, piv] = Q R, without forming
+    Q: the rank is the number of |R_ii| above 1e-12 |R_00| (0 when
+    R_00 = 0), and V[:, piv[:rank]] are the columns it keeps.  ``cond`` is
+    |R_00| / |R_{rank-1,rank-1}|, the pivoted QR's estimate of the condition
+    number of the kept columns (inf at rank 0).  One ``dgeqp3`` of a real V
+    with the workspace its query returns, the factorization scipy's pivoted
+    ``qr`` makes, so R's diagonal and the pivots are the same bit for bit.
+    A non-finite V raises ``ValueError``."""
     V = np.asarray_chkfinite(V)
     lwork = int(lapack.dgeqp3(V, lwork=-1)[-2][0])
     qr, jpvt, _, _, _ = lapack.dgeqp3(V, lwork=lwork)
     d = np.abs(np.diag(qr))
     rank = int(np.sum(d > 1e-12 * d[0])) if d.size and d[0] > 0 else 0
-    return rank, jpvt - 1
+    cond = float(d[0] / d[rank - 1]) if rank else np.inf
+    return rank, jpvt - 1, cond

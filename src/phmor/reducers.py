@@ -131,10 +131,13 @@ class ProjectionBasis:
     in the same (realified) coordinates as column k of V, so that shift
     formulas B^T (...) B remain valid after realification.  The orthonormal
     basis of :func:`build_V_saddle` pairs no column with one direction, and
-    its ``directions`` is None.
+    its ``directions`` is None.  ``cond`` is the pivoted QR's condition
+    estimate of the kept normalized columns (:func:`_kept`); the unit
+    roundoff times it is the rounding floor that :mod:`phmor.irka` stops at.
     """
 
     V: np.ndarray
+    cond: float
     directions: np.ndarray | None = None
 
     @property
@@ -207,17 +210,17 @@ def _normalized(V):
 
 
 def _kept(W):
-    """Indices, in order, of the columns of the normalized basis W that the
-    rank rule of :func:`~phmor.linalg.pivoted_rank` keeps; a drop is warned
-    about."""
-    rank, piv = pivoted_rank(W)
+    """(indices, in order, of the columns of the normalized basis W that the
+    rank rule of :func:`~phmor.linalg.pivoted_rank` keeps, their condition
+    estimate); a drop is warned about."""
+    rank, piv, cond = pivoted_rank(W)
     if rank < W.shape[1]:
         warnings.warn(
             f"near-duplicate interpolation points: basis rank {rank} < "
             f"{W.shape[1]} columns; dependent columns dropped",
             RuntimeWarning,
         )
-    return np.sort(piv[:rank])
+    return np.sort(piv[:rank]), cond
 
 
 def build_V_generic(model, data):
@@ -236,10 +239,10 @@ def build_V_generic(model, data):
     B = model.generic.B
     V = _solves(data, lambda s, b: model.solve_shifted(s, B @ b))
     Bd = _realify(data.directions[[i for i, _ in data.pairs]].T, data.pairs)
-    keep = _kept(_normalized(V))
+    keep, cond = _kept(_normalized(V))
     if keep.size < V.shape[1]:
         V, Bd = V[:, keep], Bd[:, keep]
-    return ProjectionBasis(V=V, directions=Bd)
+    return ProjectionBasis(V=V, directions=Bd, cond=cond)
 
 
 def _lifted(part):
@@ -278,7 +281,8 @@ def build_V_saddle(part, data):
         return v
 
     W = _normalized(_solves(data, column))
-    return ProjectionBasis(V=spla.qr(W[:, _kept(W)], mode="economic")[0])
+    keep, cond = _kept(W)
+    return ProjectionBasis(V=spla.qr(W[:, keep], mode="economic")[0], cond=cond)
 
 
 @dataclass(frozen=True)
@@ -289,7 +293,10 @@ class ReducedModel:
     passivity inequality when ``ph_valid`` is False).  ``polynomial`` is
     the reduced model's polynomial part; when ``augmented_input`` is
     True its linear coefficient multiplies the input derivative and the
-    transfer function is C (sE - A)^{-1} B + P0 + s P1.
+    transfer function is C (sE - A)^{-1} B + P0 + s P1.  ``basis_cond``
+    is the condition estimate of the projection basis
+    (:attr:`ProjectionBasis.cond`); a model loaded from a container has
+    nan.
     """
 
     system: PHDAESystem
@@ -298,6 +305,7 @@ class ReducedModel:
     w_min_eig: float
     polynomial: PolynomialPart
     augmented_input: bool = False
+    basis_cond: float = np.nan
 
     @property
     def order(self):
@@ -347,7 +355,7 @@ class ReducedModel:
         return H
 
 
-def _finish(sys_r, method, poly, augmented_input=False):
+def _finish(sys_r, method, poly, augmented_input=False, basis_cond=np.nan):
     """The :class:`ReducedModel` of the reduced pH system ``sys_r``, with
     its passivity test: ``ph_valid`` when the smallest eigenvalue of the
     passivity matrix is at least -PH_TOL."""
@@ -360,6 +368,7 @@ def _finish(sys_r, method, poly, augmented_input=False):
         w_min_eig=w_min,
         polynomial=poly,
         augmented_input=augmented_input,
+        basis_cond=basis_cond,
     )
 
 
@@ -391,15 +400,17 @@ def reduce_index1_shifted(part, data):
     sys_r = PHDAESystem(E=proj.E, J=proj.J + skew_k, R=proj.R - sym_k,
                         B=proj.B - Bd.T @ sym_d, P=proj.P + Bd.T @ skew_d,
                         S=sys.S + sym_d, N=sys.N + skew_d)
-    return _finish(sys_r, "index1-shifted", poly)
+    return _finish(sys_r, "index1-shifted", poly, basis_cond=basis.cond)
 
 
 def _galerkin(part, data):
     """The congruence of ``part.ode`` with :func:`build_V_saddle`."""
     augmented = _lifted(part)
-    sys_r = congruence(build_V_saddle(part, data).V, *part.ode)
+    basis = build_V_saddle(part, data)
+    sys_r = congruence(basis.V, *part.ode)
     method = f"index{part.index_kind}-{'augmented' if augmented else 'galerkin'}"
-    return _finish(sys_r, method, part.polynomial_part, augmented_input=augmented)
+    return _finish(sys_r, method, part.polynomial_part, augmented_input=augmented,
+                   basis_cond=basis.cond)
 
 
 def reduce_index1_blockdiag(part, data):

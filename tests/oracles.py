@@ -134,7 +134,7 @@ def raw_saddle_basis(part, data):
 
     V = _solves(data, column)
     norms = np.linalg.norm(V, axis=0)
-    rank, piv = pivoted_rank(V / np.where(norms > 0, norms, 1.0))
+    rank, piv, _ = pivoted_rank(V / np.where(norms > 0, norms, 1.0))
     return V[:, np.sort(piv[:rank])]
 
 

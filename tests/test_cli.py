@@ -232,6 +232,23 @@ class TestSweepRegularize:
         assert (tmp_path / "s1" / "r004").is_dir()
         assert (tmp_path / "s1" / "trace_r004.csv").exists()
 
+    def test_irka_runs_print_how_they_stopped(self, tmp_path, capsys):
+        chain, oseen = tmp_path / "chain", tmp_path / "oseen"
+        _run(["generate", "--benchmark", "chain", "--k", 12, "--out", chain])
+        _run(["generate", "--benchmark", "oseen", "--n-grid", 8, "--out", oseen])
+        code, captured = _run(["sweep", chain, "--method", "irka", "--r-sweep", "2:4:2",
+                               "--out", tmp_path / "sw"], capsys)
+        assert code == 0
+        done = [line for line in captured.out.splitlines() if line.startswith("r=")]
+        assert len(done) == 2 and all(line.endswith(": converged)") for line in done)
+        with pytest.warns(RuntimeWarning, match="rounding floor"):
+            code, captured = _run(["reduce", oseen, "--method", "irka", "--r", 10,
+                                   "--out", tmp_path / "red"], capsys)
+        assert code == 0
+        row = _rows(tmp_path / "red" / "errors.csv")[0]
+        assert row["converged"] == "0" and int(row["iterations"]) <= 20
+        assert f"IRKA stopped after {row['iterations']} sweeps: rounding floor\n" in captured.out
+
     def test_sweep_rows_match_single_reduces(self, tmp_path):
         # the sweep evaluates the full model on the grid once and reuses it
         # for every order; each row must equal the one `reduce` writes alone

@@ -101,6 +101,8 @@ def test_reduced_round_trip(tmp_path, index2_fixture):
     assert loaded.ph_valid == model.ph_valid
     assert loaded.w_min_eig == model.w_min_eig
     assert loaded.augmented_input == model.augmented_input
+    # the basis is not stored: a loaded model's condition estimate is unknown
+    assert model.basis_cond == 1.0 and np.isnan(loaded.basis_cond)
     for s in (1j, 2.0, 0.5 + 0.5j):
         assert np.allclose(loaded.transfer_eval(s), model.transfer_eval(s))
 

@@ -18,10 +18,16 @@ from phmor import (
     partition_index2,
     pole_residue,
 )
-from phmor.benchmarks import MassSpringSpec, mass_spring_chain, random_ph_index1
+from phmor.benchmarks import (
+    MassSpringSpec,
+    OseenSpec,
+    mass_spring_chain,
+    oseen_grid,
+    random_ph_index1,
+)
 from phmor.linalg import LinAlgContractError, gen_eig
-from phmor.reducers import _conjugate_pairs
-from phmor.transfer import balance_realization
+from phmor.reducers import REDUCERS, _conjugate_pairs, default_method
+from phmor.transfer import balance_realization, tangential_residuals
 
 
 class TestMirrorAndSanitize:
@@ -82,8 +88,10 @@ class TestIRKAFixture:
         csv = tmp_path / "trace.csv"
         result.trace.export_csv(csv)
         lines = csv.read_text().strip().splitlines()
-        assert lines[0].startswith("iteration,metric,ph_valid")
+        assert lines[0] == "iteration,metric,ph_valid,w_min_eig,floor,points"
         assert len(lines) == 1 + result.iterations
+        floors = [float(line.split(",")[4]) for line in lines[1:]]
+        assert floors == [rec["floor"] for rec in result.trace.iterations]
 
 
 class TestIRKAChain:
@@ -104,11 +112,71 @@ class TestIRKAChain:
     def test_nonconvergence_returns_best_iterate(self):
         part = mass_spring_chain(MassSpringSpec(k=20))
         cfg = IRKAConfig(r=4, max_iterations=2, tol=1e-14)
-        with pytest.warns(RuntimeWarning, match="did not converge"):
+        with pytest.warns(RuntimeWarning, match="did not converge in 2 sweeps"):
             result = irka_reduce(part, cfg)
         assert not result.converged
+        assert result.stop_reason == "max iterations"
+        assert result.iterations == 2
         assert result.model is not None
         assert np.isfinite(result.final_metric)
+
+
+def test_chain_sweep_converges_in_the_same_sweeps():
+    # the floor rule leaves a run that converges alone: on chain k=50 its
+    # floors after the first sweep lie decades below tol
+    part = mass_spring_chain(MassSpringSpec(k=50))
+    counts = {}
+    for r in range(2, 21, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # short pole sets
+            result = irka_reduce(part, IRKAConfig(r=r))
+        assert result.converged and result.stop_reason == "converged"
+        counts[r] = result.iterations
+    assert list(counts.values()) == [15, 10, 11, 12, 11, 12, 11, 12, 11, 11]
+
+
+def test_oseen_r10_stops_at_its_rounding_floor():
+    # the movement reaches 1e-5 by sweep 5 and then wanders below the
+    # floor u * kappa ~ 5.6e-5, which lies above tol = 1e-6
+    part = oseen_grid(OseenSpec(n_grid=8))
+    config = IRKAConfig(r=10)
+    with pytest.warns(RuntimeWarning, match="stopped at its rounding floor") as record:
+        result = irka_reduce(part, config)
+    assert not any("did not converge" in str(w.message) for w in record)
+    assert result.stop_reason == "rounding floor" and not result.converged
+    assert result.iterations <= 20 and result.iterations == len(result.trace)
+    assert all(config.tol < rec["metric"] <= rec["floor"]
+               for rec in result.trace.iterations[-3:])
+    model = result.model
+    assert model.order == 10 and model.ph_valid
+    assert np.max(tangential_residuals(part.parent, model, result.data)) <= 1e-6
+
+
+@pytest.mark.parametrize("name, r", [("chain", 10), ("chain", 20), ("oseen", 4),
+                                     ("oseen", 10)])
+def test_reordering_the_final_set_moves_the_mirrored_points_within_the_floor(name, r):
+    # reordering the interpolation set is a no-op in exact arithmetic, so
+    # the mirrored points may move by rounding only: by at most the floor
+    part = (mass_spring_chain(MassSpringSpec(k=50)) if name == "chain"
+            else oseen_grid(OseenSpec(n_grid=8)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = irka_reduce(part, IRKAConfig(r=r))
+    # the final sweep's data, its mirrored points and its floor
+    data, floor = result.data, np.finfo(float).eps * result.model.basis_cond
+    pr = pole_residue(result.model)
+    mirrored = mirror_and_sanitize(pr.poles, pr.right).points
+    reducer = REDUCERS[default_method(part)]
+    rng = np.random.default_rng(0)
+    orders = [np.arange(data.r)[::-1], *(rng.permutation(data.r) for _ in range(3))]
+    for order in orders:
+        shuffled = InterpolationData(points=data.points[order],
+                                     directions=data.directions[order])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            pr = pole_residue(reducer(part, shuffled))
+        moved = convergence_metric(mirrored, mirror_and_sanitize(pr.poles, pr.right).points)
+        assert moved <= floor, (order, moved, floor)
 
 
 def test_short_pole_set_warns_once():

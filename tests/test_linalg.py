@@ -174,11 +174,12 @@ def test_nullspace_basis_full_rank_is_empty():
 def test_pivoted_rank_threshold_is_relative_to_leading_pivot():
     rng = np.random.default_rng(0)
     U = np.linalg.qr(rng.standard_normal((8, 4)))[0]
-    for d, rank in (([1.0, 1e-3, 1e-11, 1e-13], 3), ([1e5, 1e-6, 1e-8, 0.0], 2),
-                    ([0.0] * 4, 0)):
-        got, piv = pivoted_rank(U * np.array(d))
+    for d, rank, cond in (([1.0, 1e-3, 1e-11, 1e-13], 3, 1e11),
+                          ([1e5, 1e-6, 1e-8, 0.0], 2, 1e11), ([0.0] * 4, 0, np.inf)):
+        got, piv, got_cond = pivoted_rank(U * np.array(d))
         assert got == rank
         assert sorted(piv) == [0, 1, 2, 3]
+        assert got_cond == pytest.approx(cond, rel=1e-9)
 
 
 def test_rank_tolerance_scales_with_sigma():
@@ -372,6 +373,9 @@ def test_pivoted_rank_matches_scipy_pivoted_qr(V):
     _, R, piv = spla.qr(V, mode="economic", pivoting=True)
     d = np.abs(np.diag(R))
     rank = int(np.sum(d > 1e-12 * d[0])) if d[0] > 0 else 0
-    got_rank, got_piv = pivoted_rank(V)
+    got_rank, got_piv, got_cond = pivoted_rank(V)
     assert got_rank == rank
     assert got_piv.dtype == piv.dtype and np.array_equal(got_piv, piv)
+    # the condition ratio of the kept columns, from the same R bit for bit
+    want = d[0] / d[rank - 1] if rank else np.inf
+    assert got_cond == want

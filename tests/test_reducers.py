@@ -149,8 +149,9 @@ class TestBases:
         assert reducers._conjugate_pairs(data.points, data.directions) == kept
         V = reducers._realify(cols[:, [0, 1, 3]], kept)
         W = reducers._normalized(V)
-        keep = reducers._kept(W)
+        keep, cond = reducers._kept(W)
         assert basis.V.shape == (cols.shape[0], 5)
+        assert basis.cond == cond and 1.0 <= cond < np.inf
         if saddle:
             assert np.array_equal(basis.V, spla.qr(W[:, keep], mode="economic")[0])
             assert basis.directions is None
@@ -468,7 +469,7 @@ def _kept_x1_columns(part, data):
     B = part.generic.B
     raw = reducers._solves(data, lambda s, b: part.solve_shifted(s, B @ b)[:part.n1])
     W = raw / np.linalg.norm(raw, axis=0)
-    rank, piv = pivoted_rank(W)
+    rank, piv, _ = pivoted_rank(W)
     return W[:, np.sort(piv[:rank])]
 
 
@@ -742,7 +743,7 @@ class TestSaddleColumnsWithoutMultiplier:
         # the Householder Q of the kept normalized columns, in their order
         raw = reducers._solves(data, column)
         W = raw / np.linalg.norm(raw, axis=0)
-        rank, piv = pivoted_rank(W)
+        rank, piv, _ = pivoted_rank(W)
         Q = spla.qr(W[:, np.sort(piv[:rank])], mode="economic")[0]
         basis = build_V_saddle(part, data)
         assert basis.V.tobytes() == Q.tobytes()
