@@ -114,18 +114,22 @@ class IRKAResult:
     stop_reason: str  # "converged", "rounding floor" or "max iterations"
 
 
-def mirror_and_sanitize(poles, residues=None):
-    """Next interpolation set from reduced-model poles and residues.
+def mirror_and_sanitize(poles, residues):
+    """Next interpolation set from reduced-model poles and their right residues.
 
-    Points are the poles mirrored into the open right half-plane; real
-    parts within 1e-8 of the imaginary axis are shifted to +1e-8 so the
-    shifted systems stay solvable.  The returned set is exactly closed
-    under conjugation; residue directions (if given) are paired the same
-    way, so the result is directly usable as interpolation data.
+    A real model's poles are real or come in conjugate pairs, a pair's
+    residues conjugate too.  Each real pole, and the member of each pair
+    with Im lambda > 0, gives the point sigma = -lambda with lambda's own
+    residue b as direction (all ones where b is zero); a pair also gives
+    conj(sigma) with conj(b), its partner's mirror and residue.  Real parts
+    are taken absolute and kept at least 1e-8 so the shifted systems stay
+    solvable.  A point with |Im sigma| <= 1e-8 (1 + |sigma|) becomes one
+    real point with a real direction.  The set is ordered by |Im sigma| and
+    is exactly closed under conjugation.  Non-finite poles are dropped with
+    a warning; no finite pole, or unequal counts of poles above and below
+    the real axis, raise ``LinAlgContractError``.
     """
     poles = np.atleast_1d(np.asarray(poles, dtype=complex))
-    if residues is None:
-        residues = np.ones((poles.size, 1), dtype=complex)
     residues = np.atleast_2d(np.asarray(residues, dtype=complex))
     finite = np.isfinite(poles) & np.all(np.isfinite(residues), axis=1)
     if not finite.all():
@@ -134,41 +138,27 @@ def mirror_and_sanitize(poles, residues=None):
         poles, residues = poles[finite], residues[finite]
     if poles.size == 0:
         raise LinAlgContractError("no finite poles available for the next sweep")
-    sigma = -poles
-    re = np.abs(sigma.real)
-    re = np.where(re < AXIS_TOL, AXIS_TOL, re)
-    sigma = re + 1j * sigma.imag
+    above, below = np.count_nonzero(poles.imag > 0), np.count_nonzero(poles.imag < 0)
+    if above != below:
+        raise LinAlgContractError(
+            f"pole set not closed under conjugation: {above} poles above the real "
+            f"axis and {below} below")
+    keep = poles.imag >= 0
+    sigma, residues = -poles[keep], residues[keep]
+    sigma = np.maximum(np.abs(sigma.real), AXIS_TOL) + 1j * sigma.imag
 
     order = np.argsort(np.abs(sigma.imag), kind="stable")
     sigma, residues = sigma[order], residues[order]
+    residues[~residues.any(axis=1)] = 1.0
     on_axis = np.abs(sigma.imag) <= AXIS_TOL * (1.0 + np.hypot(sigma.real, sigma.imag))
-    gap = sigma[None, :] - sigma.conj()[:, None]  # [i, j]: sigma[j] - conj(sigma[i])
-    # Python's abs(complex), bit for bit; a partner is a later point at a
-    # finite distance, so the rest (NaN included) are masked by inf
-    dist = np.hypot(gap.real, gap.imag)
-    dist[np.tri(sigma.size, dtype=bool) | np.isnan(dist)] = np.inf
     pts, dirs = [], []
-    used = np.zeros(sigma.size, dtype=bool)
-    for i, s in enumerate(sigma):
-        if used[i]:
-            continue
-        used[i] = True
-        b = residues[i]
-        if not np.any(b):
-            b = np.ones_like(b)
-        if on_axis[i]:
+    for s, b, real in zip(sigma, residues, on_axis):
+        if real:
             pts.append(complex(s.real, 0.0))
             dirs.append(b.real if np.any(b.real) else np.abs(b))
         else:
-            # consume the nearest (the first nearest) unused conjugate
-            # partner and emit an exact pair
-            j = int(np.argmin(dist[i]))
-            if dist[i, j] < np.inf:
-                used[j] = True
-                dist[:, j] = np.inf
-            s = complex(s.real, abs(s.imag))
-            pts.extend([s, s.conjugate()])
-            dirs.extend([b, b.conjugate()])
+            pts.extend([s.conjugate(), s])
+            dirs.extend([b.conj(), b])
     return InterpolationData(points=np.array(pts), directions=np.vstack(dirs))
 
 
@@ -213,7 +203,9 @@ def irka_reduce(part, config, method=None):
     the rounding floor for ``FLOOR_SWEEPS`` sweeps or the budget ran out,
     and the best iterate is returned with a warning.  The first sweep whose
     mirrored pole set holds fewer than ``config.r`` points warns
-    (``RuntimeWarning``); the iteration goes on with that set.
+    (``RuntimeWarning``): the basis lost columns, non-finite poles were
+    dropped, or a near-real pair became one real point (see
+    :func:`mirror_and_sanitize`).  The iteration goes on with that set.
     """
     reducer = REDUCERS[method or default_method(part)]
     m = part.parent.m
@@ -234,7 +226,8 @@ def irka_reduce(part, config, method=None):
             short = True
             warnings.warn(
                 f"sweep {it}: {nxt.r} mirrored poles for r = {config.r}; the basis lost "
-                "columns or non-finite poles were dropped, so the order falls short",
+                "columns, non-finite poles were dropped or a near-real pair merged into "
+                "one real point, so the order falls short",
                 RuntimeWarning,
             )
         metric = convergence_metric(data.points, nxt.points)

@@ -9,9 +9,9 @@ one congruence.  The H2 reference integrates the error one point at a
 time with ``scipy.integrate.quad``.  The sparse condition reference is
 ``scipy.sparse.linalg.onenormest`` on M^{-1} applied through SuperLU.
 The diagnosis reference ranks C1 and O1 by SVD at every finite
-eigenvalue, and the IRKA bookkeeping references (conjugate pairing,
-mirroring, the convergence metric) are the loops the package ran before
-it worked on whole arrays.  The pencil eigensolver reference is
+eigenvalue, and the IRKA bookkeeping references (conjugate pairing and
+the convergence metric) are the loops the package ran before it worked on
+whole arrays.  The pencil eigensolver reference is
 ``scipy.linalg.eig``, the near-defective test's reference takes ||E||_2
 by SVD every time, and the index-2 port reference forms the lifted port
 blocks at every call.  The raw saddle basis is the index-2 basis before it
@@ -31,9 +31,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spsla
 
 from phmor import GenericLTISystem, PHDAESystem, build_V_generic, build_V_saddle
-from phmor.irka import AXIS_TOL
 from phmor.linalg import LinAlgContractError, pivoted_rank
-from phmor.reducers import _CONJ_TOL, InterpolationData, _finish, _solves
+from phmor.reducers import _CONJ_TOL, _finish, _solves
 from phmor.systems import congruence, symmetric_skew_split
 from phmor.regularization import _PROBES, RankTest, _rank, _spectrum
 from phmor.transfer import PolynomialPart, evaluate
@@ -262,53 +261,6 @@ def conjugate_pairs(points, directions):
                     f"interpolation set not closed under conjugation at point {s}")
         kept.append((i, is_real))
     return kept
-
-
-def mirror_and_sanitize(poles, residues=None):
-    """:func:`phmor.irka.mirror_and_sanitize`, each partner found by a
-    scalar loop over the unused points."""
-    poles = np.atleast_1d(np.asarray(poles, dtype=complex))
-    if residues is None:
-        residues = np.ones((poles.size, 1), dtype=complex)
-    residues = np.atleast_2d(np.asarray(residues, dtype=complex))
-    finite = np.isfinite(poles) & np.all(np.isfinite(residues), axis=1)
-    if not finite.all():
-        warnings.warn("dropping non-finite poles from the interpolation set",
-                      RuntimeWarning)
-        poles, residues = poles[finite], residues[finite]
-    if poles.size == 0:
-        raise LinAlgContractError("no finite poles available for the next sweep")
-    sigma = -poles
-    re = np.abs(sigma.real)
-    re = np.where(re < AXIS_TOL, AXIS_TOL, re)
-    sigma = re + 1j * sigma.imag
-    order = np.argsort(np.abs(sigma.imag), kind="stable")
-    sigma, residues = sigma[order], residues[order]
-    pts, dirs = [], []
-    used = np.zeros(sigma.size, dtype=bool)
-    for i, s in enumerate(sigma):
-        if used[i]:
-            continue
-        used[i] = True
-        b = residues[i]
-        if not np.any(b):
-            b = np.ones_like(b)
-        if abs(s.imag) <= AXIS_TOL * (1.0 + abs(s)):
-            pts.append(complex(s.real, 0.0))
-            dirs.append(b.real if np.any(b.real) else np.abs(b))
-        else:
-            best, dist = -1, np.inf
-            for j in range(i + 1, sigma.size):
-                if not used[j]:
-                    d = abs(sigma[j] - s.conjugate())
-                    if d < dist:
-                        best, dist = j, d
-            if best >= 0:
-                used[best] = True
-            s = complex(s.real, abs(s.imag))
-            pts.extend([s, s.conjugate()])
-            dirs.extend([b, b.conjugate()])
-    return InterpolationData(points=np.array(pts), directions=np.vstack(dirs))
 
 
 def convergence_metric(prev, new):
