@@ -13,11 +13,14 @@ estimates kappa_1 of each matrix of a stack by ``zgetrf``, ``zgetrs`` and
 one sparse kernel: a SuperLU factorization, its solve and a one-column
 Higham-Tisseur estimate of ||M^{-1}||_1 taken on the SuperLU factor
 directly; :func:`solve_complex` runs it on a sparse matrix, and
-:class:`SparsePencil` once per shift of a sparse pencil, with one column
-ordering per pencil.  :class:`LUFactor` keeps the ``dgetrf`` factor and
-``dgecon`` estimate of a real constraint block.  :class:`SchurPencil`
-accepts a shift by an O(n^2) bound on kappa_1(s I - T), and estimates
-kappa_1 of any other shift by ``ztrcon``, one shift at a time.
+:class:`SparsePencil` once per distinct shift of a sparse pencil, with one
+column ordering and one matrix container per pencil.  A pencil holds the
+factors and estimates of its latest interpolation set, and no more, until
+the transfer function there has used them once.  :class:`LUFactor` keeps
+the ``dgetrf`` factor and ``dgecon`` estimate of a real constraint block.
+:class:`SchurPencil` accepts a shift by an O(n^2) bound on
+kappa_1(s I - T), and estimates kappa_1 of any other shift by ``ztrcon``,
+one shift at a time.
 """
 
 from __future__ import annotations
@@ -136,57 +139,73 @@ def solve_complex(M, rhs, cond_limit=COND_LIMIT):
     if B.shape[0] != M.shape[0]:
         raise LinAlgContractError("right-hand side has incompatible row count")
     if sp.issparse(M):
-        X = _sparse_solve(sp.csc_array(M, dtype=complex), B, cond_limit)[1]
+        X = _sparse_solve(sp.csc_array(M, dtype=complex), B, cond_limit)
     else:
         X, cond, exact = _lu_solves(M[None], B)
         if exact[0]:
             raise SingularMatrixError("matrix is exactly singular")
-        X, cond = X[0], cond[0]
-        if not np.all(np.isfinite(X)) or cond > cond_limit:
-            raise SingularMatrixError("matrix is singular to working precision", cond)
+        X = _checked(X[0], cond[0], cond_limit)
     return X[:, 0] if squeeze else X
 
 
-def _sparse_solve(M, B, cond_limit, order=None):
-    """The one sparse factor-and-estimate step: X with M0 X = B from one
-    SuperLU factorization, and the decision on it that :func:`solve_complex`
-    documents.  Returns (lu, X).
+def _sparse_solve(M, B, cond_limit):
+    """X with M X = B for a complex CSC matrix M, from one SuperLU
+    factorization with the COLAMD ordering, and the decision on it that
+    :func:`solve_complex` documents."""
+    _check_sparse_finite(M.data, B)
+    lu = _splu(M, "COLAMD")
+    columns = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    X, cond = _estimated_solve(lu.solve, lambda V: lu.solve(V, trans="H"), B,
+                               _one_norm(M.data, columns, M.shape[0]))
+    return _checked(X, cond, cond_limit)
 
-    M is a complex CSC matrix.  Without ``order`` it is M0 itself and is
-    factored with the COLAMD ordering.  With ``order`` (an earlier COLAMD
-    ordering of the same pattern) it holds the columns of M0 in that order,
-    M = M0[:, order], and is factored in its natural order; solutions and
-    adjoint right-hand sides are permuted here, so the estimate is that of
-    M0.  B is solved together with the estimator's first product, as one
-    block.
-    """
-    if not (np.isfinite(M.data).all() and np.isfinite(B).all()):
+
+def _check_sparse_finite(*arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise LinAlgContractError("matrix or right-hand side contains non-finite entries")
-    n, m = M.shape[0], B.shape[1]
-    if n == 0:  # an empty matrix has no LU factor, as in the dense branch
+
+
+def _splu(M, permc_spec):
+    """The SuperLU factor of the complex CSC matrix M; an empty or exactly
+    singular M raises "exactly singular", as the dense branch does."""
+    if M.shape[0] == 0:  # an empty matrix has no LU factor
         raise SingularMatrixError("matrix is exactly singular")
     try:
-        lu = spsla.splu(M, permc_spec="COLAMD" if order is None else "NATURAL")
+        return spsla.splu(M, permc_spec=permc_spec)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularMatrixError("matrix is exactly singular") from exc
-    if order is None:
-        solve, solve_adjoint = lu.solve, lambda V: lu.solve(V, trans="H")
-    else:
-        unpermute = np.argsort(order)
-        solve = lambda V: lu.solve(V)[unpermute]  # noqa: E731
-        solve_adjoint = lambda V: lu.solve(V[order], trans="H")  # noqa: E731
-    # ||M||_1 from the column sums of |M|, each summed in row order
-    columns = np.repeat(np.arange(n), np.diff(M.indptr))
-    anorm = np.bincount(columns, weights=np.abs(M.data), minlength=n).max()
+
+
+def _one_norm(values, columns, n):
+    """||M||_1 of an n x n CSC matrix from the column sums of |M|, each
+    summed in row order; ``columns`` holds the column of each stored value."""
+    return np.bincount(columns, weights=np.abs(values), minlength=n).max()
+
+
+def _stacked_solve(solve, B):
+    """``solve`` of B and the estimator's first product, 1/n in every row,
+    as one block: shape (n, m + 1)."""
     with np.errstate(all="ignore"):
-        Y = solve(np.column_stack((B, np.full(n, 1.0 / n))))
+        return solve(np.column_stack((B, np.full(B.shape[0], 1.0 / B.shape[0]))))
+
+
+def _estimated_solve(solve, solve_adjoint, B, anorm):
+    """(X, cond): X = M^{-1} B by ``solve`` and the one-column estimate of
+    kappa_1(M) = ``anorm`` ||M^{-1}||_1 (inf where it is not finite),
+    ``solve_adjoint`` applying M^{-H}."""
+    Y = _stacked_solve(solve, B)
+    m = B.shape[1]
+    with np.errstate(all="ignore"):
         cond = anorm * _inverse_norm_estimate(solve, solve_adjoint, Y[:, m])
-    X = Y[:, :m]
-    if not np.isfinite(cond):
-        cond = np.inf
+    return Y[:, :m], cond if np.isfinite(cond) else np.inf
+
+
+def _checked(X, cond, cond_limit):
+    """X, unless it is not finite or ``cond`` exceeds ``cond_limit``: then
+    :class:`SingularMatrixError` with the estimate."""
     if not np.all(np.isfinite(X)) or cond > cond_limit:
         raise SingularMatrixError("matrix is singular to working precision", cond)
-    return lu, X
+    return X
 
 
 #: The iteration bound of SciPy's 1-norm estimator.
@@ -299,16 +318,29 @@ class LUFactor:
 
 class SparsePencil:
     """Shifted solves (s E - A) X = F of one sparse pencil at many shifts s,
-    one SuperLU factorization per shift, with :class:`SchurPencil`'s
-    ``solve`` signature.
+    one SuperLU factorization per shift it does not hold, with
+    :class:`SchurPencil`'s ``solve`` signature.
 
     E and A are stored once, as values on the union of their nonzero
-    patterns in CSC form, so a shift forms the values of s E - A by one
-    vector operation.  The pattern does not change with s, and neither
-    does its COLAMD column ordering: the first factorization computes it,
-    the stored pattern's columns are then permuted into that order once,
-    and every later shift is factored in its natural order.  Each shift is
-    solved and estimated as by :func:`solve_complex`.
+    patterns in CSC form, and one CSC container on that pattern holds
+    s E - A: each shift rewrites its values in place.  The pattern does not
+    change with s, and neither does its COLAMD column ordering: the first
+    factorization computes it, the pattern's columns are then permuted into
+    that order once, and every later shift is factored in its natural
+    order.  The column of each stored value (for ||s E - A||_1) and the
+    inverse permutation are formed once too.  Each shift is solved and
+    estimated as by :func:`solve_complex`.
+
+    A solve with ``hold`` (an interpolation set) keeps the SuperLU factors
+    and kappa_1 estimates of its shifts, the first shift's COLAMD factor
+    included, and drops those of the set held before: at most one set is
+    held.  A solve at a held shift reuses its factor and checks the held
+    estimate against the caller's limit.  A solve without ``hold`` (the
+    transfer function) keeps nothing: it factors every other shift for
+    that solve only, and a held factor it reuses is dropped after that one
+    use.  So a command holds the set from its basis to the evaluation at
+    its points (the interpolation residuals), not through the frequency
+    grid that follows, whose peak memory would otherwise add the whole set.
     """
 
     def __init__(self, E, A):
@@ -322,10 +354,18 @@ class SparsePencil:
         Eu = sp.csc_array((np.concatenate((E.data, np.zeros(A.nnz))), at), shape=E.shape)
         Au = sp.csc_array((np.concatenate((np.zeros(E.nnz), A.data)), at), shape=A.shape)
         self._E, self._A = Eu.data, Au.data
-        self._pattern = Eu.indices, Eu.indptr
-        self._order = None  # the COLAMD column order, once a shift has found it
+        self._set_pattern(Eu.indices, Eu.indptr)
+        self._order = self._unpermute = None  # the COLAMD column order, once found
+        self._held = {}  # shift -> (solve, kappa_1 estimate) of the held set
 
-    def solve(self, s, F, cond_limit=COND_LIMIT):
+    def _set_pattern(self, indices, indptr):
+        """The container of s E - A on this pattern, and each value's column."""
+        n = indptr.size - 1
+        self._M = sp.csc_array((np.zeros(indices.size, dtype=complex), indices, indptr),
+                               shape=(n, n))
+        self._columns = np.repeat(np.arange(n), np.diff(indptr))
+
+    def solve(self, s, F, cond_limit=COND_LIMIT, hold=False):
         """X_k with (s_k E - A) X_k = F_k for each shift of the 1-D array s.
 
         F has shape (n, K, m), or (n, 1, m) for one F shared by every
@@ -333,28 +373,58 @@ class SparsePencil:
         the first that :func:`solve_complex` would reject raises the same
         error: :class:`SingularMatrixError` for an exactly singular or
         ill-conditioned s E - A (``cond_limit`` is a scalar or one limit
-        per shift), :class:`LinAlgContractError` for non-finite values."""
+        per shift), :class:`LinAlgContractError` for non-finite values.
+        A held shift's estimate is the one made when it was factored.
+        With ``hold`` these shifts' factors replace the held set; without
+        it a held factor is dropped once used."""
         limit = np.asarray(cond_limit, dtype=float).reshape(-1)
-        n = F.shape[0]
-        X = np.empty((n, s.size, F.shape[2]), dtype=complex)
+        held = self._held
+        if hold:  # drop every held factor this set does not reuse
+            held = self._held = {sk: held[sk] for sk in map(complex, s) if sk in held}
+        X = np.empty((F.shape[0], s.size, F.shape[2]), dtype=complex)
         for k in range(s.size):  # k % size: index k, or 0 where one F or limit serves all
-            M = sp.csc_array((s[k] * self._E - self._A, *self._pattern), shape=(n, n))
-            lu, X[:, k] = _sparse_solve(M, F[:, k % F.shape[1]], limit[k % limit.size],
-                                        self._order)
-            if self._order is None:
-                self._permute_columns(np.argsort(lu.perm_c))
+            B = F[:, k % F.shape[1]]
+            factor = held.get(complex(s[k])) if hold else held.pop(complex(s[k]), None)
+            if factor is None:
+                factor, X[:, k] = self._factor_solve(s[k], B)
+                if hold:
+                    held[complex(s[k])] = factor
+            else:  # the block a fresh factor solves: the same bits, whatever the BLAS
+                _check_sparse_finite(B)
+                X[:, k] = _stacked_solve(factor[0], B)[:, :B.shape[1]]
+            _checked(X[:, k], factor[1], limit[k % limit.size])
         return X
+
+    def _factor_solve(self, s, B):
+        """((solve, cond), X) of s E - A: its SuperLU factor's solve, the
+        one-column estimate of its kappa_1 and X = (s E - A)^{-1} B, not yet
+        checked against a limit."""
+        M = self._M
+        np.subtract(np.multiply(s, self._E, out=M.data), self._A, out=M.data)  # s E - A
+        _check_sparse_finite(M.data, B)
+        order, unpermute = self._order, self._unpermute
+        lu = _splu(M, "COLAMD" if order is None else "NATURAL")
+        if order is None:
+            solve, solve_adjoint = lu.solve, lambda V: lu.solve(V, trans="H")
+        else:  # M holds the columns of s E - A in ``order``
+            solve = lambda V: lu.solve(V)[unpermute]  # noqa: E731
+            solve_adjoint = lambda V: lu.solve(V[order], trans="H")  # noqa: E731
+        X, cond = _estimated_solve(solve, solve_adjoint, B,
+                                   _one_norm(M.data, self._columns, M.shape[0]))
+        if order is None:
+            self._permute_columns(np.argsort(lu.perm_c))
+        return (solve, cond), X
 
     def _permute_columns(self, order):
         """Store the pattern with its columns in ``order``."""
-        indices, indptr = self._pattern
+        indices, indptr = self._M.indices, self._M.indptr
         counts = np.diff(indptr)[order]
         new_indptr = np.concatenate(([0], np.cumsum(counts))).astype(indptr.dtype)
         # entry i of new column c is entry i of old column order[c]
         take = np.repeat(indptr[order] - new_indptr[:-1], counts) + np.arange(new_indptr[-1])
         self._E, self._A = self._E[take], self._A[take]
-        self._pattern = indices[take], new_indptr
-        self._order = order
+        self._set_pattern(indices[take], new_indptr)
+        self._order, self._unpermute = order, np.argsort(order)
 
 
 #: Fewest shifts :meth:`SchurPencil.solve` solves in one batch, by one

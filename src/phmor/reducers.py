@@ -194,11 +194,15 @@ def _realify(cols, kept):
     return np.column_stack(real)
 
 
-def _solves(data, column):
-    """The realified columns ``column(sigma, b)`` at each point kept by
-    :func:`_conjugate_pairs` (``data.pairs``)."""
-    return _realify(np.column_stack([column(data.points[i], data.directions[i])
-                                     for i, _ in data.pairs]), data.pairs)
+def _solves(model, data, dynamic=False):
+    """The complex solutions x_i = (sigma_i E - A)^{-1} B b_i at each point
+    kept by :func:`_conjugate_pairs` (``data.pairs``), column by column,
+    from one ``solve_shifted`` call with the whole set (x_i[:n1] with
+    ``dynamic``), so that a sparse model holds the set's factors."""
+    kept = [i for i, _ in data.pairs]
+    B = model.generic.B
+    rhs = np.column_stack([B @ data.directions[i] for i in kept])
+    return model.solve_shifted(data.points[kept], rhs, dynamic=dynamic)
 
 
 def _normalized(V):
@@ -236,8 +240,7 @@ def build_V_generic(model, data):
     solution at conj(sigma) is the conjugate of the one at sigma: one solve
     is made per conjugate pair.
     """
-    B = model.generic.B
-    V = _solves(data, lambda s, b: model.solve_shifted(s, B @ b))
+    V = _realify(_solves(model, data), data.pairs)
     Bd = _realify(data.directions[[i for i, _ in data.pairs]].T, data.pairs)
     keep, cond = _kept(_normalized(V))
     if keep.size < V.shape[1]:
@@ -271,16 +274,10 @@ def build_V_saddle(part, data):
     the reduced E is no worse conditioned than E11.  Its ``directions`` is
     None.
     """
-    B = part.generic.B
-    lifted = _lifted(part)
-
-    def column(s, b):
-        v = -part.solve_shifted(s, B @ b, dynamic=True)
-        if lifted:
-            v = v + part.input_lift @ b
-        return v
-
-    W = _normalized(_solves(data, column))
+    X = -_solves(part, data, dynamic=True)
+    if _lifted(part):
+        X = X + np.column_stack([part.input_lift @ data.directions[i] for i, _ in data.pairs])
+    W = _normalized(_realify(X, data.pairs))
     keep, cond = _kept(W)
     return ProjectionBasis(V=spla.qr(W[:, keep], mode="economic")[0], cond=cond)
 

@@ -20,7 +20,8 @@ its parent) solves its shifted pencil s E - A through one
 through ``transfer_evals``.  A partition of a dense parent eliminates the
 algebraic equations exactly and factors the ODE that remains once per
 partition; a sparse model factors its pencil once per shift
-(:class:`~phmor.linalg.SparsePencil`), and a dense bare system keeps one
+(:class:`~phmor.linalg.SparsePencil`) and holds the factors of its latest
+interpolation set (``solve_shifted``), and a dense bare system keeps one
 LU per shift.
 
 A partition factors its constraint block once, A22 = J22 - R22 (index 1)
@@ -114,8 +115,8 @@ class _ShiftedSolves:
     def shifted_solver(self):
         """The solver of s E - A, built on first use and kept for the
         model's lifetime: a :class:`~phmor.linalg.SparsePencil` (one SuperLU
-        factorization per shift, one column ordering per model) for a sparse
-        model, else :meth:`_elimination`."""
+        factorization per shift it does not hold, one column ordering per
+        model) for a sparse model, else :meth:`_elimination`."""
         gen = self.generic
         if sp.issparse(gen.E):
             return SparsePencil(gen.E, gen.A)
@@ -127,6 +128,16 @@ class _ShiftedSolves:
         the pencil is singular to working precision, ``LinAlgContractError``
         for a non-finite shift or right-hand side.
 
+        ``s`` is one shift, with rhs of shape (n,) or (n, m), or a 1-D
+        array of K shifts (an interpolation set) with one right-hand side
+        per shift, rhs of shape (n, K), whose column k X returns; the first
+        failing shift, in order, raises.  A sparse model solves the set in
+        one call and holds its factors (:class:`~phmor.linalg.SparsePencil`
+        with ``hold``) until the next set, or until :meth:`transfer_evals`
+        has used them once, so that evaluating at these shifts factors
+        nothing; a dense model solves one shift at a time, each as if it
+        were alone.
+
         A partition of a dense parent is solved by its elimination solver,
         whose singular decision is the ``ztrcon`` estimate of the remaining
         ODE's shifted Schur factor (:class:`phmor.linalg.SchurPencil`); the
@@ -135,16 +146,29 @@ class _ShiftedSolves:
         X[:n1], the same bits; a dense index-2 view then does not form its
         multiplier."""
         gen = self.generic
+        shifts = np.asarray(s, dtype=complex)
         rhs = np.asarray(rhs, dtype=complex)
         F = rhs[:, None] if rhs.ndim == 1 else rhs
-        if F.ndim != 2 or F.shape[0] != gen.n:
-            raise LinAlgContractError(
-                f"right-hand side of shape {rhs.shape} does not fit n={gen.n}")
-        if not (np.isfinite(s) and np.all(np.isfinite(F))):
+        if F.ndim != 2 or F.shape[0] != gen.n or shifts.ndim > 1 or (
+                shifts.ndim == 1 and F.shape[1] != shifts.size):
+            raise LinAlgContractError(f"right-hand side of shape {rhs.shape} does not fit "
+                                      f"n={gen.n} and {shifts.size} shift(s)")
+        if not (np.all(np.isfinite(shifts)) and np.all(np.isfinite(F))):
             raise LinAlgContractError("shift or right-hand side contains non-finite entries")
-        solve = self._solve_dynamic if dynamic else self.shifted_solver.solve
-        X = solve(np.array([s], dtype=complex), F[:, None], cond_limit)
+        solve = self._solve_dynamic if dynamic else self._solve_set
+        if shifts.ndim == 1:
+            return solve(shifts, F[:, :, None], cond_limit)[:, :, 0]
+        X = solve(shifts.reshape(1), F[:, None], cond_limit)
         return X[:, 0, 0] if rhs.ndim == 1 else X[:, 0]
+
+    def _solve_set(self, s, F, cond_limit):
+        """``shifted_solver.solve`` of the shifts s, F of shape (n, K, m):
+        a sparse model's in one call that holds their factors, a dense
+        model's one shift at a time."""
+        solver = self.shifted_solver
+        if isinstance(solver, SparsePencil):
+            return solver.solve(s, F, cond_limit, hold=True)
+        return _one_by_one(solver.solve, s, F, cond_limit)
 
     def transfer_evals(self, points):
         """H(s_k) at every point of a 1-D array, shape (K, p, m), solved at
@@ -178,6 +202,13 @@ class _ShiftedLU:
             X[:, k] = solve_complex(s[k] * self._E - self._A, F[:, k % F.shape[1]],
                                     cond_limit=limit[k % limit.size])
         return X
+
+
+def _one_by_one(solve, s, F, cond_limit):
+    """``solve`` called once per shift of s, F of shape (n, K, m), each
+    call the one a single shift makes."""
+    return np.concatenate([solve(s[k:k + 1], np.ascontiguousarray(F[:, k:k + 1]), cond_limit)
+                           for k in range(s.size)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -581,12 +612,12 @@ class _SemiExplicit(_ShiftedSolves):
         return not (np.any(self.B2) or np.any(self.P2))
 
     def _solve_dynamic(self, s, F, cond_limit):
-        """The x1 rows of ``shifted_solver.solve``; a dense index-2 view
-        does not form its multiplier."""
+        """The x1 rows of :meth:`_solve_set`; a dense index-2 view does not
+        form its multiplier."""
         solver = self.shifted_solver
         if isinstance(solver, _Index2Elimination):
-            return solver.solve_dynamic(s, F, cond_limit)
-        return solver.solve(s, F, cond_limit)[: self.n1]
+            return _one_by_one(solver.solve_dynamic, s, F, cond_limit)
+        return self._solve_set(s, F, cond_limit)[: self.n1]
 
 
 @dataclass(frozen=True)

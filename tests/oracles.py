@@ -32,7 +32,7 @@ import scipy.sparse.linalg as spsla
 
 from phmor import GenericLTISystem, PHDAESystem, build_V_generic, build_V_saddle
 from phmor.linalg import LinAlgContractError, pivoted_rank
-from phmor.reducers import _CONJ_TOL, _finish, _solves
+from phmor.reducers import _CONJ_TOL, _finish, _realify
 from phmor.systems import congruence, symmetric_skew_split
 from phmor.regularization import _PROBES, RankTest, _rank, _spectrum
 from phmor.transfer import PolynomialPart, evaluate
@@ -121,6 +121,14 @@ def generic_index2(part, data):
     return _finish(sys_r, "index2-augmented", poly, augmented_input=not part.b2_zero)
 
 
+def point_solves(data, column):
+    """The realified columns ``column(sigma, b)`` at each point that
+    ``data.pairs`` keeps, one call per point: the per-point reference of
+    the reducers' one-call interpolation-set solves."""
+    return _realify(np.column_stack([column(data.points[i], data.directions[i])
+                                     for i, _ in data.pairs]), data.pairs)
+
+
 def raw_saddle_basis(part, data):
     """The raw saddle basis: the realified solves of :func:`build_V_saddle`
     at the points ``data.pairs`` keeps, rank-filtered by the same rule but
@@ -131,7 +139,7 @@ def raw_saddle_basis(part, data):
         v = -part.solve_shifted(s, B @ b, dynamic=True)
         return v if part.b2_zero else v + part.input_lift @ b
 
-    V = _solves(data, column)
+    V = point_solves(data, column)
     norms = np.linalg.norm(V, axis=0)
     rank, piv, _ = pivoted_rank(V / np.where(norms > 0, norms, 1.0))
     return V[:, np.sort(piv[:rank])]

@@ -41,6 +41,7 @@ from oracles import (
     constraint_projectors,
     generic_index1_shifted,
     generic_index2,
+    point_solves,
     projector_oracle_index2,
     raw_saddle_basis,
     reference_index1_blockdiag,
@@ -127,13 +128,15 @@ class TestBases:
         solve_shifted = Index2Partition.solve_shifted
 
         def counting(self, s, rhs, **kwargs):
-            calls.append(rhs)
+            calls.append(s)
             return solve_shifted(self, s, rhs, **kwargs)
 
         monkeypatch.setattr(Index2Partition, "solve_shifted", counting)
         basis = (build_V_saddle(part, data) if saddle
                  else build_V_generic(part, data))
-        assert len(calls) == 3
+        # one call with the whole set: one shift per conjugate pair
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], data.points[[0, 1, 3]])
         monkeypatch.undo()
 
         # reference: solve at every point, realify the first member of each pair
@@ -183,7 +186,7 @@ class TestBases:
 
         monkeypatch.setattr(Index1Partition, "solve_shifted", counting)
         basis = build_V_generic(part, data)
-        assert calls == [s, s]
+        assert len(calls) == 1 and np.array_equal(calls[0], [s, s])
         monkeypatch.undo()
 
         gen = part.parent.generic
@@ -464,10 +467,8 @@ class TestStructurePreservation:
 def _kept_x1_columns(part, data):
     """W: the normalized x1 rows of the full model's solves at ``data``
     that the rank rule keeps, in order, computed apart from the reducer."""
-    from phmor import reducers
-
     B = part.generic.B
-    raw = reducers._solves(data, lambda s, b: part.solve_shifted(s, B @ b)[:part.n1])
+    raw = point_solves(data, lambda s, b: part.solve_shifted(s, B @ b)[:part.n1])
     W = raw / np.linalg.norm(raw, axis=0)
     rank, piv, _ = pivoted_rank(W)
     return W[:, np.sort(piv[:rank])]
@@ -730,8 +731,6 @@ class TestSaddleColumnsWithoutMultiplier:
 
     @pytest.mark.parametrize("name", sorted(_SADDLE_VIEWS))
     def test_saddle_basis_is_the_sliced_solves(self, name):
-        from phmor import reducers
-
         part = _SADDLE_VIEWS[name]()
         data = _data([0.1, 1 + 2j, 1 - 2j, 30.0], np.ones((4, 1)))
         B = part.generic.B
@@ -741,7 +740,7 @@ class TestSaddleColumnsWithoutMultiplier:
             return v if part.b2_zero else v + part.input_lift @ b
 
         # the Householder Q of the kept normalized columns, in their order
-        raw = reducers._solves(data, column)
+        raw = point_solves(data, column)
         W = raw / np.linalg.norm(raw, axis=0)
         rank, piv, _ = pivoted_rank(W)
         Q = spla.qr(W[:, np.sort(piv[:rank])], mode="economic")[0]

@@ -2,7 +2,8 @@
 elimination of the algebraic equations plus one Schur form per partition,
 checked against a dense LU of the full pencil s E - A; for a sparse model,
 one SuperLU factorization per shift with one column ordering per model,
-checked against :func:`solve_complex` of s E - A."""
+checked against :func:`solve_complex` of s E - A, and the factors of the
+latest interpolation set held for evaluation at its points."""
 
 import numpy as np
 import pytest
@@ -32,7 +33,9 @@ from phmor.linalg import (
     solve_complex,
 )
 from phmor.systems import PHDAESystem, partition_index1, partition_index2, partition_mixed
-from phmor.transfer import FrequencyGrid, eval_transfer, evaluate
+from phmor.reducers import REDUCERS, InterpolationData
+from phmor.transfer import (FrequencyGrid, eval_transfer, evaluate, frequency_response,
+                            tangential_residuals)
 
 MODELS = {
     "chain": lambda: mass_spring_chain(MassSpringSpec(k=6)),
@@ -213,15 +216,21 @@ _shifts = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(SPARSE_MODELS)),
        shifts=st.lists(_shifts, min_size=1, max_size=4),
+       held=st.lists(_shifts, max_size=3),
        log_limit=st.one_of(st.just(12.0), st.floats(0.0, 8.0)),
        seed=st.integers(0, 2**32 - 1))
-def test_sparse_pencil_matches_solve_complex(name, shifts, log_limit, seed):
+def test_sparse_pencil_matches_solve_complex(name, shifts, held, log_limit, seed):
+    # ``held`` is first solved as an interpolation set, at the basis's
+    # limit, and then leads the shifts solved at the caller's limit
     model = _sparse_model(name)
     assert type(model.shifted_solver) is SparsePencil
     gen = model.generic
     rng = np.random.default_rng(seed)
+    if held:
+        rhs = rng.standard_normal((gen.n, len(held))) + 0j
+        _outcome(lambda: model.solve_shifted(np.array(held, dtype=complex), rhs))
     F = rng.standard_normal((gen.n, 1, 2)) + 1j * rng.standard_normal((gen.n, 1, 2))
-    s = np.array(shifts, dtype=complex)
+    s = np.array(held + shifts, dtype=complex)
     limit = 10.0 ** log_limit
     got = _outcome(lambda: model.shifted_solver.solve(s, F, limit))
 
@@ -230,7 +239,7 @@ def test_sparse_pencil_matches_solve_complex(name, shifts, log_limit, seed):
                          for sk in s], axis=1)
 
     ref = _outcome(reference)
-    if isinstance(ref, tuple):
+    if isinstance(ref, tuple):  # the same error, with the same estimate
         assert got == ref
     else:
         assert not isinstance(got, tuple), got
@@ -276,24 +285,109 @@ def test_sparse_pencil_empty_is_exactly_singular():
 
 
 def test_sparse_reduce_orders_each_pencil_once(monkeypatch, tmp_path):
-    # the large-sparse-reduce command on small models: 62 factorizations
-    # per model, of which 60 of the n x n pencil, the first with COLAMD
-    # and the rest in that order
-    splu, calls = spsla.splu, []
+    # the large-sparse-reduce command on small models: 52 factorizations
+    # per model, of which 50 of the n x n pencil, one per distinct shift
+    # (10 interpolation points, 40 grid points), the first with COLAMD and
+    # the rest in that order; the interpolation residuals reuse the basis's
+    splu, calls, in_residuals = spsla.splu, [], []
 
     def counting(A, permc_spec=None, *args, **kwargs):
         calls.append((A.shape[0], permc_spec))
         return splu(A, permc_spec, *args, **kwargs)
 
+    def residuals(*args):
+        before = len(calls)
+        res = tangential_residuals(*args)
+        in_residuals.append(len(calls) - before)
+        return res
+
     monkeypatch.setattr(spsla, "splu", counting)
+    monkeypatch.setattr(cli, "tangential_residuals", residuals)
     for bench, args in (("chain", "--k 10"), ("oseen", "--n-grid 5")):
         out = tmp_path / bench
         assert cli.main(["generate", "--benchmark", bench, *args.split(), "--sparse",
                          "--out", str(out)]) == 0
         calls.clear()
+        in_residuals.clear()
         assert cli.main(["reduce", str(out), "--method", "index2", "--r", "10",
                          "--freq-grid", "1e-4:1e4:40", "--out", str(tmp_path / "r")]) == 0
-        assert len(calls) == 62
+        assert len(calls) == 52
+        assert in_residuals == [0]
         n = max(size for size, _ in calls)
         pencil = [spec for size, spec in calls if size == n]
-        assert pencil == ["COLAMD"] + ["NATURAL"] * 59
+        assert pencil == ["COLAMD"] + ["NATURAL"] * 49
+
+
+def _csr_random_index1():
+    """A CSR copy of ``random_ph_index1(12, 4, 2, 0)``, a MIMO index-1 model."""
+    parent = random_ph_index1(12, 4, 2, 0).parent
+    sparse = PHDAESystem(**{name: sp.csr_array(getattr(parent, name)) if name in "EJR"
+                            else getattr(parent, name) for name in "EJRBPSN"})
+    return partition_index1(sparse, 12)
+
+
+_RESIDUAL_CASES = {
+    "chain-10": (lambda: partition_index2(mass_spring_chain_sparse(MassSpringSpec(k=10)),
+                                          MassSpringSpec(k=10).n1), "index2", None),
+    "oseen-5": (lambda: partition_index2(oseen_grid_sparse(OseenSpec(n_grid=5)),
+                                         OseenSpec(n_grid=5).n_velocity), "index2", None),
+    "random-index1-mimo": (_csr_random_index1, "index1-shifted",
+                           ([0.5, 1 + 2j, 1 - 2j, 10.0],
+                            [[1.0, -0.5], [1 - 1j, 0.3j], [1 + 1j, -0.3j], [0.2, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RESIDUAL_CASES))
+def test_residuals_reuse_the_basis_factors_invisibly(monkeypatch, case):
+    # after the basis, the interpolation residuals factor only the points
+    # the basis did not (a conjugate partner), and match bit for bit the
+    # same call on a freshly built partition, which holds nothing
+    build, method, points = _RESIDUAL_CASES[case]
+    part = build()
+    if points is None:
+        data = InterpolationData.log_spaced(6, part.parent.m)
+    else:
+        data = InterpolationData(points=np.array(points[0], dtype=complex),
+                                 directions=np.array(points[1], dtype=complex))
+    model = REDUCERS[method](part, data)
+    kept = [i for i, _ in data.pairs]
+    assert set(part.shifted_solver._held) == {complex(p) for p in data.points[kept]}
+
+    splu, calls = spsla.splu, []
+
+    def counting(A, *args, **kwargs):
+        calls.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spsla, "splu", counting)
+    got = tangential_residuals(part, model, data)
+    assert len(calls) == data.r - len(kept)  # the partners, and nothing else
+    fresh = build()
+    assert fresh.shifted_solver._held == {}
+    ref = tangential_residuals(fresh, model, data)
+    assert got.tobytes() == ref.tobytes()
+    # evaluation adds nothing to the held set, and drops what it reused
+    assert part.shifted_solver._held == {}
+    # the transfer values themselves, from a held set, bit for bit
+    REDUCERS[method](part, data)
+    assert (frequency_response(part, data.points).tobytes()
+            == frequency_response(build(), data.points).tobytes())
+
+
+def test_sparse_irka_holds_one_set(monkeypatch):
+    # each sweep's basis replaces the held factors: after every sweep the
+    # pencil holds the factors of that sweep's points and no others
+    part = partition_index2(oseen_grid_sparse(OseenSpec(n_grid=4)), OseenSpec(n_grid=4).n_velocity)
+    reducer, sizes = REDUCERS["index2"], []
+
+    def sweep(part, data):
+        model = reducer(part, data)
+        held = part.shifted_solver._held
+        assert set(held) == {complex(data.points[i]) for i, _ in data.pairs}
+        sizes.append(len(held))
+        return model
+
+    monkeypatch.setitem(REDUCERS, "index2", sweep)
+    result = irka_reduce(part, IRKAConfig(r=4), method="index2")
+    assert len(sizes) == result.iterations > 1  # one basis per sweep
+    assert max(sizes) <= 4
