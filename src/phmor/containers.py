@@ -27,7 +27,9 @@ import scipy.io
 import scipy.sparse as sp
 
 from .linalg import LinAlgContractError
+from .reducers import ReducedModel
 from .systems import PHDAESystem
+from .transfer import PolynomialPart
 
 __all__ = [
     "read_manifest",
@@ -185,9 +187,6 @@ def save_reduced(path, model):
 
 def load_reduced(path):
     """Round-trip counterpart of :func:`save_reduced`."""
-    from .reducers import ReducedModel
-    from .transfer import PolynomialPart
-
     directory = pathlib.Path(path)
     mats, manifest = _load_matrices(directory, sparse=False)
     if manifest.get("kind") != "reduced":

@@ -7,6 +7,10 @@ symmetric-definite pencil at many shifts against a single Schur form
 (:class:`SchurPencil`), and generalized eigenproblems with two-sided
 eigenvectors.
 
+The eigensolver and the rank rule are SciPy's own: :func:`gen_eig` is
+``scipy.linalg.eig`` with left and right vectors, and :func:`pivoted_rank`
+is ``scipy.linalg.qr`` with column pivoting.
+
 There is one dense LU kernel: :func:`solve_stacked` factors, solves and
 estimates kappa_1 of each matrix of a stack by ``zgetrf``, ``zgetrs`` and
 ``zgecon``, and :func:`solve_complex` runs it on a stack of one.  There is
@@ -32,7 +36,7 @@ import numpy as np
 import scipy.linalg as spla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spsla
-from scipy.linalg import get_blas_funcs, lapack
+from scipy.linalg import lapack
 
 __all__ = [
     "LinAlgContractError",
@@ -44,7 +48,6 @@ __all__ = [
     "SparsePencil",
     "solve_stacked",
     "gen_eig",
-    "pencil_eig",
     "nullspace_basis",
     "rank_tolerance",
     "pivoted_rank",
@@ -53,11 +56,6 @@ __all__ = [
 #: Condition-number threshold beyond which a matrix is treated as singular
 #: to working precision.
 COND_LIMIT = 1e12
-
-#: Condition number of a pencil's right-eigenvector basis beyond which
-#: :func:`gen_eig` warns that the pencil may be defective.
-DEFECTIVE_COND_LIMIT = 1e8
-
 
 class LinAlgContractError(ValueError):
     """An input violates a kernel precondition (shape, symmetry, finiteness)."""
@@ -92,7 +90,7 @@ def rank_tolerance(M, sigma_max=None):
 
 @dataclass(frozen=True)
 class GenEig:
-    """Eigenpairs of A v = lambda E v with two-sided eigenvectors.
+    """Finite eigenpairs of A v = lambda E v with two-sided eigenvectors.
 
     Right eigenvectors are the columns of ``right``; rows of ``left.T``
     satisfy w^T A = lambda w^T E, normalized so that w_i^T E v_i = 1.
@@ -605,80 +603,23 @@ def _stack_mul(M, X):
 
 
 def gen_eig(A, E):
-    """Generalized eigenpairs of (A, E) with E symmetric positive definite.
+    """Finite generalized eigenpairs of a real square pencil (A, E).
 
-    Returns eigenvalues together with right eigenvectors ``v_i`` and left
-    eigenvectors ``w_i`` satisfying ``A v_i = lambda_i E v_i`` and
-    ``w_i^T A = lambda_i w_i^T E``, scaled so that ``w_i^T E v_i = 1``.
-    Warns when the condition number of the right-eigenvector basis exceeds
-    ``DEFECTIVE_COND_LIMIT`` (defective or nearly defective pencil).
+    Returns the finite eigenvalues together with right eigenvectors ``v_i``
+    and left eigenvectors ``w_i`` satisfying ``A v_i = lambda_i E v_i`` and
+    ``w_i^T A = lambda_i w_i^T E``, scaled so that ``w_i^T E v_i = 1``: one
+    ``scipy.linalg.eig(A, E, left=True, right=True)``, the eigenvalues that
+    ``np.isfinite`` passes (the infinite ones of a singular E drop out) and
+    :func:`_scaled_left_vectors`.  E need not be symmetric or definite.
     """
     A = _as_matrix(A, "A")
     E = _as_matrix(E, "E")
     if A.shape != E.shape or A.shape[0] != A.shape[1]:
         raise LinAlgContractError("A and E must be square and of equal shape")
-    nrmE = spla.norm(E, "fro")
-    if nrmE > 0 and spla.norm(E - E.T, "fro") > 1e-10 * nrmE:
-        raise LinAlgContractError("E must be symmetric")
-    lam_min = spla.eigh(0.5 * (E + E.T), eigvals_only=True, subset_by_index=[0, 0])[0]
-    if lam_min <= 0:
-        raise LinAlgContractError(f"E must be positive definite (min eig {lam_min:.3e})")
-    lam, VL, VR = pencil_eig(A, E)
-    W = _scaled_left_vectors(VL, E, VR)
-    if np.linalg.cond(VR) > DEFECTIVE_COND_LIMIT:
-        warnings.warn("eigenvector basis badly conditioned; pencil may be defective", RuntimeWarning)
-    return GenEig(eigenvalues=lam, right=VR, left=W)
-
-
-#: The imaginary unit as scipy's ``eig`` forms alpha = alphar + i alphai.
-_I = np.array(1j, dtype=np.complex64)
-
-
-def pencil_eig(A, E):
-    """Eigenvalues and left and right eigenvectors of a real pencil (A, E):
-    ``scipy.linalg.eig(A, E, left=True, right=True)``, bit for bit, from
-    one direct ``dggev`` call.
-
-    The ``dggev`` workspace is the size its query returns, as scipy takes
-    it, and the output is post-processed as scipy does: eigenvalues
-    alpha / beta (inf for beta = 0 with alpha != 0, nan for both zero),
-    complex eigenvector pairs assembled from the real and imaginary
-    columns when some eigenvalue is not real, and every column divided by
-    its BLAS ``nrm2``.  A non-finite A or E raises ``ValueError``."""
-    A, E = np.asarray_chkfinite(A), np.asarray_chkfinite(E)
-    if A.size == 0:
-        return spla.eig(A, E, left=True, right=True)
-    lwork = int(lapack.dggev(A, E, lwork=-1)[-2][0])
-    alphar, alphai, beta, VL, VR, _, info = lapack.dggev(A, E, lwork=lwork)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) failed: info = {info}")
-    alpha = alphar + _I * alphai
-    lam = np.empty_like(alpha)
-    nonzero = beta != 0
-    lam[nonzero] = alpha[nonzero] / beta[nonzero]
-    lam[(alpha != 0) & ~nonzero] = np.inf
-    lam[(alpha == 0) & ~nonzero] = np.nan if np.all(alpha.imag == 0) else complex(np.nan, np.nan)
-    if not np.all(lam.imag == 0.0):
-        VL, VR = _complex_pairs(lam, VL), _complex_pairs(lam, VR)
-    nrm2 = get_blas_funcs("nrm2", dtype=VR.dtype, ilp64="preferred")
-    for i in range(VR.shape[1]):
-        VR[:, i] /= nrm2(VR[:, i])
-        VL[:, i] /= nrm2(VL[:, i])
-    return lam, VL, VR
-
-
-def _complex_pairs(lam, V):
-    """Complex eigenvectors from ``dggev``'s real columns: the pair at
-    columns (i, i + 1) is V[:, i] +- 1j V[:, i + 1] (scipy's assembly,
-    including its guard for a pair that starts at a negative imaginary
-    part)."""
-    W = np.array(V, dtype=complex)
-    first = lam.imag > 0
-    first[:-1] |= lam.imag[1:] < 0
-    for i in np.flatnonzero(first):
-        W.imag[:, i] = V[:, i + 1]
-        np.conj(W[:, i], W[:, i + 1])
-    return W
+    lam, VL, VR = spla.eig(A, E, left=True, right=True)
+    finite = np.isfinite(lam)
+    lam, VL, VR = lam[finite], VL[:, finite], VR[:, finite]
+    return GenEig(eigenvalues=lam, right=VR, left=_scaled_left_vectors(VL, E, VR))
 
 
 def _scaled_left_vectors(VL, E, VR):
@@ -722,14 +663,11 @@ def pivoted_rank(V):
     Q: the rank is the number of |R_ii| above 1e-12 |R_00| (0 when
     R_00 = 0), and V[:, piv[:rank]] are the columns it keeps.  ``cond`` is
     |R_00| / |R_{rank-1,rank-1}|, the pivoted QR's estimate of the condition
-    number of the kept columns (inf at rank 0).  One ``dgeqp3`` of a real V
-    with the workspace its query returns, the factorization scipy's pivoted
-    ``qr`` makes, so R's diagonal and the pivots are the same bit for bit.
-    A non-finite V raises ``ValueError``."""
-    V = np.asarray_chkfinite(V)
-    lwork = int(lapack.dgeqp3(V, lwork=-1)[-2][0])
-    qr, jpvt, _, _, _ = lapack.dgeqp3(V, lwork=lwork)
-    d = np.abs(np.diag(qr))
+    number of the kept columns (inf at rank 0).  R and the pivots are
+    ``scipy.linalg.qr(V, mode="r", pivoting=True)``'s.  A non-finite V
+    raises ``ValueError``."""
+    R, piv = spla.qr(V, mode="r", pivoting=True)
+    d = np.abs(np.diag(R))
     rank = int(np.sum(d > 1e-12 * d[0])) if d.size and d[0] > 0 else 0
     cond = float(d[0] / d[rank - 1]) if rank else np.inf
-    return rank, jpvt - 1, cond
+    return rank, piv, cond

@@ -51,7 +51,7 @@ from .systems import (
     congruence,
     symmetric_skew_split,
 )
-from .transfer import PolynomialPart
+from .transfer import PolynomialPart, balance_realization
 
 __all__ = [
     "InterpolationData",
@@ -316,8 +316,6 @@ class ReducedModel:
     def _balanced(self):
         """The balanced (E, A, B, C) that :meth:`transfer_evals` solves
         with; B is stored complex, the solve's right-hand side type."""
-        from .transfer import balance_realization
-
         gen = self.generic
         E, A, B, C = balance_realization(gen.E, gen.A, gen.B, gen.C)
         return E, A, B.astype(complex), C

@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    LinAlgContractError,
-    SingularMatrixError,
-    _as_matrix,
-    _scaled_left_vectors,
-    pencil_eig,
-    solve_complex,
-)
+from .linalg import LinAlgContractError, SingularMatrixError, gen_eig, solve_complex
 
 __all__ = [
     "FrequencyGrid",
@@ -288,22 +281,19 @@ def pole_residue(model):
     """Pole-residue decomposition of a reduced model.
 
     One path for every model: the realization is balanced
-    (:func:`balance_realization`), the eigenpairs of the pencil (A, E) come
-    from one :func:`~phmor.linalg.pencil_eig`, and the finite eigenvalues
-    are kept, so the infinite ones of a singular E drop out.  The left
-    vectors are scaled so that w_i^T E v_i = 1.  Residue vectors are
-    normalized so the largest-magnitude entry of each right residue is real
-    and positive.
+    (:func:`balance_realization`), and the finite eigenpairs of the pencil
+    (A, E), with left vectors scaled so that w_i^T E v_i = 1, come from one
+    :func:`~phmor.linalg.gen_eig`; the infinite eigenvalues of a singular E
+    drop out.  Residue vectors are normalized so the largest-magnitude entry
+    of each right residue is real and positive.
     """
     gen = model.generic
     E, A, B, C = balance_realization(gen.E, gen.A, gen.B, gen.C)
     D = gen.D
-    lam, VL, VR = pencil_eig(_as_matrix(A, "A"), E)
-    finite = np.isfinite(lam)
-    lam, VL, VR = lam[finite], VL[:, finite], VR[:, finite]
-    W = _scaled_left_vectors(VL, E, VR)
-    lefts = (C @ VR).T            # c_i rows
-    rights = (B.T @ W).T          # b_i rows
+    eig = gen_eig(A, E)
+    lam = eig.eigenvalues
+    lefts = (C @ eig.right).T     # c_i rows
+    rights = (B.T @ eig.left).T   # b_i rows
     # Phase normalization: largest entry of b_i real positive.
     big = rights[np.arange(len(lam)), np.argmax(np.abs(rights), axis=1)]
     size = np.abs(big)

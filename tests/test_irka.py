@@ -25,6 +25,8 @@ from phmor.benchmarks import (
     oseen_grid,
     random_ph_index1,
 )
+import phmor.irka
+import phmor.transfer
 from phmor.irka import AXIS_TOL
 from phmor.linalg import LinAlgContractError, gen_eig
 from phmor.reducers import REDUCERS, _conjugate_pairs, default_method
@@ -397,3 +399,21 @@ def test_pole_residue_keeps_the_gen_eig_message():
     with pytest.raises(LinAlgContractError, match="A contains non-finite entries"):
         with np.errstate(over="ignore"):
             pole_residue(sys)
+
+
+def test_each_pole_residue_takes_one_gen_eig(monkeypatch):
+    # pole_residue looks gen_eig up by its module name, the name a tracer
+    # rebinds, so a span around gen_eig sees every eigensolve of IRKA
+    calls = {"gen_eig": 0, "pole_residue": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(phmor.transfer, "gen_eig", counted("gen_eig", gen_eig))
+    monkeypatch.setattr(phmor.irka, "pole_residue", counted("pole_residue", pole_residue))
+    result = irka_reduce(mass_spring_chain(MassSpringSpec(k=6)), IRKAConfig(r=4))
+    assert calls["pole_residue"] == result.iterations > 0
+    assert calls["gen_eig"] == calls["pole_residue"]
