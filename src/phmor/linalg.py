@@ -18,9 +18,11 @@ one sparse kernel: a SuperLU factorization, its solve and a one-column
 Higham-Tisseur estimate of ||M^{-1}||_1 taken on the SuperLU factor
 directly; :func:`solve_complex` runs it on a sparse matrix, and
 :class:`SparsePencil` once per distinct shift of a sparse pencil, with one
-column ordering and one matrix container per pencil.  A pencil holds the
-factors and estimates of its latest interpolation set, and no more, until
-the transfer function there has used them once.  :class:`LUFactor` keeps
+column ordering and one matrix container per pencil.  A factor lives for
+one shift's solve.  For its latest interpolation set a pencil holds, per
+shift, the solution (s E - A)^{-1} B of the model's input matrix B (n x m)
+and the kappa_1 estimate, until the next set replaces them, so that the
+transfer function there is C X + D with no solve.  :class:`LUFactor` keeps
 the ``dgetrf`` factor and ``dgecon`` estimate of a real constraint block.
 :class:`SchurPencil` accepts a shift by an O(n^2) bound on
 kappa_1(s I - T), and estimates kappa_1 of any other shift by ``ztrcon``,
@@ -180,20 +182,14 @@ def _one_norm(values, columns, n):
     return np.bincount(columns, weights=np.abs(values), minlength=n).max()
 
 
-def _stacked_solve(solve, B):
-    """``solve`` of B and the estimator's first product, 1/n in every row,
-    as one block: shape (n, m + 1)."""
-    with np.errstate(all="ignore"):
-        return solve(np.column_stack((B, np.full(B.shape[0], 1.0 / B.shape[0]))))
-
-
 def _estimated_solve(solve, solve_adjoint, B, anorm):
     """(X, cond): X = M^{-1} B by ``solve`` and the one-column estimate of
     kappa_1(M) = ``anorm`` ||M^{-1}||_1 (inf where it is not finite),
-    ``solve_adjoint`` applying M^{-H}."""
-    Y = _stacked_solve(solve, B)
+    ``solve_adjoint`` applying M^{-H}.  B and the estimator's first
+    product, 1/n in every row, are solved as one block."""
     m = B.shape[1]
     with np.errstate(all="ignore"):
+        Y = solve(np.column_stack((B, np.full(B.shape[0], 1.0 / B.shape[0]))))
         cond = anorm * _inverse_norm_estimate(solve, solve_adjoint, Y[:, m])
     return Y[:, :m], cond if np.isfinite(cond) else np.inf
 
@@ -316,7 +312,8 @@ class LUFactor:
 
 class SparsePencil:
     """Shifted solves (s E - A) X = F of one sparse pencil at many shifts s,
-    one SuperLU factorization per shift it does not hold, with
+    one SuperLU factorization per shift it does not answer from its held
+    set, with
     :class:`SchurPencil`'s ``solve`` signature.
 
     E and A are stored once, as values on the union of their nonzero
@@ -329,16 +326,21 @@ class SparsePencil:
     inverse permutation are formed once too.  Each shift is solved and
     estimated as by :func:`solve_complex`.
 
-    A solve with ``hold`` (an interpolation set) keeps the SuperLU factors
-    and kappa_1 estimates of its shifts, the first shift's COLAMD factor
-    included, and drops those of the set held before: at most one set is
-    held.  A solve at a held shift reuses its factor and checks the held
-    estimate against the caller's limit.  A solve without ``hold`` (the
-    transfer function) keeps nothing: it factors every other shift for
-    that solve only, and a held factor it reuses is dropped after that one
-    use.  So a command holds the set from its basis to the evaluation at
-    its points (the interpolation residuals), not through the frequency
-    grid that follows, whose peak memory would otherwise add the whole set.
+    A solve with ``hold``, the model's input matrix B (n x m), is an
+    interpolation set: each of its shifts solves one block, F_k, B and the
+    estimator's first column, and the pencil keeps the solution
+    X = (s E - A)^{-1} B and the kappa_1 estimate of each, in place of the
+    set held before; the SuperLU factor is dropped once its shift is
+    solved, so a shift the set repeats, or shares with the set before, is
+    factored again.  A solve without ``hold`` of that same B (one F shared by
+    every shift: the transfer function) takes the held X at a held shift,
+    after checking the held estimate against the caller's limit, and
+    factors every other shift for that solve only; a solve of any other F
+    factors every shift.  So the set is held, at n x m values a shift,
+    from its basis through the evaluations that follow (the interpolation
+    residuals and the frequency grid) until the next set.  This is
+    bit-identical to factoring each shift afresh because a column of
+    ``SuperLU.solve`` does not depend on the columns solved beside it.
     """
 
     def __init__(self, E, A):
@@ -354,7 +356,8 @@ class SparsePencil:
         self._E, self._A = Eu.data, Au.data
         self._set_pattern(Eu.indices, Eu.indptr)
         self._order = self._unpermute = None  # the COLAMD column order, once found
-        self._held = {}  # shift -> (solve, kappa_1 estimate) of the held set
+        self._held_input = None  # the B of the held set
+        self._held = {}  # shift -> ((s E - A)^{-1} B, kappa_1 estimate) of the held set
 
     def _set_pattern(self, indices, indptr):
         """The container of s E - A on this pattern, and each value's column."""
@@ -363,7 +366,7 @@ class SparsePencil:
                                shape=(n, n))
         self._columns = np.repeat(np.arange(n), np.diff(indptr))
 
-    def solve(self, s, F, cond_limit=COND_LIMIT, hold=False):
+    def solve(self, s, F, cond_limit=COND_LIMIT, hold=None):
         """X_k with (s_k E - A) X_k = F_k for each shift of the 1-D array s.
 
         F has shape (n, K, m), or (n, 1, m) for one F shared by every
@@ -373,30 +376,33 @@ class SparsePencil:
         ill-conditioned s E - A (``cond_limit`` is a scalar or one limit
         per shift), :class:`LinAlgContractError` for non-finite values.
         A held shift's estimate is the one made when it was factored.
-        With ``hold`` these shifts' factors replace the held set; without
-        it a held factor is dropped once used."""
+        With ``hold`` (the input matrix B, n x m) these shifts'
+        solutions of B replace the held set; without it a shared F equal
+        to the held B is answered from the held set."""
         limit = np.asarray(cond_limit, dtype=float).reshape(-1)
-        held = self._held
-        if hold:  # drop every held factor this set does not reuse
-            held = self._held = {sk: held[sk] for sk in map(complex, s) if sk in held}
+        if hold is not None:  # a new set replaces the held one
+            self._held_input, self._held = hold, {}
+            held = self._held
+        else:  # the held set answers only the one F it solved, B
+            held = self._held if F.shape[1] == 1 and np.array_equal(
+                F[:, 0], self._held_input) else {}
         X = np.empty((F.shape[0], s.size, F.shape[2]), dtype=complex)
         for k in range(s.size):  # k % size: index k, or 0 where one F or limit serves all
-            B = F[:, k % F.shape[1]]
-            factor = held.get(complex(s[k])) if hold else held.pop(complex(s[k]), None)
-            if factor is None:
-                factor, X[:, k] = self._factor_solve(s[k], B)
-                if hold:
-                    held[complex(s[k])] = factor
-            else:  # the block a fresh factor solves: the same bits, whatever the BLAS
-                _check_sparse_finite(B)
-                X[:, k] = _stacked_solve(factor[0], B)[:, :B.shape[1]]
-            _checked(X[:, k], factor[1], limit[k % limit.size])
+            B, sk = F[:, k % F.shape[1]], complex(s[k])
+            if hold is None and sk in held:
+                X[:, k], cond = held[sk]
+            else:
+                Y, cond = self._factor_solve(s[k], B if hold is None else np.hstack((B, hold)))
+                X[:, k] = Y[:, :B.shape[1]]
+                if hold is not None:
+                    held[sk] = (Y[:, B.shape[1]:].copy(), cond)
+            _checked(X[:, k], cond, limit[k % limit.size])
         return X
 
     def _factor_solve(self, s, B):
-        """((solve, cond), X) of s E - A: its SuperLU factor's solve, the
-        one-column estimate of its kappa_1 and X = (s E - A)^{-1} B, not yet
-        checked against a limit."""
+        """(X, cond) of s E - A: X = (s E - A)^{-1} B from its SuperLU
+        factor, which is then dropped, and the one-column estimate of its
+        kappa_1, not yet checked against a limit."""
         M = self._M
         np.subtract(np.multiply(s, self._E, out=M.data), self._A, out=M.data)  # s E - A
         _check_sparse_finite(M.data, B)
@@ -411,7 +417,7 @@ class SparsePencil:
                                    _one_norm(M.data, self._columns, M.shape[0]))
         if order is None:
             self._permute_columns(np.argsort(lu.perm_c))
-        return (solve, cond), X
+        return X, cond
 
     def _permute_columns(self, order):
         """Store the pattern with its columns in ``order``."""

@@ -198,7 +198,7 @@ def _solves(model, data, dynamic=False):
     """The complex solutions x_i = (sigma_i E - A)^{-1} B b_i at each point
     kept by :func:`_conjugate_pairs` (``data.pairs``), column by column,
     from one ``solve_shifted`` call with the whole set (x_i[:n1] with
-    ``dynamic``), so that a sparse model holds the set's factors."""
+    ``dynamic``), so that a sparse model holds the set's solutions of B."""
     kept = [i for i, _ in data.pairs]
     B = model.generic.B
     rhs = np.column_stack([B @ data.directions[i] for i in kept])
@@ -220,8 +220,8 @@ def _kept(W):
     rank, piv, cond = pivoted_rank(W)
     if rank < W.shape[1]:
         warnings.warn(
-            f"near-duplicate interpolation points: basis rank {rank} < "
-            f"{W.shape[1]} columns; dependent columns dropped",
+            f"rank-deficient basis: {rank} of {W.shape[1]} normalized columns kept, "
+            f"the rest numerically dependent (pivoted QR, |R_ii| <= 1e-12 |R_00|)",
             RuntimeWarning,
         )
     return np.sort(piv[:rank]), cond

@@ -20,9 +20,9 @@ its parent) solves its shifted pencil s E - A through one
 through ``transfer_evals``.  A partition of a dense parent eliminates the
 algebraic equations exactly and factors the ODE that remains once per
 partition; a sparse model factors its pencil once per shift
-(:class:`~phmor.linalg.SparsePencil`) and holds the factors of its latest
-interpolation set (``solve_shifted``), and a dense bare system keeps one
-LU per shift.
+(:class:`~phmor.linalg.SparsePencil`) and holds the solutions
+(s E - A)^{-1} B at the shifts of its latest interpolation set
+(``solve_shifted``), and a dense bare system keeps one LU per shift.
 
 A partition factors its constraint block once, A22 = J22 - R22 (index 1)
 or M = J12^T E11^{-1} J12 (index 2), for its check, polynomial part,
@@ -115,8 +115,9 @@ class _ShiftedSolves:
     def shifted_solver(self):
         """The solver of s E - A, built on first use and kept for the
         model's lifetime: a :class:`~phmor.linalg.SparsePencil` (one SuperLU
-        factorization per shift it does not hold, one column ordering per
-        model) for a sparse model, else :meth:`_elimination`."""
+        factorization per shift it does not answer from its held set, one
+        column ordering per model) for a sparse model, else
+        :meth:`_elimination`."""
         gen = self.generic
         if sp.issparse(gen.E):
             return SparsePencil(gen.E, gen.A)
@@ -132,11 +133,12 @@ class _ShiftedSolves:
         array of K shifts (an interpolation set) with one right-hand side
         per shift, rhs of shape (n, K), whose column k X returns; the first
         failing shift, in order, raises.  A sparse model solves the set in
-        one call and holds its factors (:class:`~phmor.linalg.SparsePencil`
-        with ``hold``) until the next set, or until :meth:`transfer_evals`
-        has used them once, so that evaluating at these shifts factors
-        nothing; a dense model solves one shift at a time, each as if it
-        were alone.
+        one call, which solves the model's B beside rhs at each shift and
+        holds those solutions and the estimates
+        (:class:`~phmor.linalg.SparsePencil` with ``hold``) until the next
+        set, so that :meth:`transfer_evals` at these shifts solves nothing;
+        the factors are dropped when the call returns.  A dense model
+        solves one shift at a time, each as if it were alone.
 
         A partition of a dense parent is solved by its elimination solver,
         whose singular decision is the ``ztrcon`` estimate of the remaining
@@ -163,11 +165,11 @@ class _ShiftedSolves:
 
     def _solve_set(self, s, F, cond_limit):
         """``shifted_solver.solve`` of the shifts s, F of shape (n, K, m):
-        a sparse model's in one call that holds their factors, a dense
-        model's one shift at a time."""
+        a sparse model's in one call that holds their solutions of B, a
+        dense model's one shift at a time."""
         solver = self.shifted_solver
         if isinstance(solver, SparsePencil):
-            return solver.solve(s, F, cond_limit, hold=True)
+            return solver.solve(s, F, cond_limit, hold=self.generic.B)
         return _one_by_one(solver.solve, s, F, cond_limit)
 
     def transfer_evals(self, points):

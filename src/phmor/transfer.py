@@ -483,10 +483,11 @@ def tangential_residuals(full, reduced, data):
     ||H(s_i) b_i - Hr(s_i) b_i|| / (1 + ||H(s_i) b_i||), each model
     evaluated at all interpolation points by one :func:`frequency_response`
     call, the same call the H-infinity grid makes.  A sparse full model
-    that has just built the basis at ``data`` holds the factors of its
-    points (:class:`~phmor.linalg.SparsePencil`) and reuses them here, with
-    the same bits: only the conjugate partners the basis skipped are
-    factored."""
+    that has just built the basis at ``data`` holds the solutions
+    (s_i E - A)^{-1} B at the points it solved
+    (:class:`~phmor.linalg.SparsePencil`), until its next basis, and
+    evaluates there from them, with the same bits: only the conjugate
+    partners the basis skipped are factored."""
     b = data.directions[:, :, None]
     hb = (frequency_response(full, data.points) @ b)[:, :, 0]
     hrb = (frequency_response(reduced, data.points) @ b)[:, :, 0]

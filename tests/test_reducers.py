@@ -99,7 +99,7 @@ class TestBases:
 
     def test_duplicate_points_shrink_basis(self, index1_fixture):
         data = _data([2.0, 2.0], [[1.0], [1.0]])
-        with pytest.warns(RuntimeWarning, match="near-duplicate"):
+        with pytest.warns(RuntimeWarning, match="1 of 2 normalized columns kept"):
             basis = build_V_generic(index1_fixture, data)
         assert basis.V.shape[1] == 1
 
@@ -502,7 +502,7 @@ class TestIndex1Galerkin:
 
     def test_a_column_the_normalized_rule_drops_is_warned_about(self):
         part = random_ph_index1(12, 4, 2, seed=2)
-        with pytest.warns(RuntimeWarning, match="near-duplicate"):
+        with pytest.warns(RuntimeWarning, match="9 of 10 normalized columns kept"):
             model = reduce_index1_blockdiag(part, InterpolationData.log_spaced(10, 2))
         assert model.order == 9
 

@@ -2,8 +2,11 @@
 elimination of the algebraic equations plus one Schur form per partition,
 checked against a dense LU of the full pencil s E - A; for a sparse model,
 one SuperLU factorization per shift with one column ordering per model,
-checked against :func:`solve_complex` of s E - A, and the factors of the
-latest interpolation set held for evaluation at its points."""
+checked against :func:`solve_complex` of s E - A, and the solutions
+(s E - A)^{-1} B of the latest interpolation set held for evaluation at its
+points."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -337,11 +340,30 @@ _RESIDUAL_CASES = {
 }
 
 
+def _no_other_reference(objects):
+    """Whether nothing but the list ``objects`` refers to its members: the
+    reference counts of fresh objects held the same way."""
+    control = [object() for _ in objects]
+    return [sys.getrefcount(x) for x in objects] == [sys.getrefcount(x) for x in control]
+
+
+def _assert_holds(part, data):
+    """The pencil holds one (n, m) solution of B and one finite estimate
+    per point the basis solved, and nothing else."""
+    pencil, gen = part.shifted_solver, part.parent.generic
+    assert set(pencil._held) == {complex(data.points[i]) for i, _ in data.pairs}
+    for X, cond in pencil._held.values():
+        assert isinstance(X, np.ndarray) and X.shape == (gen.n, gen.m)
+        assert isinstance(cond, float) and np.isfinite(cond)
+
+
 @pytest.mark.parametrize("case", sorted(_RESIDUAL_CASES))
-def test_residuals_reuse_the_basis_factors_invisibly(monkeypatch, case):
-    # after the basis, the interpolation residuals factor only the points
-    # the basis did not (a conjugate partner), and match bit for bit the
-    # same call on a freshly built partition, which holds nothing
+def test_residuals_reuse_the_basis_solutions_invisibly(monkeypatch, case):
+    # after the basis, the pencil holds the solutions (s E - A)^{-1} B of
+    # the points it solved and no SuperLU factor; the interpolation
+    # residuals factor only the points the basis did not (a conjugate
+    # partner), and match bit for bit the same call on a freshly built
+    # partition, which holds nothing
     build, method, points = _RESIDUAL_CASES[case]
     part = build()
     if points is None:
@@ -349,45 +371,102 @@ def test_residuals_reuse_the_basis_factors_invisibly(monkeypatch, case):
     else:
         data = InterpolationData(points=np.array(points[0], dtype=complex),
                                  directions=np.array(points[1], dtype=complex))
-    model = REDUCERS[method](part, data)
-    kept = [i for i, _ in data.pairs]
-    assert set(part.shifted_solver._held) == {complex(p) for p in data.points[kept]}
-
-    splu, calls = spsla.splu, []
+    splu, calls, factors = spsla.splu, [], []
 
     def counting(A, *args, **kwargs):
+        lu = splu(A, *args, **kwargs)
         calls.append(A.shape[0])
-        return splu(A, *args, **kwargs)
+        if A.shape[0] == part.parent.n:  # a factor of s E - A
+            factors.append(lu)
+        return lu
 
     monkeypatch.setattr(spsla, "splu", counting)
+    model = REDUCERS[method](part, data)
+    kept = [i for i, _ in data.pairs]
+    _assert_holds(part, data)
+    assert len(factors) == len(kept)
+    assert _no_other_reference(factors)  # each factor dropped after its solve
+    held = dict(part.shifted_solver._held)
+
+    calls.clear()
     got = tangential_residuals(part, model, data)
     assert len(calls) == data.r - len(kept)  # the partners, and nothing else
     fresh = build()
     assert fresh.shifted_solver._held == {}
     ref = tangential_residuals(fresh, model, data)
     assert got.tobytes() == ref.tobytes()
-    # evaluation adds nothing to the held set, and drops what it reused
-    assert part.shifted_solver._held == {}
-    # the transfer values themselves, from a held set, bit for bit
-    REDUCERS[method](part, data)
-    assert (frequency_response(part, data.points).tobytes()
-            == frequency_response(build(), data.points).tobytes())
+    # evaluation leaves the held set in place, here and on a grid
+    grid = np.logspace(-2, 4, 7) * 1j
+    assert (frequency_response(part, grid).tobytes()
+            == frequency_response(build(), grid).tobytes())
+    assert part.shifted_solver._held.keys() == held.keys()
+    assert all(part.shifted_solver._held[s][0] is X for s, (X, _) in held.items())
+    # the transfer values themselves, from the held set, bit for bit
+    calls.clear()
+    H = frequency_response(part, data.points[kept])
+    assert calls == []
+    assert H.tobytes() == frequency_response(build(), data.points[kept]).tobytes()
+    # the next basis replaces the set
+    moved = InterpolationData(points=2.0 * data.points, directions=data.directions)
+    REDUCERS[method](part, moved)
+    _assert_holds(part, moved)
+
+
+def test_held_solutions_answer_only_their_input():
+    # a right-hand side other than the held B is solved afresh at a held
+    # shift, as solve_complex solves it
+    part = _RESIDUAL_CASES["random-index1-mimo"][0]()
+    gen, s = part.parent.generic, np.array([0.5, 3.0j])
+    part.solve_shifted(s, np.ones((gen.n, 2), dtype=complex))
+    F = np.asarray(gen.B, dtype=complex)[:, None, ::-1]  # B with its columns swapped
+    got = part.shifted_solver.solve(s, F)
+    for k, sk in enumerate(s):
+        ref = solve_complex(sk * gen.E - gen.A, F[:, 0])
+        assert np.linalg.norm(got[:, k] - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_sparse_irka_holds_one_set(monkeypatch):
-    # each sweep's basis replaces the held factors: after every sweep the
-    # pencil holds the factors of that sweep's points and no others
+    # each sweep's basis replaces the held set: after every sweep the
+    # pencil holds one solution of B and one estimate per point of that
+    # sweep, and no others
     part = partition_index2(oseen_grid_sparse(OseenSpec(n_grid=4)), OseenSpec(n_grid=4).n_velocity)
     reducer, sizes = REDUCERS["index2"], []
 
     def sweep(part, data):
         model = reducer(part, data)
-        held = part.shifted_solver._held
-        assert set(held) == {complex(data.points[i]) for i, _ in data.pairs}
-        sizes.append(len(held))
+        _assert_holds(part, data)
+        sizes.append(len(part.shifted_solver._held))
         return model
 
     monkeypatch.setitem(REDUCERS, "index2", sweep)
     result = irka_reduce(part, IRKAConfig(r=4), method="index2")
     assert len(sizes) == result.iterations > 1  # one basis per sweep
     assert max(sizes) <= 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(SPARSE_MODELS)),
+       s=_shifts,
+       spec=st.sampled_from(["COLAMD", "NATURAL"]),
+       trans=st.sampled_from(["N", "H"]),
+       order=st.permutations(range(4)),
+       seed=st.integers(0, 2**32 - 1))
+def test_superlu_solve_columns_do_not_see_each_other(name, s, spec, trans, order, seed):
+    # what the held set's bits rest on: a column of SuperLU.solve is the
+    # same bits whichever columns share its block, and in whatever order
+    gen = _sparse_model(name).generic
+    M = sp.csc_array(s * gen.E - gen.A, dtype=complex)
+    try:
+        lu = spsla.splu(M, permc_spec=spec)
+    except RuntimeError:  # exactly singular at this shift
+        return
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((gen.n, 4)) + 1j * rng.standard_normal((gen.n, 4))
+    F[:, 3] = 1.0 / gen.n  # the estimator's first column
+    block = lu.solve(F, trans=trans)
+    shuffled = lu.solve(F[:, order], trans=trans)
+    for j in range(4):
+        alone = lu.solve(F[:, [j]], trans=trans)
+        assert alone.tobytes() == block[:, [j]].tobytes()
+        assert shuffled[:, [order.index(j)]].tobytes() == alone.tobytes()
+
