@@ -79,6 +79,8 @@ def _parse_int_range(text):
         lo, hi = map(int, parts)
         return list(range(lo, hi + 1))
     lo, hi, step = map(int, parts)
+    if step < 1:
+        raise LinAlgContractError(f"range {text}: the step must be >= 1")
     return list(range(lo, hi + 1, step))
 
 

@@ -17,12 +17,12 @@ estimates kappa_1 of each matrix of a stack by ``zgetrf``, ``zgetrs`` and
 one sparse kernel: a SuperLU factorization, its solve and a one-column
 Higham-Tisseur estimate of ||M^{-1}||_1 taken on the SuperLU factor
 directly; :func:`solve_complex` runs it on a sparse matrix, and
-:class:`SparsePencil` once per distinct shift of a sparse pencil, with one
-column ordering and one matrix container per pencil.  A factor lives for
-one shift's solve.  For its latest interpolation set a pencil holds, per
-shift, the solution (s E - A)^{-1} B of the model's input matrix B (n x m)
-and the kappa_1 estimate, until the next set replaces them, so that the
-transfer function there is C X + D with no solve.  :class:`LUFactor` keeps
+:class:`SparsePencil` once per distinct shift of a pencil stored by its
+nonzeros, with one column ordering and one matrix container per pencil.
+A factor lives for one shift's solve.  For its latest interpolation set a
+pencil holds, per shift, the solution (s E - A)^{-1} B of the model's input
+matrix B (n x m) and the kappa_1 estimate, until the next set replaces
+them, so that the transfer function there is C X + D with no solve.  :class:`LUFactor` keeps
 the ``dgetrf`` factor and ``dgecon`` estimate of a real constraint block.
 :class:`SchurPencil` accepts a shift by an O(n^2) bound on
 kappa_1(s I - T), and estimates kappa_1 of any other shift by ``ztrcon``,
@@ -110,9 +110,11 @@ def solve_complex(M, rhs, cond_limit=COND_LIMIT):
     singular to working precision.  Callers solving shifted pencils
     s E - A at large |s| (whose condition number grows like |s| without
     any loss of relative solution accuracy) may pass a larger
-    ``cond_limit``.  It solves sparse full models and bare systems; a dense
-    partitioned full model is solved by its partition's elimination solver
-    and :class:`SchurPencil`, and reduced models by :func:`solve_stacked`.
+    ``cond_limit``.  It is the LU reference of a full model's solvers
+    (:func:`phmor.transfer.eval_transfer`): a partition of a dense parent
+    is solved by its elimination solver and :class:`SchurPencil`, every
+    other full model by :class:`SparsePencil`, and reduced models by
+    :func:`solve_stacked`.
 
     The condition number compared against ``cond_limit`` is a 1-norm
     *estimate* (Hager/Higham) from the LU factors already computed for the
@@ -311,10 +313,10 @@ class LUFactor:
 
 
 class SparsePencil:
-    """Shifted solves (s E - A) X = F of one sparse pencil at many shifts s,
-    one SuperLU factorization per shift it does not answer from its held
-    set, with
-    :class:`SchurPencil`'s ``solve`` signature.
+    """Shifted solves (s E - A) X = F of one pencil, dense or sparse, at
+    many shifts s, one SuperLU factorization per shift it does not answer
+    from its held set, with :class:`SchurPencil`'s ``solve`` signature.
+    It solves every full model but a partition of a dense parent.
 
     E and A are stored once, as values on the union of their nonzero
     patterns in CSC form, and one CSC container on that pattern holds
@@ -324,7 +326,7 @@ class SparsePencil:
     that order once, and every later shift is factored in its natural
     order.  The column of each stored value (for ||s E - A||_1) and the
     inverse permutation are formed once too.  Each shift is solved and
-    estimated as by :func:`solve_complex`.
+    estimated as by :func:`solve_complex` of a sparse matrix.
 
     A solve with ``hold``, the model's input matrix B (n x m), is an
     interpolation set: each of its shifts solves one block, F_k, B and the

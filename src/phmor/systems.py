@@ -19,10 +19,10 @@ its parent) solves its shifted pencil s E - A through one
 ``shifted_solver`` (``solve_shifted``) and evaluates its transfer function
 through ``transfer_evals``.  A partition of a dense parent eliminates the
 algebraic equations exactly and factors the ODE that remains once per
-partition; a sparse model factors its pencil once per shift
-(:class:`~phmor.linalg.SparsePencil`) and holds the solutions
+partition; every other model, dense or sparse, factors its pencil once per
+shift (:class:`~phmor.linalg.SparsePencil`) and holds the solutions
 (s E - A)^{-1} B at the shifts of its latest interpolation set
-(``solve_shifted``), and a dense bare system keeps one LU per shift.
+(``solve_shifted``).
 
 A partition factors its constraint block once, A22 = J22 - R22 (index 1)
 or M = J12^T E11^{-1} J12 (index 2), for its check, polynomial part,
@@ -43,7 +43,7 @@ import scipy.sparse.linalg as spsla
 from scipy.linalg import lapack
 
 from .linalg import (COND_LIMIT, LinAlgContractError, LUFactor, SchurPencil, SparsePencil,
-                     _stack_mul, solve_complex)
+                     _stack_mul)
 from .transfer import (
     polynomial_part_index1,
     polynomial_part_index2,
@@ -106,22 +106,15 @@ class _ShiftedSolves:
     its transfer function, shared by the bare systems and the partition
     views; ``generic`` is the model's realization (a view's parent's)."""
 
-    def _elimination(self):
-        """The solver of a dense model: a bare system keeps one LU per
-        shift, a partition view eliminates its algebraic equations."""
-        return _ShiftedLU(self.generic)
-
     @functools.cached_property
     def shifted_solver(self):
         """The solver of s E - A, built on first use and kept for the
-        model's lifetime: a :class:`~phmor.linalg.SparsePencil` (one SuperLU
-        factorization per shift it does not answer from its held set, one
-        column ordering per model) for a sparse model, else
-        :meth:`_elimination`."""
+        model's lifetime: for a dense model as for a sparse one, a
+        :class:`~phmor.linalg.SparsePencil` (one SuperLU factorization per
+        shift it does not answer from its held set, one column ordering per
+        model).  A partition view of a dense parent eliminates instead."""
         gen = self.generic
-        if sp.issparse(gen.E):
-            return SparsePencil(gen.E, gen.A)
-        return self._elimination()
+        return SparsePencil(gen.E, gen.A)
 
     def solve_shifted(self, s, rhs, cond_limit=COND_LIMIT, dynamic=False):
         """Solve (s E - A) X = rhs, with the contract of
@@ -132,18 +125,18 @@ class _ShiftedSolves:
         ``s`` is one shift, with rhs of shape (n,) or (n, m), or a 1-D
         array of K shifts (an interpolation set) with one right-hand side
         per shift, rhs of shape (n, K), whose column k X returns; the first
-        failing shift, in order, raises.  A sparse model solves the set in
-        one call, which solves the model's B beside rhs at each shift and
-        holds those solutions and the estimates
-        (:class:`~phmor.linalg.SparsePencil` with ``hold``) until the next
-        set, so that :meth:`transfer_evals` at these shifts solves nothing;
-        the factors are dropped when the call returns.  A dense model
-        solves one shift at a time, each as if it were alone.
+        failing shift, in order, raises.  A
+        :class:`~phmor.linalg.SparsePencil` solves the set in one call,
+        which solves the model's B beside rhs at each shift and holds those
+        solutions and the estimates (``hold``) until the next set, so that
+        :meth:`transfer_evals` at these shifts solves nothing; the factors
+        are dropped when the call returns.
 
-        A partition of a dense parent is solved by its elimination solver,
-        whose singular decision is the ``ztrcon`` estimate of the remaining
-        ODE's shifted Schur factor (:class:`phmor.linalg.SchurPencil`); the
-        blocks a valid partition requires to vanish are taken as zero.
+        A partition of a dense parent is solved one shift at a time, each
+        as if it were alone, by its elimination solver, whose singular
+        decision is the ``ztrcon`` estimate of the remaining ODE's shifted
+        Schur factor (:class:`phmor.linalg.SchurPencil`); the blocks a
+        valid partition requires to vanish are taken as zero.
         With ``dynamic`` a semi-explicit view returns only the dynamic block
         X[:n1], the same bits; a dense index-2 view then does not form its
         multiplier."""
@@ -165,8 +158,8 @@ class _ShiftedSolves:
 
     def _solve_set(self, s, F, cond_limit):
         """``shifted_solver.solve`` of the shifts s, F of shape (n, K, m):
-        a sparse model's in one call that holds their solutions of B, a
-        dense model's one shift at a time."""
+        a :class:`~phmor.linalg.SparsePencil`'s in one call that holds
+        their solutions of B, an elimination's one shift at a time."""
         solver = self.shifted_solver
         if isinstance(solver, SparsePencil):
             return solver.solve(s, F, cond_limit, hold=self.generic.B)
@@ -187,23 +180,6 @@ class _ShiftedSolves:
         B = np.asarray(gen.B, dtype=complex)[:, None]
         X = self.shifted_solver.solve(points, B, transfer_cond_limit(points))
         return _stack_mul(gen.C, X).transpose(1, 0, 2) + gen.D
-
-
-class _ShiftedLU:
-    """(s E - A)^{-1} of a dense bare system by one
-    :func:`~phmor.linalg.solve_complex` per shift, with the elimination
-    solvers' ``solve`` signature."""
-
-    def __init__(self, gen):
-        self._E, self._A = gen.E, gen.A
-
-    def solve(self, s, F, cond_limit):
-        limit = np.asarray(cond_limit, dtype=float).reshape(-1)
-        X = np.empty((F.shape[0], s.size, F.shape[2]), dtype=complex)
-        for k in range(s.size):  # k % size: index k, or 0 where one F or limit serves all
-            X[:, k] = solve_complex(s[k] * self._E - self._A, F[:, k % F.shape[1]],
-                                    cond_limit=limit[k % limit.size])
-        return X
 
 
 def _one_by_one(solve, s, F, cond_limit):
@@ -612,6 +588,15 @@ class _SemiExplicit(_ShiftedSolves):
     def b2_zero(self):
         """Whether the algebraic equations carry no input (B2 = P2 = 0)."""
         return not (np.any(self.B2) or np.any(self.P2))
+
+    @functools.cached_property
+    def shifted_solver(self):
+        """A view of a dense parent eliminates its algebraic equations
+        (``_elimination``); a view of a sparse parent solves as a bare
+        system does."""
+        if sp.issparse(self.parent.E):
+            return super().shifted_solver
+        return self._elimination()
 
     def _solve_dynamic(self, s, F, cond_limit):
         """The x1 rows of :meth:`_solve_set`; a dense index-2 view does not

@@ -106,6 +106,11 @@ class FrequencyGrid:
 
     @classmethod
     def log_spaced(cls, lo=1e-4, hi=1e4, num=400):
+        """``num`` frequencies log-spaced from lo to hi, which must be
+        finite with 0 < lo < hi."""
+        if not (0 < lo < hi < np.inf):
+            raise LinAlgContractError(
+                f"log-spaced grid bounds must be finite with 0 < lo < hi, got {lo}:{hi}")
         return cls(np.logspace(np.log10(lo), np.log10(hi), num))
 
     @property

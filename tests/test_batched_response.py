@@ -60,10 +60,13 @@ def _csr_chain():
     return partition_index2(mass_spring_chain_sparse(spec), spec.n1)
 
 
-# Full models solved by one LU per shift: a sparse partition and a bare system.
+# Full models solved by one SuperLU factorization per shift: a sparse
+# partition and bare systems, one of them with dense E, J and R (a full
+# pattern).
 LU_MODELS = {
     "chain-csr": _csr_chain,
     "bare-chain": lambda: mass_spring_chain(MassSpringSpec(k=6)).parent,
+    "bare-random-index1": lambda: random_ph_index1(12, 4, 2, 3).parent,
 }
 REDUCED = {
     "index1-shifted": lambda: reduce_index1_shifted(

@@ -188,6 +188,19 @@ class TestReduce:
         assert captured.err == ("error [reduce]: interpolation points and directions "
                                 "must be finite\n")
 
+    @pytest.mark.parametrize("grid", ["0:1e4:40", "1e4:1e-4:40", "-1:1e4:40",
+                                      "1e-4:inf:40", "nan:1e4:40"])
+    def test_reduce_bad_grid_bounds_exit_1_before_numpy_warns(self, tmp_path, capsys,
+                                                              recwarn, grid):
+        model = tmp_path / "chain"
+        _run(["generate", "--benchmark", "chain", "--k", 4, "--out", model])
+        code, captured = _run(["reduce", model, "--r", 2, f"--freq-grid={grid}",
+                               "--out", tmp_path / "red"], capsys)
+        assert code == 1
+        assert captured.err.startswith("error [reduce]: log-spaced grid bounds must be "
+                                       "finite with 0 < lo < hi, got ")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_reduce_unpartitioned_container_exits_1(self, tmp_path, index2_fixture,
                                                     capsys):
         model = tmp_path / "plain"
@@ -273,6 +286,14 @@ class TestSweepRegularize:
         assert code == 1
         assert captured.err == "error [sweep]: --r-sweep 2:1 requests no reduced order\n"
         assert not (out / "errors.csv").exists()
+
+    def test_sweep_zero_step_exits_1(self, tmp_path, capsys):
+        model = tmp_path / "chain"
+        _run(["generate", "--benchmark", "chain", "--k", 4, "--out", model])
+        code, captured = _run(["sweep", model, "--r-sweep", "2:6:0",
+                               "--out", tmp_path / "sweep"], capsys)
+        assert code == 1
+        assert captured.err == "error [sweep]: range 2:6:0: the step must be >= 1\n"
 
     def test_sweep_h2_denominator_integrated_once(self, tmp_path, monkeypatch):
         from phmor import cli

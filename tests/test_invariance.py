@@ -7,6 +7,10 @@ and the relative H-infinity error must come out bit for bit the same.
 Left out: ``interp_residual_max`` (its ``1 +`` term does not scale),
 ``min_eig_W`` (S scales but R does not) and ``rel_h2`` (its quadrature
 tolerance is absolute).
+
+A container round trip (``phmor generate``, then the partition the CLI
+loads) changes nothing at all, so those numbers, the interpolation
+residuals and the reduced E must come out bit for bit the same too.
 """
 
 import dataclasses
@@ -19,9 +23,11 @@ from phmor import (
     FrequencyGrid,
     Index1Partition,
     LinAlgContractError,
+    cli,
     hinf_error,
     partition_index1,
     partition_index2,
+    tangential_residuals,
 )
 from phmor.benchmarks import (
     MassSpringSpec,
@@ -39,6 +45,8 @@ from phmor.reducers import REDUCERS, InterpolationData
 
 #: The CLI's default ``--freq-grid``.
 GRID = FrequencyGrid.log_spaced(1e-4, 1e4, 400)
+#: The grid of the round trip's ``rel_hinf``.
+GRID40 = FrequencyGrid.log_spaced(1e-4, 1e4, 40)
 R = 4
 
 CHAIN, OSEEN = MassSpringSpec(k=10), OseenSpec(n_grid=4)
@@ -68,28 +76,38 @@ def _scaled(part, k):
     return partition(scaled, part.n1)
 
 
+def _reduce(part, method):
+    """(model, final interpolation data, IRKA sweeps, IRKA stop reason) of
+    one reduction to order R from the default points, the way ``reduce``
+    runs it."""
+    data = InterpolationData.log_spaced(R, part.parent.m)
+    name = method.removeprefix("irka-")
+    if name == method:
+        return REDUCERS[name](part, data), data, None, None
+    result = irka_reduce(part, IRKAConfig(r=R, initial=data), method=name)
+    return result.model, result.data, result.iterations, result.stop_reason
+
+
+def _rel_hinf(part, model, grid):
+    """The relative H-infinity error in hex, inf where it diverges."""
+    try:
+        rel_hinf = hinf_error(part, model, grid)[1]
+    except DivergentNormError:
+        rel_hinf = float("inf")
+    return float(rel_hinf).hex()
+
+
 @functools.cache
 def _row(family, method, k):
     """(order, rel_hinf in hex, IRKA sweeps, IRKA stop reason) of one
-    reduction to order R from the default points, the way ``reduce``
-    reports it, or the message of the error it exits with."""
+    reduction, the way ``reduce`` reports it, or the message of the error
+    it exits with."""
     part = _scaled(FAMILIES[family](), k)
-    data = InterpolationData.log_spaced(R, part.parent.m)
-    name = method.removeprefix("irka-")
-    sweeps = stop = None
     try:
-        if name != method:
-            result = irka_reduce(part, IRKAConfig(r=R, initial=data), method=name)
-            model, sweeps, stop = result.model, result.iterations, result.stop_reason
-        else:
-            model = REDUCERS[name](part, data)
+        model, _, sweeps, stop = _reduce(part, method)
     except LinAlgContractError as exc:
         return str(exc)
-    try:
-        rel_hinf = hinf_error(part, model, GRID)[1]
-    except DivergentNormError:
-        rel_hinf = float("inf")
-    return model.order, float(rel_hinf).hex(), sweeps, stop
+    return model.order, _rel_hinf(part, model, GRID), sweeps, stop
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -97,3 +115,35 @@ def _row(family, method, k):
 @pytest.mark.parametrize("family, method", CASES)
 def test_port_scaling_moves_no_reported_bit(family, method, k):
     assert _row(family, method, k) == _row(family, method, 0)
+
+
+#: The ``phmor generate`` arguments of each family.
+GENERATE = {
+    "chain": "--benchmark chain --k 10",
+    "chain-b2": "--benchmark chain-b2 --k 10",
+    "oseen": "--benchmark oseen --n-grid 4",
+    "random-index1": "--benchmark random-index1 --n1 12 --n2 4 --m 2 --seed 3",
+    "mixed": "--benchmark mixed --k 6",
+    "sparse-chain": "--benchmark chain --k 10 --sparse",
+    "sparse-oseen": "--benchmark oseen --n-grid 4 --sparse",
+}
+
+
+def _report(part, method):
+    """The order, IRKA sweeps and stop reason, rel_hinf on a 40-point grid,
+    the interpolation residuals and the reduced E of one reduction, or the
+    message of the error it exits with."""
+    try:
+        model, data, sweeps, stop = _reduce(part, method)
+    except LinAlgContractError as exc:
+        return str(exc)
+    return (model.order, sweeps, stop, _rel_hinf(part, model, GRID40),
+            tangential_residuals(part, model, data).tobytes(), model.system.E.tobytes())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("family, method", CASES)
+def test_container_round_trip_moves_no_reported_bit(family, method, tmp_path):
+    assert cli.main(["generate", *GENERATE[family].split(), "--out", str(tmp_path / "m")]) == 0
+    loaded, _ = cli._load_partition(tmp_path / "m")
+    assert _report(loaded, method) == _report(FAMILIES[family](), method)

@@ -1,10 +1,10 @@
-"""The full models' shifted solvers: for a dense partition, exact
-elimination of the algebraic equations plus one Schur form per partition,
-checked against a dense LU of the full pencil s E - A; for a sparse model,
-one SuperLU factorization per shift with one column ordering per model,
-checked against :func:`solve_complex` of s E - A, and the solutions
-(s E - A)^{-1} B of the latest interpolation set held for evaluation at its
-points."""
+"""The full models' shifted solvers: for a partition of a dense parent,
+exact elimination of the algebraic equations plus one Schur form per
+partition, checked against a dense LU of the full pencil s E - A; for any
+other model, dense or sparse, one SuperLU factorization per shift with one
+column ordering per model, checked against :func:`solve_complex` of
+s E - A, and the solutions (s E - A)^{-1} B of the latest interpolation set
+held for evaluation at its points."""
 
 import sys
 
@@ -36,7 +36,7 @@ from phmor.linalg import (
     solve_complex,
 )
 from phmor.systems import PHDAESystem, partition_index1, partition_index2, partition_mixed
-from phmor.reducers import REDUCERS, InterpolationData
+from phmor.reducers import REDUCERS, InterpolationData, build_V_generic
 from phmor.transfer import (FrequencyGrid, eval_transfer, evaluate, frequency_response,
                             tangential_residuals)
 
@@ -127,6 +127,37 @@ def test_mixed_view_solves_as_an_index2_view():
     # the constraint's null space is the x2 block: the ODE maps to no row of
     # the constrained states x1, as many as the multipliers (the view's n2)
     assert not np.any(part.shifted_solver._ode._right[:part.n2])
+
+
+@pytest.mark.parametrize("name, solver", [("random-index1-0", systems._Index1Elimination),
+                                          ("chain", systems._Index2Elimination),
+                                          ("mixed", systems._Index2Elimination)])
+def test_dense_views_solve_by_elimination(name, solver):
+    assert type(_part(name).shifted_solver) is solver
+
+
+def test_every_other_full_model_solves_by_sparse_pencil():
+    # a bare dense system, its realization, a CSR system and a CSR view
+    spec = MassSpringSpec(k=6)
+    bare, csr = mass_spring_chain(spec).parent, mass_spring_chain_sparse(spec)
+    for model in (bare, bare.generic, csr, partition_index2(csr, spec.n1)):
+        assert type(model.shifted_solver) is SparsePencil
+
+
+BARE_MODELS = {
+    "chain-10": lambda: mass_spring_chain(MassSpringSpec(k=10)).parent,
+    "oseen-4": lambda: oseen_grid(OseenSpec(n_grid=4)).parent,
+    "random-index1-3": lambda: random_ph_index1(12, 4, 2, 3).parent,
+    "mixed-6": lambda: mixed_chain(MassSpringSpec(k=6)).parent,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BARE_MODELS))
+def test_bare_frequency_response_matches_eval_transfer(name):
+    model = BARE_MODELS[name]()
+    grid = FrequencyGrid.log_spaced(1e-4, 1e4, 40)
+    ref = np.array([eval_transfer(model, s) for s in grid.points])
+    assert np.linalg.norm(frequency_response(model, grid) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_exact_eigenvalue_raises(index1_fixture, index2_fixture):
@@ -350,7 +381,7 @@ def _no_other_reference(objects):
 def _assert_holds(part, data):
     """The pencil holds one (n, m) solution of B and one finite estimate
     per point the basis solved, and nothing else."""
-    pencil, gen = part.shifted_solver, part.parent.generic
+    pencil, gen = part.shifted_solver, part.generic
     assert set(pencil._held) == {complex(data.points[i]) for i, _ in data.pairs}
     for X, cond in pencil._held.values():
         assert isinstance(X, np.ndarray) and X.shape == (gen.n, gen.m)
@@ -412,6 +443,28 @@ def test_residuals_reuse_the_basis_solutions_invisibly(monkeypatch, case):
     _assert_holds(part, moved)
 
 
+@pytest.mark.parametrize("name", sorted(BARE_MODELS))
+def test_bare_system_holds_its_interpolation_set(monkeypatch, name):
+    # a bare dense system's basis holds its set as a sparse model's does:
+    # evaluation at the set factors only the partner 1 - 2j the basis
+    # skipped, and the held points give the bits of a fresh system
+    model = BARE_MODELS[name]()
+    data = InterpolationData(points=np.array([0.5, 1 + 2j, 1 - 2j, 30.0]),
+                             directions=np.ones((4, model.m)))
+    build_V_generic(model, data)
+    _assert_holds(model, data)
+    splu, calls = spsla.splu, []
+
+    def counting(A, *args, **kwargs):
+        calls.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spsla, "splu", counting)
+    H = frequency_response(model, data.points)
+    assert calls == [model.n]
+    assert H.tobytes() == frequency_response(BARE_MODELS[name](), data.points).tobytes()
+
+
 def test_held_solutions_answer_only_their_input():
     # a right-hand side other than the held B is solved afresh at a held
     # shift, as solve_complex solves it
@@ -445,7 +498,7 @@ def test_sparse_irka_holds_one_set(monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(sorted(SPARSE_MODELS)),
+@given(name=st.sampled_from(sorted(SPARSE_MODELS) + sorted(BARE_MODELS)),
        s=_shifts,
        spec=st.sampled_from(["COLAMD", "NATURAL"]),
        trans=st.sampled_from(["N", "H"]),
@@ -453,8 +506,10 @@ def test_sparse_irka_holds_one_set(monkeypatch):
        seed=st.integers(0, 2**32 - 1))
 def test_superlu_solve_columns_do_not_see_each_other(name, s, spec, trans, order, seed):
     # what the held set's bits rest on: a column of SuperLU.solve is the
-    # same bits whichever columns share its block, and in whatever order
-    gen = _sparse_model(name).generic
+    # same bits whichever columns share its block, and in whatever order,
+    # on a sparse pattern and on a bare dense system's
+    model = _sparse_model(name) if name in SPARSE_MODELS else BARE_MODELS[name]()
+    gen = model.generic
     M = sp.csc_array(s * gen.E - gen.A, dtype=complex)
     try:
         lu = spsla.splu(M, permc_spec=spec)
