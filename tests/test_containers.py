@@ -209,10 +209,35 @@ def test_symmetry_of_each_kind_at_every_size(n, kind, symmetry):
     assert _symmetry(X[:, :-1]) == "general"
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), sparse=st.booleans(),
+def _stored(X, rng):
+    """COO triplets whose sum is X, with stored zeros (+0 and -0) and
+    duplicate entries: some nonzeros split in two, and some zeros stored as
+    a cancelling pair.  Only integer entries are split or cancelled, with
+    integers, so every sum is exact in any order."""
+    n = X.shape[0]
+    row, col = np.nonzero(X)
+    data = X[row, col]
+    split = (rng.random(row.size) < 0.3) & (data == np.round(data))
+    parts = rng.integers(-2, 3, split.sum()).astype(float)
+    data[split] -= parts
+    zr, zc = rng.integers(0, n, (2, rng.integers(0, n + 1)))
+    zeros = rng.choice([0.0, -0.0], zr.size)
+    cr, cc = rng.integers(0, n, (2, rng.integers(0, n + 1)))
+    exact = X[cr, cc] == np.round(X[cr, cc])
+    cr, cc = cr[exact], cc[exact]
+    cancel = rng.integers(1, 3, cr.size).astype(float)
+    row = np.concatenate([row, row[split], zr, cr, cr])
+    col = np.concatenate([col, col[split], zc, cc, cc])
+    data = np.concatenate([data, parts, zeros, cancel, -cancel])
+    order = rng.permutation(row.size)
+    return row[order], col[order], data[order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       form=st.sampled_from(["dense", "csr", "coo", "csr-raw"]),
        shape=st.sampled_from(["general", "symmetric", "skew"]))
-def test_symmetry_rule_is_scipys_on_random_inputs(seed, n, sparse, shape):
+def test_symmetry_rule_is_scipys_on_random_inputs(seed, n, form, shape):
     # small integers make exact (skew-)symmetry and near misses likely
     rng = np.random.default_rng(seed)
     X = rng.integers(-2, 3, (n, n)).astype(float)
@@ -222,8 +247,23 @@ def test_symmetry_rule_is_scipys_on_random_inputs(seed, n, sparse, shape):
         X = X - X.T
     if rng.random() < 0.3:
         X[rng.integers(n), rng.integers(n)] += rng.choice([0.5, 1e-300])
-    M = sp.csr_matrix(X) if sparse else X
-    assert _symmetry(M) == MMFile._get_symmetry(M)
+    # -0 equals +0, in the rule as in scipy's
+    X[(X == 0) & (rng.random((n, n)) < 0.5)] = -0.0
+    if form == "dense":
+        M = X
+    elif form == "csr":
+        M = sp.csr_matrix(X)
+    else:
+        # stored zeros and duplicates: the rule sees the matrix they sum to
+        row, col, data = _stored(X, rng)
+        if form == "coo":
+            M = sp.coo_matrix((data, (row, col)), shape=(n, n))
+        else:  # CSR arrays as given: duplicates kept, columns unsorted
+            order = np.argsort(row, kind="stable")
+            indptr = np.searchsorted(row[order], np.arange(n + 1))
+            M = sp.csr_matrix((data[order], col[order], indptr), shape=(n, n))
+        assert np.array_equal(M.toarray(), X)
+    assert _symmetry(M) == MMFile._get_symmetry(X)
 
 
 def test_no_entrywise_symmetry_loop_on_any_write(tmp_path, monkeypatch):
@@ -255,6 +295,62 @@ def test_no_entrywise_symmetry_loop_on_any_write(tmp_path, monkeypatch):
     red = load_reduced(tmp_path / "sweep" / "r004")
     save_reduced(tmp_path / "again", red)
     assert sorted(p.name for p in (tmp_path / "again").glob("*.mtx"))
+
+
+def test_container_io_runs_on_one_fast_matrix_market_thread(tmp_path, monkeypatch):
+    # every read and write of generate, reduce, sweep and regularize sees
+    # PARALLELISM == 1, and the caller's value is back after each, also
+    # when the read fails
+    fmm = pytest.importorskip("scipy.io._fast_matrix_market")
+    monkeypatch.setattr(fmm, "PARALLELISM", 2)
+    seen = {"mmread": [], "mmwrite": []}
+
+    def spy(name):
+        call = getattr(scipy.io, name)
+
+        def wrapped(*args, **kwargs):
+            seen[name].append(fmm.PARALLELISM)
+            return call(*args, **kwargs)
+        return wrapped
+
+    for name in seen:
+        monkeypatch.setattr(scipy.io, name, spy(name))
+    model, sparse = str(tmp_path / "chain"), str(tmp_path / "sparse")
+    grid = ["--freq-grid", "1e-2:1e2:8"]
+    for argv in (["generate", "--benchmark", "chain", "--k", "6", "--out", model],
+                 ["generate", "--benchmark", "chain", "--k", "6", "--sparse", "--out", sparse],
+                 ["reduce", sparse, "--method", "index2", "--r", "2", *grid,
+                  "--out", str(tmp_path / "red")],
+                 ["sweep", model, "--r-sweep", "2:4:2", *grid, "--out", str(tmp_path / "sw")],
+                 ["regularize", model, "--condense", "--out", str(tmp_path / "reg")]):
+        assert cli.main(argv) == 0
+        assert fmm.PARALLELISM == 2
+    assert all(seen.values()) and set(seen["mmread"] + seen["mmwrite"]) == {1}
+    with pytest.raises(LinAlgContractError, match="manifest implies"):
+        _read_matrix(tmp_path / "chain", "E", (3, 3))
+    assert fmm.PARALLELISM == 2
+    (tmp_path / "chain" / "E.mtx").write_text("%%MatrixMarket matrix\nnot a matrix\n")
+    with pytest.raises(ValueError):
+        _read_matrix(tmp_path / "chain", "E", (3, 3))
+    assert fmm.PARALLELISM == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_matrices())
+def test_one_thread_writes_the_bytes_of_scipys_default(tmp_path_factory, case):
+    # the same file as scipy.io.mmwrite at its default parallelism, given the
+    # same matrix (a mostly-zero dense one as COO) and symmetry
+    _, X, given_ = case
+    nnz = np.count_nonzero(X)
+    if not nnz:
+        return
+    fmm = getattr(scipy.io, "_fast_matrix_market", None)
+    assert fmm is None or fmm.PARALLELISM == 0
+    directory = tmp_path_factory.mktemp("mtx")
+    _write_matrix(directory, "M", given_)
+    plain = given_ if sp.issparse(given_) or 3 * nnz >= X.size else sp.coo_matrix(X)
+    scipy.io.mmwrite(str(directory / "ref.mtx"), plain, symmetry=_symmetry(X))
+    assert (directory / "M.mtx").read_bytes() == (directory / "ref.mtx").read_bytes()
 
 
 def test_generated_containers_store_nonzeros(tmp_path):
