@@ -153,7 +153,7 @@ def solve_complex(M, rhs, cond_limit=COND_LIMIT):
 def _sparse_solve(M, B, cond_limit):
     """X with M X = B for a complex CSC matrix M, from one SuperLU
     factorization with the COLAMD ordering, and the decision on it that
-    :func:`solve_complex` documents."""
+    :func:`solve_complex` documents (in real arithmetic for a real M)."""
     _check_sparse_finite(M.data, B)
     lu = _splu(M, "COLAMD")
     columns = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
@@ -168,7 +168,7 @@ def _check_sparse_finite(*arrays):
 
 
 def _splu(M, permc_spec):
-    """The SuperLU factor of the complex CSC matrix M; an empty or exactly
+    """The SuperLU factor of the CSC matrix M; an empty or exactly
     singular M raises "exactly singular", as the dense branch does."""
     if M.shape[0] == 0:  # an empty matrix has no LU factor
         raise SingularMatrixError("matrix is exactly singular")
@@ -214,7 +214,7 @@ def _inverse_norm_estimate(solve, solve_adjoint, y):
     21(4), 2000, Algorithm 2.4) with one column and at most five
     iterations, which draws no random numbers.  ``solve(V)`` applies M^{-1}
     and ``solve_adjoint(V)`` M^{-H}; y = M^{-1} 1/n is the first product,
-    already solved.  For n = 1 the value is exact."""
+    already solved, whose dtype the probes take.  For n = 1 it is exact."""
     n = y.size
     if n == 1:  # y is M^{-1} itself
         return np.abs(y).sum()
@@ -238,7 +238,7 @@ def _inverse_norm_estimate(solve, solve_adjoint, y):
         if k >= 2 and hmax == h[j]:
             break
         j = np.argsort(h)[-1]
-        e = np.zeros(n, dtype=complex)
+        e = np.zeros(n, dtype=y.dtype)
         e[j] = 1.0
         y = solve(e)
     return est

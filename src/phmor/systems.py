@@ -24,9 +24,10 @@ shift (:class:`~phmor.linalg.SparsePencil`) and holds the solutions
 (s E - A)^{-1} B at the shifts of its latest interpolation set
 (``solve_shifted``).
 
-A partition factors its constraint block once, A22 = J22 - R22 (index 1)
-or M = J12^T E11^{-1} J12 (index 2), for its check, polynomial part,
-reducers and solver.  There is one partition class per index: a mixed
+A partition factors its constraint block once: A22 = J22 - R22 (index 1),
+or one saddle matrix [[E11, J12], [J12^T, 0]] per index-2 view, dense or
+sparse, whose one solve checks M = J12^T E11^{-1} J12 and gives its lifts
+and polynomial part.  There is one partition class per index: a mixed
 index-1/index-2 model is checked by :func:`partition_mixed` and returned as
 its :class:`Index2Partition`.
 """
@@ -42,8 +43,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spsla
 from scipy.linalg import lapack
 
-from .linalg import (COND_LIMIT, LinAlgContractError, LUFactor, SchurPencil, SparsePencil,
-                     _stack_mul)
+from .linalg import (COND_LIMIT, LinAlgContractError, LUFactor, SchurPencil,
+                     SingularMatrixError, SparsePencil, _sparse_solve, _stack_mul)
 from .transfer import (
     polynomial_part_index1,
     polynomial_part_index2,
@@ -81,16 +82,16 @@ def _dense(M):
     return M.toarray() if sp.issparse(M) else M
 
 
-def _frozen(a, sparse_ok=False, dtype=float):
+def _frozen(a, sparse_ok=False):
     """Read-only copy of `a`.  Sparse input stays sparse, as a CSR array,
     where `sparse_ok`; otherwise it is densified."""
     if sparse_ok and sp.issparse(a):
-        a = sp.csr_array(a, dtype=dtype, copy=True)
+        a = sp.csr_array(a, dtype=float, copy=True)
         a.sum_duplicates()  # canonical now, so no later operation sorts in place
         for part in (a.data, a.indices, a.indptr):
             part.setflags(write=False)
         return a
-    a = np.array(_dense(a), dtype=dtype)
+    a = np.array(_dense(a), dtype=float)
     a.setflags(write=False)
     return a
 
@@ -669,7 +670,8 @@ class Index1Partition(_SemiExplicit):
 @dataclass(frozen=True)
 class Index2Partition(_SemiExplicit):
     """Semi-explicit index-2 view: E = diag(E11, 0), trailing J, R blocks
-    zero, with E11 > 0 and J12^T E11^{-1} J12 nonsingular."""
+    zero, with E11 > 0 and M = J12^T E11^{-1} J12 nonsingular, checked by
+    the one saddle solve that gives G, H and M^{-1} (B2 - P2)."""
 
     index_kind = "2"  # the container manifest's ``index`` entry
 
@@ -678,14 +680,13 @@ class Index2Partition(_SemiExplicit):
     n2: int
 
     def _check_blocks(self):
-        n1, n2, sys = self.n1, self.n2, self.parent
+        n1, sys = self.n1, self.parent
         _check_zero(sys.J[n1:, n1:], "J22", _norm2_lower(sys.J))
         scaleR = _norm2_lower(sys.R)
         _check_zero(sys.R[:n1, n1:], "R12", scaleR)
         _check_zero(sys.R[n1:, :n1], "R21", scaleR)
         _check_zero(sys.R[n1:, n1:], "R22", scaleR)
-        if n2 > 0:
-            _check_nonsingular(self.coupling_lu, "J12^T E11^{-1} J12 (coupling)")
+        self._saddle_solution  # the coupling check, made by the one saddle solve
 
     @property
     def A11(self):
@@ -695,32 +696,31 @@ class Index2Partition(_SemiExplicit):
         return _Index2Elimination(self.J12, self.E11, self.A11)
 
     @functools.cached_property
-    def Einv_J12(self):
-        """E11^{-1} J12 (dense n1 x n2), from one factorization of E11 per
-        partition: Cholesky-based for dense E11, SuperLU for sparse E11."""
-        if sp.issparse(self.E11):
-            return spsla.splu(sp.csc_array(self.E11)).solve(_dense(self.J12))
-        return spla.solve(self.E11, self.J12, assume_a="pos")
+    def _saddle_solution(self):
+        """[G, H; -M^{-1} (B2 - P2), -M^{-1} (B2 + P2)] = K^{-1} [0; B2 - P2, B2 + P2]
+        from one SuperLU factor of the real K = [[E11, J12], [J12^T, 0]], for a
+        dense parent as for a sparse one (M = M^T gives H).  With E11 > 0, K is
+        nonsingular exactly when M is, so the check rejects M when the estimate
+        of kappa_1(K) exceeds COND_LIMIT.  E11^{-1} J12 and M are not formed."""
+        n1, n2, m = self.n1, self.n2, self.parent.m
+        if n2 == 0:
+            return np.zeros((n1, 2 * m))
+        E11, J12 = self.E11, self.J12
+        K = (sp.bmat([[E11, J12], [J12.T, None]], format="csc") if sp.issparse(J12) else
+             sp.csc_array(np.block([[E11, J12], [J12.T, np.zeros((n2, n2))]])))
+        rhs = np.vstack([np.zeros((n1, 2 * m)), np.hstack([self.B2 - self.P2, self.B2 + self.P2])])
+        try:
+            return _sparse_solve(K, rhs, COND_LIMIT)
+        except SingularMatrixError as exc:
+            raise PartitionError("J12^T E11^{-1} J12 (coupling) is singular to working precision "
+                                 f"(saddle matrix cond {exc.cond_estimate or np.inf:.3e})") from exc
 
-    @functools.cached_property
-    def coupling(self):
-        """M = J12^T E11^{-1} J12 (nonsingular for a valid index-2 form)."""
-        return self.J12.T @ self.Einv_J12
-
-    @functools.cached_property
-    def coupling_lu(self):
-        """The partition's one :class:`~phmor.linalg.LUFactor` of M."""
-        return LUFactor(self.coupling)
-
-    @functools.cached_property
-    def input_lift(self):
-        """G = E11^{-1} J12 M^{-1} (B2 - P2), the constraint lift of the input."""
-        return self.Einv_J12 @ self.coupling_lu.solve(self.B2 - self.P2)
-
-    @functools.cached_property
-    def output_lift(self):
-        """H = E11^{-1} J12 M^{-T} (B2 + P2), the constraint lift of the output."""
-        return self.Einv_J12 @ self.coupling_lu.solve(self.B2 + self.P2, trans=1)
+    input_lift = property(lambda self: self._saddle_solution[:self.n1, :self.parent.m],
+                          doc="G = E11^{-1} J12 M^{-1} (B2 - P2), the input's constraint lift.")
+    output_lift = property(lambda self: self._saddle_solution[:self.n1, self.parent.m:],
+                           doc="H = E11^{-1} J12 M^{-T} (B2 + P2), the output's constraint lift.")
+    multiplier_gain = property(lambda self: -self._saddle_solution[self.n1:, :self.parent.m],
+                               doc="M^{-1} (B2 - P2), the gain of u' in the multiplier x2.")
 
     @functools.cached_property
     def polynomial_part(self):

@@ -198,9 +198,9 @@ def polynomial_part_index1(part):
 def polynomial_part_index2(part):
     """Polynomial part P0 + s P1 of a semi-explicit index-2 system.
 
-    With M = J12^T E11^{-1} J12 (the coupling matrix), Bi = B_i - P_i,
-    Ci = (B_i + P_i)^T and the partition's constraint lifts
-    G = E11^{-1} J12 M^{-1} B2 and H = E11^{-1} J12 M^{-T} C2^T::
+    With M = J12^T E11^{-1} J12, Bi = B_i - P_i, Ci = (B_i + P_i)^T, and the
+    lifts G = E11^{-1} J12 M^{-1} B2, H = E11^{-1} J12 M^{-T} C2^T and M^{-1} B2
+    from the partition's one saddle solve (M itself is not formed)::
 
         P1 = C2 M^{-1} B2
         P0 = D + C1 G - H^T (A11 G + B1)
@@ -213,10 +213,10 @@ def polynomial_part_index2(part):
     D = part.parent.S + part.parent.N
     if part.n2 == 0 or part.b2_zero:
         return PolynomialPart.constant(D)
-    Bi1, Bi2 = part.B1 - part.P1, part.B2 - part.P2
+    Bi1 = part.B1 - part.P1
     Ci1, Ci2 = (part.B1 + part.P1).T, (part.B2 + part.P2).T
     G, H = part.input_lift, part.output_lift
-    P1 = Ci2 @ part.coupling_lu.solve(Bi2)
+    P1 = Ci2 @ part.multiplier_gain
     P0 = D + Ci1 @ G - H.T @ (part.A11 @ G + Bi1)
     poly = PolynomialPart(P0=P0, P1=P1)
     _check_poly_against_limit(part, poly)

@@ -1,7 +1,9 @@
 """Independent references for the reducers.
 
 The index-2 references are built from explicit projectors and a
-null-space basis of the constraints, and accept dense or CSR partitions.
+null-space basis of the constraints, and accept dense or CSR partitions;
+their E11^{-1} J12 and M = J12^T E11^{-1} J12 are formed densely here, not
+read from the partition, which forms neither.
 The generic-form references reduce a dense partition through its
 unstructured realization (E, A, B, C, D) and convert the projection to pH
 form at the end, the route the reducers took before they were written as
@@ -42,15 +44,41 @@ def _dense(M):
     return M.toarray() if sp.issparse(M) else M
 
 
+def constraint_blocks(part):
+    """(E11^{-1} J12, M) of an index-2 view, M = J12^T E11^{-1} J12, both
+    dense: one Cholesky-based solve with the densified E11, then one
+    product."""
+    J12 = _dense(part.J12)
+    Einv_J12 = spla.solve(_dense(part.E11), J12, assume_a="pos")
+    return Einv_J12, J12.T @ Einv_J12
+
+
+def constraint_lifts(part):
+    """(G, H, M^{-1} (B2 - P2), P0, P1) of an index-2 view from the dense
+    :func:`constraint_blocks` and a dense LU of M: the lifts
+    G = E11^{-1} J12 M^{-1} (B2 - P2) and H = E11^{-1} J12 M^{-T} (B2 + P2),
+    and the polynomial part P1 = C2 M^{-1} B2, P0 = D + C1 G - H^T (A11 G + B1)
+    with Bi = B_i - P_i and Ci = (B_i + P_i)^T."""
+    Einv_J12, M = constraint_blocks(part)
+    Bi2, Ci2 = part.B2 - part.P2, (part.B2 + part.P2).T
+    gain = np.linalg.solve(M, Bi2)
+    G, H = Einv_J12 @ gain, Einv_J12 @ np.linalg.solve(M.T, Ci2.T)
+    D = part.parent.S + part.parent.N
+    P0 = D + (part.B1 + part.P1).T @ G - H.T @ (_dense(part.A11) @ G + part.B1 - part.P1)
+    return G, H, gain, P0, Ci2 @ gain
+
+
 def constraint_projectors(part):
     """Oblique projectors eliminating the index-2 constraints.
 
     Returns (pi_l, pi_r) with pi_l = I - E11^{-1} J12 Z J12^T and
-    pi_r = I - J12 Z J12^T E11^{-1}, Z = (J12^T E11^{-1} J12)^{-1}.
-    They satisfy pi_r E11 pi_l^T = E11 pi_l (the projected energy matrix
-    stays symmetric) and pi_l maps onto ker(J12^T)-compatible states.
+    pi_r = I - J12 Z J12^T E11^{-1}, Z = (J12^T E11^{-1} J12)^{-1}, from the
+    dense :func:`constraint_blocks`.  They satisfy pi_r E11 pi_l^T = E11 pi_l
+    (the projected energy matrix stays symmetric) and pi_l maps onto
+    ker(J12^T)-compatible states.
     """
-    X = part.Einv_J12 @ np.linalg.solve(part.coupling, _dense(part.J12).T)
+    Einv_J12, M = constraint_blocks(part)
+    X = Einv_J12 @ np.linalg.solve(M, _dense(part.J12).T)
     n1 = part.n1
     pi_l = np.eye(n1) - X
     pi_r = np.eye(n1) - X.T
@@ -215,10 +243,12 @@ def quad_h2_error(full, reduced):
 def onenormest_inverse(M):
     """||M^{-1}||_1 estimated by ``scipy.sparse.linalg.onenormest`` with
     one column, M^{-1} (and its adjoint, through ``trans="H"``) applied by
-    a SuperLU factor of M with its default COLAMD ordering."""
-    lu = spsla.splu(sp.csc_array(M, dtype=complex))
+    a SuperLU factor of M with its default COLAMD ordering, in real
+    arithmetic for a real M and in complex arithmetic otherwise."""
+    dtype = float if np.isrealobj(M.data) else complex
+    lu = spsla.splu(sp.csc_array(M, dtype=dtype))
     inverse = spsla.LinearOperator(
-        M.shape, dtype=complex, matvec=lu.solve, matmat=lu.solve,
+        M.shape, dtype=dtype, matvec=lu.solve, matmat=lu.solve,
         rmatvec=lambda x: lu.solve(x, trans="H"), rmatmat=lambda x: lu.solve(x, trans="H"))
     return spsla.onenormest(inverse, t=1)
 

@@ -17,6 +17,8 @@ from phmor.benchmarks import (
 )
 from phmor.linalg import LinAlgContractError
 
+from oracles import constraint_blocks
+
 
 class TestMassSpringChain:
     def test_dimensions(self):
@@ -81,7 +83,7 @@ class TestOseen:
 
     def test_constraint_full_rank(self):
         part = oseen_grid(OseenSpec(n_grid=4))
-        M = part.coupling
+        M = constraint_blocks(part)[1]
         assert np.linalg.matrix_rank(M) == part.n2
 
 

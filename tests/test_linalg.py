@@ -132,6 +132,18 @@ def test_inverse_norm_estimate_is_scipy_onenormest(n):
     assert info.value.cond_estimate == spsla.norm(M, 1) * est
 
 
+@pytest.mark.parametrize("n", range(1, 31))
+def test_inverse_norm_estimate_of_a_real_matrix_is_scipy_onenormest(n):
+    # a real M (an index-2 partition's saddle matrix) is estimated in real
+    # arithmetic, probes included, step for step as onenormest does
+    M = sp.csr_array(_random_sparse_complex(n, seed=200 + n).toarray().real
+                     + 4.0 * np.eye(n))
+    lu = spsla.splu(sp.csc_array(M))
+    y = lu.solve(np.full(n, 1.0 / n))
+    est = _inverse_norm_estimate(lu.solve, lambda V: lu.solve(V, trans="H"), y)
+    assert est == onenormest_inverse(M)
+
+
 def test_solve_complex_empty_sparse_is_exactly_singular():
     # the dense branch's answer: an empty matrix has no LU factor
     with pytest.raises(SingularMatrixError, match="exactly singular"):

@@ -383,12 +383,14 @@ class TestMIMOConstraintInputs:
 
 
 class TestConstraintFactorsOnce:
-    """The constraint blocks, M = J12^T E11^{-1} J12 and A22 = J22 - R22,
-    are factored when the partition is checked, and every later solve with
-    them goes through that factor."""
+    """The constraint blocks, the saddle matrix [[E11, J12], [J12^T, 0]]
+    and A22 = J22 - R22, are factored when the partition is checked, and
+    every later use of them reads that check's solve or factor."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
+        import scipy.sparse.linalg as spsla
+
         from phmor import linalg
 
         calls = []
@@ -400,7 +402,8 @@ class TestConstraintFactorsOnce:
             return wrapped
 
         for mod, name in ((np.linalg, "solve"), (np.linalg, "inv"), (spla, "solve"),
-                          (spla, "inv"), (spla, "lu_factor"), (spla, "lstsq")):
+                          (spla, "inv"), (spla, "lu_factor"), (spla, "lstsq"),
+                          (spsla, "splu")):
             monkeypatch.setattr(mod, name, recording(name, getattr(mod, name)))
         monkeypatch.setattr(linalg.LUFactor, "__init__",
                             recording("LUFactor", linalg.LUFactor.__init__))
@@ -412,7 +415,7 @@ class TestConstraintFactorsOnce:
         parent = mass_spring_chain_b2(MassSpringSpec(k=10), amplitude=0.7).parent
         solves.clear()
         part = partition_index2(parent, parent.n - 1)
-        assert solves == ["solve", "LUFactor"]  # E11^{-1} J12, then M: once each
+        assert solves == ["splu"]  # the saddle matrix, once; no E11^{-1} J12, M or LU(M)
         solves.clear()
         result = irka_reduce(part, IRKAConfig(r=4), method="index2")
         assert result.model.order == 4 and not part.b2_zero

@@ -320,13 +320,15 @@ def test_sparse_pencil_empty_is_exactly_singular():
 
 def test_sparse_reduce_orders_each_pencil_once(monkeypatch, tmp_path):
     # the large-sparse-reduce command on small models: 52 factorizations
-    # per model, of which 50 of the n x n pencil, one per distinct shift
-    # (10 interpolation points, 40 grid points), the first with COLAMD and
-    # the rest in that order; the interpolation residuals reuse the basis's
+    # per model, of which 50 of the complex n x n pencil, one per distinct
+    # shift (10 interpolation points, 40 grid points), the first with COLAMD
+    # and the rest in that order, one of the real n x n saddle matrix of the
+    # partition check, and one of E11 (its positive definiteness); the
+    # interpolation residuals reuse the basis's
     splu, calls, in_residuals = spsla.splu, [], []
 
     def counting(A, permc_spec=None, *args, **kwargs):
-        calls.append((A.shape[0], permc_spec))
+        calls.append((A.shape[0], A.dtype.kind, permc_spec))
         return splu(A, permc_spec, *args, **kwargs)
 
     def residuals(*args):
@@ -347,9 +349,10 @@ def test_sparse_reduce_orders_each_pencil_once(monkeypatch, tmp_path):
                          "--freq-grid", "1e-4:1e4:40", "--out", str(tmp_path / "r")]) == 0
         assert len(calls) == 52
         assert in_residuals == [0]
-        n = max(size for size, _ in calls)
-        pencil = [spec for size, spec in calls if size == n]
+        n = max(size for size, _, _ in calls)
+        pencil = [spec for size, kind, spec in calls if size == n and kind == "c"]
         assert pencil == ["COLAMD"] + ["NATURAL"] * 49
+        assert [spec for size, kind, spec in calls if size == n and kind == "f"] == ["COLAMD"]
 
 
 def _csr_random_index1():

@@ -18,7 +18,8 @@ from phmor import (
 from phmor.benchmarks import OseenSpec
 from phmor.linalg import LinAlgContractError
 
-from oracles import constraint_projectors, projector_oracle_index2
+from oracles import (constraint_blocks, constraint_lifts, constraint_projectors,
+                     projector_oracle_index2)
 
 
 def _fixture_matrices():
@@ -129,7 +130,11 @@ def test_partition_index1_empty_algebraic_block(index1_fixture):
 def test_partition_index2_blocks(index2_fixture):
     part = partition_index2(index2_fixture, 2)
     assert part.b2_zero
-    assert part.coupling == pytest.approx(np.array([[1.0]]))
+    assert constraint_blocks(part)[1] == pytest.approx(np.array([[1.0]]))
+    # B2 = P2 = 0: the saddle solve's lifts and multiplier gain are exact zeros
+    assert part.input_lift.shape == part.output_lift.shape == (2, 1)
+    assert part.multiplier_gain.shape == (1, 1)
+    assert not (np.any(part.input_lift) or np.any(part.output_lift) or np.any(part.multiplier_gain))
 
 
 def test_partition_index2_rejects_nonzero_E22(index2_fixture):
@@ -146,6 +151,25 @@ def test_partition_index2_rejects_nonzero_E22(index2_fixture):
         partition_index2(PHDAESystem(**mats), 2)
 
 
+def _constraint_columns(delta, sparse):
+    """n1 = 3, n2 = 2, E11 = I and the constraint columns e1 and
+    e1 + delta e2 (delta = 0 repeats the first): kappa_1(M) grows like
+    1 / delta^2, and with B2 = e1 the multiplier gain is M^{-1} e1."""
+    n = 5
+    J = np.zeros((n, n))
+    J[0, 3] = J[0, 4] = 1.0
+    J[1, 4] = delta
+    J = J - J.T
+    B = np.zeros((n, 1))
+    B[3] = 1.0
+    mats = dict(E=np.diag([1.0, 1.0, 1.0, 0.0, 0.0]), J=J, R=np.diag([1.0, 1.0, 1.0, 0.0, 0.0]),
+                B=B, P=np.zeros((n, 1)), S=np.zeros((1, 1)), N=np.zeros((1, 1)))
+    return PHDAESystem(**(_sparse_copy(mats) if sparse else mats))
+
+
+_COUPLING = r"^J12\^T E11\^\{-1\} J12 \(coupling\) is singular to working precision"
+
+
 def test_partition_index2_rejects_singular_coupling():
     n = 4
     E = np.diag([1.0, 1.0, 0.0, 0.0])
@@ -153,8 +177,28 @@ def test_partition_index2_rejects_singular_coupling():
     J[0, 2], J[2, 0] = 1.0, -1.0  # second constraint column zero
     sys = PHDAESystem(E=E, J=J, R=np.zeros((n, n)), B=np.zeros((n, 1)),
                       P=np.zeros((n, 1)), S=np.zeros((1, 1)), N=np.zeros((1, 1)))
-    with pytest.raises(PartitionError):
+    with pytest.raises(PartitionError, match=_COUPLING):
         partition_index2(sys, 2)
+
+
+@pytest.mark.parametrize("case", ["dependent", "nearly-dependent", "nearly-dependent-csr",
+                                  "well-conditioned"])
+def test_partition_index2_coupling_condition(case):
+    # the check is the saddle matrix's kappa_1 estimate against COND_LIMIT,
+    # and its message names M = J12^T E11^{-1} J12, dense parent or CSR
+    delta = {"dependent": 0.0, "well-conditioned": 1.0}.get(case, 1e-7)
+    sys = _constraint_columns(delta, sparse=case.endswith("csr"))
+    if case == "well-conditioned":
+        part = partition_index2(sys, 3)
+        M = constraint_blocks(part)[1]
+        assert np.linalg.cond(M, 1) < 10
+        assert np.allclose(part.multiplier_gain, np.linalg.solve(M, [[1.0], [0.0]]),
+                           rtol=0, atol=1e-14)
+        return
+    J12 = np.array([[1.0, 1.0], [0.0, delta], [0.0, 0.0]])
+    assert np.linalg.cond(J12.T @ J12, 1) > 1e12  # M, with E11 = I
+    with pytest.raises(PartitionError, match=_COUPLING):
+        partition_index2(sys, 3)
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
@@ -378,11 +422,96 @@ def test_sparse_index2_constraint_quantities_match_dense():
     from phmor.benchmarks import MassSpringSpec, mass_spring_chain_b2
 
     dense = mass_spring_chain_b2(MassSpringSpec(k=6))
-    mats = _sparse_copy({name: getattr(dense.parent, name) for name in "EJRBPSN"})
-    sparse = partition_index2(PHDAESystem(**mats), dense.n1)
+    sparse = _csr_view(dense)
     assert not sparse.b2_zero
-    assert np.allclose(sparse.Einv_J12, dense.Einv_J12, rtol=0, atol=1e-13)
-    assert np.allclose(sparse.coupling, dense.coupling, rtol=0, atol=1e-13)
+    for name in ("input_lift", "output_lift", "multiplier_gain"):
+        assert np.allclose(getattr(sparse, name), getattr(dense, name), rtol=0, atol=1e-13)
+    for name in ("P0", "P1"):
+        assert np.allclose(getattr(sparse.polynomial_part, name),
+                           getattr(dense.polynomial_part, name), rtol=0, atol=1e-13)
+
+
+def _csr_view(part):
+    mats = _sparse_copy({name: getattr(part.parent, name) for name in "EJRBPSN"})
+    return partition_index2(PHDAESystem(**mats), part.n1)
+
+
+def _oseen_b2():
+    """Dense Oseen n_grid=4 with seeded B and P added: constraint inputs on
+    every multiplier, and B2 - P2 != B2 + P2, so each quantity of the
+    saddle solve is nonzero and G != H, with n2 = 15."""
+    from phmor.benchmarks import oseen_grid
+
+    parent = oseen_grid(OseenSpec(n_grid=4)).parent
+    mats = {name: getattr(parent, name) for name in "EJRBPSN"}
+    rng = np.random.default_rng(3)
+    for name in "BP":
+        mats[name] = mats[name] + rng.standard_normal(mats[name].shape)
+    return partition_index2(PHDAESystem(**mats), OseenSpec(n_grid=4).n_velocity)
+
+
+def _constraint_views():
+    from phmor.benchmarks import MassSpringSpec, mass_spring_chain_b2, mixed_chain, oseen_grid
+
+    chain_b2 = lambda: mass_spring_chain_b2(MassSpringSpec(k=6), amplitude=0.7)  # noqa: E731
+    no_constraints = _fixture_matrices()
+    no_constraints["E"] = np.eye(2)
+    return {
+        "chain-b2": chain_b2,
+        "chain-b2-csr": lambda: _csr_view(chain_b2()),
+        "mixed": lambda: mixed_chain(MassSpringSpec(k=3)),
+        "oseen-4": lambda: oseen_grid(OseenSpec(n_grid=4)),
+        "oseen-4-b2": _oseen_b2,
+        "oseen-4-b2-csr": lambda: _csr_view(_oseen_b2()),
+        "n2=0": lambda: partition_index2(PHDAESystem(**no_constraints), 2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_constraint_views()))
+def test_index2_constraint_quantities_match_dense_oracle(name):
+    # G, H, M^{-1} (B2 - P2), P0 and P1 from the one saddle solve against
+    # the dense E11^{-1} J12 and M; each is a backward-stable solve with K
+    # or M, so the relative error is bounded by a modest multiple of
+    # n u kappa_1, kappa the larger of kappa_1(K) and kappa_1(M)
+    from oracles import _dense
+
+    part = _constraint_views()[name]()
+    E11, J12 = _dense(part.E11), _dense(part.J12)
+    K = np.block([[E11, J12], [J12.T, np.zeros((part.n2, part.n2))]])
+    kappa = max(np.linalg.cond(K, 1), np.linalg.cond(constraint_blocks(part)[1], 1)
+                if part.n2 else 1.0)
+    tol = 10 * part.parent.n * np.finfo(float).eps * kappa
+    poly = part.polynomial_part
+    got = (part.input_lift, part.output_lift, part.multiplier_gain, poly.P0, poly.P1)
+    for value, ref in zip(got, constraint_lifts(part)):
+        assert value.shape == ref.shape
+        assert np.linalg.norm(value - ref) <= tol * max(1.0, np.linalg.norm(ref))
+    if name == "n2=0":
+        assert not (np.any(got[0]) or np.any(got[1]) or np.any(poly.P1))
+    if name.startswith("oseen-4-b2"):
+        assert np.linalg.norm(got[2]) > 0.1 and np.linalg.norm(poly.P1) > 0.1
+
+
+def test_sparse_index2_partition_forms_no_dense_constraint_block():
+    # a CSR Oseen n_grid=30 view (n1 = 1740, n2 = 899): its check, lifts and
+    # polynomial part come from one sparse solve with the saddle matrix, so
+    # they allocate far less than one dense n1 x n2 array of E11^{-1} J12
+    import tracemalloc
+
+    from phmor.benchmarks import oseen_grid_sparse
+
+    spec = OseenSpec(n_grid=30)
+    sys = oseen_grid_sparse(spec)
+    n1, n2 = spec.n_velocity, sys.n - spec.n_velocity
+    assert (n1, n2) == (1740, 899)
+    tracemalloc.start()
+    try:
+        part = partition_index2(sys, n1)
+        part.lifted_ports, part.polynomial_part
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * n1 * n2 * np.dtype(float).itemsize
 
 
 def _validation_values(part):
