@@ -73,6 +73,8 @@ def _default_out():
 def _parse_int_range(text):
     """'2:20:2' -> [2, 4, ..., 20] (inclusive upper end)."""
     parts = text.split(":")
+    if len(parts) > 3:
+        raise LinAlgContractError(f"range {text}: expected lo[:hi[:step]]")
     if len(parts) == 1:
         return [int(parts[0])]
     if len(parts) == 2:
@@ -86,7 +88,10 @@ def _parse_int_range(text):
 
 def _parse_freq_grid(text):
     """'1e-4:1e4:400' -> log-spaced FrequencyGrid."""
-    lo, hi, num = text.split(":")
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise LinAlgContractError(f"frequency grid {text}: expected lo:hi:num")
+    lo, hi, num = parts
     return FrequencyGrid.log_spaced(float(lo), float(hi), int(num))
 
 
@@ -260,6 +265,8 @@ def cmd_reduce(args):
     name, irka = _parse_method(args.method, part)
     out = pathlib.Path(args.out) if args.out else _default_out() / "reduced"
     grid = _parse_freq_grid(args.freq_grid)
+    if args.r < 1:
+        raise LinAlgContractError("reduced orders must be >= 1")
     if args.points is not None:
         pts = _parse_points(args.points)
         data = InterpolationData(points=pts,

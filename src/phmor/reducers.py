@@ -27,23 +27,21 @@ sym(T^T R T), T^T B, T^T P), which keeps the pH structure:
 :data:`REDUCERS` maps each reducer's name to its function, and
 :func:`default_method` names the one that runs when none is asked for.
 
-The generic basis projects with its raw (non-orthonormalized) columns, so
-that the index-1 shift formula can pair each column with its tangent
-direction; the saddle basis is an orthonormal basis of its kept
-columns.  Near-dependent columns are detected by one rank-revealing QR of
-the normalized columns and dropped with a warning.
+Both bases are of one kind: the Householder Q of the solves' normalized
+columns that one rank-revealing QR keeps (near-dependent ones are dropped
+with a warning).  The generic basis also carries its tangent directions,
+written in Q's coordinates, for the shift formula.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as spla
 
-from .linalg import LinAlgContractError, pivoted_rank, solve_stacked
+from .linalg import LinAlgContractError, pivoted_rank, solve_complex, solve_stacked
 from .systems import (
     Index1Partition,
     Index2Partition,
@@ -51,7 +49,7 @@ from .systems import (
     congruence,
     symmetric_skew_split,
 )
-from .transfer import PolynomialPart, balance_realization
+from .transfer import PolynomialPart, transfer_cond_limit
 
 __all__ = [
     "InterpolationData",
@@ -124,16 +122,16 @@ class InterpolationData:
 
 @dataclass(frozen=True)
 class ProjectionBasis:
-    """Real projection basis, with its directions when it has any.
+    """Real orthonormal projection basis, with its directions when it has any.
 
-    ``V`` is n x r' real.  For the raw basis of :func:`build_V_generic`,
-    ``directions`` is m x r', column k being the tangent direction expressed
-    in the same (realified) coordinates as column k of V, so that shift
-    formulas B^T (...) B remain valid after realification.  The orthonormal
-    basis of :func:`build_V_saddle` pairs no column with one direction, and
-    its ``directions`` is None.  ``cond`` is the pivoted QR's condition
-    estimate of the kept normalized columns (:func:`_kept`); the unit
-    roundoff times it is the rounding floor that :mod:`phmor.irka` stops at.
+    ``V`` is n x r' real with orthonormal columns (:func:`_orthonormal`).
+    For :func:`build_V_generic`, ``directions`` is m x r': the realified
+    tangent directions Bd of the kept solves X = V T, in V's coordinates,
+    Bd T^{-1}, so that the shift formula's terms Bd^T (...) Bd are those of
+    the solves after the change of coordinates T.  :func:`build_V_saddle`
+    has none, and its ``directions`` is None.  ``cond`` is the pivoted QR's
+    condition estimate of the kept normalized columns; the unit roundoff
+    times it is the rounding floor that :mod:`phmor.irka` stops at.
     """
 
     V: np.ndarray
@@ -205,18 +203,18 @@ def _solves(model, data, dynamic=False):
     return model.solve_shifted(data.points[kept], rhs, dynamic=dynamic)
 
 
-def _normalized(V):
-    """V with unit columns (a zero column stays zero): the input of the rank
-    decision, since the columns' norms can span many orders of magnitude
-    over wide point ranges."""
+def _orthonormal(V, directions=None):
+    """The :class:`ProjectionBasis` of the columns of V that the rank rule
+    keeps: the Householder Q of W[:, keep] = Q R, W = V D^{-1} the columns
+    normalized (D their norms; a zero column stays zero), since the norms
+    can span many orders of magnitude over wide point ranges.  ``keep``
+    are the indices, in order, that the rank rule of
+    :func:`~phmor.linalg.pivoted_rank` keeps of W; a drop is warned about.
+    ``directions`` Bd (m x k, column j paired with V's column j) become
+    Bd[:, keep] D^{-1} R^{-1}, their coordinates in Q, since
+    V[:, keep] = Q R D."""
     norms = np.linalg.norm(V, axis=0)
-    return V / np.where(norms > 0, norms, 1.0)
-
-
-def _kept(W):
-    """(indices, in order, of the columns of the normalized basis W that the
-    rank rule of :func:`~phmor.linalg.pivoted_rank` keeps, their condition
-    estimate); a drop is warned about."""
+    W = V / np.where(norms > 0, norms, 1.0)
     rank, piv, cond = pivoted_rank(W)
     if rank < W.shape[1]:
         warnings.warn(
@@ -224,7 +222,12 @@ def _kept(W):
             f"the rest numerically dependent (pivoted QR, |R_ii| <= 1e-12 |R_00|)",
             RuntimeWarning,
         )
-    return np.sort(piv[:rank]), cond
+    keep = np.sort(piv[:rank])
+    Q, R = spla.qr(W[:, keep], mode="economic")
+    if directions is not None:
+        directions = spla.solve_triangular(R, (directions[:, keep] / norms[keep]).T,
+                                           trans="T").T
+    return ProjectionBasis(V=Q, cond=cond, directions=directions)
 
 
 def build_V_generic(model, data):
@@ -232,20 +235,17 @@ def build_V_generic(model, data):
 
     ``model`` is a full model, solved by its ``solve_shifted``: a partition
     view (the reducers pass one, so that its factored elimination solver
-    serves every point), a PHDAESystem or a GenericLTISystem.  The returned
-    basis is realified (conjugate pairs merged into real/imaginary columns)
-    and rank-filtered, with no further orthonormalization, so that each
-    column keeps its paired direction for the shift formula of
-    :func:`reduce_index1_shifted`.  The model's matrices are real, so the
-    solution at conj(sigma) is the conjugate of the one at sigma: one solve
-    is made per conjugate pair.
+    serves every point), a PHDAESystem or a GenericLTISystem.  The solves
+    are realified (conjugate pairs merged into real/imaginary columns), as
+    are their directions, and the basis is :func:`_orthonormal` of them:
+    an orthonormal basis of the kept columns, whose ``directions`` pair
+    with it for the shift formula of :func:`reduce_index1_shifted`.  The
+    model's matrices are real, so the solution at conj(sigma) is the
+    conjugate of the one at sigma: one solve is made per conjugate pair.
     """
     V = _realify(_solves(model, data), data.pairs)
     Bd = _realify(data.directions[[i for i, _ in data.pairs]].T, data.pairs)
-    keep, cond = _kept(_normalized(V))
-    if keep.size < V.shape[1]:
-        V, Bd = V[:, keep], Bd[:, keep]
-    return ProjectionBasis(V=V, directions=Bd, cond=cond)
+    return _orthonormal(V, Bd)
 
 
 def _lifted(part):
@@ -267,19 +267,15 @@ def build_V_saddle(part, data):
     onto ker(J12^T) along the energy inner product by adding G b, G the
     partition's input lift E11^{-1} J12 M^{-1} (B2 - P2), so that
     J12^T V = 0 holds for the returned basis.  As in
-    :func:`build_V_generic`, the matrices are real and only one member of
-    each conjugate pair is solved for, and the same rule keeps the same
-    columns.  The basis returned is the Householder Q of the kept columns,
-    normalized, in their order: an orthonormal basis of their span, so that
-    the reduced E is no worse conditioned than E11.  Its ``directions`` is
-    None.
+    :func:`build_V_generic`, the matrices are real, only one member of
+    each conjugate pair is solved for, and the basis is :func:`_orthonormal`
+    of the solves, so that the reduced E is no worse conditioned than E11.
+    Its ``directions`` is None.
     """
     X = -_solves(part, data, dynamic=True)
     if _lifted(part):
         X = X + np.column_stack([part.input_lift @ data.directions[i] for i, _ in data.pairs])
-    W = _normalized(_realify(X, data.pairs))
-    keep, cond = _kept(W)
-    return ProjectionBasis(V=spla.qr(W[:, keep], mode="economic")[0], cond=cond)
+    return _orthonormal(_realify(X, data.pairs))
 
 
 @dataclass(frozen=True)
@@ -312,14 +308,6 @@ class ReducedModel:
     def generic(self):
         return self.system.generic
 
-    @cached_property
-    def _balanced(self):
-        """The balanced (E, A, B, C) that :meth:`transfer_evals` solves
-        with; B is stored complex, the solve's right-hand side type."""
-        gen = self.generic
-        E, A, B, C = balance_realization(gen.E, gen.A, gen.B, gen.C)
-        return E, A, B.astype(complex), C
-
     def transfer_eval(self, s):
         """H(s) at one point: :meth:`transfer_evals` of a one-point array."""
         return self.transfer_evals(s)[0]
@@ -327,24 +315,24 @@ class ReducedModel:
     def transfer_evals(self, points):
         """H(s_k) at every point of a 1-D array, shape (K, p, m), from one
         stacked solve of the pencils s_k E - A
-        (:func:`~phmor.linalg.solve_stacked`).
-
-        A reduced pencil can be very ill-conditioned while the transfer
-        values stay accurate (the raw ``index1-shifted`` basis, or a loaded
-        model whose reduced E is singular): the near-singular directions
-        typically do not couple to the input and output maps.  A pencil
-        whose ``zgecon`` estimate exceeds 1e14 (1 + |s|), or that has an
-        exactly zero pivot, is solved in the minimum-norm least-squares
-        sense instead."""
+        (:func:`~phmor.linalg.solve_stacked`).  The rule is a full model's:
+        the first point, in order, whose pencil has an exactly zero pivot,
+        a solution that is not finite or a ``zgecon`` estimate above
+        :func:`~phmor.transfer.transfer_cond_limit` raises
+        ``SingularMatrixError``, as its LU reference
+        :func:`~phmor.linalg.solve_complex` raises there."""
         gen = self.generic
-        E, A, B, C = self._balanced
         s = np.asarray(points, dtype=complex).reshape(-1)
-        pencils = s[:, None, None] * E - A
+        pencils = s[:, None, None] * gen.E - gen.A
+        B = gen.B.astype(complex)
+        limit = transfer_cond_limit(s)
         X, cond = solve_stacked(pencils, B)
-        rejected = ~(cond <= 1e14 * (1.0 + np.abs(s))) | ~np.isfinite(X).all(axis=(1, 2))
-        for k in np.flatnonzero(rejected):
-            X[k] = np.linalg.lstsq(pencils[k], B, rcond=None)[0]
-        H = C @ X + gen.D
+        failed = ~(cond <= limit) | ~np.isfinite(X).all(axis=(1, 2))
+        if failed.any():
+            k = int(np.argmax(failed))
+            # the same LU of that one pencil, which raises with its message
+            solve_complex(pencils[k], B, cond_limit=limit[k])
+        H = gen.C @ X + gen.D
         if self.augmented_input:
             H = H + s[:, None, None] * self.polynomial.P1
         return H
@@ -371,11 +359,11 @@ def reduce_index1_shifted(part, data):
     """Interpolatory reduction of an index-1 system with a feedthrough
     shift that matches the full model's constant polynomial part.
 
-    The congruence with the basis V is shifted by Delta = P0 - D (the
-    algebraic contribution to the feedthrough), with the direction matrix
-    Bd paired with the basis columns: K = Bd^T Delta Bd adds skew(K) to J
-    and -sym(K) to R, -Bd^T sym(Delta) to B, Bd^T skew(Delta) to P, and
-    sym(Delta), skew(Delta) to S, N.  That is the generic projection
+    The congruence with the orthonormal basis V of :func:`build_V_generic`
+    is shifted by Delta = P0 - D (the algebraic contribution to the
+    feedthrough), with the basis directions Bd: K = Bd^T Delta Bd adds
+    skew(K) to J and -sym(K) to R, -Bd^T sym(Delta) to B, Bd^T skew(Delta)
+    to P, and sym(Delta), skew(Delta) to S, N.  That is the generic projection
     (V^T E V, V^T A V + K, V^T (B - P) - Bd^T Delta,
     (B + P)^T V - Delta Bd, P0) in pH form.
 

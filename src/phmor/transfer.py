@@ -239,16 +239,14 @@ def _check_poly_against_limit(part, poly):
 
 
 def balance_realization(E, A, B, C):
-    """Symmetric diagonal scaling improving the pencil's conditioning.
+    """Symmetric diagonal scaling of a realization, for
+    :func:`pole_residue`'s eigensolve.
 
-    The raw ``index1-shifted`` basis is not normalized (its columns pair
-    with the shift formula's directions), so column norms — and with them
-    the diagonal of E — can span many orders of magnitude; the orthonormal
-    basis of the Galerkin reducers gives a reduced E whose diagonal is
-    already on E11's scale, and the scaling then changes little.  Scaling
-    state i by 1/sqrt(E_ii) (skipped for E_ii ~ 0) leaves the transfer
-    function, poles, and residues unchanged while making the pencil
-    numerically tractable.
+    Scaling state i by 1/sqrt(E_ii) (skipped for E_ii ~ 0) leaves the
+    transfer function, poles, and residues unchanged.  Every reducer
+    projects with an orthonormal basis, so a reduced E's diagonal is
+    already on the full model's scale and the scaling changes the
+    eigenpairs only by rounding, but that rounding steers IRKA's sweeps.
     """
     d = np.sqrt(np.abs(np.diag(E)))
     dmax = d.max(initial=0.0)

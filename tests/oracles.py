@@ -16,13 +16,15 @@ the convergence metric) are the loops the package ran before it worked on
 whole arrays.  The pencil eigensolver reference is
 ``scipy.linalg.eig``, the near-defective test's reference takes ||E||_2
 by SVD every time, and the index-2 port reference forms the lifted port
-blocks at every call.  The raw saddle basis is the index-2 basis before it
-was orthonormalized (the rank-filtered solves themselves).  The
-block-diagonal references are the deleted ``mixed-blockdiag`` reducer,
-which kept the constrained states and the multipliers and reduced only x2,
-and the deleted block-diagonal ``index1-blockdiag`` route, which kept the
-algebraic states; both rank with :func:`orthonormalize`, the rule of
-phmor's deleted ``linalg.orthonormalize``."""
+blocks at every call.  The raw saddle and generic bases are the bases
+before they were orthonormalized (the rank-filtered solves themselves,
+with their directions for the generic one).  The block-diagonal
+references are the deleted ``mixed-blockdiag`` reducer, which kept the
+constrained states and the multipliers and reduced only x2, and the
+deleted block-diagonal ``index1-blockdiag`` route, which kept the
+algebraic states; both split the raw generic basis and rank with
+:func:`orthonormalize`, the rule of phmor's deleted
+``linalg.orthonormalize``."""
 
 import warnings
 
@@ -34,7 +36,7 @@ import scipy.sparse.linalg as spsla
 
 from phmor import GenericLTISystem, PHDAESystem, build_V_generic, build_V_saddle
 from phmor.linalg import LinAlgContractError, pivoted_rank
-from phmor.reducers import _CONJ_TOL, _finish, _realify
+from phmor.reducers import _CONJ_TOL, ProjectionBasis, _finish, _realify
 from phmor.systems import congruence, symmetric_skew_split
 from phmor.regularization import _PROBES, RankTest, _rank, _spectrum
 from phmor.transfer import PolynomialPart, evaluate
@@ -168,9 +170,27 @@ def raw_saddle_basis(part, data):
         return v if part.b2_zero else v + part.input_lift @ b
 
     V = point_solves(data, column)
+    return V[:, _rank_filter(V)[0]]
+
+
+def raw_generic_basis(part, data):
+    """The raw generic basis: the realified solves of :func:`build_V_generic`
+    at the points ``data.pairs`` keeps, and their realified directions,
+    rank-filtered by the same rule but not orthonormalized.  Its columns
+    span the orthonormal basis's."""
+    B = part.generic.B
+    V = point_solves(data, lambda s, b: part.solve_shifted(s, B @ b))
+    Bd = _realify(data.directions[[i for i, _ in data.pairs]].T, data.pairs)
+    keep, cond = _rank_filter(V)
+    return ProjectionBasis(V=V[:, keep], cond=cond, directions=Bd[:, keep])
+
+
+def _rank_filter(V):
+    """(indices, in order, of the columns of V that the reducers' rank rule
+    keeps of its normalized columns, their condition estimate)."""
     norms = np.linalg.norm(V, axis=0)
-    rank, piv, _ = pivoted_rank(V / np.where(norms > 0, norms, 1.0))
-    return V[:, np.sort(piv[:rank])]
+    rank, piv, cond = pivoted_rank(V / np.where(norms > 0, norms, 1.0))
+    return np.sort(piv[:rank]), cond
 
 
 def reference_raw_index2(part, data):
@@ -198,11 +218,11 @@ def orthonormalize(V):
 def reference_index1_blockdiag(part, data):
     """The deleted block-diagonal ``index1-blockdiag`` reducer: the
     congruence with diag(V1, I), V1 an orthonormal basis of the x1 rows of
-    the generic basis, which keeps the algebraic equations.  A pH DAE of
+    the raw generic basis, which keeps the algebraic equations.  A pH DAE of
     order r' + n2 (r' the columns V1 keeps) with a singular reduced E, and
     the transfer function of the Galerkin reducer of the x2-eliminated
     ODE wherever both keep every column."""
-    sys, basis = part.parent, build_V_generic(part, data)
+    sys, basis = part.parent, raw_generic_basis(part, data)
     V1 = orthonormalize(basis.V[:part.n1])
     if V1.shape[1] < basis.r:
         warnings.warn(f"dynamic-block basis rank-deficient: dropped "
@@ -217,11 +237,11 @@ def reference_mixed_blockdiag(part, data):
     its index-2 view, whose blocks fix the mixed ones: n3 = n2 multipliers,
     n1 = n3 constrained states and n2 = n1 - n3 dynamic states x2 of the
     view's n1.  It is the congruence with diag(I, V2, I), V2 an orthonormal
-    basis of the x2 rows of the generic basis, which keeps x1 and x3.  Its
+    basis of the x2 rows of the raw generic basis, which keeps x1 and x3.  Its
     order is n1 + r' + n3, r' (the dynamic order) the columns V2 keeps."""
     n3 = n1 = part.n2
     n2 = part.n1 - n3
-    sys, basis = part.parent, build_V_generic(part, data)
+    sys, basis = part.parent, raw_generic_basis(part, data)
     V2 = orthonormalize(basis.V[n1:n1 + n2])
     T = spla.block_diag(np.eye(n1), V2, np.eye(n3))
     sys_r = congruence(T, sys.E, sys.J, sys.R, sys.B, sys.P, sys.S, sys.N)

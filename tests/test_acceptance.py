@@ -27,6 +27,7 @@ from phmor.benchmarks import (
 from phmor.irka import IRKAConfig, convergence_metric, irka_reduce, mirror_and_sanitize
 from phmor.reducers import (
     InterpolationData,
+    build_V_generic,
     build_V_saddle,
     reduce_index1_blockdiag,
     reduce_index1_shifted,
@@ -46,7 +47,7 @@ from phmor.transfer import (
     tangential_residuals,
 )
 
-from oracles import projector_oracle_index2, raw_saddle_basis
+from oracles import projector_oracle_index2, raw_generic_basis, raw_saddle_basis
 
 PH_METHODS = {"index1-blockdiag", "index2-galerkin"}
 
@@ -236,7 +237,9 @@ def test_criterion_5_hand_verified_fixtures(index1_fixture, index2_fixture):
     ok &= abs(m1.transfer_eval(1.0)[0, 0] - 2.5) <= 1e-12
     ok &= abs(evaluate(index1_fixture, 1.0)[0, 0] - 2.5) <= 1e-12
     ok &= m1.ph_valid is False
-    ok &= abs(m1.system.R[0, 0] + 0.75) <= 1e-12
+    # the hand value is that of the raw column, mapped as for index 2
+    T = build_V_generic(part1, data).V.T @ raw_generic_basis(part1, data).V
+    ok &= abs((T.T @ m1.system.R @ T)[0, 0] + 0.75) <= 1e-12
     _finish(5, "hand-verified reduced matrices", ok)
 
 

@@ -41,7 +41,15 @@ from phmor.linalg import (
     solve_complex,
     solve_stacked,
 )
-from phmor.transfer import FrequencyGrid, evaluate, frequency_response
+from phmor.reducers import ReducedModel
+from phmor.transfer import (
+    FrequencyGrid,
+    PolynomialPart,
+    eval_transfer,
+    evaluate,
+    frequency_response,
+    transfer_cond_limit,
+)
 
 from oracles import reference_index1_blockdiag, reference_raw_index2
 
@@ -290,8 +298,8 @@ def test_uncleared_shifts_are_decided_in_order(ztrcon_calls):
 
 
 def _pencils(model, points):
-    E, A, B, _ = model._balanced
-    return points[:, None, None] * E - A, B
+    gen = model.generic
+    return points[:, None, None] * gen.E - gen.A, gen.B.astype(complex)
 
 
 def _zgecon(M):
@@ -391,16 +399,39 @@ def test_nan_point_raises_contract_error(index1_fixture):
             frequency_response(model, _padded([1j, -1.0, np.nan]))
 
 
-def test_raw_basis_chain_lstsq_points_match_per_point():
+def test_raw_basis_chain_pencils_raise_at_the_first_point():
     # the large-sparse-reduce workload's reduction at k = 50 projected with
-    # the raw saddle basis: its pencil is rejected at most grid points
+    # the raw saddle basis: its reduced E is numerically singular, so every
+    # grid pencil is above the full models' limit, and the first one raises
     spec = MassSpringSpec(k=50)
     model = reference_raw_index2(partition_index2(mass_spring_chain_sparse(spec), spec.n1),
                                  InterpolationData.log_spaced(10, 1))
     grid = FrequencyGrid.log_spaced(1e-4, 1e4, 40)
     _, cond = solve_stacked(*_pencils(model, grid.points))
-    assert np.count_nonzero(cond > 1e14 * (1.0 + np.abs(grid.points))) > len(grid) // 2
-    assert np.array_equal(frequency_response(model, grid), _per_point(model, grid.points))
+    assert np.all(cond > transfer_cond_limit(grid.points))
+    with pytest.raises(SingularMatrixError) as info:
+        frequency_response(model, grid)
+    assert str(info.value).startswith("matrix is singular to working precision")
+    assert info.value.cond_estimate == cond[0]
+
+
+def test_reduced_pole_on_the_imaginary_axis_raises_there():
+    # E = I, A = J with poles at +-i: the pencil at s = i has an exactly
+    # zero pivot; just off it, the estimate exceeds the limit
+    sys_r = PHDAESystem(E=np.eye(2), J=np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                        R=np.zeros((2, 2)), B=np.array([[1.0], [0.0]]), P=np.zeros((2, 1)),
+                        S=np.zeros((1, 1)), N=np.zeros((1, 1)))
+    model = ReducedModel(system=sys_r, method="test", ph_valid=True, w_min_eig=0.0,
+                         polynomial=PolynomialPart.constant(np.zeros((1, 1))))
+    H = model.transfer_evals(np.array([0.5j, 2j]))
+    np.testing.assert_allclose(H[:, 0, 0], [s / (s * s + 1) for s in (0.5j, 2j)],
+                               rtol=1e-14)
+    with pytest.raises(SingularMatrixError, match="^matrix is exactly singular$"):
+        frequency_response(model, np.array([0.5j, 1j, 2j]))
+    with pytest.raises(SingularMatrixError, match="singular to working precision"):
+        model.transfer_eval(1j * (1 + 1e-15))
+    with pytest.raises(SingularMatrixError, match="^matrix is exactly singular$"):
+        eval_transfer(model, 1j)
 
 
 def test_tangential_residuals_keep_the_per_point_formula():

@@ -201,6 +201,24 @@ class TestReduce:
                                        "finite with 0 < lo < hi, got ")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_reduce_order_below_one_exits_1(self, tmp_path, capsys, r):
+        model = tmp_path / "chain"
+        _run(["generate", "--benchmark", "chain", "--k", 4, "--out", model])
+        code, captured = _run(["reduce", model, f"--r={r}", "--out", tmp_path / "red"],
+                              capsys)
+        assert code == 1
+        assert captured.err == "error [reduce]: reduced orders must be >= 1\n"
+
+    def test_reduce_grid_without_three_fields_exits_1(self, tmp_path, capsys):
+        model = tmp_path / "chain"
+        _run(["generate", "--benchmark", "chain", "--k", 4, "--out", model])
+        code, captured = _run(["reduce", model, "--r", 2, "--freq-grid", "1e-4:1e4",
+                               "--out", tmp_path / "red"], capsys)
+        assert code == 1
+        assert captured.err == ("error [reduce]: frequency grid 1e-4:1e4: expected "
+                                "lo:hi:num\n")
+
     def test_reduce_unpartitioned_container_exits_1(self, tmp_path, index2_fixture,
                                                     capsys):
         model = tmp_path / "plain"
@@ -208,6 +226,39 @@ class TestReduce:
         code, captured = _run(["reduce", model, "--r", 1], capsys)
         assert code == 1
         assert "index" in captured.err
+
+
+@pytest.fixture(scope="module")
+def random_index1_models(tmp_path_factory):
+    """random-index1 containers at (n1, n2, m) = (12, 4, 2) and (40, 10, 2),
+    seeds 0, 1 and 7, by (n1, seed)."""
+    root = tmp_path_factory.mktemp("ri1")
+    models = {}
+    for n1, n2 in ((12, 4), (40, 10)):
+        for seed in (0, 1, 7):
+            models[n1, seed] = root / f"n{n1}-s{seed}"
+            assert _run(["generate", "--benchmark", "random-index1", "--n1", n1, "--n2", n2,
+                         "--m", 2, "--seed", seed, "--out", models[n1, seed]]) == 0
+    return models
+
+
+# at n1 = 12, r = 12 the basis keeps 11 columns and warns
+@pytest.mark.filterwarnings("ignore:rank-deficient basis:RuntimeWarning")
+@pytest.mark.parametrize("r", [8, 10, 12])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("n1", [12, 40])
+def test_shifted_reduce_interpolates_without_least_squares(random_index1_models, tmp_path,
+                                                            monkeypatch, n1, seed, r):
+    # the shifted models' pencils are solved by LU at every point, the
+    # interpolation points included
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    out = tmp_path / "red"
+    assert _run(["reduce", random_index1_models[n1, seed], "--method", "index1-shifted",
+                 "--r", r, "--h2", "--out", out]) == 0
+    assert float(_rows(out / "errors.csv")[0]["interp_residual_max"]) <= 1e-10
 
 
 def test_h2_reduce_does_not_import_scipy_integrate(tmp_path):
@@ -294,6 +345,14 @@ class TestSweepRegularize:
                                "--out", tmp_path / "sweep"], capsys)
         assert code == 1
         assert captured.err == "error [sweep]: range 2:6:0: the step must be >= 1\n"
+
+    def test_sweep_range_with_four_fields_exits_1(self, tmp_path, capsys):
+        model = tmp_path / "chain"
+        _run(["generate", "--benchmark", "chain", "--k", 4, "--out", model])
+        code, captured = _run(["sweep", model, "--r-sweep", "2:4:2:1",
+                               "--out", tmp_path / "sweep"], capsys)
+        assert code == 1
+        assert captured.err == "error [sweep]: range 2:4:2:1: expected lo[:hi[:step]]\n"
 
     def test_sweep_h2_denominator_integrated_once(self, tmp_path, monkeypatch):
         from phmor import cli

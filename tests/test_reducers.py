@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from phmor import (
     reduce_index2,
     reduce_index2_augmented,
     reduce_mixed,
+    reducers,
     tangential_residuals,
     validate_structure,
 )
@@ -34,7 +36,7 @@ from phmor.benchmarks import (
     random_ph_index1,
 )
 from phmor.linalg import LinAlgContractError, pivoted_rank
-from phmor.reducers import REDUCERS
+from phmor.reducers import PH_TOL, REDUCERS
 from phmor.systems import congruence
 
 from oracles import (
@@ -43,6 +45,7 @@ from oracles import (
     generic_index2,
     point_solves,
     projector_oracle_index2,
+    raw_generic_basis,
     raw_saddle_basis,
     reference_index1_blockdiag,
     reference_index2_ports,
@@ -118,7 +121,6 @@ class TestBases:
 
     @pytest.mark.parametrize("saddle", [False, True], ids=["generic", "saddle"])
     def test_one_solve_per_conjugate_pair(self, monkeypatch, saddle):
-        from phmor import reducers
         from phmor.systems import Index2Partition
 
         part = mass_spring_chain(MassSpringSpec(k=9))
@@ -150,24 +152,28 @@ class TestBases:
         assert np.allclose(cols[:, 4], cols[:, 3].conj(), rtol=1e-12, atol=0)
         kept = [(0, True), (1, False), (3, False)]
         assert reducers._conjugate_pairs(data.points, data.directions) == kept
+        # both bases are the Householder Q of the kept normalized columns
         V = reducers._realify(cols[:, [0, 1, 3]], kept)
-        W = reducers._normalized(V)
-        keep, cond = reducers._kept(W)
+        norms = np.linalg.norm(V, axis=0)
+        rank, piv, cond = pivoted_rank(V / norms)
+        keep = np.sort(piv[:rank])
+        Q, R = spla.qr(V[:, keep] / norms[keep], mode="economic")
         assert basis.V.shape == (cols.shape[0], 5)
         assert basis.cond == cond and 1.0 <= cond < np.inf
+        assert np.array_equal(basis.V, Q)
         if saddle:
-            assert np.array_equal(basis.V, spla.qr(W[:, keep], mode="economic")[0])
             assert basis.directions is None
         else:
+            # the directions in Q's coordinates: V[:, keep] = Q (R D) pairs
+            # column for column with Bd[:, keep]
             Bd = reducers._realify(data.directions[[0, 1, 3]].T, kept)
-            assert np.array_equal(basis.V, V[:, keep])
-            assert np.array_equal(basis.directions, Bd[:, keep])
+            np.testing.assert_allclose(basis.directions @ (R * norms[keep]), Bd[:, keep],
+                                       rtol=0, atol=1e-14)
 
     def test_mimo_pairs_match_point_and_direction(self, monkeypatch):
         # [s, s, conj s, conj s] with directions [b1, b2, conj b2, conj b1]:
         # each point pairs with the partner that carries its conjugate
         # direction, so two solves give the whole real span
-        from phmor import reducers
         from phmor.systems import Index1Partition
 
         part = random_ph_index1(8, 3, 2, seed=0)
@@ -203,17 +209,43 @@ class TestBases:
             _data([s, s, s.conjugate(), s.conjugate()], [b1, b2, b2.conj(), b2.conj()])
 
 
+@settings(max_examples=60, deadline=None)
+@given(n1=st.integers(1, 20), n2=st.integers(1, 5), m=st.integers(1, 3),
+       r=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_shifted_model_is_a_congruence_of_the_raw_one(n1, n2, m, r, seed):
+    part = random_ph_index1(n1, n2, m, seed)
+    data = InterpolationData.log_spaced(r, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # rank drops
+        V = build_V_generic(part, data).V
+        model = reduce_index1_shifted(part, data)
+        with mock.patch.object(reducers, "build_V_generic", raw_generic_basis):
+            raw = reduce_index1_shifted(part, data)
+    assert np.linalg.norm(V.T @ V - np.eye(V.shape[1])) <= 1e-13
+    assert np.array_equal(model.generic.D, raw.generic.D)
+    assert np.array_equal(model.polynomial.P0, raw.polynomial.P0)
+    # a congruence keeps the sign of the passivity matrix's smallest
+    # eigenvalue, not its size: the raw columns' scaling can move it
+    # across the tolerance PH_TOL without changing its sign
+    if min(abs(model.w_min_eig), abs(raw.w_min_eig)) > PH_TOL:
+        assert model.ph_valid == raw.ph_valid
+
+
 class TestHandVerifiedValues:
     def test_index1_shifted_fixture(self, index1_fixture):
         part = partition_index1(index1_fixture, 1)
-        model = reduce_index1_shifted(part, _data([1.0], [[1.0]]))
+        data = _data([1.0], [[1.0]])
+        model = reduce_index1_shifted(part, data)
         gen = model.generic
-        assert gen.E == pytest.approx(np.array([[2.25]]))
-        assert gen.A == pytest.approx(np.array([[0.75]]))
-        assert gen.B == pytest.approx(np.array([[1.5]]))
-        assert gen.C == pytest.approx(np.array([[1.5]]))
+        # the hand values are those of the raw column V_raw = V T, V the
+        # orthonormal basis the reducer projects with
+        T = build_V_generic(part, data).V.T @ raw_generic_basis(part, data).V
+        assert T.T @ gen.E @ T == pytest.approx(np.array([[2.25]]))
+        assert T.T @ gen.A @ T == pytest.approx(np.array([[0.75]]))
+        assert T.T @ gen.B == pytest.approx(np.array([[1.5]]))
+        assert gen.C @ T == pytest.approx(np.array([[1.5]]))
         assert gen.D == pytest.approx(np.array([[1.0]]))
-        assert model.system.R == pytest.approx(np.array([[-0.75]]))
+        assert T.T @ model.system.R @ T == pytest.approx(np.array([[-0.75]]))
         assert not model.ph_valid
         # interpolation at sigma = 1 despite the broken structure
         assert model.transfer_eval(1.0)[0, 0] == pytest.approx(2.5, abs=1e-12)
